@@ -253,8 +253,8 @@ def _verify_one(cfg: ExperimentConfig, eps: float):
     for t in (cfg.T / 4, cfg.T / 2, cfg.T):
         pv = DistributionVector(spec.p.copy())
         pt = evolve_distribution(sp.csr_matrix(spec.Q), pv, t).weights
-        occ = np.array([(np.array([r.y_at(t) for r in records]) == j).mean()
-                        for j in range(model.n_states)])
+        y_t = np.array([r.y_at(t) for r in records])
+        occ = np.array([(y_t == j).mean() for j in range(model.n_states)])
         se = np.sqrt(np.maximum(pt * (1 - pt), 1e-12) / len(records))
         z = float(np.max(np.abs(occ - pt) / se))
         record(f"mc_y_marginal_t{t:g}", z <= 3.0, z, 3.0)

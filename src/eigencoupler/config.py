@@ -91,6 +91,30 @@ class ExperimentConfig:
         }
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: true and false are Python ints but not config numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_num(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _list_of(value, valid):
+    """value as a tuple if it is a list whose items all pass valid, else None."""
+    if isinstance(value, (list, tuple)) and all(valid(v) for v in value):
+        return tuple(value)
+    return None
+
+
+def _float_array(value):
+    """value as a float array, or None if it is ragged or not numeric."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return None
+
+
 def _check_keys(problems, mapping, allowed, where):
     for key in mapping:
         if key not in allowed:
@@ -134,7 +158,7 @@ def parse_config(source) -> ExperimentConfig:
             problems.append(f"potential: unknown preset {potential!r} "
                             f"(known: {', '.join(preset_names())})")
     elif isinstance(potential, (list, tuple)):
-        if not all(isinstance(c, (int, float)) for c in potential):
+        if not all(_is_num(c) for c in potential):
             problems.append("potential: coefficient list must be numeric")
     else:
         problems.append("potential: must be a preset name or coefficient list")
@@ -145,7 +169,7 @@ def parse_config(source) -> ExperimentConfig:
         epsilons = ()
     else:
         eps_list = eps_raw if isinstance(eps_raw, (list, tuple)) else [eps_raw]
-        if not eps_list or not all(isinstance(e, (int, float)) and e > 0 for e in eps_list):
+        if not eps_list or not all(_is_num(e) and e > 0 for e in eps_list):
             problems.append("epsilon: every value must be a positive number")
             epsilons = ()
         else:
@@ -158,9 +182,9 @@ def parse_config(source) -> ExperimentConfig:
     _check_keys(problems, grid, _GRID_KEYS, "grid")
     grid_n = grid.get("n", DEFAULTS["grid_n"])
     grid_L = grid.get("L", DEFAULTS["grid_L"])
-    if not isinstance(grid_n, int) or grid_n < 3:
+    if not _is_int(grid_n) or grid_n < 3:
         problems.append("grid.n: must be an integer >= 3")
-    if grid_L is not None and not (isinstance(grid_L, (int, float)) and grid_L > 0):
+    if grid_L is not None and not (_is_num(grid_L) and grid_L > 0):
         problems.append("grid.L: must be a positive number or null")
 
     chain = data.get("chain", {})
@@ -173,17 +197,17 @@ def parse_config(source) -> ExperimentConfig:
     explicit_Q = chain.get("Q")
     chain_p = chain.get("p")
     maximize_scale = chain.get("maximize_scale", False)
-    if not (isinstance(theta, (int, float)) and 0 < theta < 1):
+    if not (_is_num(theta) and 0 < theta < 1):
         problems.append("chain.theta: must lie in (0, 1)")
-    if not (isinstance(kappa, (int, float)) and 0 <= kappa < 1):
+    if not (_is_num(kappa) and 0 <= kappa < 1):
         problems.append("chain.kappa: must lie in [0, 1)")
     if explicit_Q is not None:
-        q = np.asarray(explicit_Q, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        q = _float_array(explicit_Q)
+        if q is None or q.ndim != 2 or q.shape[0] != q.shape[1]:
             problems.append("chain.Q: must be a square matrix")
     if chain_p is not None:
-        p = np.asarray(chain_p, dtype=float)
-        if p.ndim != 1 or abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
+        p = _float_array(chain_p)
+        if p is None or p.ndim != 1 or abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
             problems.append("chain.p: must be a probability vector")
     if not isinstance(maximize_scale, bool):
         problems.append("chain.maximize_scale: must be a boolean")
@@ -198,15 +222,15 @@ def parse_config(source) -> ExperimentConfig:
     n_paths = sim.get("n_paths", DEFAULTS["n_paths"])
     seed = sim.get("seed", DEFAULTS["seed"])
     store_stride = sim.get("store_stride", DEFAULTS["store_stride"])
-    if not (isinstance(dt, (int, float)) and dt > 0):
+    if not (_is_num(dt) and dt > 0):
         problems.append("simulation.dt: must be positive")
-    if not (isinstance(T, (int, float)) and T > 0):
+    if not (_is_num(T) and T > 0):
         problems.append("simulation.T: must be positive")
-    if not (isinstance(n_paths, int) and n_paths >= 1):
+    if not (_is_int(n_paths) and n_paths >= 1):
         problems.append("simulation.n_paths: must be a positive integer")
-    if not (isinstance(seed, int) and 0 <= seed < 2 ** 64):
+    if not (_is_int(seed) and 0 <= seed < 2 ** 64):
         problems.append("simulation.seed: must be a u64")
-    if not (isinstance(store_stride, int) and store_stride >= 1):
+    if not (_is_int(store_stride) and store_stride >= 1):
         problems.append("simulation.store_stride: must be a positive integer")
 
     oracle = data.get("oracle", {})
@@ -215,11 +239,12 @@ def parse_config(source) -> ExperimentConfig:
         oracle = {}
     _check_keys(problems, oracle, _ORACLE_KEYS, "oracle")
     oracle_n = oracle.get("n", DEFAULTS["oracle_n"])
-    oracle_times = tuple(oracle.get("times", DEFAULTS["oracle_times"]))
-    if not isinstance(oracle_n, int) or oracle_n < 3:
+    oracle_times = _list_of(oracle.get("times", DEFAULTS["oracle_times"]),
+                            lambda t: _is_num(t) and t >= 0)
+    if not _is_int(oracle_n) or oracle_n < 3:
         problems.append("oracle.n: must be an integer >= 3")
-    if not all(isinstance(t, (int, float)) and t >= 0 for t in oracle_times):
-        problems.append("oracle.times: must be nonnegative numbers")
+    if not oracle_times:
+        problems.append("oracle.times: must be a nonempty list of nonnegative numbers")
 
     outputs = data.get("outputs", {})
     if not isinstance(outputs, dict):
@@ -227,7 +252,11 @@ def parse_config(source) -> ExperimentConfig:
         outputs = {}
     _check_keys(problems, outputs, _OUT_KEYS, "outputs")
     out_dir = outputs.get("directory", ".")
-    formats = tuple(outputs.get("formats", DEFAULTS["formats"]))
+    formats = _list_of(outputs.get("formats", DEFAULTS["formats"]),
+                       lambda f: isinstance(f, str))
+    if formats is None:
+        problems.append("outputs.formats: must be a list of format names")
+        formats = ()
     bad = set(formats) - {"json", "csv", "svg"}
     if bad:
         problems.append(f"outputs.formats: unknown formats {sorted(bad)}")
@@ -236,7 +265,7 @@ def parse_config(source) -> ExperimentConfig:
     if not isinstance(allow, bool):
         problems.append("allow_assumption_violation: must be a boolean")
     threads = data.get("threads", 1)
-    if not (isinstance(threads, int) and threads >= 1):
+    if not (_is_int(threads) and threads >= 1):
         problems.append("threads: must be a positive integer")
 
     if problems:

@@ -25,6 +25,11 @@ class TruncationError(EigencouplerError):
     """Spectral decomposition is inconsistent with a zero leading eigenvalue."""
 
 
+class UniformizationError(EigencouplerError):
+    """The uniformization series did not reach its tail tolerance within the
+    Poisson right point."""
+
+
 class ChainSynthesisError(EigencouplerError):
     """Inverse eigenvalue synthesis of the chain generator failed."""
 

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from .coupling import CouplingModel
-from .errors import UnreachableTargetError
+from .errors import UniformizationError, UnreachableTargetError
 from .spectral import DiscreteGenerator
 
 __all__ = [
@@ -35,6 +35,11 @@ _MASS_FLOOR = 1e-14
 # each evolution step may shed up to the truncation tolerance; allow a short
 # chain of evolutions before the mass check trips
 _MASS_TOL = 1e-10
+# 1 - sum(weights) cannot resolve a tail below ulp(1)
+_EPS = float(np.finfo(float).eps)
+# the tail-bound stop waits for a tail this far below the tolerance, so it
+# ends only series whose 1 - sum(weights) test rounding has stalled
+_TAIL_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -53,29 +58,63 @@ class DistributionVector:
         object.__setattr__(self, "weights", w)
 
 
+def _depth_cap(a: float) -> int:
+    """Series depth past which the Poisson(a) tail is below 1e-23 for every
+    a <= 64 (a right point 10 standard deviations plus 20 past the mean)."""
+    return int(a + 10.0 * np.sqrt(a) + 20.0)
+
+
+def _poisson_weights(a: float, tol: float) -> list:
+    """Poisson(a) weights w_0..w_K, K the first depth whose remaining tail is
+    at most tol.
+
+    The tail is read as 1 - sum(w), which rounding in the sum leaves a few
+    ulp off; where that stalls above tol, the series stops once the geometric
+    bound on the tail is below _TAIL_MARGIN * tol, so termination never rests
+    on rounding.
+
+    Raises:
+        UniformizationError: neither test stops the series by
+            _depth_cap(a).
+    """
+    cap = _depth_cap(a)
+    weight = np.exp(-a)
+    weights = [weight]
+    total = weight
+    k = 0
+    while 1.0 - total > tol:
+        # sum_{j>k} w_j <= w_{k+1} / (1 - a/(k+2)) once k+2 > a
+        if k + 2 > a and weight * a / ((k + 1) * (1.0 - a / (k + 2))) <= _TAIL_MARGIN * tol:
+            break
+        if k == cap:
+            raise UniformizationError(
+                f"Poisson series at rate-time {a:.6g} did not reach tail {tol:.3e} "
+                f"by depth {cap}")
+        k += 1
+        weight *= a / k
+        weights.append(weight)
+        total += weight
+    return weights
+
+
 def _uniformize(B: sp.spmatrix, nu: np.ndarray, t: float, tol: float) -> np.ndarray:
     rate = float(np.max(-B.diagonal()))
     if rate <= 0.0 or t == 0.0:
         return nu.copy()
     n_sub = max(1, int(np.ceil(rate * t / _MAX_RATE_STEP)))
+    # every sub-interval has the same rate-time, hence the same weights
     tau = t / n_sub
-    a = rate * tau
-    tol_sub = tol / n_sub
-    # row-stochastic kernel of the uniformized chain
-    P = (sp.eye(B.shape[0], format="csr") + B.multiply(1.0 / rate)).tocsr()
+    weights = _poisson_weights(rate * tau, max(tol / n_sub, _EPS))
+    # column-stochastic transpose of the uniformized chain's kernel, formed
+    # once: nu @ P would rebuild it on every step
+    PT = (sp.eye(B.shape[0], format="csr") + B.multiply(1.0 / rate)).tocsr().T
     out = nu
     for _ in range(n_sub):
         term = out
-        weight = np.exp(-a)
-        acc = weight * term
-        total = weight
-        k = 0
-        while 1.0 - total > tol_sub:
-            k += 1
-            term = term @ P
-            weight *= a / k
+        acc = weights[0] * term
+        for weight in weights[1:]:
+            term = PT @ term
             acc = acc + weight * term
-            total += weight
         out = acc
     return out
 
@@ -85,8 +124,9 @@ def evolve_distribution(B: sp.spmatrix, nu0, t: float,
     """Law at time t of the Markov process with generator B started from nu0.
 
     Mass is conserved up to the truncation tolerance (default 1e-12) per
-    call; the truncated series is never renormalized. A zero generator
-    returns the input unchanged.
+    call, split evenly over the sub-intervals with Lambda*tau <= 64 but never
+    below ulp(1) each; the truncated series is never renormalized. A zero
+    generator returns the input unchanged.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import GridError, TruncationError
 from .potential import Potential
-from .tridiag import eigensolve_tridiagonal
+from .tridiag import eigensolve_edge_factor, eigensolve_tridiagonal
 
 __all__ = [
     "Grid",
@@ -130,16 +130,15 @@ class DiscreteGenerator:
         out[1:] += (lower * f[:-1].T).T
         return out
 
-    def symmetrized(self):
-        """(diag, offdiag) of D^{1/2} (-A) D^{-1/2}, D = diag(weights).
+    def edge_factor(self):
+        """(diag, superdiag) of the (n-1) x n bidiagonal G with
+        G^T G = D^{1/2} (-A) D^{-1/2}, D = diag(weights).
 
-        With the exponential-of-midpoint-difference rates the off-diagonal is
-        exactly -eps/h^2 at every edge, which keeps sqrt(weights) an exact
-        null vector of the symmetrized matrix.
+        Row j of G is the edge j -> j+1: -sqrt(birth[j]) at column j and
+        sqrt(death[j+1]) at column j+1. G annihilates sqrt(weights) (detailed
+        balance), so the symmetrized generator has an exact null vector.
         """
-        diag = self.birth + self.death
-        offdiag = np.full(self.n - 1, -self.eps / self.grid.h ** 2)
-        return diag, offdiag
+        return -np.sqrt(self.birth[:-1]), np.sqrt(self.death[1:])
 
     def max_exit_rate(self) -> float:
         return float(np.max(self.birth + self.death))
@@ -243,11 +242,14 @@ def _leftmost_weight_peak(w: np.ndarray) -> int:
 def decompose(gen: DiscreteGenerator, m: int, sign_node: int | None = None) -> SpectralDecomposition:
     """The m+1 smallest eigenpairs of the generator.
 
-    Symmetrizes by similarity with sqrt(weights), eigensolves, and maps back.
-    The zero mode is pinned exactly: sqrt(weights) is an exact null vector of
-    the symmetrized matrix, so every excited eigenvector is explicitly
-    projected against it, mode 0 is stored as the constant one, and
-    eigenvalue 0 is stored exactly after the consistency check.
+    Symmetrizes by similarity with sqrt(weights) into S = G^T G, G the
+    bidiagonal edge factor, eigensolves, and maps back. The eigenvalues are
+    the squared singular values of G, accurate relative to their own size
+    however small lambda_1 is against ||S||. The zero mode is pinned
+    exactly: sqrt(weights) is an exact null vector of S, so every excited
+    eigenvector is explicitly projected against it, mode 0 is stored as the
+    constant one, and eigenvalue 0 is stored exactly after the consistency
+    check.
 
     Sign convention: modes[k] is positive at sign_node (default: the node of
     the leftmost potential minimum, located as the leftmost peak of the
@@ -261,8 +263,7 @@ def decompose(gen: DiscreteGenerator, m: int, sign_node: int | None = None) -> S
     n = gen.n
     if m + 1 > n:
         raise ValueError("m+1 eigenpairs requested from an n-state generator")
-    diag, offdiag = gen.symmetrized()
-    values, vectors = eigensolve_tridiagonal(diag, offdiag, m + 1)
+    values, vectors = eigensolve_edge_factor(*gen.edge_factor(), m + 1)
 
     if m >= 1 and abs(values[0]) > ZERO_EIG_REL_TOL * values[1]:
         raise TruncationError(

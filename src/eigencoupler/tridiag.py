@@ -1,27 +1,30 @@
-"""Symmetric tridiagonal eigensolver: Sturm-sequence bisection for the
-smallest eigenvalues, inverse iteration for the eigenvectors.
+"""Symmetric tridiagonal eigensolvers on LAPACK bisection and inverse
+iteration.
 
-Shared numerical kernel for the two spectral discretization routes. The
-bisection uses the classic LAPACK-style pivoted recurrence for the eigenvalue
-count function; eigenvalues are refined to a Rayleigh quotient of the
-converged inverse-iteration vector, which is far more accurate than the
-bisection bracket alone.
+`eigensolve_tridiagonal` serves any symmetric tridiagonal matrix (the
+Schrodinger cross-check route). `eigensolve_edge_factor` serves the generator
+route, whose symmetrized matrix is S = G^T G for a bidiagonal edge factor G:
+its eigenvalues are the squared singular values of G, found by bisection on
+the zero-diagonal Golub-Kahan tridiagonal of G. That bisection is accurate
+relative to each singular value (Demmel & Kahan 1990; the idea behind LAPACK
+`dbdsvdx`), so eigenvalues many orders of magnitude below ||S|| keep their
+leading digits, and the zero eigenvalue comes out below ulp^2 * lambda_1.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import EigenSolveError
 
-__all__ = ["eigensolve_tridiagonal", "tridiagonal_matvec"]
+__all__ = ["eigensolve_tridiagonal", "eigensolve_edge_factor", "tridiagonal_matvec"]
 
-_BISECT_REL_TOL = 1e-12       # times the spectral radius estimate
-_RESIDUAL_TOL = 1e-11         # times ||T||_inf, inverse-iteration convergence
-_CLUSTER_GAP = 1e-8           # reorthogonalize below this eigenvalue gap
-_SHIFT_JITTER = 1e-10
-_MAX_INVERSE_ITER = 50
+# stebz absolute tolerance: twice the underflow threshold leaves only its
+# relative test, which LAPACK recommends for the most accurate values
+_ABSTOL = 2 * np.finfo(float).tiny
+_ULP = np.finfo(float).eps
 
 
 def tridiagonal_matvec(diag, offdiag, v):
@@ -36,86 +39,11 @@ def tridiagonal_matvec(diag, offdiag, v):
     return out
 
 
-def _sturm_counts(diag, offdiag2, shifts, pivmin):
-    """Number of eigenvalues of T strictly below each shift."""
-    shifts = np.atleast_1d(shifts)
-    q = diag[0] - shifts
-    small = np.abs(q) < pivmin
-    q[small] = -pivmin
-    counts = (q < 0).astype(np.int64)
-    for i in range(1, len(diag)):
-        q = diag[i] - shifts - offdiag2[i - 1] / q
-        small = np.abs(q) < pivmin
-        q[small] = -pivmin
-        counts += q < 0
-    return counts
-
-
-def _bisect_eigenvalues(diag, offdiag, k, tol):
-    """Brackets [lo_j, hi_j] of width <= tol around the k smallest eigenvalues."""
-    n = len(diag)
-    pad = np.concatenate((np.abs(offdiag), [0.0])) if len(offdiag) else np.zeros(1)
-    radius = pad + np.concatenate(([0.0], pad[:-1]))  # Gershgorin row radii
-    gl = float(np.min(diag - radius))
-    gu = float(np.max(diag + radius))
-    offdiag2 = offdiag.astype(float) ** 2 if len(offdiag) else np.zeros(0)
-    pivmin = max(np.max(offdiag2, initial=0.0), 1.0) * np.finfo(float).tiny * n
-
-    lo = np.full(k, gl)
-    hi = np.full(k, gu)
-    targets = np.arange(1, k + 1)  # want count(hi) >= j, count(lo) < j
-    while np.max(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        counts = _sturm_counts(diag, offdiag2, mid, pivmin)
-        below = counts >= targets
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-    return lo, hi
-
-
-def _inverse_iteration(diag, offdiag, shift, prev_vectors, rng, norm_t):
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = offdiag
-    ab[1] = diag - shift
-    ab[2, :-1] = offdiag
-    v = rng.standard_normal(n)
-    for q in prev_vectors:
-        v -= (q @ v) * q
-    v /= np.linalg.norm(v)
-    residual = np.inf
-    for it in range(_MAX_INVERSE_ITER):
-        try:
-            w = solve_banded((1, 1), ab, v)
-        except np.linalg.LinAlgError:
-            ab[1] += _SHIFT_JITTER * max(1.0, norm_t)
-            continue
-        for q in prev_vectors:
-            w -= (q @ w) * q
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nw
-        tv = tridiagonal_matvec(diag, offdiag, v)
-        rho = float(v @ tv)
-        residual = float(np.max(np.abs(tv - rho * v)))
-        if it >= 1 and residual <= _RESIDUAL_TOL * norm_t:
-            return v, rho, residual
-    raise EigenSolveError(
-        f"inverse iteration did not converge after {_MAX_INVERSE_ITER} iterations "
-        f"(residual {residual:.3e}, tolerance {_RESIDUAL_TOL * norm_t:.3e})")
-
-
 def eigensolve_tridiagonal(diag, offdiag, k_max):
     """The k_max smallest eigenpairs of the symmetric tridiagonal matrix with
-    the given diagonal and off-diagonal.
-
-    Eigenvalues are located by Sturm-sequence bisection to absolute tolerance
-    1e-12 times the spectral radius, then refined by the Rayleigh quotient of
-    the inverse-iteration eigenvector. Eigenvectors within a cluster (gap
-    below 1e-8) are reorthogonalized against the previously found ones.
+    the given diagonal and off-diagonal (LAPACK `stebz` bisection to ulp *
+    ||T||, `stein` inverse iteration with reorthogonalization inside
+    clusters).
 
     Returns:
         (values, vectors): values ascending, shape (k_max,); vectors with unit
@@ -128,21 +56,61 @@ def eigensolve_tridiagonal(diag, offdiag, k_max):
         raise ValueError("offdiag must have length n-1")
     if not 1 <= k_max <= n:
         raise ValueError("k_max must be in [1, n]")
+    try:
+        return eigh_tridiagonal(diag, offdiag, select="i", select_range=(0, k_max - 1),
+                                lapack_driver="stebz")
+    except LinAlgError as exc:
+        raise EigenSolveError(f"tridiagonal eigensolver failed: {exc}") from exc
 
-    norm_t = float(np.max(np.abs(diag)) + 2 * np.max(np.abs(offdiag), initial=0.0))
-    if norm_t == 0.0:
-        return np.zeros(k_max), np.eye(n)[:, :k_max]
-    lo, hi = _bisect_eigenvalues(diag, offdiag, k_max, _BISECT_REL_TOL * norm_t)
-    approx = 0.5 * (lo + hi)
 
-    values = np.empty(k_max)
-    vectors = np.empty((n, k_max))
-    rng = np.random.default_rng(0xEC0)
-    for k in range(k_max):
-        cluster = [vectors[:, j] for j in range(k) if approx[k] - approx[j] < _CLUSTER_GAP]
-        shift = approx[k] + _SHIFT_JITTER
-        v, rho, _ = _inverse_iteration(diag, offdiag, shift, cluster, rng, norm_t)
-        values[k] = rho
-        vectors[:, k] = v
-    order = np.argsort(values, kind="stable")
-    return values[order], vectors[:, order]
+def eigensolve_edge_factor(diag, superdiag, k):
+    """The k smallest eigenpairs of S = G^T G, where G is the (n-1) x n upper
+    bidiagonal matrix with G[j, j] = diag[j] and G[j, j+1] = superdiag[j].
+
+    The eigenvalues are sigma_j(G)^2: sigma_1, sigma_2, ... to high relative
+    accuracy, and sigma_0, zero in exact arithmetic (G has a null direction),
+    to within ulp * sigma_1. The vectors come from inverse iteration on S at
+    those eigenvalues.
+
+    Returns:
+        (values, vectors) as for `eigensolve_tridiagonal`.
+    """
+    a = np.asarray(diag, dtype=float)
+    b = np.asarray(superdiag, dtype=float)
+    n = len(a) + 1
+    if len(b) != n - 1:
+        raise ValueError("diag and superdiag must have the same length")
+    if not 1 <= k <= n:
+        raise ValueError("k must be in [1, n]")
+    # Golub-Kahan: perfect-shuffle of [[0, G^T], [G, 0]], eigenvalues
+    # -sigma_{n-1} .. -sigma_1, 0, sigma_1 .. sigma_{n-1} (1-based index n
+    # is the zero)
+    tgk = np.empty(2 * n - 2)
+    tgk[0::2] = a
+    tgk[1::2] = b
+    zero_diag = np.zeros(2 * n - 1)
+
+    def bisect(lo, hi, abstol):
+        # range 3: the eigenvalues with 1-based indices lo..hi
+        m, w, _, _, info = dstebz(zero_diag, tgk, 3, 0.0, 0.0, lo, hi, abstol, "B")
+        if info != 0 or m != hi - lo + 1:
+            raise EigenSolveError(f"bisection on the Golub-Kahan matrix failed (info {info})")
+        return np.sort(w[:m])
+
+    sigma = bisect(n + 1, n - 1 + k, _ABSTOL) if k > 1 else np.zeros(0)
+    # sigma_0 is resolved to the absolute precision sigma_1 carries: bisecting
+    # it down to the underflow threshold would take five times as long
+    sigma_0 = bisect(n, n, max(_ULP * sigma[0], _ABSTOL) if k > 1 else _ABSTOL)
+    values = np.concatenate((sigma_0, sigma)) ** 2
+
+    s_diag = np.zeros(n)
+    s_diag[:-1] += a ** 2
+    s_diag[1:] += b ** 2
+    # S is one unreduced block; stein reorthogonalizes clustered vectors
+    block = np.ones(n, dtype=np.int32)
+    split = np.zeros(n, dtype=np.int32)
+    split[0] = n
+    vectors, info = dstein(s_diag, a * b, values, block, split)
+    if info != 0:
+        raise EigenSolveError(f"inverse iteration failed for {info} eigenvectors")
+    return values, vectors

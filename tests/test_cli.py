@@ -54,6 +54,29 @@ def test_parse_collects_multiple_problems():
     assert len(err.value.problems) >= 3
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("oracle", "times", 1.0),                   # a scalar, not a list
+    ("oracle", "times", []),
+    ("simulation", "n_paths", True),            # a bool is not an integer
+    ("simulation", "seed", False),
+    ("simulation", "dt", True),
+    ("chain", "Q", [[-1.0, 1.0], [1.0]]),       # ragged
+    ("chain", "p", ["a", "b"]),
+    ("outputs", "formats", 1),
+])
+def test_parse_rejects_malformed_values(section, key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config({"potential": "double_well", "epsilon": 0.1,
+                      section: {key: value}})
+    assert any(p.startswith(f"{section}.{key}") for p in err.value.problems)
+
+
+def test_malformed_config_exits_1_without_traceback(tmp_path, capsys):
+    path = light_config(tmp_path, oracle={"times": 1.0})
+    assert cli.main(["oracle", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_sweep_produces_sub_configs():
     cfg = parse_config({"potential": "double_well", "epsilon": [0.15, 0.1, 0.07]})
     assert cfg.is_sweep

@@ -8,6 +8,10 @@ from conftest import build_pipeline
 from eigencoupler.coupling import build_joint_generator
 from eigencoupler.errors import UnreachableTargetError
 from eigencoupler.oracle import (
+    _EPS,
+    _MASS_TOL,
+    _depth_cap,
+    _poisson_weights,
     DistributionVector,
     check_conditional_law,
     check_y_marginal,
@@ -54,6 +58,27 @@ def test_evolve_zero_generator():
     nu0 = np.array([0.2, 0.3, 0.5])
     nu = evolve_distribution(Z, nu0, 5.0)
     np.testing.assert_array_equal(nu.weights, nu0)
+
+
+def test_poisson_depth_below_cap_where_tolerance_is_floored():
+    # a rate-1e5 chain over t = 10 splits into 15625 sub-intervals at
+    # rate-time 64, so tol / n_sub = 6.4e-17 lies below ulp(1): the series
+    # must stop on the floored tolerance, not on rounding luck, well before
+    # the cap, with a tail at the ulp level
+    n_sub = int(np.ceil(1e5 * 10.0 / 64.0))
+    a = 1e5 * (10.0 / n_sub)
+    weights = _poisson_weights(a, max(1e-12 / n_sub, _EPS))
+    assert len(weights) - 1 < _depth_cap(a)
+    assert abs(1.0 - sum(weights)) <= 16 * _EPS
+
+
+def test_evolve_stiff_chain_with_floored_tolerance():
+    # the same floored regime end to end (tol / n_sub = 6.4e-17) at a tenth
+    # of the sub-intervals: the evolution returns with mass inside _MASS_TOL
+    Q = sp.csr_matrix(np.array([[-1e3, 1e3], [1e3, -1e3]]))
+    nu = evolve_distribution(Q, np.array([1.0, 0.0]), 10.0, tol=1e-14)
+    assert abs(nu.weights.sum() - 1.0) <= _MASS_TOL
+    np.testing.assert_allclose(nu.weights, [0.5, 0.5], atol=_MASS_TOL)
 
 
 def test_evolve_long_horizon_mass_conserved(dw_small, dw_small_joint):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -190,3 +191,53 @@ def test_exports(tmp_path, dw_small):
     payload = eigenvalues_to_json(dec, tmp_path / "eig.json")
     assert payload["eigenvalues"][0] == 0.0
     assert "scaled_schrodinger_eigenvalues" in payload
+
+
+def _mp_lambda_1(gen, dps=80):
+    """lambda_1 of the same S = G^T G in dps-digit arithmetic, by Sturm-count
+    bisection to 1e-30 relative. In exact arithmetic S has a simple zero
+    eigenvalue, so lambda_1 is the point where the count reaches 2."""
+    with mpmath.workdps(dps):
+        birth = [mpmath.mpf(float(b)) for b in gen.birth]
+        death = [mpmath.mpf(float(d)) for d in gen.death]
+        diag = [b + d for b, d in zip(birth, death)]
+        off2 = [birth[j] * death[j + 1] for j in range(gen.n - 1)]
+        tiny = mpmath.mpf(10) ** (-2 * dps)
+
+        def count_below(x):
+            q = diag[0] - x
+            count = int(q < 0)
+            for i in range(1, gen.n):
+                q = diag[i] - x - off2[i - 1] / (q if q != 0 else tiny)
+                count += q < 0
+            return count
+
+        lo, hi = mpmath.mpf(0), 2 * max(diag)
+        while hi - lo > mpmath.mpf(10) ** -30 * hi:
+            mid = (lo + hi) / 2
+            if count_below(mid) >= 2:
+                hi = mid
+            else:
+                lo = mid
+        return float((lo + hi) / 2)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.03, 0.02, 0.015, 0.01])
+def test_lambda_1_relative_accuracy_small_noise(eps):
+    # lambda_1 falls to 6e-12 at eps = 0.01 while ||S|| stays near 1e3: an
+    # absolute-accuracy solver loses nearly every digit there, the
+    # bidiagonal route keeps them
+    gen = build_generator(DW, eps, auto_grid(DW, eps, n=300))
+    dec = decompose(gen, 1)
+    ref = _mp_lambda_1(gen)
+    assert abs(dec.eigenvalues[1] - ref) <= 1e-12 * ref
+
+
+def test_triple_well_small_noise_passes_zero_mode_gate():
+    # at eps = 0.05, n = 4000 an absolute-accuracy solver put lambda_0 at
+    # -6.4e-13 against lambda_1 = 4.3e-5 and tripped the gate
+    tw = make_potential("triple_well")
+    gen = build_generator(tw, 0.05, auto_grid(tw, 0.05, n=4000))
+    dec = decompose(gen, 3)
+    assert dec.eigenvalues[0] == 0.0
+    assert 0 < dec.eigenvalues[1] < dec.eigenvalues[2] < dec.eigenvalues[3]

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import eigh_tridiagonal
 
-from eigencoupler.tridiag import eigensolve_tridiagonal, tridiagonal_matvec
+from eigencoupler.tridiag import (eigensolve_edge_factor, eigensolve_tridiagonal,
+                                  tridiagonal_matvec)
 
 
 def test_two_by_two_closed_form():
@@ -77,3 +78,22 @@ def test_residuals_and_values_match_reference(d, seed):
         assert np.max(np.abs(res)) <= 1e-9 * norm
     ref = eigh_tridiagonal(np.asarray(d), e, eigvals_only=True)[:k]
     np.testing.assert_allclose(values, ref, atol=1e-9 * norm)
+
+
+def test_edge_factor_matches_dense_gram_spectrum():
+    # S = G^T G for a random bidiagonal edge factor: the zero mode below
+    # ulp^2 * lambda_1, eigenpairs of S to working accuracy
+    rng = np.random.default_rng(7)
+    a = -rng.uniform(0.5, 2.0, size=39)
+    b = rng.uniform(0.5, 2.0, size=39)
+    G = np.zeros((39, 40))
+    G[np.arange(39), np.arange(39)] = a
+    G[np.arange(39), np.arange(1, 40)] = b
+    S = G.T @ G
+    values, vectors = eigensolve_edge_factor(a, b, 4)
+    assert values[0] <= np.finfo(float).eps ** 2 * values[1]
+    np.testing.assert_allclose(values, np.linalg.eigvalsh(S)[:4], atol=1e-13 * np.abs(S).max())
+    np.testing.assert_allclose(vectors.T @ vectors, np.eye(4), atol=1e-12)
+    assert np.max(np.abs(S @ vectors - vectors * values)) <= 1e-13 * np.abs(S).max()
+    with pytest.raises(ValueError):
+        eigensolve_edge_factor(a, b[:-1], 2)
