@@ -2,10 +2,11 @@
 jump rates, the joint generator on grid x chain states, initial laws, and the
 conditional densities used as the reference law in every verification.
 
-All functions of the continuous variable are grid-sampled vectors; the
-simulator interpolates the spectral modes linearly off-grid and evaluates the
-tilts algebraically, which preserves the rate identity
-tilt_i(x) * rate_ij(x) = Q_ij * tilt_j(x) everywhere.
+All functions of the continuous variable are grid-sampled vectors. Off the
+grid the simulator interpolates the tilt table linearly in each cell (it
+interpolates the modes and applies 1 + vectors^T, the same affine function)
+and forms each rate as Q_ij * tilt_j / tilt_i, which preserves the rate
+identity tilt_i(x) * rate_ij(x) = Q_ij * tilt_j(x) everywhere.
 """
 
 from __future__ import annotations

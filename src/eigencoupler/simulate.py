@@ -5,13 +5,17 @@ counter-based random streams.
 Every path owns a Philox stream keyed by (master seed, path index) and
 consumes draws in a fixed order: initial-condition uniforms, then the full
 diffusion noise vector, then chain clock exponentials in event order. The
-single-path entry points run the vectorized kernels at width one, so an
+noise is drawn in blocks of steps as the Euler loop reaches them; block-wise
+draws consume a stream exactly as one call for the whole vector would, so
+the order above holds and no (steps x paths) noise array is ever formed.
+The single-path entry points run the vectorized kernels at width one, so an
 ensemble is bit-identical to composing them path by path with the derived
 streams, independent of chunking or worker scheduling.
 """
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,9 +38,13 @@ __all__ = [
 
 DT_CURVATURE_FACTOR = 1e-2
 ESCAPE_FACTOR = 10.0
-# noise + full-resolution x buffers per chunk (two float64 per path-step);
-# wide chunks amortize the per-step numpy dispatch overhead
+# chunk width is _CHUNK_BYTES / (16 bytes * n_steps), so a chunk's
+# full-resolution x (one float64 per path-step) takes at most half the budget;
+# the noise streams in blocks and adds little. Wide chunks amortize the
+# per-step numpy dispatch overhead
 _CHUNK_BYTES = 3.2e9
+_NOISE_BLOCK = 512        # steps of noise drawn per path per block
+_NOISE_GROUP = 128        # paths per transpose of the noise buffer
 
 
 @dataclass(frozen=True)
@@ -65,13 +73,8 @@ class TrajectoryRecord:
 
     def y_at(self, t: float) -> int:
         """Exact chain state at time t, reconstructed from the jump log."""
-        y = int(self.y[0])
-        for tj, _, to in self.jumps:
-            if tj <= t:
-                y = int(to)
-            else:
-                break
-        return y
+        k = bisect.bisect_right(self.jumps, t, key=lambda jump: jump[0])
+        return int(self.jumps[k - 1][2]) if k else int(self.y[0])
 
     def x_at_stored(self, t: float, tol: float = 1e-9) -> float:
         i = int(np.argmin(np.abs(self.times - t)))
@@ -160,14 +163,42 @@ def _check_dt(potential: Potential, dt: float, allow_large_dt: bool):
         warnings.warn(msg)
 
 
+class _NoiseStream:
+    """The (n_steps, C) standard normals of a block of paths, drawn from each
+    path's stream _NOISE_BLOCK steps at a time. Groups of _NOISE_GROUP paths
+    fill the rows of a cache-sized buffer, whose transpose is copied into the
+    step-major block the Euler loop reads; a whole-width transpose would miss
+    the cache on every element."""
+
+    def __init__(self, gens, n_steps: int):
+        self.gens = gens
+        self.shape = (n_steps, len(gens))
+
+    def blocks(self):
+        n_steps, c = self.shape
+        width = max(1, min(_NOISE_BLOCK, n_steps))
+        buf = np.empty((min(_NOISE_GROUP, c), width))
+        out = np.empty((width, c))
+        for k0 in range(0, n_steps, width):
+            nb = min(width, n_steps - k0)
+            for g0 in range(0, c, _NOISE_GROUP):
+                group = self.gens[g0:g0 + _NOISE_GROUP]
+                for i, g in enumerate(group):
+                    g.standard_normal(out=buf[i, :nb])
+                out[:nb, g0:g0 + len(group)] = buf[:len(group), :nb].T
+            yield out[:nb]
+
+
 def _x_kernel(potential, eps, x0s, noise, dt, bound, absorb=None):
-    """Euler-Maruyama on a block of paths: x0s (C,), noise (n_steps, C).
+    """Euler-Maruyama on a block of paths: x0s (C,), noise (n_steps, C), an
+    array or a _NoiseStream that draws it block by block.
 
     Returns (xfull, exit_steps, exit_fracs, exit_xs): xfull has shape
     (n_steps+1, C); paths that hit the absorbing interval are frozen at the
     interpolated crossing point.
     """
     n_steps = noise.shape[0]
+    blocks = noise.blocks() if isinstance(noise, _NoiseStream) else (noise,)
     c = len(x0s)
     sig = np.sqrt(2.0 * eps * dt)
     xfull = np.empty((n_steps + 1, c))
@@ -185,62 +216,77 @@ def _x_kernel(potential, eps, x0s, noise, dt, bound, absorb=None):
             exit_steps[hit] = 0
             exit_xs[hit] = x[hit]
             active[hit] = False
-    for k in range(n_steps):
-        if absorb is None:
-            x = x - potential.grad(x) * dt + sig * noise[k]
-            xfull[k + 1] = x
-        else:
-            xo = x[active]
-            xn = xo - potential.grad(xo) * dt + sig * noise[k][active]
-            x[active] = xn
-            xfull[k + 1] = x
-            lo, hi = absorb
-            entered = active & (x >= lo) & (x <= hi)
-            if entered.any():
-                idx = np.nonzero(entered)[0]
-                prev = xfull[k, idx]
-                cur = x[idx]
-                boundary = np.where(prev < lo, lo, hi)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    frac = np.where(cur == prev, 0.0,
-                                    np.clip((boundary - prev) / (cur - prev), 0.0, 1.0))
-                exit_steps[idx] = k
-                exit_fracs[idx] = frac
-                exit_xs[idx] = boundary
-                x[idx] = boundary
-                xfull[k + 1, idx] = boundary
-                active[idx] = False
-        if k % 256 == 0 or k == n_steps - 1:
-            mx = np.max(np.abs(x))
-            if mx > bound:
-                raise BlowUpError(
-                    f"path escaped |x| <= {bound:g} (reached {mx:g}); "
-                    "the time step is too large for this potential")
+    k = 0
+    for block in blocks:
+        for z in block:
+            if absorb is None:
+                x = x - potential.grad(x) * dt + sig * z
+                xfull[k + 1] = x
+            else:
+                xo = x[active]
+                xn = xo - potential.grad(xo) * dt + sig * z[active]
+                x[active] = xn
+                xfull[k + 1] = x
+                entered = active & (x >= lo) & (x <= hi)
+                if entered.any():
+                    idx = np.nonzero(entered)[0]
+                    prev = xfull[k, idx]
+                    cur = x[idx]
+                    boundary = np.where(prev < lo, lo, hi)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        frac = np.where(cur == prev, 0.0,
+                                        np.clip((boundary - prev) / (cur - prev), 0.0, 1.0))
+                    exit_steps[idx] = k
+                    exit_fracs[idx] = frac
+                    exit_xs[idx] = boundary
+                    x[idx] = boundary
+                    xfull[k + 1, idx] = boundary
+                    active[idx] = False
+            if k % 256 == 0 or k == n_steps - 1:
+                mx = np.max(np.abs(x))
+                if not mx <= bound:        # NaN-safe: NaN fails every comparison
+                    raise BlowUpError(
+                        f"path escaped |x| <= {bound:g} (reached {mx:g}); "
+                        "the time step is too large for this potential")
+            k += 1
     return xfull, exit_steps, exit_fracs, exit_xs
 
 
-class _ModeInterp:
-    """Linear interpolation of the spectral modes on the uniform grid,
-    clamped at the ends (negligible stationary mass lives outside)."""
+class _Tilts:
+    """Tilts 1 + vectors^T modes off the grid: the spectral modes are
+    interpolated linearly in each cell, clamped at the ends (negligible
+    stationary mass lives outside). The tilts are affine in the modes, so
+    this is the tilt table interpolated cell by cell, and rates formed as
+    Q_ij tilt_j / tilt_i keep the identity tilt_i rate_ij = Q_ij tilt_j.
+    Every evaluation is elementwise with the mode sum in a fixed order, so it
+    rounds the same at any width."""
 
     def __init__(self, model: CouplingModel):
-        self.nodes = model.grid_nodes
-        self.h = self.nodes[1] - self.nodes[0]
-        self.modes = model.modes
+        nodes = model.grid_nodes
+        self.origin = nodes[0]
+        self.h = nodes[1] - nodes[0]
+        self.left = model.modes[:, :-1]
+        self.slope = np.diff(model.modes, axis=1)
         self.vectors = model.vectors
-        self.qz = model.Q.copy()
-        np.fill_diagonal(self.qz, 0.0)
 
-    def tilts(self, x):
-        """(m+1, ...) tilt values at arbitrary positions."""
-        x = np.asarray(x)
-        pos = (x.reshape(-1) - self.nodes[0]) / self.h
-        idx = np.clip(pos.astype(np.int64), 0, len(self.nodes) - 2)
+    def modes(self, x):
+        """(m,) + x.shape mode values at arbitrary positions."""
+        pos = (x - self.origin) / self.h
+        idx = np.clip(pos.astype(np.int64), 0, self.left.shape[1] - 1)
         frac = np.clip(pos - idx, 0.0, 1.0)
-        left = self.modes[:, idx]
-        vals = left + frac * (self.modes[:, idx + 1] - left)
-        out = 1.0 + self.vectors.T @ vals
-        return out.reshape((self.vectors.shape[1],) + x.shape)
+        return self.left[:, idx] + frac * self.slope[:, idx]
+
+    def of(self, states, modes):
+        """Tilts of the given states at the mode values, broadcast."""
+        acc = self.vectors[0, states] * modes[0]
+        for k in range(1, len(modes)):
+            acc = acc + self.vectors[k, states] * modes[k]
+        return 1.0 + acc
+
+    def __call__(self, x):
+        """(m+1,) + x.shape tilt values at arbitrary positions."""
+        states = np.arange(self.vectors.shape[1]).reshape((-1,) + (1,) * x.ndim)
+        return self.of(states, self.modes(x))
 
 
 def _segment_depletion(qa, qb, t0, t1, dt):
@@ -271,6 +317,7 @@ def _crossing_fraction(qa, qb, t0, budget, dt):
 
 _Y_BLOCK_MAX = 256
 _Y_REPLAY_BUDGET = 0.04   # target crossings per path per block
+_Y_TILE_ELEMS = 2 ** 16   # path-steps per tile of the block test (L2-sized)
 
 
 def _y_block_size(model: CouplingModel, dt: float) -> int:
@@ -335,16 +382,23 @@ def _y_kernel(xfull, model, y0s, gens, dt, exit_steps, exit_fracs):
     the linearly interpolated depletion. Budgets persist across jumps of
     other pairs and are redrawn only for the pair that fired.
 
-    Steps are processed in blocks: cumulative depletions decide, per path,
-    whether anything can fire inside the block; the rare paths with a
-    crossing (or an absorption) are replayed step by step, everyone else
-    settles the whole block in one vector update.
+    Steps are processed in blocks: the block totals of the rates out of each
+    path's current state decide whether anything can fire inside the block;
+    the rare paths with a crossing (or an absorption) are replayed step by
+    step, everyone else settles the whole block in one vector update. The
+    block test runs over column tiles of about _Y_TILE_ELEMS path-steps, so
+    its temporaries stay in cache, and sums each block with a sequential
+    cumsum, which rounds the same at any tile width.
     """
     n_steps = xfull.shape[0] - 1
     c = xfull.shape[1]
     m1 = model.n_states
-    interp = _ModeInterp(model)
-    qz = interp.qz
+    tilts = _Tilts(model)
+    qz = model.Q.copy()
+    np.fill_diagonal(qz, 0.0)
+    # others[i]: the targets of state i's outgoing pairs
+    others = np.array([[j for j in range(m1) if j != i] for i in range(m1)],
+                      dtype=np.int64).reshape(m1, m1 - 1)
 
     # diagonal budgets are never armed; +inf keeps them out of every test
     budgets = np.full((c, m1, m1), np.inf)
@@ -358,33 +412,42 @@ def _y_kernel(xfull, model, y0s, gens, dt, exit_steps, exit_fracs):
                     k += 1
     y = np.asarray(y0s, dtype=np.int64).copy()
     jumps = [[] for _ in range(c)]
-    arange = np.arange(c)
     block = _y_block_size(model, dt)
+    tile = max(1, _Y_TILE_ELEMS // (block + 1))
 
     for b0 in range(0, n_steps, block):
         nb = min(block, n_steps - b0)
         alive = exit_steps >= b0
         if not alive.any():
             break
-        tilts_blk = interp.tilts(xfull[b0:b0 + nb + 1])     # (m1, nb+1, C)
-        ty = tilts_blk[y, :, arange]                        # (C, nb+1)
-        ratio = tilts_blk / ty.T[None, :, :]
-        q_all = qz[y].T[:, None, :] * ratio                 # (m1, nb+1, C)
-        dep = _segment_depletion(q_all[:, :-1, :], q_all[:, 1:, :], 0.0, 1.0, dt)
-        cum = np.cumsum(dep, axis=1)
-        row_budget = budgets[arange, y]                     # (C, m1)
-        crossed = (cum >= row_budget.T[:, None, :]).any(axis=(0, 1))
-        exits_here = (exit_steps >= b0) & (exit_steps < b0 + nb)
-        replay = alive & (crossed | exits_here)
-        plain = alive & ~replay
-        if plain.any():
-            idx = np.nonzero(plain)[0]
-            budgets[idx, y[idx]] = row_budget[idx] - cum[:, -1, idx].T
-        for p in np.nonzero(replay)[0]:
-            y[p] = _replay_block(p, b0, nb, tilts_blk[:, :, p], int(y[p]),
-                                 budgets[p], gens[p], qz, dt,
-                                 int(exit_steps[p]), float(exit_fracs[p]),
-                                 jumps[p])
+        replay = alive & (exit_steps < b0 + nb)
+        for c0 in range(0, c, tile):
+            cols = slice(c0, min(c0 + tile, c))
+            test = alive[cols] & ~replay[cols]
+            if not test.any():
+                continue
+            yv = y[cols]
+            to = others[yv].T                                   # (m1-1, w)
+            mv = tilts.modes(xfull[b0:b0 + nb + 1, cols])      # (m, nb+1, w)
+            ratio = tilts.of(to[:, None, :], mv) / tilts.of(yv, mv)
+            q = qz[yv, to][:, None, :] * ratio                  # (m1-1, nb+1, w)
+            dep = _segment_depletion(q[:, :-1], q[:, 1:], 0.0, 1.0, dt)
+            total = np.cumsum(dep, axis=1)[:, -1]               # (m1-1, w)
+            rows = np.arange(len(yv))
+            tile_budgets = budgets[cols]
+            left = tile_budgets[rows, yv, to]
+            crossed = (total >= left).any(axis=0)
+            replay[cols] |= test & crossed
+            st = np.nonzero(test & ~crossed)[0]
+            tile_budgets[st, yv[st], to[:, st]] = left[:, st] - total[:, st]
+        rp = np.nonzero(replay)[0]
+        if rp.size:
+            tilts_rp = tilts(xfull[b0:b0 + nb + 1, rp])          # (m1, nb+1, R)
+            for r, p in enumerate(rp):
+                y[p] = _replay_block(p, b0, nb, tilts_rp[:, :, r], int(y[p]),
+                                     budgets[p], gens[p], qz, dt,
+                                     int(exit_steps[p]), float(exit_fracs[p]),
+                                     jumps[p])
     return y, jumps, budgets
 
 
@@ -400,20 +463,16 @@ def _assemble_record(path_index, seed, xcol, jumps_p, clocks, dt, stride,
     times = stored * dt
     xs = xcol[stored]
     # insert exact jump times (linearly interpolated x) and the exit point
-    extra_t, extra_x = [], []
-    for tj, _, _ in jumps_p:
-        if exit_time is not None and tj > exit_time:
-            continue
-        k = int(tj / dt)
-        frac = tj / dt - k
-        xk = xcol[min(k, n_steps)]
-        xk1 = xcol[min(k + 1, n_steps)]
-        extra_t.append(tj)
-        extra_x.append(xk + frac * (xk1 - xk))
+    jump_t = np.array([tj for tj, _, _ in jumps_p], dtype=float)
+    extra_t = jump_t if exit_time is None else jump_t[jump_t <= exit_time]
+    k = (extra_t / dt).astype(np.int64)
+    frac = extra_t / dt - k
+    xk = xcol[np.minimum(k, n_steps)]
+    extra_x = xk + frac * (xcol[np.minimum(k + 1, n_steps)] - xk)
     if exit_time is not None:
-        extra_t.append(exit_time)
-        extra_x.append(exit_x)
-    if extra_t:
+        extra_t = np.append(extra_t, exit_time)
+        extra_x = np.append(extra_x, exit_x)
+    if extra_t.size:
         times = np.concatenate((times, extra_t))
         xs = np.concatenate((xs, extra_x))
         order = np.argsort(times, kind="stable")
@@ -422,13 +481,9 @@ def _assemble_record(path_index, seed, xcol, jumps_p, clocks, dt, stride,
         keep = np.concatenate(([True], np.diff(times) > 0))
         times = times[keep]
         xs = xs[keep]
-    ys = np.empty(len(times), dtype=np.int64)
-    yc = int(y0)
-    jq = list(jumps_p)
-    for i, t in enumerate(times):
-        while jq and jq[0][0] <= t:
-            yc = int(jq.pop(0)[2])
-        ys[i] = yc
+    # y after the jumps at or before each time; jump times never decrease
+    states = np.array([y0] + [to for _, _, to in jumps_p], dtype=np.int64)
+    ys = states[np.searchsorted(jump_t, times, side="right")]
     return TrajectoryRecord(
         times=times, x=xs, y=ys, jumps=tuple(jumps_p), clocks=clocks,
         seed_key=seed, path_index=path_index, dt=dt, store_stride=stride,
@@ -439,18 +494,20 @@ def simulate_x(potential: Potential, eps: float, x0: float, dt: float, T: float,
                rng, bound: float | None = None, allow_large_dt: bool = False):
     """Euler-Maruyama path: X_{k+1} = X_k - F'(X_k) dt + sqrt(2 eps dt) Z_k.
 
-    Draws the whole noise vector from rng in one call. Returns the (n_steps+1,)
-    array of positions on the uniform grid k*dt.
+    Draws the noise vector from rng block by block, the same draws one call
+    for the whole vector gives. Returns the (n_steps+1,) array of positions
+    on the uniform grid k*dt.
 
     Raises:
-        BlowUpError: the path left [-bound, bound] (default ten half-widths).
+        BlowUpError: the path left [-bound, bound] (default ten half-widths)
+            or became NaN.
     """
     _check_dt(potential, dt, allow_large_dt)
     n_steps = int(round(T / dt))
     if bound is None:
         bound = _escape_bound(potential, eps, x0)
-    noise = rng.standard_normal(n_steps)[:, None]
-    xfull, *_ = _x_kernel(potential, eps, np.array([float(x0)]), noise, dt, bound)
+    xfull, *_ = _x_kernel(potential, eps, np.array([float(x0)]),
+                          _NoiseStream([rng], n_steps), dt, bound)
     return xfull[:, 0]
 
 
@@ -480,19 +537,15 @@ def _run_chunk(cfg, model, potential, p_init, indices, bound):
     else:
         x0s[:] = cfg.x0
         y0s[:] = cfg.y0
-    # (n_steps, C) layout keeps the per-step slice contiguous
-    noise = np.empty((n_steps, c))
-    for i, g in enumerate(gens):
-        noise[:, i] = g.standard_normal(n_steps)
     xfull, exit_steps, exit_fracs, exit_xs = _x_kernel(
-        potential, cfg.eps, x0s, noise, cfg.dt, bound, absorb=cfg.absorb)
-    del noise
+        potential, cfg.eps, x0s, _NoiseStream(gens, n_steps), cfg.dt, bound,
+        absorb=cfg.absorb)
     _, jumps, budgets = _y_kernel(xfull, model, y0s, gens, cfg.dt,
                                   exit_steps, exit_fracs)
     records = []
     for i, pidx in enumerate(indices):
         records.append(_assemble_record(
-            int(pidx), cfg.seed, xfull[:, i].copy(), jumps[i], budgets[i].copy(),
+            int(pidx), cfg.seed, xfull[:, i], jumps[i], budgets[i].copy(),
             cfg.dt, cfg.store_stride, cfg.eps, n_steps,
             int(exit_steps[i]), float(exit_fracs[i]), float(exit_xs[i]), int(y0s[i])))
     return records

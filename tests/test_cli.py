@@ -173,6 +173,14 @@ def test_numerical_failure_exit_code_2(tmp_path):
     assert cli.main(["synth", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_nan_path_exit_code_2(tmp_path, monkeypatch):
+    # a NaN start trips the blow-up guard, a numerical failure
+    import eigencoupler.simulate as sim
+    monkeypatch.setattr(sim, "sample_initial", lambda model, p, rng: (np.nan, 0))
+    path = light_config(tmp_path, simulation={"dt": 1e-3, "T": 0.1, "n_paths": 20})
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_validation_exit_code_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"potential": "double_well"}))

@@ -52,6 +52,13 @@ def test_blowup_guard():
                        allow_large_dt=True)
 
 
+def test_blowup_guard_catches_nan():
+    # NaN fails every comparison, so a guard reading `max > bound` lets a NaN
+    # path run to the horizon
+    with pytest.raises(BlowUpError):
+        simulate_x(DW, 0.1, np.nan, 1e-3, 1.0, path_stream(0, 0), bound=20.0)
+
+
 def test_ou_variance_matches_closed_form():
     # stationary variance eps, relaxation rate 1: Var X(T) = eps (1 - e^{-2T})
     quad = make_potential("quadratic")
@@ -164,6 +171,60 @@ def test_ensemble_chunking_and_workers_invariant(fast_chain, monkeypatch):
     for ra, rb in zip(ref, out):
         np.testing.assert_array_equal(ra.x, rb.x)
         assert ra.jumps == rb.jumps
+
+
+def test_ensemble_tiles_and_noise_blocks_invariant(fast_chain, monkeypatch):
+    # y-kernel tiles, noise blocks and noise groups narrower than the ensemble,
+    # none dividing it evenly, change no bit of any record
+    import eigencoupler.simulate as sim
+    pipe = fast_chain
+    model, spec, pot = pipe["model"], pipe["spec"], pipe["potential"]
+    # dt gives blocks of more than 8 steps, where numpy's pairwise sums
+    # would round differently at width one
+    cfg = EnsembleConfig(n_paths=23, dt=5e-4, horizon=2.0, eps=0.5, seed=13,
+                         store_stride=1)
+    ref = simulate_ensemble(cfg, model, pot, spec)
+    block = sim._y_block_size(model, cfg.dt)
+    monkeypatch.setattr(sim, "_Y_TILE_ELEMS", 5 * (block + 1))
+    monkeypatch.setattr(sim, "_NOISE_BLOCK", 7)
+    monkeypatch.setattr(sim, "_NOISE_GROUP", 4)
+    assert block > 8 and cfg.n_steps % 7 != 0
+    recs = simulate_ensemble(cfg, model, pot, spec)
+    assert sum(len(r.jumps) for r in recs) > 0
+    for i, (rec, r0) in enumerate(zip(recs, ref)):
+        g = path_stream(13, i)
+        x0, y0 = sample_initial(model, spec.p, g)
+        x = simulate_x(pot, 0.5, x0, 5e-4, 2.0, g)
+        one = simulate_y_given_x(x, model, y0, g, 5e-4)
+        for other in (one, r0):
+            np.testing.assert_array_equal(rec.times, other.times)
+            np.testing.assert_array_equal(rec.x, other.x)
+            np.testing.assert_array_equal(rec.y, other.y)
+            assert rec.jumps == other.jumps
+            np.testing.assert_array_equal(rec.clocks, other.clocks)
+
+
+def test_chunk_peak_memory_excludes_noise(dw_small):
+    # the chunk holds its full-resolution x and nothing of its size besides:
+    # a (n_steps, C) noise array would double the peak
+    import tracemalloc
+    import eigencoupler.simulate as sim
+    model, pot = dw_small["model"], dw_small["potential"]
+    bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
+    for absorb in (None, (0.5, 1.5)):
+        cfg = EnsembleConfig(n_paths=64, dt=1e-3, horizon=20.0, eps=0.1, seed=3,
+                             initial_kind="fixed", x0=0.0, y0=0, store_stride=1000,
+                             absorb=absorb)
+        tracemalloc.start()
+        try:
+            recs = sim._run_chunk(cfg, model, pot, model.p, np.arange(64), bound)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * 8 * (cfg.n_steps + 1) * cfg.n_paths
+        if absorb is not None:
+            n_absorbed = sum(r.exit_time is not None for r in recs)
+            assert 0 < n_absorbed < cfg.n_paths
 
 
 def test_ensemble_mean_chain_state(fast_chain_decoupled):
