@@ -28,8 +28,8 @@ from .chain import ChainSpec, scaled_eigenvectors, synth_generator, validate_cha
 from .config import ExperimentConfig, parse_config
 from .coupling import build_coupling, build_joint_generator, coupling_summary, coupling_to_csv
 from .errors import ConfigError, EigencouplerError, GrowthAssumptionError
-from .oracle import (DistributionVector, check_conditional_law, check_y_marginal,
-                     evolve_distribution, mean_exit_times)
+from .oracle import (DistributionVector, check_oracle, evolve_distribution,
+                     mean_exit_times)
 from .potential import domains_of_attraction, make_potential, require_coupling_ready
 from .simulate import EnsembleConfig, simulate_ensemble
 from .spectral import (auto_grid, build_generator, decompose, decomposition_to_csv,
@@ -145,9 +145,7 @@ def _oracle_run(cfg: ExperimentConfig, eps: float):
     potential, grid, gen, dec, spec, model = _build_pipeline(cfg, eps, cfg.oracle_n)
     B = build_joint_generator(model, gen)
     t0 = time.time()
-    cond = check_conditional_law(B, model, spec.p, cfg.oracle_times)
-    nu0 = DistributionVector(model.initial_law_for(spec.p).reshape(-1))
-    marg = check_y_marginal(B, nu0, spec.Q, spec.p, cfg.oracle_times)
+    cond, marg = check_oracle(B, model, spec.p, cfg.oracle_times)
     return {
         "eps": eps,
         "oracle_n": cfg.oracle_n,
@@ -185,19 +183,21 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir) -> list:
     for eps in cfg.epsilons:
         *_, records = _run_ensemble(cfg, eps)
         traj_path = os.path.join(out_dir, f"trajectories_eps{eps:g}.csv")
+        # one string per record, the bytes csv.writer gives for these fields
+        # (nothing needs quoting), at a fraction of its per-row cost
         with open(traj_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path_id", "t", "x", "y"])
+            fh.write("path_id,t,x,y\r\n")
             for rec in records:
-                for t, x, y in zip(rec.times, rec.x, rec.y):
-                    writer.writerow([rec.path_index, f"{t:.10g}", f"{x:.10g}", y])
+                p = rec.path_index
+                fh.write("".join(
+                    f"{p},{t:.10g},{x:.10g},{y}\r\n"
+                    for t, x, y in zip(rec.times.tolist(), rec.x.tolist(), rec.y.tolist())))
         jump_path = os.path.join(out_dir, f"jumps_eps{eps:g}.csv")
         with open(jump_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path_id", "t", "from", "to"])
+            fh.write("path_id,t,from,to\r\n")
             for rec in records:
-                for t, i, j in rec.jumps:
-                    writer.writerow([rec.path_index, f"{t:.10g}", i, j])
+                p = rec.path_index
+                fh.write("".join(f"{p},{t:.10g},{i},{j}\r\n" for t, i, j in rec.jumps))
         outputs += [traj_path, jump_path]
     return outputs
 
@@ -250,13 +250,25 @@ def _verify_one(cfg: ExperimentConfig, eps: float):
         tv = tv_distance(xT[sel], model.cond[j], model.grid_nodes, bins=50)
         record(f"mc_conditional_tv_state{j}", tv <= tv_threshold, tv, tv_threshold)
 
+    # The initial chain states are tested against p. Later occupations are
+    # tested against their law given those initial states: the paths are
+    # independent and each chain is Markov with generator Q from its start,
+    # so the initial draw's sampling error does not carry into the later
+    # checks and only the dynamics are tested there.
+    n = len(records)
+    counts0 = np.bincount([r.y_at(0.0) for r in records], minlength=model.n_states)
+    se0 = np.sqrt(np.maximum(spec.p * (1 - spec.p), 1e-12) / n)
+    z = float(np.max(np.abs(counts0 / n - spec.p) / se0))
+    record("mc_y_marginal_t0", z <= 3.0, z, 3.0)
+    Q = sp.csr_matrix(spec.Q)
     for t in (cfg.T / 4, cfg.T / 2, cfg.T):
-        pv = DistributionVector(spec.p.copy())
-        pt = evolve_distribution(sp.csr_matrix(spec.Q), pv, t).weights
+        rows = np.array([evolve_distribution(Q, DistributionVector(e), t).weights
+                         for e in np.eye(model.n_states)])
         y_t = np.array([r.y_at(t) for r in records])
         occ = np.array([(y_t == j).mean() for j in range(model.n_states)])
-        se = np.sqrt(np.maximum(pt * (1 - pt), 1e-12) / len(records))
-        z = float(np.max(np.abs(occ - pt) / se))
+        mean = counts0 @ rows / n
+        se = np.sqrt(np.maximum(counts0 @ (rows * (1 - rows)), 1e-12)) / n
+        z = float(np.max(np.abs(occ - mean) / se))
         record(f"mc_y_marginal_t{t:g}", z <= 3.0, z, 3.0)
 
     part = domains_of_attraction(potential)
@@ -363,6 +375,10 @@ def execute(command: str, cfg: ExperimentConfig, out_dir=None) -> int:
         print(f"verification failed: {exc}", file=sys.stderr)
         _write_manifest(out_dir, cfg, command, [], t0)
         return 3
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a numerical failure, not a bad input
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, GrowthAssumptionError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1

@@ -24,6 +24,7 @@ __all__ = [
     "evolve_distribution",
     "check_conditional_law",
     "check_y_marginal",
+    "check_oracle",
     "mean_exit_times",
     "ConditionalLawReport",
     "MarginalReport",
@@ -136,6 +137,15 @@ def evolve_distribution(B: sp.spmatrix, nu0, t: float,
     return DistributionVector(weights=out, time=t0 + t)
 
 
+def _evolve_at(B: sp.spmatrix, nu: DistributionVector, times, tol: float) -> list:
+    """(t, law at t) for the sorted times, each law evolved from the last."""
+    laws = []
+    for t in sorted(float(t) for t in times):
+        nu = evolve_distribution(B, nu, t - nu.time, tol=tol)
+        laws.append((t, nu))
+    return laws
+
+
 @dataclass(frozen=True)
 class ConditionalLawReport:
     max_tv: float
@@ -143,21 +153,12 @@ class ConditionalLawReport:
     skipped: tuple          # ((t, state, mass), ...) states below the mass floor
 
 
-def check_conditional_law(B: sp.spmatrix, model: CouplingModel, p, times,
-                          tol: float = DEFAULT_TOL) -> ConditionalLawReport:
-    """Total-variation error of the evolved conditional laws against the
-    model's reference conditionals, maximized over times and chain states.
-
-    Starts from the coupled initial law built from p. States whose marginal
-    mass falls below 1e-14 at some time are skipped and noted.
-    """
+def _conditional_report(laws, model: CouplingModel) -> ConditionalLawReport:
     n = model.n_nodes
     m1 = model.n_states
-    nu = DistributionVector(model.initial_law_for(p).reshape(-1), 0.0)
     entries = []
     skipped = []
-    for t in sorted(float(t) for t in times):
-        nu = evolve_distribution(B, nu, t - nu.time, tol=tol)
+    for t, nu in laws:
         joint = nu.weights.reshape(m1, n)
         for j in range(m1):
             mass = joint[j].sum()
@@ -171,10 +172,34 @@ def check_conditional_law(B: sp.spmatrix, model: CouplingModel, p, times,
                                 skipped=tuple(skipped))
 
 
+def check_conditional_law(B: sp.spmatrix, model: CouplingModel, p, times,
+                          tol: float = DEFAULT_TOL) -> ConditionalLawReport:
+    """Total-variation error of the evolved conditional laws against the
+    model's reference conditionals, maximized over times and chain states.
+
+    Starts from the coupled initial law built from p. States whose marginal
+    mass falls below 1e-14 at some time are skipped and noted.
+    """
+    nu = DistributionVector(model.initial_law_for(p).reshape(-1), 0.0)
+    return _conditional_report(_evolve_at(B, nu, times, tol), model)
+
+
 @dataclass(frozen=True)
 class MarginalReport:
     max_l1: float
     entries: tuple          # ((t, l1), ...)
+
+
+def _marginal_report(laws, Q: np.ndarray, p, tol: float) -> MarginalReport:
+    Q = np.asarray(Q, dtype=float)
+    m1 = Q.shape[0]
+    entries = []
+    pv = DistributionVector(np.asarray(p, dtype=float).copy(), 0.0)
+    for t, nu in laws:
+        pv = evolve_distribution(sp.csr_matrix(Q), pv, t - pv.time, tol=tol)
+        marginal = nu.weights.reshape(m1, -1).sum(axis=1)
+        entries.append((t, float(np.abs(marginal - pv.weights).sum())))
+    return MarginalReport(max_l1=max(e[1] for e in entries), entries=tuple(entries))
 
 
 def check_y_marginal(B: sp.spmatrix, nu0, Q: np.ndarray, p, times,
@@ -182,20 +207,19 @@ def check_y_marginal(B: sp.spmatrix, nu0, Q: np.ndarray, p, times,
     """l1 distance between the chain marginal of the evolved joint law and
     the bare chain law p exp(Qt), each side computed by its own
     uniformization."""
-    Q = np.asarray(Q, dtype=float)
-    m1 = Q.shape[0]
     nu = nu0 if isinstance(nu0, DistributionVector) else DistributionVector(
         np.asarray(nu0, dtype=float).reshape(-1), 0.0)
-    n = nu.weights.size // m1
-    p = np.asarray(p, dtype=float)
-    entries = []
-    pv = DistributionVector(p.copy(), 0.0)
-    for t in sorted(float(t) for t in times):
-        nu = evolve_distribution(B, nu, t - nu.time, tol=tol)
-        pv = evolve_distribution(sp.csr_matrix(Q), pv, t - pv.time, tol=tol)
-        marginal = nu.weights.reshape(m1, n).sum(axis=1)
-        entries.append((t, float(np.abs(marginal - pv.weights).sum())))
-    return MarginalReport(max_l1=max(e[1] for e in entries), entries=tuple(entries))
+    return _marginal_report(_evolve_at(B, nu, times, tol), Q, p, tol)
+
+
+def check_oracle(B: sp.spmatrix, model: CouplingModel, p, times,
+                 tol: float = DEFAULT_TOL) -> tuple:
+    """check_conditional_law and check_y_marginal (against model.Q) from one
+    evolution of the coupled initial law built from p: the same two reports,
+    for half the uniformization work."""
+    nu = DistributionVector(model.initial_law_for(p).reshape(-1), 0.0)
+    laws = _evolve_at(B, nu, times, tol)
+    return _conditional_report(laws, model), _marginal_report(laws, model.Q, p, tol)
 
 
 def _generator_matrix(generator):

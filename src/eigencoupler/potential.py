@@ -68,6 +68,18 @@ class Potential:
     def grad(self, x):
         return np.polynomial.polynomial.polyval(x, self._dcoeffs)
 
+    def grad_into(self, x, out):
+        """grad(x) written into the preallocated array out, bit for bit:
+        polyval's Horner steps (c[-1] + x*0, then c[-i] + acc*x) done in
+        place, without its per-call allocations."""
+        c = self._dcoeffs
+        np.multiply(x, 0.0, out=out)
+        out += c[-1]
+        for ci in c[-2::-1]:
+            out *= x
+            out += ci
+        return out
+
     def hess(self, x):
         return np.polynomial.polynomial.polyval(x, self._ddcoeffs)
 

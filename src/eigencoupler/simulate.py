@@ -2,15 +2,20 @@
 time-change construction of the coupled chain, with reproducible per-path
 counter-based random streams.
 
-Every path owns a Philox stream keyed by (master seed, path index) and
-consumes draws in a fixed order: initial-condition uniforms, then the full
-diffusion noise vector, then chain clock exponentials in event order. The
-noise is drawn in blocks of steps as the Euler loop reaches them; block-wise
-draws consume a stream exactly as one call for the whole vector would, so
-the order above holds and no (steps x paths) noise array is ever formed.
-The single-path entry points run the vectorized kernels at width one, so an
-ensemble is bit-identical to composing them path by path with the derived
-streams, independent of chunking or worker scheduling.
+Every path owns a Philox stream keyed by (master seed, path index) and its
+jumped substream (the same key advanced by 2**128 draws). The main stream
+supplies the initial-condition uniforms, then the diffusion noise vector;
+the substream supplies the chain's initial clock budgets, then its clock
+redraws in event order. An ensemble advances x and y together, window by
+window: the Euler loop fills a window of steps from the noise drawn for it,
+the chain's time change runs on that window while it is in cache, and only
+the stored rows, x at the jumps and the exit points outlive it, so no
+full-resolution x array is ever formed. Block-wise draws consume a stream
+exactly as one call for the whole vector would, and the clocks have their
+own stream, so no draw depends on the window length. The single-path entry
+points run the same kernels at width one, so an ensemble is bit-identical to
+composing them path by path with the derived streams, independent of
+chunking or worker scheduling.
 """
 
 from __future__ import annotations
@@ -34,16 +39,16 @@ __all__ = [
     "simulate_ensemble",
     "first_exit_time",
     "path_stream",
+    "clock_stream",
 ]
 
 DT_CURVATURE_FACTOR = 1e-2
 ESCAPE_FACTOR = 10.0
-# chunk width is _CHUNK_BYTES / (16 bytes * n_steps), so a chunk's
-# full-resolution x (one float64 per path-step) takes at most half the budget;
-# the noise streams in blocks and adds little. Wide chunks amortize the
-# per-step numpy dispatch overhead
-_CHUNK_BYTES = 3.2e9
-_NOISE_BLOCK = 512        # steps of noise drawn per path per block
+# working memory of one chunk: its paths' stored rows plus a window and a
+# noise block per path. Wide chunks amortize the per-step numpy dispatch
+# overhead; past a few thousand paths there is little left to amortize
+_CHUNK_BYTES = 2 ** 28
+_NOISE_BLOCK = 512        # steps of noise drawn per path per window
 _NOISE_GROUP = 128        # paths per transpose of the noise buffer
 
 
@@ -127,6 +132,19 @@ def path_stream(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def clock_stream(seed: int, path_index: int) -> np.random.Generator:
+    """The substream of path_stream(seed, path_index) that drives the chain's
+    clocks: the same Philox key jumped ahead by 2**128 draws. The chain runs
+    alongside the diffusion, before the path's noise is all drawn, so its
+    draws cannot follow the noise on the main stream."""
+    return _jumped(path_stream(seed, path_index))
+
+
+def _jumped(gen: np.random.Generator) -> np.random.Generator:
+    """The jumped substream of a stream that has not drawn yet."""
+    return np.random.Generator(gen.bit_generator.jumped())
+
+
 def _tail_halfwidth(potential: Potential, eps: float) -> float:
     crits = np.concatenate((potential.minima, potential.maxima))
     lo = float(np.max(np.abs(crits))) if crits.size else 1.0
@@ -165,7 +183,7 @@ def _check_dt(potential: Potential, dt: float, allow_large_dt: bool):
 
 class _NoiseStream:
     """The (n_steps, C) standard normals of a block of paths, drawn from each
-    path's stream _NOISE_BLOCK steps at a time. Groups of _NOISE_GROUP paths
+    path's stream one window of steps at a time. Groups of _NOISE_GROUP paths
     fill the rows of a cache-sized buffer, whose transpose is copied into the
     step-major block the Euler loop reads; a whole-width transpose would miss
     the cache on every element."""
@@ -174,9 +192,8 @@ class _NoiseStream:
         self.gens = gens
         self.shape = (n_steps, len(gens))
 
-    def blocks(self):
+    def blocks(self, width: int):
         n_steps, c = self.shape
-        width = max(1, min(_NOISE_BLOCK, n_steps))
         buf = np.empty((min(_NOISE_GROUP, c), width))
         out = np.empty((width, c))
         for k0 in range(0, n_steps, width):
@@ -189,67 +206,94 @@ class _NoiseStream:
             yield out[:nb]
 
 
-def _x_kernel(potential, eps, x0s, noise, dt, bound, absorb=None):
-    """Euler-Maruyama on a block of paths: x0s (C,), noise (n_steps, C), an
-    array or a _NoiseStream that draws it block by block.
+def _stored_steps(n_steps: int, stride: int) -> np.ndarray:
+    """Every stride-th step and the last one."""
+    stored = np.arange(0, n_steps + 1, stride)
+    if stored[-1] != n_steps:
+        stored = np.append(stored, n_steps)
+    return stored
 
-    Returns (xfull, exit_steps, exit_fracs, exit_xs): xfull has shape
-    (n_steps+1, C); paths that hit the absorbing interval are frozen at the
-    interpolated crossing point.
+
+class _Diffusion:
+    """Euler-Maruyama on a block of paths, one window of steps at a time.
+
+    While a window of steps [w0, w0 + nw) is current, win[i] holds x at step
+    w0 - 1 + i: the row before the window start, kept for the chain's jump
+    interpolation, then the window's own rows; the last two rows carry into
+    the next window. Only the rows at stored_steps outlive their window, in
+    stored (S, C). Paths that hit the absorbing interval are frozen at the
+    interpolated crossing point; exit_steps stays n_steps + 1 for the others.
     """
-    n_steps = noise.shape[0]
-    blocks = noise.blocks() if isinstance(noise, _NoiseStream) else (noise,)
-    c = len(x0s)
-    sig = np.sqrt(2.0 * eps * dt)
-    xfull = np.empty((n_steps + 1, c))
-    xfull[0] = x0s
-    x = x0s.astype(float).copy()
-    active = np.ones(c, dtype=bool)
-    exit_steps = np.full(c, n_steps + 1, dtype=np.int64)
-    exit_fracs = np.zeros(c)
-    exit_xs = np.zeros(c)
-    if absorb is not None:
-        lo, hi = absorb
-        inside0 = (x >= lo) & (x <= hi)
-        if inside0.any():
-            hit = np.nonzero(inside0)[0]
-            exit_steps[hit] = 0
-            exit_xs[hit] = x[hit]
-            active[hit] = False
-    k = 0
-    for block in blocks:
-        for z in block:
-            if absorb is None:
-                x = x - potential.grad(x) * dt + sig * z
-                xfull[k + 1] = x
-            else:
-                xo = x[active]
-                xn = xo - potential.grad(xo) * dt + sig * z[active]
-                x[active] = xn
-                xfull[k + 1] = x
-                entered = active & (x >= lo) & (x <= hi)
-                if entered.any():
-                    idx = np.nonzero(entered)[0]
-                    prev = xfull[k, idx]
-                    cur = x[idx]
-                    boundary = np.where(prev < lo, lo, hi)
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        frac = np.where(cur == prev, 0.0,
-                                        np.clip((boundary - prev) / (cur - prev), 0.0, 1.0))
-                    exit_steps[idx] = k
-                    exit_fracs[idx] = frac
-                    exit_xs[idx] = boundary
-                    x[idx] = boundary
-                    xfull[k + 1, idx] = boundary
-                    active[idx] = False
-            if k % 256 == 0 or k == n_steps - 1:
-                mx = np.max(np.abs(x))
-                if not mx <= bound:        # NaN-safe: NaN fails every comparison
-                    raise BlowUpError(
-                        f"path escaped |x| <= {bound:g} (reached {mx:g}); "
-                        "the time step is too large for this potential")
-            k += 1
-    return xfull, exit_steps, exit_fracs, exit_xs
+
+    def __init__(self, potential, eps, x0s, noise: _NoiseStream, dt, bound,
+                 stored_steps, absorb=None):
+        n_steps, c = noise.shape
+        self.potential, self.noise, self.dt, self.bound = potential, noise, dt, bound
+        self.sig = np.sqrt(2.0 * eps * dt)
+        self.x0s, self.absorb = x0s, absorb
+        self.steps = stored_steps
+        self.stored = np.empty((len(stored_steps), c))
+        self.stored[0] = x0s
+        self.active = np.ones(c, dtype=bool)
+        self.exit_steps = np.full(c, n_steps + 1, dtype=np.int64)
+        self.exit_fracs = np.zeros(c)
+        self.exit_xs = np.zeros(c)
+        if absorb is not None:
+            lo, hi = absorb
+            hit = np.nonzero((x0s >= lo) & (x0s <= hi))[0]
+            self.exit_steps[hit] = 0
+            self.exit_xs[hit] = x0s[hit]
+            self.active[hit] = False
+
+    def windows(self, width: int):
+        """Advance by windows of width steps, yielding (w0, nw) once win
+        holds the window's rows."""
+        n_steps, c = self.noise.shape
+        win = self.win = np.empty((width + 2, c))
+        win[:2] = self.x0s
+        grad = np.empty(c)
+        active, exit_steps = self.active, self.exit_steps
+        if self.absorb is not None:
+            lo, hi = self.absorb
+        w0 = 0
+        for block in self.noise.blocks(width):
+            nw = len(block)
+            block *= self.sig
+            for i, z in enumerate(block):
+                k = w0 + i
+                # x - F'(x) dt + sig z, operation for operation
+                xk, xn = win[i + 1], win[i + 2]
+                self.potential.grad_into(xk, grad)
+                grad *= self.dt
+                np.subtract(xk, grad, out=xn)
+                xn += z
+                if self.absorb is not None:
+                    np.copyto(xn, xk, where=~active)
+                    entered = active & (xn >= lo) & (xn <= hi)
+                    if entered.any():
+                        idx = np.nonzero(entered)[0]
+                        prev = xk[idx]
+                        cur = xn[idx]
+                        boundary = np.where(prev < lo, lo, hi)
+                        with np.errstate(divide="ignore", invalid="ignore"):
+                            frac = np.where(cur == prev, 0.0,
+                                            np.clip((boundary - prev) / (cur - prev), 0.0, 1.0))
+                        exit_steps[idx] = k
+                        self.exit_fracs[idx] = frac
+                        self.exit_xs[idx] = boundary
+                        xn[idx] = boundary
+                        active[idx] = False
+                if k % 256 == 0 or k == n_steps - 1:
+                    mx = np.max(np.abs(xn))
+                    if not mx <= self.bound:   # NaN-safe: NaN fails every comparison
+                        raise BlowUpError(
+                            f"path escaped |x| <= {self.bound:g} (reached {mx:g}); "
+                            "the time step is too large for this potential")
+            s0, s1 = np.searchsorted(self.steps, (w0 + 1, w0 + nw + 1))
+            self.stored[s0:s1] = win[self.steps[s0:s1] - w0 + 1]
+            yield w0, nw
+            win[:2] = win[nw:nw + 2]
+            w0 += nw
 
 
 class _Tilts:
@@ -373,14 +417,16 @@ def _replay_block(p, b0, nb, tilts_col, y_p, budgets_p, gen, qz, dt,
     return y_p
 
 
-def _y_kernel(xfull, model, y0s, gens, dt, exit_steps, exit_fracs):
-    """Time-change construction of the chain along a block of diffusion paths.
+class _ChainWalk:
+    """Time-change construction of the chain along a block of diffusion paths,
+    advanced window by window.
 
     Each ordered state pair owns a unit-rate exponential budget that depletes
     by the trapezoid integral of its rate along the path while the chain sits
     in the pair's source state; crossing times inside a step are located on
     the linearly interpolated depletion. Budgets persist across jumps of
-    other pairs and are redrawn only for the pair that fired.
+    other pairs and are redrawn only for the pair that fired. gens are the
+    paths' clock streams: the initial budgets, then the redraws.
 
     Steps are processed in blocks: the block totals of the rates out of each
     path's current state decide whether anything can fire inside the block;
@@ -390,88 +436,116 @@ def _y_kernel(xfull, model, y0s, gens, dt, exit_steps, exit_fracs):
     its temporaries stay in cache, and sums each block with a sequential
     cumsum, which rounds the same at any tile width.
     """
-    n_steps = xfull.shape[0] - 1
-    c = xfull.shape[1]
-    m1 = model.n_states
-    tilts = _Tilts(model)
-    qz = model.Q.copy()
-    np.fill_diagonal(qz, 0.0)
-    # others[i]: the targets of state i's outgoing pairs
-    others = np.array([[j for j in range(m1) if j != i] for i in range(m1)],
-                      dtype=np.int64).reshape(m1, m1 - 1)
 
-    # diagonal budgets are never armed; +inf keeps them out of every test
-    budgets = np.full((c, m1, m1), np.inf)
-    for p in range(c):
-        draws = gens[p].standard_exponential(m1 * (m1 - 1))
-        k = 0
-        for i in range(m1):
-            for j in range(m1):
-                if i != j:
-                    budgets[p, i, j] = draws[k]
-                    k += 1
-    y = np.asarray(y0s, dtype=np.int64).copy()
-    jumps = [[] for _ in range(c)]
-    block = _y_block_size(model, dt)
-    tile = max(1, _Y_TILE_ELEMS // (block + 1))
+    def __init__(self, model: CouplingModel, y0s, gens, dt, n_steps):
+        m1 = model.n_states
+        self.gens, self.dt, self.n_steps = gens, dt, n_steps
+        self.tilts = _Tilts(model)
+        self.qz = model.Q.copy()
+        np.fill_diagonal(self.qz, 0.0)
+        # others[i]: the targets of state i's outgoing pairs
+        self.others = np.array([[j for j in range(m1) if j != i] for i in range(m1)],
+                               dtype=np.int64).reshape(m1, m1 - 1)
+        # diagonal budgets are never armed; +inf keeps them out of every test
+        self.budgets = np.full((len(gens), m1, m1), np.inf)
+        off = ~np.eye(m1, dtype=bool)
+        for p, g in enumerate(gens):
+            self.budgets[p][off] = g.standard_exponential(m1 * (m1 - 1))
+        self.y = np.asarray(y0s, dtype=np.int64).copy()
+        self.jumps = [[] for _ in gens]
+        self.jump_x = [[] for _ in gens]   # x at each jump, once its rows were seen
+        self.open = set()                  # paths with jumps still lacking x
+        self.block = _y_block_size(model, dt)
+        self.tile = max(1, _Y_TILE_ELEMS // (self.block + 1))
 
-    for b0 in range(0, n_steps, block):
-        nb = min(block, n_steps - b0)
-        alive = exit_steps >= b0
-        if not alive.any():
-            break
-        replay = alive & (exit_steps < b0 + nb)
-        for c0 in range(0, c, tile):
-            cols = slice(c0, min(c0 + tile, c))
-            test = alive[cols] & ~replay[cols]
-            if not test.any():
-                continue
-            yv = y[cols]
-            to = others[yv].T                                   # (m1-1, w)
-            mv = tilts.modes(xfull[b0:b0 + nb + 1, cols])      # (m, nb+1, w)
-            ratio = tilts.of(to[:, None, :], mv) / tilts.of(yv, mv)
-            q = qz[yv, to][:, None, :] * ratio                  # (m1-1, nb+1, w)
-            dep = _segment_depletion(q[:, :-1], q[:, 1:], 0.0, 1.0, dt)
-            total = np.cumsum(dep, axis=1)[:, -1]               # (m1-1, w)
-            rows = np.arange(len(yv))
-            tile_budgets = budgets[cols]
-            left = tile_budgets[rows, yv, to]
-            crossed = (total >= left).any(axis=0)
-            replay[cols] |= test & crossed
-            st = np.nonzero(test & ~crossed)[0]
-            tile_budgets[st, yv[st], to[:, st]] = left[:, st] - total[:, st]
-        rp = np.nonzero(replay)[0]
-        if rp.size:
-            tilts_rp = tilts(xfull[b0:b0 + nb + 1, rp])          # (m1, nb+1, R)
-            for r, p in enumerate(rp):
-                y[p] = _replay_block(p, b0, nb, tilts_rp[:, :, r], int(y[p]),
-                                     budgets[p], gens[p], qz, dt,
-                                     int(exit_steps[p]), float(exit_fracs[p]),
-                                     jumps[p])
-    return y, jumps, budgets
+    def advance(self, win, r0, w0, w1, exit_steps, exit_fracs):
+        """Run the steps [w0, w1) on win, whose row i holds x at step r0 + i.
+        w0 is a multiple of the block length, and so is w1 unless it is
+        n_steps, so the blocks are the same for any window length. Only exits
+        before w1 need be known."""
+        c = len(self.y)
+        y, budgets, dt = self.y, self.budgets, self.dt
+        for b0 in range(w0, w1, self.block):
+            nb = min(self.block, w1 - b0)
+            alive = exit_steps >= b0
+            if not alive.any():
+                break
+            replay = alive & (exit_steps < b0 + nb)
+            xb = win[b0 - r0:b0 - r0 + nb + 1]
+            for c0 in range(0, c, self.tile):
+                cols = slice(c0, min(c0 + self.tile, c))
+                test = alive[cols] & ~replay[cols]
+                if not test.any():
+                    continue
+                yv = y[cols]
+                to = self.others[yv].T                              # (m1-1, w)
+                mv = self.tilts.modes(xb[:, cols])                  # (m, nb+1, w)
+                ratio = self.tilts.of(to[:, None, :], mv) / self.tilts.of(yv, mv)
+                q = self.qz[yv, to][:, None, :] * ratio             # (m1-1, nb+1, w)
+                dep = _segment_depletion(q[:, :-1], q[:, 1:], 0.0, 1.0, dt)
+                total = np.cumsum(dep, axis=1)[:, -1]               # (m1-1, w)
+                rows = np.arange(len(yv))
+                tile_budgets = budgets[cols]
+                left = tile_budgets[rows, yv, to]
+                crossed = (total >= left).any(axis=0)
+                replay[cols] |= test & crossed
+                st = np.nonzero(test & ~crossed)[0]
+                tile_budgets[st, yv[st], to[:, st]] = left[:, st] - total[:, st]
+            rp = np.nonzero(replay)[0]
+            if rp.size:
+                tilts_rp = self.tilts(xb[:, rp])                     # (m1, nb+1, R)
+                for r, p in enumerate(rp):
+                    y[p] = _replay_block(p, b0, nb, tilts_rp[:, :, r], int(y[p]),
+                                         budgets[p], self.gens[p], self.qz, dt,
+                                         int(exit_steps[p]), float(exit_fracs[p]),
+                                         self.jumps[p])
+                self.open.update(rp.tolist())
+        self._interpolate(win, r0)
+
+    def _interpolate(self, win, r0):
+        """x at the new jump times, interpolated between the steps k = floor(t
+        / dt) and k + 1 (capped at n_steps), as on the whole path. A jump
+        whose step k + 1 lies past win waits for the next window."""
+        last = r0 + len(win) - 1
+        n = self.n_steps
+        waiting = set()
+        for p in self.open:
+            jx = self.jump_x[p]
+            for t, _, _ in self.jumps[p][len(jx):]:
+                u = t / self.dt
+                k = int(u)
+                if min(k + 1, n) > last:
+                    waiting.add(p)
+                    break
+                xk = win[min(k, n) - r0, p]
+                jx.append(xk + (u - k) * (win[min(k + 1, n) - r0, p] - xk))
+        self.open = waiting
 
 
-def _assemble_record(path_index, seed, xcol, jumps_p, clocks, dt, stride,
+def _window_steps(block: int) -> int:
+    """Steps per window: the whole y-blocks that fit in _NOISE_BLOCK, at
+    least one."""
+    return block * max(1, _NOISE_BLOCK // block)
+
+
+def _assemble_record(path_index, seed, xs, jumps_p, jump_x, clocks, dt, stride,
                      eps, n_steps, exit_step, exit_frac, exit_x, y0):
-    stored = np.arange(0, n_steps + 1, stride)
-    if stored[-1] != n_steps:
-        stored = np.append(stored, n_steps)
+    """xs: x at _stored_steps(n_steps, stride); jump_x: x at each jump."""
+    stored = _stored_steps(n_steps, stride)
     exit_time = None
     if exit_step <= n_steps:
         exit_time = (exit_step + exit_frac) * dt
         stored = stored[stored * dt <= exit_time]
     times = stored * dt
-    xs = xcol[stored]
-    # insert exact jump times (linearly interpolated x) and the exit point
+    xs = xs[:len(stored)].copy()        # the kept steps are a prefix
+    # insert exact jump times and the exit point
     jump_t = np.array([tj for tj, _, _ in jumps_p], dtype=float)
-    extra_t = jump_t if exit_time is None else jump_t[jump_t <= exit_time]
-    k = (extra_t / dt).astype(np.int64)
-    frac = extra_t / dt - k
-    xk = xcol[np.minimum(k, n_steps)]
-    extra_x = xk + frac * (xcol[np.minimum(k + 1, n_steps)] - xk)
+    extra_t = jump_t
+    extra_x = np.array(jump_x, dtype=float)
     if exit_time is not None:
-        extra_t = np.append(extra_t, exit_time)
-        extra_x = np.append(extra_x, exit_x)
+        before = jump_t <= exit_time
+        extra_t = np.append(jump_t[before], exit_time)
+        extra_x = np.append(extra_x[before], exit_x)
     if extra_t.size:
         times = np.concatenate((times, extra_t))
         xs = np.concatenate((xs, extra_x))
@@ -506,27 +580,32 @@ def simulate_x(potential: Potential, eps: float, x0: float, dt: float, T: float,
     n_steps = int(round(T / dt))
     if bound is None:
         bound = _escape_bound(potential, eps, x0)
-    xfull, *_ = _x_kernel(potential, eps, np.array([float(x0)]),
-                          _NoiseStream([rng], n_steps), dt, bound)
-    return xfull[:, 0]
+    path = _Diffusion(potential, eps, np.array([float(x0)]),
+                      _NoiseStream([rng], n_steps), dt, bound, np.arange(n_steps + 1))
+    for _ in path.windows(_NOISE_BLOCK):
+        pass
+    return path.stored[:, 0]
 
 
 def simulate_y_given_x(x_path, model: CouplingModel, y0: int, rng,
                        dt: float) -> TrajectoryRecord:
     """Chain path coupled to a given diffusion path by the time-change
-    construction (full-resolution record)."""
+    construction (full-resolution record). rng drives the chain's clocks; in
+    an ensemble that is clock_stream(seed, path_index)."""
     x_path = np.asarray(x_path, dtype=float)
     n_steps = len(x_path) - 1
-    xfull = x_path[:, None]
-    exit_steps = np.array([n_steps + 1], dtype=np.int64)
-    y, jumps, budgets = _y_kernel(xfull, model, np.array([int(y0)]), [rng], dt,
-                                  exit_steps, np.zeros(1))
-    return _assemble_record(0, 0, x_path, jumps[0], budgets[0], dt, 1,
-                            model.eps, n_steps, n_steps + 1, 0.0, 0.0, y0)
+    chain = _ChainWalk(model, np.array([int(y0)]), [rng], dt, n_steps)
+    # the whole path is one window
+    chain.advance(x_path[:, None], 0, 0, n_steps,
+                  np.array([n_steps + 1], dtype=np.int64), np.zeros(1))
+    return _assemble_record(0, 0, x_path, chain.jumps[0], chain.jump_x[0],
+                            chain.budgets[0], dt, 1, model.eps, n_steps,
+                            n_steps + 1, 0.0, 0.0, y0)
 
 
 def _run_chunk(cfg, model, potential, p_init, indices, bound):
     gens = [path_stream(cfg.seed, int(i)) for i in indices]
+    clocks = [_jumped(g) for g in gens]
     c = len(indices)
     n_steps = cfg.n_steps
     x0s = np.empty(c)
@@ -537,35 +616,38 @@ def _run_chunk(cfg, model, potential, p_init, indices, bound):
     else:
         x0s[:] = cfg.x0
         y0s[:] = cfg.y0
-    xfull, exit_steps, exit_fracs, exit_xs = _x_kernel(
-        potential, cfg.eps, x0s, _NoiseStream(gens, n_steps), cfg.dt, bound,
-        absorb=cfg.absorb)
-    _, jumps, budgets = _y_kernel(xfull, model, y0s, gens, cfg.dt,
-                                  exit_steps, exit_fracs)
-    records = []
-    for i, pidx in enumerate(indices):
-        records.append(_assemble_record(
-            int(pidx), cfg.seed, xfull[:, i], jumps[i], budgets[i].copy(),
-            cfg.dt, cfg.store_stride, cfg.eps, n_steps,
-            int(exit_steps[i]), float(exit_fracs[i]), float(exit_xs[i]), int(y0s[i])))
-    return records
+    chain = _ChainWalk(model, y0s, clocks, cfg.dt, n_steps)
+    path = _Diffusion(potential, cfg.eps, x0s, _NoiseStream(gens, n_steps), cfg.dt,
+                      bound, _stored_steps(n_steps, cfg.store_stride), cfg.absorb)
+    for w0, nw in path.windows(_window_steps(chain.block)):
+        chain.advance(path.win, w0 - 1, w0, w0 + nw, path.exit_steps, path.exit_fracs)
+    return [_assemble_record(
+        int(pidx), cfg.seed, path.stored[:, i], chain.jumps[i], chain.jump_x[i],
+        chain.budgets[i].copy(), cfg.dt, cfg.store_stride, cfg.eps, n_steps,
+        int(path.exit_steps[i]), float(path.exit_fracs[i]), float(path.exit_xs[i]),
+        int(y0s[i])) for i, pidx in enumerate(indices)]
 
 
 def simulate_ensemble(cfg: EnsembleConfig, model: CouplingModel,
                       potential: Potential, chain_spec=None,
                       allow_large_dt: bool = False):
-    """Independent coupled paths, one Philox stream per path.
+    """Independent coupled paths, each with its stream and clock substream.
 
-    The result is bit-identical to running sample_initial + simulate_x +
-    simulate_y_given_x per path with path_stream(seed, index), regardless of
-    chunking or the number of workers.
+    The result is bit-identical to running sample_initial + simulate_x on
+    path_stream(seed, index), then simulate_y_given_x on clock_stream(seed,
+    index), per path, regardless of chunking or the number of workers.
     """
     _check_dt(potential, cfg.dt, allow_large_dt)
     if abs(cfg.eps - model.eps) > 1e-15 * max(model.eps, 1.0):
         raise ValueError("config eps and coupling model eps disagree")
     p_init = chain_spec.p if chain_spec is not None else model.p
     bound = ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
-    chunk = max(1, int(_CHUNK_BYTES / (16.0 * max(cfg.n_steps, 1))))
+    # a path holds its stored rows, plus a window row and a noise row per
+    # step of a window
+    n_rows = (len(_stored_steps(cfg.n_steps, cfg.store_stride))
+              + 2 * _window_steps(_y_block_size(model, cfg.dt)) + 2)
+    chunk = max(1, min(int(_CHUNK_BYTES // (8 * n_rows)),
+                       -(-cfg.n_paths // max(cfg.workers, 1))))
     splits = [np.arange(s, min(s + chunk, cfg.n_paths))
               for s in range(0, cfg.n_paths, chunk)]
     if cfg.workers > 1 and len(splits) > 1:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -160,6 +161,27 @@ def test_verify_passes_light_config(tmp_path):
     assert "two_route_eigenvalues_rel" in names
 
 
+def test_verify_y_marginal_flags_biased_chain(tmp_path, monkeypatch):
+    # the simulated chain leaves state 0 at three times Q's rate; the initial
+    # draw is unchanged, so t = 0 passes and every later y-marginal check fails
+    real = cli.simulate_ensemble
+
+    def biased(ens, model, potential, spec):
+        Q = model.Q.copy()
+        Q[0, 1] *= 3.0
+        Q[0, 0] = -Q[0, 1]
+        return real(ens, dataclasses.replace(model, Q=Q), potential, spec)
+
+    monkeypatch.setattr(cli, "simulate_ensemble", biased)
+    path = light_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", path, "--out", str(out)]) == 3
+    report = json.loads((out / "verify_report.json").read_text())
+    passed = {c["name"]: c["passed"] for c in report["runs"][0]["checks"]}
+    assert passed["mc_y_marginal_t0"]
+    assert not any(passed[f"mc_y_marginal_t{t}"] for t in ("0.5", "1", "2"))
+
+
 def test_verify_fails_with_exit_code_3(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "ORACLE_TOL", 1e-20)
     path = light_config(tmp_path)
@@ -213,3 +235,62 @@ def test_manifest_reproducibility_fields(tmp_path):
     assert manifest["command"] == "oracle"
     resolved = json.loads((out / "config_resolved.json").read_text())
     assert resolved["chain"]["theta"] == 0.5
+
+
+def test_simulate_csv_bytes_match_csv_writer(tmp_path):
+    # the joined per-record writes give the bytes of one csv.writer row per
+    # line, \r\n endings included
+    import csv
+    import io
+    path = light_config(tmp_path, epsilon=0.5,
+                        simulation={"dt": 4e-3, "T": 3.0, "n_paths": 30,
+                                    "seed": 9, "store_stride": 7})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
+    *_, records = cli._run_ensemble(parse_config(path), 0.5)
+    assert sum(len(r.jumps) for r in records) > 0
+    traj, jumps = io.StringIO(newline=""), io.StringIO(newline="")
+    tw, jw = csv.writer(traj), csv.writer(jumps)
+    tw.writerow(["path_id", "t", "x", "y"])
+    jw.writerow(["path_id", "t", "from", "to"])
+    for rec in records:
+        for t, x, y in zip(rec.times, rec.x, rec.y):
+            tw.writerow([rec.path_index, f"{t:.10g}", f"{x:.10g}", y])
+        for t, i, j in rec.jumps:
+            jw.writerow([rec.path_index, f"{t:.10g}", i, j])
+    assert (out / "trajectories_eps0.5.csv").read_bytes() == traj.getvalue().encode()
+    assert (out / "jumps_eps0.5.csv").read_bytes() == jumps.getvalue().encode()
+
+
+def test_linalg_error_exit_code_2(tmp_path, monkeypatch):
+    # LinAlgError subclasses ValueError; a LAPACK failure is numerical, not a
+    # validation problem
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("stebz failed to converge")
+    monkeypatch.setattr(cli, "decompose", fail)
+    path = light_config(tmp_path)
+    assert cli.main(["synth", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_oracle_evolves_joint_law_once_per_time(monkeypatch):
+    # both oracle checks read one evolution of the joint law, and report
+    # exactly what the two separate checks report
+    import eigencoupler.oracle as oracle
+    cfg = parse_config(LIGHT)
+    _, _, gen, _, spec, model = cli._build_pipeline(cfg, 0.1, cfg.oracle_n)
+    B = cli.build_joint_generator(model, gen)
+    cond = oracle.check_conditional_law(B, model, spec.p, cfg.oracle_times)
+    nu0 = oracle.DistributionVector(model.initial_law_for(spec.p).reshape(-1))
+    marg = oracle.check_y_marginal(B, nu0, spec.Q, spec.p, cfg.oracle_times)
+    calls = []
+    evolve = oracle.evolve_distribution
+
+    def counting(M, nu, t, tol=oracle.DEFAULT_TOL):
+        calls.append(M.shape)
+        return evolve(M, nu, t, tol=tol)
+    monkeypatch.setattr(oracle, "evolve_distribution", counting)
+    run = cli._oracle_run(cfg, 0.1)
+    assert calls.count(B.shape) == len(cfg.oracle_times)
+    assert run["max_tv"] == cond.max_tv and run["max_l1"] == marg.max_l1
+    assert run["tv_entries"] == [list(e) for e in cond.entries]
+    assert run["l1_entries"] == [list(e) for e in marg.entries]

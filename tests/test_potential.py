@@ -8,6 +8,7 @@ from eigencoupler.potential import (
     domains_of_attraction,
     find_critical_points,
     make_potential,
+    preset_names,
     require_coupling_ready,
     validate_assumptions,
 )
@@ -158,3 +159,21 @@ def test_gradient_flow_lands_in_correct_well(preset):
     landed = np.abs(phi - minima[part.locate(phi)]) < 1e-3
     assert landed.all()
     assert (part.locate(phi) == expected).all()
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_grad_into_bitwise_polyval(name):
+    # the Euler loop's in-place gradient rounds exactly as polyval, sign of
+    # zero and NaN included
+    pot = make_potential(name)
+    rng = np.random.default_rng(5)
+    x = np.concatenate((rng.normal(0.0, 3.0, 1000), -rng.uniform(0, 1e-3, 50),
+                        [0.0, -0.0, np.nan, -np.nan, 1e300, -1e300]))
+    out = np.full_like(x, 7.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = pot.grad_into(x, out)
+        ref = np.polynomial.polynomial.polyval(x, pot._dcoeffs)
+    assert got is out
+    np.testing.assert_array_equal(got.view(np.uint64)[~np.isnan(ref)],
+                                  ref.view(np.uint64)[~np.isnan(ref)])
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))

@@ -9,6 +9,7 @@ from eigencoupler.errors import BlowUpError
 from eigencoupler.potential import make_potential
 from eigencoupler.simulate import (
     EnsembleConfig,
+    clock_stream,
     first_exit_time,
     max_stable_dt,
     path_stream,
@@ -64,11 +65,13 @@ def test_ou_variance_matches_closed_form():
     quad = make_potential("quadratic")
     eps, T, dt, n = 0.5, 5.0, 1e-3, 10000
     import eigencoupler.simulate as sim
-    noise = np.empty((int(T / dt), n))
-    for i in range(n):
-        noise[:, i] = path_stream(3, i).standard_normal(int(T / dt))
-    xfull, *_ = sim._x_kernel(quad, eps, np.zeros(n), noise, dt, 100.0)
-    var = xfull[-1].var()
+    n_steps = int(T / dt)
+    noise = sim._NoiseStream([path_stream(3, i) for i in range(n)], n_steps)
+    path = sim._Diffusion(quad, eps, np.zeros(n), noise, dt, 100.0,
+                          np.array([0, n_steps]))
+    for _ in path.windows(sim._NOISE_BLOCK):
+        pass
+    var = path.stored[-1].var()
     target = eps * (1 - np.exp(-2 * T))
     se = target * np.sqrt(2.0 / (n - 1))
     assert abs(var - target) <= 3 * se
@@ -151,7 +154,7 @@ def test_ensemble_matches_sequential_composition(fast_chain):
         g = path_stream(11, i)
         x0, y0 = sample_initial(model, spec.p, g)
         x = simulate_x(pot, 0.5, x0, 2e-3, 6.0, g)
-        ref = simulate_y_given_x(x, model, y0, g, 2e-3)
+        ref = simulate_y_given_x(x, model, y0, clock_stream(11, i), 2e-3)
         np.testing.assert_array_equal(rec.times, ref.times)
         np.testing.assert_array_equal(rec.x, ref.x)
         np.testing.assert_array_equal(rec.y, ref.y)
@@ -195,7 +198,7 @@ def test_ensemble_tiles_and_noise_blocks_invariant(fast_chain, monkeypatch):
         g = path_stream(13, i)
         x0, y0 = sample_initial(model, spec.p, g)
         x = simulate_x(pot, 0.5, x0, 5e-4, 2.0, g)
-        one = simulate_y_given_x(x, model, y0, g, 5e-4)
+        one = simulate_y_given_x(x, model, y0, clock_stream(13, i), 5e-4)
         for other in (one, r0):
             np.testing.assert_array_equal(rec.times, other.times)
             np.testing.assert_array_equal(rec.x, other.x)
@@ -225,6 +228,30 @@ def test_chunk_peak_memory_excludes_noise(dw_small):
         if absorb is not None:
             n_absorbed = sum(r.exit_time is not None for r in recs)
             assert 0 < n_absorbed < cfg.n_paths
+
+
+def test_chunk_peak_memory_independent_of_steps(dw_small):
+    # x and y advance window by window, so ten times the steps add only the
+    # longer stored rows to a chunk's peak; the slack covers the records and
+    # jump log, which grow with the horizon by tens of kB here
+    import tracemalloc
+    import eigencoupler.simulate as sim
+    model, pot = dw_small["model"], dw_small["potential"]
+    bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
+    for absorb in (None, (0.5, 1.5)):
+        peaks = []
+        for horizon in (2.0, 20.0):
+            cfg = EnsembleConfig(n_paths=64, dt=1e-3, horizon=horizon, eps=0.1,
+                                 seed=3, initial_kind="fixed", x0=0.0, y0=0,
+                                 store_stride=1000, absorb=absorb)
+            tracemalloc.start()
+            try:
+                sim._run_chunk(cfg, model, pot, model.p, np.arange(64), bound)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        stored_bytes = 8 * cfg.n_paths * (cfg.n_steps // cfg.store_stride + 1)
+        assert peaks[1] <= peaks[0] + stored_bytes + 2 ** 16
 
 
 def test_ensemble_mean_chain_state(fast_chain_decoupled):
