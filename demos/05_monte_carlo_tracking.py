@@ -14,33 +14,19 @@ import numpy as np
 
 from eigencoupler import (
     EnsembleConfig,
-    auto_grid,
-    build_coupling,
-    build_generator,
-    decompose,
+    build_pipeline,
     domains_of_attraction,
     make_potential,
-    scaled_eigenvectors,
     simulate_ensemble,
-    synth_generator,
     tracking_probability,
     tv_distance,
 )
-from eigencoupler.chain import ChainSpec
 
 pot = make_potential("double_well")
 part = domains_of_attraction(pot)
 
 for eps in (0.15, 0.10, 0.07):
-    grid = auto_grid(pot, eps, n=1000)
-    gen = build_generator(pot, eps, grid)
-    dec = decompose(gen, 1)
-    lam = dec.eigenvalues[1:]
-    Q = synth_generator(lam, "two_state", theta=0.5)
-    vectors, scales, min_alpha = scaled_eigenvectors(Q, lam, dec.modes[1:], kappa=0.9)
-    spec = ChainSpec(Q=Q, rates=lam.copy(), vectors=vectors, scales=scales,
-                     p=np.array([0.5, 0.5]), min_alpha_bound=min_alpha, theta=0.5)
-    model = build_coupling(dec, spec)
+    *_, spec, model = build_pipeline(pot, eps, 1000)
 
     cfg = EnsembleConfig(n_paths=3000, dt=2e-4, horizon=1.0, eps=eps, seed=71,
                          store_stride=500)
@@ -48,7 +34,7 @@ for eps in (0.15, 0.10, 0.07):
     out = tracking_probability(records, part, 1.0, model)
     jumps = sum(len(r.jumps) for r in records)
     print(f"eps = {eps:g}: {len(records)} paths, {jumps} chain jumps, "
-          f"gap = {lam[0]:.4f}")
+          f"gap = {spec.rates[0]:.4f}")
     for j, (est, oracle_val) in out.items():
         print(f"  state {j}: oracle {oracle_val:.4f}, "
               f"MC {est.point:.4f} +- {est.se:.4f}")

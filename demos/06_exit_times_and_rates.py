@@ -11,41 +11,22 @@ import numpy as np
 
 from eigencoupler import (
     EnsembleConfig,
-    auto_grid,
-    build_coupling,
-    build_generator,
-    decompose,
+    build_pipeline,
     domains_of_attraction,
     ks_exponential,
     make_potential,
     mean_exit_times,
     rate_match_report,
-    scaled_eigenvectors,
     simulate_ensemble,
-    synth_generator,
 )
-from eigencoupler.chain import ChainSpec
 from eigencoupler.potential import Potential
-
-
-def assemble(pot, eps, n, kappa, p):
-    grid = auto_grid(pot, eps, n=n)
-    gen = build_generator(pot, eps, grid)
-    dec = decompose(gen, 1)
-    lam = dec.eigenvalues[1:]
-    Q = synth_generator(lam, "two_state", theta=0.5)
-    vectors, scales, min_alpha = scaled_eigenvectors(Q, lam, dec.modes[1:], kappa=kappa)
-    spec = ChainSpec(Q=Q, rates=lam.copy(), vectors=vectors, scales=scales,
-                     p=np.asarray(p), min_alpha_bound=min_alpha, theta=0.5)
-    return gen, spec, build_coupling(dec, spec)
-
 
 eps = 0.15
 pot = make_potential("double_well")
 part = domains_of_attraction(pot)
 minima = pot.minima
 rho = 0.5
-gen, spec, model = assemble(pot, eps, 1000, kappa=0.9, p=(0.5, 0.5))
+_, gen, _, spec, model = build_pipeline(pot, eps, 1000)
 
 print(f"chain E[tau 0->1] = {mean_exit_times(spec.Q, [0], [1])[0]:.3f} "
       f"(= 1/Q01 exactly)")
@@ -74,8 +55,7 @@ print("note:", report.note)
 
 # exponentiality of chain holding times in the constant-rate control
 ctrl_pot = Potential(np.array([0.0, 0.0, 1.0]), name="x^2")
-ctrl_gen, ctrl_spec, ctrl_model = assemble(ctrl_pot, 0.5, 400, kappa=0.0,
-                                           p=(1.0, 0.0))
+*_, ctrl_spec, ctrl_model = build_pipeline(ctrl_pot, 0.5, 400, kappa=0.0, p=(1.0, 0.0))
 q01 = ctrl_spec.Q[0, 1]
 cfg = EnsembleConfig(n_paths=4000, dt=4e-3, horizon=round(12 / q01, 2), eps=0.5,
                      seed=7, initial_kind="fixed", x0=0.0, y0=0, store_stride=500)

@@ -35,7 +35,9 @@ from .tridiag import eigensolve_tridiagonal
 from .chain import ChainSpec, synth_generator, scaled_eigenvectors, validate_chain
 from .coupling import (
     CouplingModel,
+    Pipeline,
     build_coupling,
+    build_pipeline,
     build_joint_generator,
     sample_initial,
     conditional_density,

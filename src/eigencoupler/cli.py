@@ -24,9 +24,10 @@ import scipy
 import scipy.sparse as sp
 
 from . import __version__
-from .chain import ChainSpec, scaled_eigenvectors, synth_generator, validate_chain
+from .chain import validate_chain
 from .config import ExperimentConfig, parse_config
-from .coupling import build_coupling, build_joint_generator, coupling_summary, coupling_to_csv
+from .coupling import (Pipeline, build_joint_generator, build_pipeline, coupling_summary,
+                       coupling_to_csv)
 from .errors import ConfigError, EigencouplerError, GrowthAssumptionError
 from .oracle import (DistributionVector, check_oracle, evolve_distribution,
                      mean_exit_times)
@@ -48,33 +49,13 @@ class VerificationFailure(EigencouplerError):
     pass
 
 
-def _build_pipeline(cfg: ExperimentConfig, eps: float, n: int):
-    """Potential, generator, decomposition, chain, coupling model for one
-    noise level."""
+def _build_pipeline(cfg: ExperimentConfig, eps: float, n: int) -> Pipeline:
+    """The library pipeline for one noise level, configured by cfg."""
     potential = make_potential(cfg.potential)
     require_coupling_ready(potential)
-    grid = auto_grid(potential, eps, n=n, L=cfg.grid_L)
-    gen = build_generator(potential, eps, grid)
-    m = potential.n_wells - 1
-    sign_node = int(np.argmin(np.abs(grid.nodes - potential.minima[0])))
-    dec = decompose(gen, m, sign_node=sign_node)
-    lams = dec.eigenvalues[1:]
-    if cfg.explicit_Q is not None:
-        Q = np.asarray(cfg.explicit_Q, dtype=float)
-    elif m == 1:
-        Q = synth_generator(lams, "two_state", theta=cfg.theta)
-    else:
-        Q = synth_generator(lams, "birth_death")
-    vectors, scales, min_alpha = scaled_eigenvectors(
-        Q, lams, dec.modes[1:], kappa=cfg.kappa,
-        maximize=cfg.maximize_scale and m == 1)
-    p = (np.asarray(cfg.chain_p, dtype=float) if cfg.chain_p is not None
-         else np.full(m + 1, 1.0 / (m + 1)))
-    spec = ChainSpec(Q=Q, rates=lams.copy(), vectors=vectors, scales=scales,
-                     p=p, min_alpha_bound=min_alpha,
-                     theta=cfg.theta if m == 1 else None)
-    model = build_coupling(dec, spec)
-    return potential, grid, gen, dec, spec, model
+    return build_pipeline(potential, eps, n, L=cfg.grid_L, kappa=cfg.kappa,
+                          theta=cfg.theta, p=cfg.chain_p, Q=cfg.explicit_Q,
+                          maximize=cfg.maximize_scale and potential.n_wells == 2)
 
 
 def _write_manifest(out_dir, cfg: ExperimentConfig, command, outputs, t_start):
@@ -142,7 +123,7 @@ def _cmd_synth(cfg: ExperimentConfig, out_dir) -> list:
 
 
 def _oracle_run(cfg: ExperimentConfig, eps: float):
-    potential, grid, gen, dec, spec, model = _build_pipeline(cfg, eps, cfg.oracle_n)
+    _, gen, _, spec, model = _build_pipeline(cfg, eps, cfg.oracle_n)
     B = build_joint_generator(model, gen)
     t0 = time.time()
     cond, marg = check_oracle(B, model, spec.p, cfg.oracle_times)
@@ -168,14 +149,13 @@ def _cmd_oracle(cfg: ExperimentConfig, out_dir) -> list:
     return [path]
 
 
-def _run_ensemble(cfg: ExperimentConfig, eps: float, n_grid=None):
-    potential, grid, gen, dec, spec, model = _build_pipeline(
-        cfg, eps, n_grid or cfg.grid_n)
+def _run_ensemble(cfg: ExperimentConfig, eps: float):
+    """The pipeline at grid_n and its Monte Carlo ensemble."""
+    pipe = _build_pipeline(cfg, eps, cfg.grid_n)
     ens = EnsembleConfig(n_paths=cfg.n_paths, dt=cfg.dt, horizon=cfg.T, eps=eps,
                          seed=cfg.seed, store_stride=cfg.store_stride,
                          workers=cfg.threads)
-    records = simulate_ensemble(ens, model, potential, spec)
-    return potential, gen, dec, spec, model, records
+    return pipe, simulate_ensemble(ens, pipe.model, pipe.potential, pipe.spec)
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out_dir) -> list:
@@ -228,18 +208,15 @@ def _verify_one(cfg: ExperimentConfig, eps: float):
     record("oracle_y_marginal_l1", orun["max_l1"] <= ORACLE_TOL,
            orun["max_l1"], ORACLE_TOL)
 
-    # chain structure
-    potential_, grid, gen, dec, spec, model = _build_pipeline(cfg, eps, cfg.grid_n)
+    # chain structure of the grid_n pipeline, whose ensemble the Monte Carlo
+    # checks below read
+    (_, _, _, spec, model), records = _run_ensemble(cfg, eps)
     chain_rep = validate_chain(spec)
     record("chain_structure", chain_rep.passed, list(chain_rep.failures), "no failures")
     record("tilt_positivity", model.min_alpha > 0 and
            model.min_alpha >= (1 - cfg.kappa) - 1e-12, model.min_alpha, 1 - cfg.kappa)
 
     # Monte Carlo checks
-    ens = EnsembleConfig(n_paths=cfg.n_paths, dt=cfg.dt, horizon=cfg.T, eps=eps,
-                         seed=cfg.seed, store_stride=cfg.store_stride,
-                         workers=cfg.threads)
-    records = simulate_ensemble(ens, model, potential, spec)
     tv_threshold = MC_TV_BASE * np.sqrt(MC_TV_REF_PATHS / cfg.n_paths)
     xT = np.array([r.x[-1] for r in records])
     yT = np.array([r.y[-1] for r in records])
@@ -302,7 +279,7 @@ def _cmd_verify(cfg: ExperimentConfig, out_dir) -> list:
 def _cmd_sweep(cfg: ExperimentConfig, out_dir) -> list:
     rows = []
     for eps in cfg.epsilons:
-        potential, gen, dec, spec, model, records = _run_ensemble(cfg, eps)
+        (potential, gen, dec, spec, model), records = _run_ensemble(cfg, eps)
         part = domains_of_attraction(potential)
         tr = tracking_probability(records, part, cfg.T, model)
         nodes = gen.grid.nodes

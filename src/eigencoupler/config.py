@@ -7,7 +7,8 @@ rejected at all levels so typos cannot silently fall back to defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,16 +64,6 @@ class ExperimentConfig:
     formats: tuple
     allow_assumption_violation: bool
     threads: int
-    raw: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def is_sweep(self) -> bool:
-        return len(self.epsilons) > 1
-
-    def sub_configs(self):
-        """One resolved config per noise level of a sweep."""
-        import dataclasses
-        return [dataclasses.replace(self, epsilons=(e,)) for e in self.epsilons]
 
     def resolved(self) -> dict:
         return {
@@ -97,7 +88,14 @@ def _is_int(x) -> bool:
 
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite JSON number: json reads NaN and Infinity, and integers too
+    large for a float, none of which is a usable config number."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _list_of(value, valid):
@@ -108,11 +106,13 @@ def _list_of(value, valid):
 
 
 def _float_array(value):
-    """value as a float array, or None if it is ragged or not numeric."""
+    """value as a float array, or None if it is ragged, not numeric or not
+    finite."""
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
         return None
+    return arr if np.all(np.isfinite(arr)) else None
 
 
 def _check_keys(problems, mapping, allowed, where):
@@ -204,7 +204,7 @@ def parse_config(source) -> ExperimentConfig:
     if explicit_Q is not None:
         q = _float_array(explicit_Q)
         if q is None or q.ndim != 2 or q.shape[0] != q.shape[1]:
-            problems.append("chain.Q: must be a square matrix")
+            problems.append("chain.Q: must be a finite square matrix")
     if chain_p is not None:
         p = _float_array(chain_p)
         if p is None or p.ndim != 1 or abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
@@ -277,4 +277,4 @@ def parse_config(source) -> ExperimentConfig:
         maximize_scale=maximize_scale, dt=float(dt), T=float(T),
         n_paths=n_paths, seed=seed, store_stride=store_stride,
         out_dir=str(out_dir), formats=formats,
-        allow_assumption_violation=allow, threads=threads, raw=data)
+        allow_assumption_violation=allow, threads=threads)

@@ -1,6 +1,7 @@
 """Assembly of the coupled objects: positive tilt functions, state-dependent
 jump rates, the joint generator on grid x chain states, initial laws, and the
-conditional densities used as the reference law in every verification.
+conditional densities used as the reference law in every verification; and
+the one builder of the whole pipeline, potential through coupling model.
 
 All functions of the continuous variable are grid-sampled vectors. Off the
 grid the simulator interpolates the tilt table linearly in each cell (it
@@ -14,17 +15,23 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .chain import ChainSpec
+from .chain import ChainSpec, scaled_eigenvectors, synth_generator
 from .errors import CouplingError
-from .spectral import DiscreteGenerator, SpectralDecomposition
+from .potential import Potential, make_potential
+from .spectral import (DiscreteGenerator, SpectralDecomposition, auto_grid,
+                       build_generator, decompose)
 
 __all__ = [
     "CouplingModel",
+    "Pipeline",
     "build_coupling",
+    "build_pipeline",
     "build_joint_generator",
     "sample_initial",
     "conditional_density",
@@ -41,26 +48,48 @@ MAX_JOINT_DIM = 10 ** 6
 class CouplingModel:
     """Grid-sampled coupling data shared by the oracle and the simulators.
 
-    tilts[i] is the strictly positive density tilt of chain state i against
-    the stationary weights; jump_rates[i, j] is the state-dependent i -> j
-    rate vector; cond[i] = tilts[i] * weights is the conditional law of the
-    continuous coordinate given chain state i (each row sums to one);
-    initial_law[i] = p[i] * cond[i] is the joint initial distribution.
+    The fields are the independent inputs: the stationary weights and the
+    spectral modes on the grid, the chain generator Q with its scaled
+    eigenvectors, and the chain's initial law p. Everything else is derived
+    from them on first access and cached, so a model made with
+    dataclasses.replace is consistent by construction:
+    tilts[i] is the density tilt of chain state i against the stationary
+    weights; jump_rates[i, j] is the state-dependent i -> j rate vector;
+    cond[i] = tilts[i] * weights is the conditional law of the continuous
+    coordinate given chain state i. build_coupling gates that the tilts are
+    strictly positive and each row of cond sums to one; a replaced model is
+    not gated again, which is what lets a negative control break either.
     """
 
     grid_nodes: np.ndarray
     weights: np.ndarray
     modes: np.ndarray            # (m, n) spectral modes 1..m
-    rates: np.ndarray            # decay rates lambda_1..lambda_m
     Q: np.ndarray
     vectors: np.ndarray          # (m, m+1) scaled chain eigenvectors
     p: np.ndarray
-    tilts: np.ndarray            # (m+1, n)
-    jump_rates: np.ndarray       # (m+1, m+1, n), diagonal zero
-    cond: np.ndarray             # (m+1, n)
-    initial_law: np.ndarray      # (m+1, n)
     eps: float
-    min_alpha: float
+
+    @cached_property
+    def tilts(self) -> np.ndarray:
+        """(m+1, n) tilts 1 + sum_k vectors[k, i] * modes[k]."""
+        return 1.0 + self.vectors.T @ self.modes
+
+    @cached_property
+    def jump_rates(self) -> np.ndarray:
+        """(m+1, m+1, n) rates Q_ij * tilt_j / tilt_i, diagonal zero."""
+        q = self.Q[:, :, None] * self.tilts[None] / self.tilts[:, None]
+        states = np.arange(self.n_states)
+        q[states, states] = 0.0
+        return q
+
+    @cached_property
+    def cond(self) -> np.ndarray:
+        """(m+1, n) conditional laws tilts * weights."""
+        return self.tilts * self.weights
+
+    @cached_property
+    def min_alpha(self) -> float:
+        return float(self.tilts.min())
 
     @property
     def n_states(self) -> int:
@@ -81,13 +110,9 @@ class CouplingModel:
         return p[:, None] * self.cond
 
 
-def _tilts_from(vectors: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    return 1.0 + vectors.T @ modes
-
-
 def build_coupling(dec: SpectralDecomposition, spec: ChainSpec) -> CouplingModel:
-    """Tilts, rates, conditionals, and initial law from a decomposition and a
-    chain with matching eigenvalues.
+    """The coupling model of a decomposition and a chain with matching
+    eigenvalues, gated on tilt positivity and conditional normalization.
 
     The conditional normalizations are verified to 1e-12 and never repaired:
     a failure here means the upstream quadrature (the signed-weight sums) is
@@ -103,33 +128,63 @@ def build_coupling(dec: SpectralDecomposition, spec: ChainSpec) -> CouplingModel
             f"chain and decomposition eigenvalues differ by relative "
             f"{np.max(rel):.2e} (> {EIG_MATCH_REL:.0e})")
 
-    modes = dec.modes[1:m + 1]
-    tilts = _tilts_from(spec.vectors, modes)
-    min_alpha = float(tilts.min())
-    if min_alpha <= 0:
+    model = CouplingModel(
+        grid_nodes=dec.grid.nodes, weights=dec.weights, modes=dec.modes[1:m + 1],
+        Q=spec.Q.copy(), vectors=spec.vectors.copy(), p=spec.p.copy(), eps=dec.eps)
+    if model.min_alpha <= 0:
         raise CouplingError(
-            f"tilt positivity violated (min {min_alpha:.3e}); eigenvector "
+            f"tilt positivity violated (min {model.min_alpha:.3e}); eigenvector "
             "scaling is inconsistent with the modes")
-
-    cond = tilts * dec.weights
-    norms = cond.sum(axis=1)
+    norms = model.cond.sum(axis=1)
     if np.max(np.abs(norms - 1.0)) > NORMALIZATION_TOL:
         raise CouplingError(
             f"conditional normalization off by {np.max(np.abs(norms - 1.0)):.3e}; "
             "renormalization is forbidden -- fix the upstream quadrature")
+    return model
 
-    n = len(dec.weights)
-    q = np.zeros((m + 1, m + 1, n))
-    for i in range(m + 1):
-        for j in range(m + 1):
-            if i != j:
-                q[i, j] = spec.Q[i, j] * tilts[j] / tilts[i]
 
-    return CouplingModel(
-        grid_nodes=dec.grid.nodes, weights=dec.weights, modes=modes,
-        rates=spec.rates.copy(), Q=spec.Q.copy(), vectors=spec.vectors.copy(),
-        p=spec.p.copy(), tilts=tilts, jump_rates=q, cond=cond,
-        initial_law=spec.p[:, None] * cond, eps=dec.eps, min_alpha=min_alpha)
+class Pipeline(NamedTuple):
+    """Every stage of one noise level, potential through coupling model."""
+
+    potential: Potential
+    gen: DiscreteGenerator
+    dec: SpectralDecomposition
+    spec: ChainSpec
+    model: CouplingModel
+
+
+def build_pipeline(potential, eps: float, n: int, *, L=None, kappa: float = 0.9,
+                   theta: float = 0.5, p=None, Q=None,
+                   maximize: bool = False) -> Pipeline:
+    """Potential (a Potential, or a preset name or coefficient list for
+    make_potential) through coupling model on an
+    n-node grid of half-width L (auto-sized if None).
+
+    The decomposition keeps m = max(wells - 1, 1) modes, signed at the node
+    nearest the first minimum. Unless Q is given, the chain is the two-state
+    split by theta for one mode and the uniform-stationary birth-death chain
+    otherwise. Its eigenvectors are scaled by kappa (a budget that keeps every
+    tilt >= 1 - kappa, or the fraction kappa of the exact positivity boundary
+    if maximize), and its initial law p defaults to uniform.
+    """
+    if not isinstance(potential, Potential):
+        potential = make_potential(potential)
+    grid = auto_grid(potential, eps, n=n, L=L)
+    gen = build_generator(potential, eps, grid)
+    m = max(potential.n_wells - 1, 1)
+    sign_node = int(np.argmin(np.abs(grid.nodes - potential.minima[0])))
+    dec = decompose(gen, m, sign_node=sign_node)
+    lams = dec.eigenvalues[1:]
+    if Q is None:
+        Q = synth_generator(lams, "two_state" if m == 1 else "birth_death", theta=theta)
+    else:
+        Q = np.asarray(Q, dtype=float)
+    vectors, scales, min_alpha = scaled_eigenvectors(Q, lams, dec.modes[1:],
+                                                     kappa=kappa, maximize=maximize)
+    p = np.full(m + 1, 1.0 / (m + 1)) if p is None else np.asarray(p, dtype=float)
+    spec = ChainSpec(Q=Q, rates=lams.copy(), vectors=vectors, scales=scales, p=p,
+                     min_alpha_bound=min_alpha, theta=theta if m == 1 else None)
+    return Pipeline(potential, gen, dec, spec, build_coupling(dec, spec))
 
 
 def build_joint_generator(model: CouplingModel, gen: DiscreteGenerator) -> sp.csr_matrix:

@@ -277,9 +277,8 @@ def _is_tridiagonal(m: sp.spmatrix) -> bool:
 
 
 def _solve_tridiagonal(m: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    dense_bands = np.zeros((3, n))
-    coo = m.tocoo()
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        dense_bands[1 + r - c, c] += v
-    return solve_banded((1, 1), dense_bands, rhs)
+    bands = np.zeros((3, m.shape[0]))
+    bands[0, 1:] = m.diagonal(1)
+    bands[1] = m.diagonal()
+    bands[2, :-1] = m.diagonal(-1)
+    return solve_banded((1, 1), bands, rhs)

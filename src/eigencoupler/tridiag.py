@@ -19,24 +19,12 @@ from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import EigenSolveError
 
-__all__ = ["eigensolve_tridiagonal", "eigensolve_edge_factor", "tridiagonal_matvec"]
+__all__ = ["eigensolve_tridiagonal", "eigensolve_edge_factor"]
 
 # stebz absolute tolerance: twice the underflow threshold leaves only its
 # relative test, which LAPACK recommends for the most accurate values
 _ABSTOL = 2 * np.finfo(float).tiny
 _ULP = np.finfo(float).eps
-
-
-def tridiagonal_matvec(diag, offdiag, v):
-    """T @ v for symmetric tridiagonal T (supports a batch of columns)."""
-    d = np.asarray(diag)
-    e = np.asarray(offdiag)
-    v = np.asarray(v)
-    out = d.reshape(-1, *([1] * (v.ndim - 1))) * v if v.ndim > 1 else d * v
-    if len(e):
-        out[:-1] += e.reshape(-1, *([1] * (v.ndim - 1))) * v[1:] if v.ndim > 1 else e * v[1:]
-        out[1:] += e.reshape(-1, *([1] * (v.ndim - 1))) * v[:-1] if v.ndim > 1 else e * v[:-1]
-    return out
 
 
 def eigensolve_tridiagonal(diag, offdiag, k_max):

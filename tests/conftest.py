@@ -1,36 +1,8 @@
 import numpy as np
 import pytest
 
-from eigencoupler.chain import ChainSpec, scaled_eigenvectors, synth_generator
-from eigencoupler.coupling import build_coupling, build_joint_generator
-from eigencoupler.potential import Potential, make_potential
-from eigencoupler.spectral import auto_grid, build_generator, decompose
-
-
-def build_pipeline(potential, eps, n, kappa=0.9, theta=0.5, p=None, L=None,
-                   m=None, maximize=False):
-    """Full stack for one configuration: potential through coupling model."""
-    if isinstance(potential, str):
-        potential = make_potential(potential)
-    grid = auto_grid(potential, eps, n=n, L=L)
-    gen = build_generator(potential, eps, grid)
-    if m is None:
-        m = max(potential.n_wells - 1, 1)
-    sign_node = int(np.argmin(np.abs(grid.nodes - potential.minima[0])))
-    dec = decompose(gen, m, sign_node=sign_node)
-    lams = dec.eigenvalues[1:]
-    shape = "two_state" if m == 1 else "birth_death"
-    Q = synth_generator(lams, shape, theta=theta)
-    vectors, scales, min_alpha = scaled_eigenvectors(Q, lams, dec.modes[1:],
-                                                     kappa=kappa, maximize=maximize)
-    if p is None:
-        p = np.full(m + 1, 1.0 / (m + 1))
-    spec = ChainSpec(Q=Q, rates=lams.copy(), vectors=vectors, scales=scales,
-                     p=np.asarray(p, dtype=float), min_alpha_bound=min_alpha,
-                     theta=theta if m == 1 else None)
-    model = build_coupling(dec, spec)
-    return {"potential": potential, "grid": grid, "gen": gen, "dec": dec,
-            "spec": spec, "model": model}
+from eigencoupler.coupling import build_joint_generator, build_pipeline
+from eigencoupler.potential import Potential
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +13,7 @@ def dw_small():
 
 @pytest.fixture(scope="session")
 def dw_small_joint(dw_small):
-    return build_joint_generator(dw_small["model"], dw_small["gen"])
+    return build_joint_generator(dw_small.model, dw_small.gen)
 
 
 @pytest.fixture(scope="session")
@@ -49,11 +21,11 @@ def fast_chain():
     """Single-well quadratic with an O(1) spectral gap: jump-heavy control
     used wherever the chain needs to move on short horizons."""
     pot = Potential(np.array([0.0, 0.0, 1.0]), name="x^2")
-    return build_pipeline(pot, 0.5, 400, kappa=0.5, m=1)
+    return build_pipeline(pot, 0.5, 400, kappa=0.5)
 
 
 @pytest.fixture(scope="session")
 def fast_chain_decoupled():
     """Same quadratic control with zero eigenvector scale: constant rates."""
     pot = Potential(np.array([0.0, 0.0, 1.0]), name="x^2")
-    return build_pipeline(pot, 0.5, 400, kappa=0.0, m=1, p=(1.0, 0.0))
+    return build_pipeline(pot, 0.5, 400, kappa=0.0, p=(1.0, 0.0))

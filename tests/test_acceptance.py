@@ -7,8 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import build_pipeline
-from eigencoupler.coupling import build_joint_generator
+from eigencoupler.coupling import build_joint_generator, build_pipeline
 from eigencoupler.oracle import (
     DistributionVector,
     check_conditional_law,
@@ -32,14 +31,14 @@ def report(num, description, passed, detail):
 def crit1_setup():
     # default double well, eps = 0.1, oracle grid n = 200, two states
     pipe = build_pipeline("double_well", 0.1, 200, kappa=0.9, theta=0.5)
-    B = build_joint_generator(pipe["model"], pipe["gen"])
+    B = build_joint_generator(pipe.model, pipe.gen)
     return pipe, B
 
 
 def test_criterion_1_exact_conditional_law(crit1_setup):
     pipe, B = crit1_setup
     t0 = time.monotonic()
-    rep = check_conditional_law(B, pipe["model"], pipe["spec"].p, ORACLE_TIMES)
+    rep = check_conditional_law(B, pipe.model, pipe.spec.p, ORACLE_TIMES)
     elapsed = time.monotonic() - t0
     report(1, "exact conditional law, max TV <= 1e-8 in < 10 s",
            rep.max_tv <= 1e-8 and elapsed < 10.0,
@@ -48,7 +47,7 @@ def test_criterion_1_exact_conditional_law(crit1_setup):
 
 def test_criterion_2_y_marginality(crit1_setup):
     pipe, B = crit1_setup
-    model, spec = pipe["model"], pipe["spec"]
+    model, spec = pipe.model, pipe.spec
     nu0 = DistributionVector(model.initial_law_for(spec.p).reshape(-1))
     rep = check_y_marginal(B, nu0, spec.Q, spec.p, ORACLE_TIMES)
     report(2, "chain marginality, max l1 <= 1e-8",
@@ -85,11 +84,11 @@ def test_criterion_5_monte_carlo_conditional_law():
     pipe = build_pipeline("double_well", 0.1, 2000, kappa=0.9, theta=0.5)
     cfg = EnsembleConfig(n_paths=20000, dt=1e-4, horizon=5.0, eps=0.1, seed=42,
                          store_stride=500)
-    recs = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
     xT = np.array([r.x[-1] for r in recs])
     yT = np.array([r.y[-1] for r in recs])
-    tvs = {j: tv_distance(xT[yT == j], pipe["model"].cond[j],
-                          pipe["model"].grid_nodes, bins=50)
+    tvs = {j: tv_distance(xT[yT == j], pipe.model.cond[j],
+                          pipe.model.grid_nodes, bins=50)
            for j in (0, 1)}
     elapsed = time.monotonic() - t0
     report(5, "Monte Carlo conditional law, TV <= 0.05 per state in < 5 min",
@@ -101,15 +100,15 @@ def test_criterion_6_exit_time_exponentiality():
     # constant-rate control (zero eigenvector scale) on a single-well
     # potential whose spectral gap makes the chain fast
     pot = Potential(np.array([0.0, 0.0, 1.0]), name="x^2")
-    pipe = build_pipeline(pot, 0.5, 400, kappa=0.0, m=1, p=(1.0, 0.0))
-    q01 = pipe["spec"].Q[0, 1]
+    pipe = build_pipeline(pot, 0.5, 400, kappa=0.0, p=(1.0, 0.0))
+    q01 = pipe.spec.Q[0, 1]
     passes = 0
     details = []
     for s in range(20):
         cfg = EnsembleConfig(n_paths=5000, dt=4e-3, horizon=round(12.0 / q01, 2),
                              eps=0.5, seed=1000 + s, initial_kind="fixed",
                              x0=0.0, y0=0, store_stride=500)
-        recs = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
+        recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
         taus = np.array([r.jumps[0][0] for r in recs if r.jumps])
         res = ks_exponential(taus, n_bootstrap=2000, seed=77)
         passes += not res.rejected
@@ -125,11 +124,11 @@ def test_criterion_7_tracking_trend():
     detail = []
     for eps in (0.15, 0.10, 0.07):
         pipe = build_pipeline("double_well", eps, 2000, kappa=0.9, theta=0.5)
-        part = domains_of_attraction(pipe["potential"])
+        part = domains_of_attraction(pipe.potential)
         cfg = EnsembleConfig(n_paths=4000, dt=1e-4, horizon=1.0, eps=eps,
                              seed=71, store_stride=100)
-        recs = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
-        out = tracking_probability(recs, part, 1.0, pipe["model"])
+        recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+        out = tracking_probability(recs, part, 1.0, pipe.model)
         vals = []
         for j, (est, oracle_val) in out.items():
             vals.append(oracle_val)
@@ -148,22 +147,22 @@ def test_criterion_7_tracking_trend():
 def test_criterion_8_rate_match():
     eps = 0.15
     pipe = build_pipeline("double_well", eps, 2000, kappa=0.9, theta=0.5)
-    part = domains_of_attraction(pipe["potential"])
+    part = domains_of_attraction(pipe.potential)
     rho = 0.5
-    minima = pipe["potential"].minima
-    chain_exact = float(mean_exit_times(pipe["spec"].Q, [0], [1])[0])
-    exact_ok = chain_exact == 1.0 / pipe["spec"].Q[0, 1]
+    minima = pipe.potential.minima
+    chain_exact = float(mean_exit_times(pipe.spec.Q, [0], [1])[0])
+    exact_ok = chain_exact == 1.0 / pipe.spec.Q[0, 1]
 
-    nodes = pipe["gen"].grid.nodes
+    nodes = pipe.gen.grid.nodes
     ball = (minima[1] - rho, minima[1] + rho)
     tgt = np.nonzero((nodes >= ball[0]) & (nodes <= ball[1]))[0]
     src = int(np.argmin(np.abs(nodes - minima[0])))
-    ref = float(mean_exit_times(pipe["gen"], [src], tgt)[0])
+    ref = float(mean_exit_times(pipe.gen, [src], tgt)[0])
     cfg = EnsembleConfig(n_paths=1000, dt=1e-3, horizon=round(15 * ref, 1),
                          eps=eps, seed=5, initial_kind="fixed", x0=float(minima[0]),
                          y0=0, store_stride=100, absorb=ball)
-    recs = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
-    rep = rate_match_report({0: recs}, pipe["spec"].Q, part, rho, pipe["gen"], minima)
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    rep = rate_match_report({0: recs}, pipe.spec.Q, part, rho, pipe.gen, minima)
     row = next(r for r in rep.rows if r["from"] == 0 and r["to"] == 1)
     z = abs(row["mc_estimate"] - row["diffusion_exact"]) / row["mc_se"]
 
@@ -171,11 +170,11 @@ def test_criterion_8_rate_match():
     # a byte-identical report
     cfg_small = dataclasses.replace(cfg, n_paths=150)
     rep_a = rate_match_report(
-        {0: simulate_ensemble(cfg_small, pipe["model"], pipe["potential"], pipe["spec"])},
-        pipe["spec"].Q, part, rho, pipe["gen"], minima).to_json()
+        {0: simulate_ensemble(cfg_small, pipe.model, pipe.potential, pipe.spec)},
+        pipe.spec.Q, part, rho, pipe.gen, minima).to_json()
     rep_b = rate_match_report(
-        {0: simulate_ensemble(cfg_small, pipe["model"], pipe["potential"], pipe["spec"])},
-        pipe["spec"].Q, part, rho, pipe["gen"], minima).to_json()
+        {0: simulate_ensemble(cfg_small, pipe.model, pipe.potential, pipe.spec)},
+        pipe.spec.Q, part, rho, pipe.gen, minima).to_json()
     report(8, "rate match: exact chain value, MC within 3 SE of grid solve, "
               "deterministic report",
            exact_ok and z <= 3.0 and rep_a == rep_b and row["censored"] == 0,
@@ -185,33 +184,18 @@ def test_criterion_8_rate_match():
 
 def test_criterion_9_negative_controls(crit1_setup):
     pipe, B = crit1_setup
-    model, spec, gen = pipe["model"], pipe["spec"], pipe["gen"]
+    model, spec, gen = pipe.model, pipe.spec, pipe.gen
     times = ORACLE_TIMES
-
-    def rebuild(tilts=None, Q=None, weights=None):
-        tilts_ = model.tilts if tilts is None else tilts
-        Q_ = model.Q if Q is None else Q
-        w_ = model.weights if weights is None else weights
-        m1, n = model.n_states, model.n_nodes
-        q = np.zeros((m1, m1, n))
-        for i in range(m1):
-            for j in range(m1):
-                if i != j:
-                    q[i, j] = Q_[i, j] * tilts_[j] / tilts_[i]
-        cond = tilts_ * w_
-        return dataclasses.replace(model, tilts=tilts_, Q=Q_, weights=w_,
-                                   jump_rates=q, cond=cond,
-                                   initial_law=model.p[:, None] * cond)
 
     baseline = check_conditional_law(B, model, spec.p, times).max_tv
 
     vec = spec.vectors.copy()
     vec[0, 0] *= 1.01
-    m1_bad = rebuild(tilts=1.0 + vec.T @ model.modes)
+    m1_bad = dataclasses.replace(model, vectors=vec)
     tv1 = check_conditional_law(build_joint_generator(m1_bad, gen), m1_bad,
                                 spec.p, times).max_tv
 
-    m2_bad = rebuild(Q=1.01 * model.Q)
+    m2_bad = dataclasses.replace(model, Q=1.01 * model.Q)
     tv2 = check_conditional_law(build_joint_generator(m2_bad, gen), m2_bad,
                                 spec.p, times).max_tv
 
@@ -219,7 +203,7 @@ def test_criterion_9_negative_controls(crit1_setup):
     # built from distorted weights while the dynamics stay true
     w_bad = model.weights * (1.0 + 0.01 * (model.grid_nodes > 0))
     w_bad /= w_bad.sum()
-    m3_bad = rebuild(weights=w_bad)
+    m3_bad = dataclasses.replace(model, weights=w_bad)
     tv3 = check_conditional_law(B, m3_bad, spec.p, times).max_tv
 
     report(9, "fault injection drives criterion-1 TV above 1e-4",

@@ -1,10 +1,14 @@
 import dataclasses
 import json
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eigencoupler.cli as cli
+import eigencoupler.coupling as coupling
 from eigencoupler.config import parse_config
 from eigencoupler.errors import ConfigError
 
@@ -78,11 +82,64 @@ def test_malformed_config_exits_1_without_traceback(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_sweep_produces_sub_configs():
-    cfg = parse_config({"potential": "double_well", "epsilon": [0.15, 0.1, 0.07]})
-    assert cfg.is_sweep
-    subs = cfg.sub_configs()
-    assert [s.epsilons for s in subs] == [(0.15,), (0.1,), (0.07,)]
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, section, value", [
+    ("oracle", "chain", {"p": [NAN, 1.0]}),
+    ("oracle", "oracle", {"times": [INF]}),
+    ("simulate", "simulation", {"T": INF}),
+    ("synth", "epsilon", INF),
+    ("synth", "grid", {"L": INF}),
+])
+def test_non_finite_config_numbers_exit_1(tmp_path, capsys, command, section, value):
+    # json reads NaN and Infinity; each must be a validation problem, never a
+    # NaN report, an overflow traceback or a numerical failure
+    path = light_config(tmp_path, **{section: value})
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_numbers = st.one_of(st.integers(-3, 2 ** 70), st.integers(10 ** 308, 10 ** 400),
+                     st.floats(0.0, 1.0), st.floats(), st.booleans())
+_configs = st.fixed_dictionaries(
+    {"potential": st.one_of(st.sampled_from(["double_well", "triple_well"]),
+                            st.lists(_numbers, min_size=1, max_size=5)),
+     "epsilon": st.one_of(_numbers, st.lists(_numbers, min_size=1, max_size=3))},
+    optional={
+        "grid": st.fixed_dictionaries({}, optional={"n": _numbers,
+                                                     "L": st.none() | _numbers}),
+        "chain": st.fixed_dictionaries({}, optional={
+            "theta": _numbers, "kappa": _numbers,
+            "p": st.lists(_numbers, min_size=1, max_size=3),
+            "Q": st.lists(st.lists(_numbers, min_size=2, max_size=2),
+                          min_size=2, max_size=2)}),
+        "simulation": st.fixed_dictionaries({}, optional={
+            k: _numbers for k in ("dt", "T", "n_paths", "seed", "store_stride")}),
+        "oracle": st.fixed_dictionaries({}, optional={
+            "n": _numbers, "times": st.lists(_numbers, max_size=3)}),
+        "threads": _numbers,
+    })
+
+
+def _all_finite(value):
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_all_finite(v) for v in value)
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_configs)
+def test_parse_config_rejects_or_returns_finite_numbers(data):
+    try:
+        cfg = parse_config(data)
+    except ConfigError:
+        return
+    assert _all_finite(cfg.resolved())
 
 
 def test_spectrum_on_ou_preset(tmp_path):
@@ -267,7 +324,7 @@ def test_linalg_error_exit_code_2(tmp_path, monkeypatch):
     # validation problem
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("stebz failed to converge")
-    monkeypatch.setattr(cli, "decompose", fail)
+    monkeypatch.setattr(coupling, "decompose", fail)
     path = light_config(tmp_path)
     assert cli.main(["synth", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
@@ -277,7 +334,7 @@ def test_oracle_evolves_joint_law_once_per_time(monkeypatch):
     # exactly what the two separate checks report
     import eigencoupler.oracle as oracle
     cfg = parse_config(LIGHT)
-    _, _, gen, _, spec, model = cli._build_pipeline(cfg, 0.1, cfg.oracle_n)
+    _, gen, _, spec, model = cli._build_pipeline(cfg, 0.1, cfg.oracle_n)
     B = cli.build_joint_generator(model, gen)
     cond = oracle.check_conditional_law(B, model, spec.p, cfg.oracle_times)
     nu0 = oracle.DistributionVector(model.initial_law_for(spec.p).reshape(-1))

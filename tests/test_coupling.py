@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import build_pipeline
 from eigencoupler.coupling import (
     CouplingModel,
     build_coupling,
     build_joint_generator,
+    build_pipeline,
     conditional_density,
     coupling_summary,
     coupling_to_csv,
@@ -19,7 +19,7 @@ from eigencoupler.spectral import DiscreteGenerator, Grid
 
 def test_decoupled_limit_constant_rates():
     pipe = build_pipeline("double_well", 0.1, 150, kappa=0.0)
-    model = pipe["model"]
+    model = pipe.model
     np.testing.assert_array_equal(model.tilts, 1.0)
     for i in range(2):
         for j in range(2):
@@ -30,19 +30,19 @@ def test_decoupled_limit_constant_rates():
 
 
 def test_conditional_normalization(dw_small):
-    model = dw_small["model"]
+    model = dw_small.model
     sums = model.cond.sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
 
 def test_symmetric_well_tilt_mirror(dw_small):
     # alpha_0(x) = alpha_1(-x) on the symmetric grid
-    model = dw_small["model"]
+    model = dw_small.model
     np.testing.assert_allclose(model.tilts[0], model.tilts[1][::-1], rtol=1e-9)
 
 
 def test_rate_identity_pointwise(dw_small):
-    model = dw_small["model"]
+    model = dw_small.model
     for i in range(2):
         for j in range(2):
             if i == j:
@@ -53,13 +53,13 @@ def test_rate_identity_pointwise(dw_small):
 
 
 def test_positivity_floor(dw_small):
-    assert dw_small["model"].min_alpha >= 1.0 - 0.9 - 1e-12
-    assert dw_small["model"].tilts.min() > 0
+    assert dw_small.model.min_alpha >= 1.0 - 0.9 - 1e-12
+    assert dw_small.model.tilts.min() > 0
 
 
 def test_stationary_mixture_recovers_weights(dw_small):
     from eigencoupler.chain import stationary_distribution
-    model = dw_small["model"]
+    model = dw_small.model
     p_stat = stationary_distribution(model.Q)
     mix = p_stat @ model.cond
     np.testing.assert_allclose(mix, model.weights, atol=1e-12)
@@ -73,7 +73,7 @@ def test_joint_generator_row_sums(dw_small, dw_small_joint):
 
 def test_joint_generator_decoupled_is_direct_sum():
     pipe = build_pipeline("double_well", 0.1, 80, kappa=0.0)
-    model, gen = pipe["model"], pipe["gen"]
+    model, gen = pipe.model, pipe.gen
     B = build_joint_generator(model, gen).toarray()
     n = gen.n
     diag, lower, upper = gen.tridiagonal()
@@ -94,16 +94,10 @@ def test_joint_generator_hand_computed_smallest_case():
     q01, q10 = 0.4, 0.6
     Q = np.array([[-q01, q01], [q10, -q10]])
     tilts = np.array([[1 + c, 1 - c], [1 - c, 1 + c]])
-    cond = tilts * gen.weights
-    jump_rates = np.zeros((2, 2, 2))
-    jump_rates[0, 1] = q01 * tilts[1] / tilts[0]
-    jump_rates[1, 0] = q10 * tilts[0] / tilts[1]
     model = CouplingModel(
         grid_nodes=grid.nodes, weights=gen.weights,
-        modes=np.array([[1.0, -1.0]]), rates=np.array([1.0]), Q=Q,
-        vectors=np.array([[c, -c]]), p=np.array([0.5, 0.5]), tilts=tilts,
-        jump_rates=jump_rates, cond=cond, initial_law=0.5 * cond, eps=1.0,
-        min_alpha=1 - c)
+        modes=np.array([[1.0, -1.0]]), Q=Q, vectors=np.array([[c, -c]]),
+        p=np.array([0.5, 0.5]), eps=1.0)
     # hand evaluation of the joint action: diffusion block per state plus
     # node-diagonal jumps
     B = build_joint_generator(model, gen).toarray()
@@ -119,15 +113,15 @@ def test_joint_generator_hand_computed_smallest_case():
 
 
 def test_joint_dimension_guard(dw_small):
-    model = dw_small["model"]
+    model = dw_small.model
     big = dataclasses.replace(model, grid_nodes=np.linspace(-1, 1, 600001),
                               weights=np.ones(600001) / 600001)
     with pytest.raises(CouplingError):
-        build_joint_generator(big, dw_small["gen"])
+        build_joint_generator(big, dw_small.gen)
 
 
 def test_eigen_mismatch_rejected(dw_small):
-    dec, spec = dw_small["dec"], dw_small["spec"]
+    dec, spec = dw_small.dec, dw_small.spec
     bad = dataclasses.replace(spec, rates=spec.rates * 1.01)
     with pytest.raises(CouplingError):
         build_coupling(dec, bad)
@@ -136,21 +130,21 @@ def test_eigen_mismatch_rejected(dw_small):
 def test_broken_mode_normalization_rejected(dw_small):
     # a constant offset breaks the zero-sum property of the signed weights,
     # which must surface as a normalization failure, never a silent repair
-    dec = dataclasses.replace(dw_small["dec"],
-                              modes=dw_small["dec"].modes + 0.001)
+    dec = dataclasses.replace(dw_small.dec,
+                              modes=dw_small.dec.modes + 0.001)
     with pytest.raises(CouplingError):
-        build_coupling(dec, dw_small["spec"])
+        build_coupling(dec, dw_small.spec)
 
 
 def test_negative_tilt_rejected(dw_small):
-    spec = dw_small["spec"]
+    spec = dw_small.spec
     bad = dataclasses.replace(spec, vectors=spec.vectors * 10.0)
     with pytest.raises(CouplingError):
-        build_coupling(dw_small["dec"], bad)
+        build_coupling(dw_small.dec, bad)
 
 
 def test_sample_initial_distributions(dw_small):
-    model = dw_small["model"]
+    model = dw_small.model
     rng = np.random.default_rng(0)
     ys = np.array([sample_initial(model, [1.0, 0.0], rng)[1] for _ in range(200)])
     np.testing.assert_array_equal(ys, 0)
@@ -158,7 +152,7 @@ def test_sample_initial_distributions(dw_small):
 
 def test_sample_initial_decoupled_matches_weights():
     pipe = build_pipeline("double_well", 0.1, 300, kappa=0.0)
-    model = pipe["model"]
+    model = pipe.model
     rng = np.random.default_rng(42)
     xs = np.array([sample_initial(model, [0.5, 0.5], rng)[0] for _ in range(100000)])
     from eigencoupler.stats import tv_distance
@@ -168,13 +162,13 @@ def test_sample_initial_decoupled_matches_weights():
 
 def test_conditional_density_validation(dw_small):
     with pytest.raises(ValueError):
-        conditional_density(dw_small["model"], 5)
+        conditional_density(dw_small.model, 5)
 
 
 def test_exports(tmp_path, dw_small):
-    coupling_to_csv(dw_small["model"], tmp_path / "c.csv")
+    coupling_to_csv(dw_small.model, tmp_path / "c.csv")
     header = (tmp_path / "c.csv").read_text().splitlines()[0]
     assert header.startswith("x,weight,mode_1,tilt_0,tilt_1,rate_01,rate_10")
-    payload = coupling_summary(dw_small["model"], tmp_path / "s.json")
+    payload = coupling_summary(dw_small.model, tmp_path / "s.json")
     assert payload["min_alpha"] > 0
     assert "0->1" in payload["rate_sup_norms"]

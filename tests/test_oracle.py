@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import build_pipeline
-from eigencoupler.coupling import build_joint_generator
+from eigencoupler.coupling import build_joint_generator, build_pipeline
 from eigencoupler.errors import UnreachableTargetError
 from eigencoupler.oracle import (
     _EPS,
@@ -20,23 +19,6 @@ from eigencoupler.oracle import (
 )
 
 TIMES = (0.1, 1.0, 10.0)
-
-
-def rebuild_model(model, tilts=None, Q=None, weights=None):
-    """Assemble a (possibly deliberately broken) model from modified parts."""
-    tilts = model.tilts if tilts is None else tilts
-    Q = model.Q if Q is None else Q
-    weights = model.weights if weights is None else weights
-    m1, n = model.n_states, model.n_nodes
-    q = np.zeros((m1, m1, n))
-    for i in range(m1):
-        for j in range(m1):
-            if i != j:
-                q[i, j] = Q[i, j] * tilts[j] / tilts[i]
-    cond = tilts * weights
-    return dataclasses.replace(model, tilts=tilts, Q=Q, weights=weights,
-                               jump_rates=q, cond=cond,
-                               initial_law=model.p[:, None] * cond)
 
 
 def test_evolve_time_zero_identity():
@@ -82,7 +64,7 @@ def test_evolve_stiff_chain_with_floored_tolerance():
 
 
 def test_evolve_long_horizon_mass_conserved(dw_small, dw_small_joint):
-    model = dw_small["model"]
+    model = dw_small.model
     nu0 = model.initial_law_for(model.p).reshape(-1)
     nu = evolve_distribution(dw_small_joint, nu0, 10.0)
     assert abs(nu.weights.sum() - 1.0) <= 1e-12
@@ -91,7 +73,7 @@ def test_evolve_long_horizon_mass_conserved(dw_small, dw_small_joint):
 
 def test_stationary_joint_law_is_fixed(dw_small, dw_small_joint):
     from eigencoupler.chain import stationary_distribution
-    model = dw_small["model"]
+    model = dw_small.model
     p_stat = stationary_distribution(model.Q)
     nu0 = (p_stat[:, None] * model.cond).reshape(-1)
     nu = evolve_distribution(dw_small_joint, nu0, 1.0)
@@ -107,20 +89,20 @@ def test_distribution_vector_validation():
 
 def test_conditional_law_decoupled_exact():
     pipe = build_pipeline("double_well", 0.1, 120, kappa=0.0)
-    B = build_joint_generator(pipe["model"], pipe["gen"])
-    rep = check_conditional_law(B, pipe["model"], pipe["spec"].p, TIMES)
+    B = build_joint_generator(pipe.model, pipe.gen)
+    rep = check_conditional_law(B, pipe.model, pipe.spec.p, TIMES)
     assert rep.max_tv <= 1e-12
 
 
 def test_conditional_law_default_double_well(dw_small, dw_small_joint):
-    rep = check_conditional_law(dw_small_joint, dw_small["model"],
-                                dw_small["spec"].p, TIMES)
+    rep = check_conditional_law(dw_small_joint, dw_small.model,
+                                dw_small.spec.p, TIMES)
     assert rep.max_tv <= 1e-8
     assert not rep.skipped
 
 
 def test_y_marginal_default(dw_small, dw_small_joint):
-    model, spec = dw_small["model"], dw_small["spec"]
+    model, spec = dw_small.model, dw_small.spec
     nu0 = DistributionVector(model.initial_law_for(spec.p).reshape(-1))
     rep = check_y_marginal(dw_small_joint, nu0, spec.Q, spec.p, TIMES)
     assert rep.max_l1 <= 1e-8
@@ -129,8 +111,8 @@ def test_y_marginal_default(dw_small, dw_small_joint):
 
 def test_y_marginal_time_zero():
     pipe = build_pipeline("double_well", 0.1, 100)
-    B = build_joint_generator(pipe["model"], pipe["gen"])
-    model, spec = pipe["model"], pipe["spec"]
+    B = build_joint_generator(pipe.model, pipe.gen)
+    model, spec = pipe.model, pipe.spec
     nu0 = DistributionVector(model.initial_law_for(spec.p).reshape(-1))
     rep = check_y_marginal(B, nu0, spec.Q, spec.p, [0.0])
     assert rep.max_l1 <= 1e-14
@@ -140,8 +122,8 @@ def test_y_marginal_time_zero():
 def test_y_marginal_independent_of_scale(kappa):
     # the chain marginal identity holds whatever the eigenvector scale is
     pipe = build_pipeline("double_well", 0.1, 150, kappa=kappa)
-    B = build_joint_generator(pipe["model"], pipe["gen"])
-    model, spec = pipe["model"], pipe["spec"]
+    B = build_joint_generator(pipe.model, pipe.gen)
+    model, spec = pipe.model, pipe.spec
     nu0 = DistributionVector(model.initial_law_for(spec.p).reshape(-1))
     rep = check_y_marginal(B, nu0, spec.Q, spec.p, TIMES)
     assert rep.max_l1 <= 1e-8
@@ -159,22 +141,20 @@ def test_conditional_law_matrix(preset, n, eps, kappa, theta):
     if preset == "triple_well" and theta != 0.5:
         pytest.skip("theta applies to two-state chains only")
     pipe = build_pipeline(preset, eps, n, kappa=kappa, theta=theta)
-    B = build_joint_generator(pipe["model"], pipe["gen"])
-    rep = check_conditional_law(B, pipe["model"], pipe["spec"].p, TIMES)
+    B = build_joint_generator(pipe.model, pipe.gen)
+    rep = check_conditional_law(B, pipe.model, pipe.spec.p, TIMES)
     assert rep.max_tv <= 1e-8
-    nu0 = DistributionVector(pipe["model"].initial_law_for(pipe["spec"].p).reshape(-1))
-    marg = check_y_marginal(B, nu0, pipe["spec"].Q, pipe["spec"].p, TIMES)
+    nu0 = DistributionVector(pipe.model.initial_law_for(pipe.spec.p).reshape(-1))
+    marg = check_y_marginal(B, nu0, pipe.spec.Q, pipe.spec.p, TIMES)
     assert marg.max_l1 <= 1e-8
 
 
 def test_perturbed_eigenvector_breaks_law(dw_small):
-    model = dw_small["model"]
-    vec = dw_small["spec"].vectors.copy()
+    vec = dw_small.spec.vectors.copy()
     vec[0, 0] *= 1.01
-    tilts = 1.0 + vec.T @ model.modes
-    broken = rebuild_model(model, tilts=tilts)
-    B = build_joint_generator(broken, dw_small["gen"])
-    rep = check_conditional_law(B, broken, dw_small["spec"].p, TIMES)
+    broken = dataclasses.replace(dw_small.model, vectors=vec)
+    B = build_joint_generator(broken, dw_small.gen)
+    rep = check_conditional_law(B, broken, dw_small.spec.p, TIMES)
     assert rep.max_tv > 1e-4
 
 
@@ -199,7 +179,7 @@ def test_mean_exit_unreachable_target():
 
 
 def test_mean_exit_diffusion_generator(dw_small):
-    gen = dw_small["gen"]
+    gen = dw_small.gen
     nodes = gen.grid.nodes
     target = np.nonzero(nodes >= 0.5)[0]
     src = int(np.argmin(np.abs(nodes - (-1.0))))

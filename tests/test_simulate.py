@@ -3,8 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import build_pipeline
-from eigencoupler.coupling import sample_initial
+from eigencoupler.coupling import build_pipeline, sample_initial
 from eigencoupler.errors import BlowUpError
 from eigencoupler.potential import make_potential
 from eigencoupler.simulate import (
@@ -82,11 +81,11 @@ def test_holding_time_exponential(fast_chain_decoupled):
     # budget / q01, an exponential; compare against the known-rate critical
     # value 1.36/sqrt(n)
     pipe = fast_chain_decoupled
-    q01 = pipe["spec"].Q[0, 1]
+    q01 = pipe.spec.Q[0, 1]
     cfg = EnsembleConfig(n_paths=5000, dt=4e-3, horizon=round(12.0 / q01, 2),
                          eps=0.5, seed=7, initial_kind="fixed", x0=0.0, y0=0,
                          store_stride=500)
-    recs = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
     taus = np.array([r.jumps[0][0] for r in recs if r.jumps])
     assert len(taus) >= 4995
     s = np.sort(taus)
@@ -99,13 +98,12 @@ def test_holding_time_exponential(fast_chain_decoupled):
 def test_absorbing_state_never_leaves(fast_chain_decoupled):
     # zeroing the outgoing generator row makes the state absorbing
     pipe = fast_chain_decoupled
-    Q = pipe["model"].Q.copy()
+    Q = pipe.model.Q.copy()
     Q[0] = 0.0
-    model = dataclasses.replace(pipe["model"], Q=Q,
-                                jump_rates=np.zeros_like(pipe["model"].jump_rates))
+    model = dataclasses.replace(pipe.model, Q=Q)
     cfg = EnsembleConfig(n_paths=50, dt=2e-3, horizon=3.0, eps=0.5, seed=1,
                          initial_kind="fixed", x0=0.0, y0=0, store_stride=10)
-    recs = simulate_ensemble(cfg, model, pipe["potential"], pipe["spec"])
+    recs = simulate_ensemble(cfg, model, pipe.potential, pipe.spec)
     assert all(len(r.jumps) == 0 for r in recs)
     assert all((r.y == 0).all() for r in recs)
 
@@ -114,7 +112,7 @@ def test_jump_count_matches_closed_form(fast_chain_decoupled):
     # two-state constant rates: E[N(T)] = T (pi . r) + (1 - e^{-lam T})/lam
     # * ((p0 - pi) . r)
     pipe = fast_chain_decoupled
-    Q = pipe["spec"].Q
+    Q = pipe.spec.Q
     lam = Q[0, 1] + Q[1, 0]
     r = np.array([Q[0, 1], Q[1, 0]])
     piv = np.array([Q[1, 0], Q[0, 1]]) / lam
@@ -123,7 +121,7 @@ def test_jump_count_matches_closed_form(fast_chain_decoupled):
     expected = T * (piv @ r) + (1 - np.exp(-lam * T)) / lam * ((p0 - piv) @ r)
     cfg = EnsembleConfig(n_paths=4000, dt=2e-3, horizon=T, eps=0.5, seed=21,
                          initial_kind="fixed", x0=0.0, y0=0, store_stride=200)
-    recs = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
     counts = np.array([len(r.jumps) for r in recs])
     se = counts.std(ddof=1) / np.sqrt(len(counts))
     assert abs(counts.mean() - expected) <= 3 * se
@@ -133,8 +131,8 @@ def test_ensemble_deterministic(fast_chain):
     pipe = fast_chain
     cfg = EnsembleConfig(n_paths=4, dt=2e-3, horizon=2.0, eps=0.5, seed=5,
                          store_stride=1)
-    a = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
-    b = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
+    a = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    b = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
     for ra, rb in zip(a, b):
         np.testing.assert_array_equal(ra.x, rb.x)
         np.testing.assert_array_equal(ra.times, rb.times)
@@ -145,7 +143,7 @@ def test_ensemble_matches_sequential_composition(fast_chain):
     # the ensemble is bit-identical to drawing each path's stream and running
     # the single-path operations in order
     pipe = fast_chain
-    model, spec, pot = pipe["model"], pipe["spec"], pipe["potential"]
+    model, spec, pot = pipe.model, pipe.spec, pipe.potential
     cfg = EnsembleConfig(n_paths=5, dt=2e-3, horizon=6.0, eps=0.5, seed=11,
                          store_stride=1)
     recs = simulate_ensemble(cfg, model, pot, spec)
@@ -167,10 +165,10 @@ def test_ensemble_chunking_and_workers_invariant(fast_chain, monkeypatch):
     pipe = fast_chain
     cfg = EnsembleConfig(n_paths=6, dt=2e-3, horizon=2.0, eps=0.5, seed=5,
                          store_stride=1)
-    ref = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
+    ref = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
     monkeypatch.setattr(sim, "_CHUNK_BYTES", 16.0 * 1000 * 2)
     cfg2 = dataclasses.replace(cfg, workers=3)
-    out = simulate_ensemble(cfg2, pipe["model"], pipe["potential"], pipe["spec"])
+    out = simulate_ensemble(cfg2, pipe.model, pipe.potential, pipe.spec)
     for ra, rb in zip(ref, out):
         np.testing.assert_array_equal(ra.x, rb.x)
         assert ra.jumps == rb.jumps
@@ -181,7 +179,7 @@ def test_ensemble_tiles_and_noise_blocks_invariant(fast_chain, monkeypatch):
     # none dividing it evenly, change no bit of any record
     import eigencoupler.simulate as sim
     pipe = fast_chain
-    model, spec, pot = pipe["model"], pipe["spec"], pipe["potential"]
+    model, spec, pot = pipe.model, pipe.spec, pipe.potential
     # dt gives blocks of more than 8 steps, where numpy's pairwise sums
     # would round differently at width one
     cfg = EnsembleConfig(n_paths=23, dt=5e-4, horizon=2.0, eps=0.5, seed=13,
@@ -212,7 +210,7 @@ def test_chunk_peak_memory_excludes_noise(dw_small):
     # a (n_steps, C) noise array would double the peak
     import tracemalloc
     import eigencoupler.simulate as sim
-    model, pot = dw_small["model"], dw_small["potential"]
+    model, pot = dw_small.model, dw_small.potential
     bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
     for absorb in (None, (0.5, 1.5)):
         cfg = EnsembleConfig(n_paths=64, dt=1e-3, horizon=20.0, eps=0.1, seed=3,
@@ -236,7 +234,7 @@ def test_chunk_peak_memory_independent_of_steps(dw_small):
     # jump log, which grow with the horizon by tens of kB here
     import tracemalloc
     import eigencoupler.simulate as sim
-    model, pot = dw_small["model"], dw_small["potential"]
+    model, pot = dw_small.model, dw_small.potential
     bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
     for absorb in (None, (0.5, 1.5)):
         peaks = []
@@ -257,14 +255,14 @@ def test_chunk_peak_memory_independent_of_steps(dw_small):
 def test_ensemble_mean_chain_state(fast_chain_decoupled):
     # E[Y(T)] for the two-state chain follows the scalar relaxation formula
     pipe = fast_chain_decoupled
-    Q = pipe["spec"].Q
+    Q = pipe.spec.Q
     lam = Q[0, 1] + Q[1, 0]
     pi1 = Q[0, 1] / lam
     T = 1.5
     expected = pi1 + (0.0 - pi1) * np.exp(-lam * T)
     cfg = EnsembleConfig(n_paths=4000, dt=2e-3, horizon=T, eps=0.5, seed=33,
                          initial_kind="fixed", x0=0.0, y0=0, store_stride=150)
-    recs = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
     yT = np.array([r.y[-1] for r in recs], dtype=float)
     se = yT.std(ddof=1) / np.sqrt(len(yT))
     assert abs(yT.mean() - expected) <= 3 * se
@@ -272,10 +270,10 @@ def test_ensemble_mean_chain_state(fast_chain_decoupled):
 
 def test_first_exit_time_semantics(fast_chain_decoupled):
     pipe = fast_chain_decoupled
-    q01 = pipe["spec"].Q[0, 1]
+    q01 = pipe.spec.Q[0, 1]
     cfg = EnsembleConfig(n_paths=400, dt=2e-3, horizon=8.0, eps=0.5, seed=2,
                          initial_kind="fixed", x0=0.0, y0=0, store_stride=100)
-    recs = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
     # never-hit region -> None
     assert first_exit_time(recs[0], (50.0, 60.0), target="x") is None
     # chain hitting {1} is the first jump time
@@ -296,7 +294,7 @@ def test_first_exit_interpolates_crossing(fast_chain):
     pipe = fast_chain
     cfg = EnsembleConfig(n_paths=1, dt=2e-3, horizon=4.0, eps=0.5, seed=9,
                          store_stride=1)
-    rec = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])[0]
+    rec = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)[0]
     # threshold strictly above the start so the hit happens mid-path
     lo = max(float(np.quantile(rec.x, 0.8)), float(rec.x[0]) + 0.05)
     assert float(np.max(rec.x)) > lo
@@ -308,7 +306,7 @@ def test_first_exit_interpolates_crossing(fast_chain):
 
 def test_dt_refinement_tv_stable():
     pipe = build_pipeline("double_well", 0.1, 1000)
-    model, spec, pot = pipe["model"], pipe["spec"], pipe["potential"]
+    model, spec, pot = pipe.model, pipe.spec, pipe.potential
     tvs = {}
     for dt in (2e-4, 1e-4):
         cfg = EnsembleConfig(n_paths=4000, dt=dt, horizon=1.0, eps=0.1, seed=9,
@@ -328,7 +326,7 @@ def test_absorb_mode_stops_paths():
     cfg = EnsembleConfig(n_paths=100, dt=1e-3, horizon=80.0, eps=0.2, seed=4,
                          initial_kind="fixed", x0=-1.0, y0=0, store_stride=50,
                          absorb=ball)
-    recs = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
     absorbed = [r for r in recs if r.exit_time is not None]
     assert len(absorbed) >= 95
     for r in absorbed:
@@ -349,4 +347,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         pipe = build_pipeline("double_well", 0.1, 50)
         cfg = EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, eps=0.2, seed=0)
-        simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
+        simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)

@@ -107,27 +107,27 @@ def test_two_route_consistency_coarse():
 
 
 def test_decompose_zero_mode(dw_small):
-    dec = dw_small["dec"]
+    dec = dw_small.dec
     assert dec.eigenvalues[0] == 0.0
     np.testing.assert_array_equal(dec.modes[0], np.ones(dec.grid.n))
     assert dec.eigenvalues[1] > 0
 
 
 def test_signed_weights_sum_to_zero(dw_small):
-    dec = dw_small["dec"]
+    dec = dw_small.dec
     sums = dec.signed_weights.sum(axis=1)
     assert abs(sums[0] - 1.0) <= 1e-12
     assert np.max(np.abs(sums[1:])) <= 1e-12
 
 
 def test_modes_orthonormal(dw_small):
-    dec = dw_small["dec"]
+    dec = dw_small.dec
     gram = np.einsum("kn,jn,n->kj", dec.modes, dec.modes, dec.weights)
     np.testing.assert_allclose(gram, np.eye(dec.m + 1), atol=1e-10)
 
 
 def test_sign_convention_left_minimum_positive(dw_small):
-    dec = dw_small["dec"]
+    dec = dw_small.dec
     node = int(np.argmin(np.abs(dec.grid.nodes - (-1.0))))
     assert dec.modes[1, node] > 0
 
@@ -152,10 +152,10 @@ def test_ou_spectrum_equally_spaced():
 
 
 def test_verify_eigen_identity(dw_small):
-    worst = verify_eigen_identity(dw_small["dec"], dw_small["gen"], trials=100)
+    worst = verify_eigen_identity(dw_small.dec, dw_small.gen, trials=100)
     assert worst <= 1e-8
     # eigenmode inputs satisfy the identity to near machine precision
-    dec, gen = dw_small["dec"], dw_small["gen"]
+    dec, gen = dw_small.dec, dw_small.gen
     f = dec.modes[1]
     af = gen.apply(f)
     sw = dec.signed_weights
@@ -183,7 +183,7 @@ def test_mode_sup_norm_stable_under_refinement():
 
 
 def test_exports(tmp_path, dw_small):
-    dec = two_route_decomposition(DW, 0.1, dw_small["grid"], 1)
+    dec = two_route_decomposition(DW, 0.1, dw_small.gen.grid, 1)
     csv_path = tmp_path / "dec.csv"
     decomposition_to_csv(dec, csv_path)
     header = csv_path.read_text().splitlines()[0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_pipeline
+from eigencoupler.coupling import build_pipeline
 from eigencoupler.potential import domains_of_attraction
 from eigencoupler.simulate import EnsembleConfig, simulate_ensemble
 from eigencoupler.stats import (
@@ -59,7 +59,7 @@ def test_ks_deterministic():
 
 def test_tv_distance_self_sample():
     pipe = build_pipeline("double_well", 0.1, 300, kappa=0.0)
-    model = pipe["model"]
+    model = pipe.model
     rng = np.random.default_rng(1)
     cum = np.cumsum(model.weights)
     idx = np.searchsorted(cum, rng.random(100000))
@@ -102,25 +102,25 @@ def tracking_ensemble():
     pipe = build_pipeline("double_well", 0.1, 500)
     cfg = EnsembleConfig(n_paths=3000, dt=5e-4, horizon=1.0, eps=0.1, seed=12,
                          store_stride=200)
-    recs = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
     return pipe, recs
 
 
 def test_tracking_symmetric_decoupled_half():
     pipe = build_pipeline("double_well", 0.1, 300, kappa=0.0)
-    part = domains_of_attraction(pipe["potential"])
+    part = domains_of_attraction(pipe.potential)
     cfg = EnsembleConfig(n_paths=400, dt=1e-3, horizon=0.2, eps=0.1, seed=3,
                          store_stride=100)
-    recs = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
-    out = tracking_probability(recs, part, 0.2, pipe["model"])
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    out = tracking_probability(recs, part, 0.2, pipe.model)
     for j, (est, oracle_val) in out.items():
         assert oracle_val == pytest.approx(0.5, abs=1e-10)
 
 
 def test_tracking_mc_matches_oracle(tracking_ensemble):
     pipe, recs = tracking_ensemble
-    part = domains_of_attraction(pipe["potential"])
-    out = tracking_probability(recs, part, 1.0, pipe["model"])
+    part = domains_of_attraction(pipe.potential)
+    out = tracking_probability(recs, part, 1.0, pipe.model)
     for j, (est, oracle_val) in out.items():
         assert est is not None
         assert abs(est.point - oracle_val) <= 3 * est.se
@@ -128,19 +128,19 @@ def test_tracking_mc_matches_oracle(tracking_ensemble):
 
 def test_tracking_deterministic(tracking_ensemble):
     pipe, recs = tracking_ensemble
-    part = domains_of_attraction(pipe["potential"])
-    a = tracking_probability(recs, part, 1.0, pipe["model"])
-    b = tracking_probability(recs, part, 1.0, pipe["model"])
+    part = domains_of_attraction(pipe.potential)
+    a = tracking_probability(recs, part, 1.0, pipe.model)
+    b = tracking_probability(recs, part, 1.0, pipe.model)
     assert a == b
 
 
 def test_tracking_empty_state_flagged():
     pipe = build_pipeline("double_well", 0.1, 200, p=(1.0, 0.0))
-    part = domains_of_attraction(pipe["potential"])
+    part = domains_of_attraction(pipe.potential)
     cfg = EnsembleConfig(n_paths=60, dt=1e-3, horizon=0.05, eps=0.1, seed=6,
                          initial_kind="fixed", x0=-1.0, y0=0, store_stride=10)
-    recs = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
-    out = tracking_probability(recs, part, 0.05, pipe["model"])
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    out = tracking_probability(recs, part, 0.05, pipe.model)
     assert out[1][0] is None          # nobody occupies state 1 yet
     assert out[0][0] is not None
 
@@ -148,30 +148,30 @@ def test_tracking_empty_state_flagged():
 @pytest.fixture(scope="module")
 def exit_setup():
     pipe = build_pipeline("double_well", 0.2, 800)
-    part = domains_of_attraction(pipe["potential"])
+    part = domains_of_attraction(pipe.potential)
     ens = {}
-    for i, x0 in enumerate(pipe["potential"].minima):
-        ball_j = pipe["potential"].minima[1 - i]
+    for i, x0 in enumerate(pipe.potential.minima):
+        ball_j = pipe.potential.minima[1 - i]
         cfg = EnsembleConfig(n_paths=300, dt=1e-3, horizon=120.0, eps=0.2,
                              seed=40 + i, initial_kind="fixed", x0=float(x0),
                              y0=i, store_stride=100,
                              absorb=(ball_j - 0.5, ball_j + 0.5))
-        ens[i] = simulate_ensemble(cfg, pipe["model"], pipe["potential"],
-                                   pipe["spec"])
+        ens[i] = simulate_ensemble(cfg, pipe.model, pipe.potential,
+                                   pipe.spec)
     return pipe, part, ens
 
 
 def test_rate_match_report(exit_setup):
     pipe, part, ens = exit_setup
-    report = rate_match_report(ens, pipe["spec"].Q, part, 0.5, pipe["gen"],
-                               pipe["potential"].minima)
+    report = rate_match_report(ens, pipe.spec.Q, part, 0.5, pipe.gen,
+                               pipe.potential.minima)
     assert len(report.rows) == 2
     for row in report.rows:
         assert row["ratio"] > 0 and np.isfinite(row["ratio"])
         # chain side is the exact linear-solve value
         i, j = row["from"], row["to"]
         assert row["chain_exact"] == pytest.approx(
-            1.0 / pipe["spec"].Q[i, j], rel=1e-12)
+            1.0 / pipe.spec.Q[i, j], rel=1e-12)
         # MC diffusion estimate agrees with the grid linear solve
         assert row["censored"] == 0
         assert abs(row["mc_estimate"] - row["diffusion_exact"]) <= 3 * row["mc_se"]
@@ -181,10 +181,10 @@ def test_rate_match_report(exit_setup):
 
 def test_rate_match_deterministic(exit_setup):
     pipe, part, ens = exit_setup
-    a = rate_match_report(ens, pipe["spec"].Q, part, 0.5, pipe["gen"],
-                          pipe["potential"].minima).to_json()
-    b = rate_match_report(ens, pipe["spec"].Q, part, 0.5, pipe["gen"],
-                          pipe["potential"].minima).to_json()
+    a = rate_match_report(ens, pipe.spec.Q, part, 0.5, pipe.gen,
+                          pipe.potential.minima).to_json()
+    b = rate_match_report(ens, pipe.spec.Q, part, 0.5, pipe.gen,
+                          pipe.potential.minima).to_json()
     assert a == b
 
 
@@ -193,9 +193,9 @@ def test_rate_match_censoring_flagged(exit_setup):
     cfg = EnsembleConfig(n_paths=30, dt=1e-3, horizon=0.5, eps=0.2, seed=90,
                          initial_kind="fixed", x0=-1.0, y0=0, store_stride=10,
                          absorb=(0.5, 1.5))
-    short = simulate_ensemble(cfg, pipe["model"], pipe["potential"], pipe["spec"])
-    report = rate_match_report({0: short}, pipe["spec"].Q, part, 0.5,
-                               pipe["gen"], pipe["potential"].minima)
+    short = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    report = rate_match_report({0: short}, pipe.spec.Q, part, 0.5,
+                               pipe.gen, pipe.potential.minima)
     row = report.rows[0]
     assert row["censored"] > 0
     if row["mc_estimate"] is None:
@@ -205,5 +205,5 @@ def test_rate_match_censoring_flagged(exit_setup):
 def test_rate_match_rho_validation(exit_setup):
     pipe, part, ens = exit_setup
     with pytest.raises(ValueError):
-        rate_match_report(ens, pipe["spec"].Q, part, 1.5, pipe["gen"],
-                          pipe["potential"].minima)
+        rate_match_report(ens, pipe.spec.Q, part, 1.5, pipe.gen,
+                          pipe.potential.minima)

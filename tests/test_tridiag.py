@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import eigh_tridiagonal
 
-from eigencoupler.tridiag import (eigensolve_edge_factor, eigensolve_tridiagonal,
-                                  tridiagonal_matvec)
+from eigencoupler.tridiag import eigensolve_edge_factor, eigensolve_tridiagonal
+
+
+def tridiagonal(diag, offdiag):
+    return sp.diags([offdiag, diag, offdiag], [-1, 0, 1])
 
 
 def test_two_by_two_closed_form():
     values, vectors = eigensolve_tridiagonal([2.0, 2.0], [-1.0], 2)
     np.testing.assert_allclose(values, [1.0, 3.0], atol=1e-12)
     for k in range(2):
-        res = tridiagonal_matvec([2.0, 2.0], [-1.0], vectors[:, k]) - values[k] * vectors[:, k]
+        res = tridiagonal([2.0, 2.0], [-1.0]) @ vectors[:, k] - values[k] * vectors[:, k]
         assert np.max(np.abs(res)) < 1e-12
 
 
@@ -74,7 +78,7 @@ def test_residuals_and_values_match_reference(d, seed):
     norm = np.max(np.abs(d)) + 2 * np.max(np.abs(e), initial=0.0)
     norm = max(norm, 1e-30)
     for i in range(k):
-        res = tridiagonal_matvec(d, e, vectors[:, i]) - values[i] * vectors[:, i]
+        res = tridiagonal(d, e) @ vectors[:, i] - values[i] * vectors[:, i]
         assert np.max(np.abs(res)) <= 1e-9 * norm
     ref = eigh_tridiagonal(np.asarray(d), e, eigvals_only=True)[:k]
     np.testing.assert_allclose(values, ref, atol=1e-9 * norm)
