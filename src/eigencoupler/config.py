@@ -87,6 +87,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _is_size(x, lo) -> bool:
+    """A JSON integer in [lo, int64 max]: sizes become numpy indices."""
+    return _is_int(x) and lo <= x <= _INT64_MAX
+
+
 def _is_num(x) -> bool:
     """A finite JSON number: json reads NaN and Infinity, and integers too
     large for a float, none of which is a usable config number."""
@@ -182,8 +190,8 @@ def parse_config(source) -> ExperimentConfig:
     _check_keys(problems, grid, _GRID_KEYS, "grid")
     grid_n = grid.get("n", DEFAULTS["grid_n"])
     grid_L = grid.get("L", DEFAULTS["grid_L"])
-    if not _is_int(grid_n) or grid_n < 3:
-        problems.append("grid.n: must be an integer >= 3")
+    if not _is_size(grid_n, 3):
+        problems.append("grid.n: must be an integer in [3, 2**63 - 1]")
     if grid_L is not None and not (_is_num(grid_L) and grid_L > 0):
         problems.append("grid.L: must be a positive number or null")
 
@@ -226,12 +234,14 @@ def parse_config(source) -> ExperimentConfig:
         problems.append("simulation.dt: must be positive")
     if not (_is_num(T) and T > 0):
         problems.append("simulation.T: must be positive")
-    if not (_is_int(n_paths) and n_paths >= 1):
-        problems.append("simulation.n_paths: must be a positive integer")
+    if not _is_size(n_paths, 1):
+        problems.append("simulation.n_paths: must be an integer in [1, 2**63 - 1]")
     if not (_is_int(seed) and 0 <= seed < 2 ** 64):
         problems.append("simulation.seed: must be a u64")
-    if not (_is_int(store_stride) and store_stride >= 1):
-        problems.append("simulation.store_stride: must be a positive integer")
+    if not _is_size(store_stride, 1):
+        problems.append("simulation.store_stride: must be an integer in [1, 2**63 - 1]")
+    if _is_num(dt) and _is_num(T) and dt > 0 and T > 0 and not T / dt < _INT64_MAX:
+        problems.append("simulation: T / dt steps must be fewer than 2**63 - 1")
 
     oracle = data.get("oracle", {})
     if not isinstance(oracle, dict):
@@ -241,8 +251,8 @@ def parse_config(source) -> ExperimentConfig:
     oracle_n = oracle.get("n", DEFAULTS["oracle_n"])
     oracle_times = _list_of(oracle.get("times", DEFAULTS["oracle_times"]),
                             lambda t: _is_num(t) and t >= 0)
-    if not _is_int(oracle_n) or oracle_n < 3:
-        problems.append("oracle.n: must be an integer >= 3")
+    if not _is_size(oracle_n, 3):
+        problems.append("oracle.n: must be an integer in [3, 2**63 - 1]")
     if not oracle_times:
         problems.append("oracle.times: must be a nonempty list of nonnegative numbers")
 

@@ -315,10 +315,19 @@ class _Tilts:
 
     def modes(self, x):
         """(m,) + x.shape mode values at arbitrary positions."""
-        pos = (x - self.origin) / self.h
-        idx = np.clip(pos.astype(np.int64), 0, self.left.shape[1] - 1)
-        frac = np.clip(pos - idx, 0.0, 1.0)
-        return self.left[:, idx] + frac * self.slope[:, idx]
+        pos = np.subtract(x, self.origin)
+        pos /= self.h
+        idx = pos.astype(np.int64)
+        np.clip(idx, 0, self.left.shape[1] - 1, out=idx)
+        frac = np.subtract(pos, idx, out=pos)
+        np.clip(frac, 0.0, 1.0, out=frac)
+        out = np.empty((len(self.left),) + idx.shape)
+        for k, (left, slope) in enumerate(zip(self.left, self.slope)):
+            # left + frac * slope, by row: a take from a 1-d table is the
+            # fast one
+            np.multiply(np.take(slope, idx, mode="clip"), frac, out=out[k])
+            out[k] += np.take(left, idx, mode="clip")
+        return out
 
     def of(self, states, modes):
         """Tilts of the given states at the mode values, broadcast."""
@@ -335,86 +344,57 @@ class _Tilts:
 
 def _segment_depletion(qa, qb, t0, t1, dt):
     """Integral of the linearly interpolated rate over step fractions
-    [t0, t1], scaled by dt. Shared by every depletion update so that scalar
-    and vector paths round identically."""
+    [t0, t1], scaled by dt: the formula every depletion update rounds by."""
     return dt * (qa * (t1 - t0) + (qb - qa) * (t1 * t1 - t0 * t0) * 0.5)
 
 
-def _crossing_fraction(qa, qb, t0, budget, dt):
-    """Smallest t in (t0, 1] with the segment depletion equal to the budget,
-    or None. An exhausted budget fires immediately at t0; otherwise the
-    quadratic is solved in the stable citardauq form."""
-    if budget <= 0.0:
-        return t0
+def _crossing_fractions(qa, qb, t0, budget, dt, fend):
+    """Elementwise smallest t in (t0, fend] with the segment depletion equal
+    to the budget, or +inf where there is none. An exhausted budget fires
+    immediately at t0; otherwise the quadratic is solved in the stable
+    citardauq form."""
     a = 0.5 * (qb - qa)
     b = qa
-    g = budget / dt + a * t0 * t0 + b * t0
-    disc = b * b + 4.0 * a * g
-    denom = b + np.sqrt(max(disc, 0.0))
-    if denom <= 0.0:
-        return None
-    t = 2.0 * g / denom
-    if t0 < t <= 1.0:
-        return float(t)
-    return None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = budget / dt + a * t0 * t0 + b * t0
+        disc = b * b + 4.0 * a * g
+        denom = b + np.sqrt(np.maximum(disc, 0.0))
+        t = 2.0 * g / denom
+    t = np.where((denom > 0.0) & (t0 < t) & (t <= 1.0), t, np.inf)
+    t = np.where(budget <= 0.0, t0, t)
+    return np.where(t <= fend, t, np.inf)
 
 
 _Y_BLOCK_MAX = 256
 _Y_REPLAY_BUDGET = 0.04   # target crossings per path per block
-_Y_TILE_ELEMS = 2 ** 16   # path-steps per tile of the block test (L2-sized)
+_Y_TILE_ELEMS = 2 ** 16   # path-steps per tile of the chain's temporaries (L2-sized)
 
 
 def _y_block_size(model: CouplingModel, dt: float) -> int:
     """Block length keeping the expected per-path crossings per block small,
-    so the scalar replay stays rare. Depends only on the model and dt, which
-    keeps ensemble and single-path runs on identical code paths."""
+    so the step-by-step replay stays rare. Depends only on the model and dt,
+    which keeps ensemble and single-path runs on identical code paths."""
     rate_bound = float(np.max(model.jump_rates.sum(axis=1)))
     if rate_bound <= 0.0:
         return _Y_BLOCK_MAX
     return int(np.clip(_Y_REPLAY_BUDGET / (rate_bound * dt), 1, _Y_BLOCK_MAX))
 
 
-def _replay_block(p, b0, nb, tilts_col, y_p, budgets_p, gen, qz, dt,
-                  exit_step, exit_frac, jumps_p):
-    """Step-by-step cascade for one path inside a block that contains a
-    budget crossing or an absorption. tilts_col is (m+1, nb+1)."""
-    m1 = budgets_p.shape[0]
-    for k in range(nb):
-        step = b0 + k
-        if step > exit_step:
-            break
-        fend = exit_frac if step == exit_step else 1.0
-        ta = tilts_col[:, k]
-        tb = tilts_col[:, k + 1]
-        t0 = 0.0
-        while True:
-            yp = int(y_p)
-            qa_p = qz[yp] * ta / ta[yp]
-            qb_p = qz[yp] * tb / tb[yp]
-            best = None
-            for j in range(m1):
-                if j == yp:
-                    continue
-                tj = _crossing_fraction(qa_p[j], qb_p[j], t0,
-                                        budgets_p[yp, j], dt)
-                if tj is not None and tj <= fend and (best is None or tj < best[0]):
-                    best = (tj, j)
-            if best is None:
-                for j in range(m1):
-                    if j != yp:
-                        budgets_p[yp, j] -= _segment_depletion(
-                            qa_p[j], qb_p[j], t0, fend, dt)
-                break
-            tstar, jstar = best
-            for j in range(m1):
-                if j != yp and j != jstar:
-                    budgets_p[yp, j] -= _segment_depletion(
-                        qa_p[j], qb_p[j], t0, tstar, dt)
-            budgets_p[yp, jstar] = gen.standard_exponential()
-            jumps_p.append(((step + tstar) * dt, yp, jstar))
-            y_p = jstar
-            t0 = tstar
-    return y_p
+def _block_sums(dep, block):
+    """(k, ceil(n / block), w) sums of the (k, n, w) depletions over each
+    block of steps, added in step order: the first step, plus the second,
+    and so on, as a running sum gives it. The loop runs over whichever is
+    fewer, the blocks or the steps of one block."""
+    n = dep.shape[1]
+    nblocks = -(-n // block)
+    if nblocks <= block:
+        return np.stack([np.cumsum(dep[:, b:b + block], axis=1)[:, -1]
+                         for b in range(0, n, block)], axis=1)
+    tot = dep[:, ::block].copy()
+    for j in range(1, block):
+        part = dep[:, j::block]
+        tot[:, :part.shape[1]] += part
+    return tot
 
 
 class _ChainWalk:
@@ -428,13 +408,19 @@ class _ChainWalk:
     other pairs and are redrawn only for the pair that fired. gens are the
     paths' clock streams: the initial budgets, then the redraws.
 
-    Steps are processed in blocks: the block totals of the rates out of each
-    path's current state decide whether anything can fire inside the block;
-    the rare paths with a crossing (or an absorption) are replayed step by
-    step, everyone else settles the whole block in one vector update. The
-    block test runs over column tiles of about _Y_TILE_ELEMS path-steps, so
-    its temporaries stay in cache, and sums each block with a sequential
-    cumsum, which rounds the same at any tile width.
+    Steps are grouped in blocks, and a window is walked event by event. A
+    scan takes the block totals of the rates out of each pending path's
+    current state; one subtract.accumulate over [budget, total_0, total_1,
+    ...] gives the budget at the start of every block, rounded as settling
+    block after block rounds it, so every path settles in one update up to
+    its first block with a crossing or its exit. Those blocks are replayed
+    step by step, all replaying paths together: the same accumulate over the
+    step depletions finds each path's first crossing step, where the cascade
+    of jumps runs in lockstep until no clock fires before the step ends. The
+    paths that jumped then return to the scan at their next block. Every
+    operation is elementwise or a sequential sum along steps, and the
+    temporaries are tiled over about _Y_TILE_ELEMS path-steps, so a path
+    rounds the same at any ensemble width or tiling.
     """
 
     def __init__(self, model: CouplingModel, y0s, gens, dt, n_steps):
@@ -456,51 +442,173 @@ class _ChainWalk:
         self.jump_x = [[] for _ in gens]   # x at each jump, once its rows were seen
         self.open = set()                  # paths with jumps still lacking x
         self.block = _y_block_size(model, dt)
-        self.tile = max(1, _Y_TILE_ELEMS // (self.block + 1))
 
     def advance(self, win, r0, w0, w1, exit_steps, exit_fracs):
         """Run the steps [w0, w1) on win, whose row i holds x at step r0 + i.
         w0 is a multiple of the block length, and so is w1 unless it is
         n_steps, so the blocks are the same for any window length. Only exits
         before w1 need be known."""
-        c = len(self.y)
-        y, budgets, dt = self.y, self.budgets, self.dt
-        for b0 in range(w0, w1, self.block):
-            nb = min(self.block, w1 - b0)
-            alive = exit_steps >= b0
-            if not alive.any():
-                break
-            replay = alive & (exit_steps < b0 + nb)
-            xb = win[b0 - r0:b0 - r0 + nb + 1]
-            for c0 in range(0, c, self.tile):
-                cols = slice(c0, min(c0 + self.tile, c))
-                test = alive[cols] & ~replay[cols]
-                if not test.any():
-                    continue
-                yv = y[cols]
-                to = self.others[yv].T                              # (m1-1, w)
-                mv = self.tilts.modes(xb[:, cols])                  # (m, nb+1, w)
-                ratio = self.tilts.of(to[:, None, :], mv) / self.tilts.of(yv, mv)
-                q = self.qz[yv, to][:, None, :] * ratio             # (m1-1, nb+1, w)
-                dep = _segment_depletion(q[:, :-1], q[:, 1:], 0.0, 1.0, dt)
-                total = np.cumsum(dep, axis=1)[:, -1]               # (m1-1, w)
-                rows = np.arange(len(yv))
-                tile_budgets = budgets[cols]
-                left = tile_budgets[rows, yv, to]
-                crossed = (total >= left).any(axis=0)
-                replay[cols] |= test & crossed
-                st = np.nonzero(test & ~crossed)[0]
-                tile_budgets[st, yv[st], to[:, st]] = left[:, st] - total[:, st]
-            rp = np.nonzero(replay)[0]
-            if rp.size:
-                tilts_rp = self.tilts(xb[:, rp])                     # (m1, nb+1, R)
-                for r, p in enumerate(rp):
-                    y[p] = _replay_block(p, b0, nb, tilts_rp[:, :, r], int(y[p]),
-                                         budgets[p], self.gens[p], self.qz, dt,
-                                         int(exit_steps[p]), float(exit_fracs[p]),
-                                         self.jumps[p])
-                self.open.update(rp.tolist())
+        starts = np.arange(w0, w1, self.block)
+        paths = np.nonzero((exit_steps >= w0) & (w0 < w1))[0]
+        first = np.zeros(len(paths), dtype=np.int64)    # each path's next block
+        while paths.size:
+            paths, first = self._scan(win, r0, w1, starts, paths, first, exit_steps)
+            paths, first = self._replay(win, r0, w1, starts, paths, first,
+                                        exit_steps, exit_fracs)
         self._interpolate(win, r0)
+
+    def _pairs(self, paths):
+        """States, targets (k, P) and budgets (k, P) of the paths' outgoing pairs."""
+        y = self.y[paths]
+        to = self.others[y].T
+        return y, to, self.budgets[paths, y, to]
+
+    def _scan(self, win, r0, w1, starts, paths, first, exit_steps):
+        """Settle each path from its block first up to its first block with a
+        crossing or its exit; returns those paths and blocks."""
+        order = np.argsort(first, kind="stable")
+        paths, first = paths[order], first[order]
+        hits, hit_blocks = [], []
+        i0 = 0
+        while i0 < len(paths):
+            base = int(first[i0])
+            s0 = int(starts[base])
+            width = max(1, _Y_TILE_ELEMS // (w1 - s0 + 1))
+            tp = paths[i0:i0 + width]
+            fired, event = self._settle(win[s0 - r0:w1 - r0 + 1], s0, w1, tp,
+                                        first[i0:i0 + width] - base, exit_steps[tp])
+            hits.append(tp[fired])
+            hit_blocks.append(event[fired] + base)
+            i0 += width
+        return np.concatenate(hits), np.concatenate(hit_blocks)
+
+    def _settle(self, rows, s0, w1, tp, rel, exits):
+        """One tile of the scan over the blocks from step s0 on, rows holding
+        x at steps s0 to w1: settles the paths tp, starting at their blocks
+        rel, up to their first event; returns which paths have one and its
+        block."""
+        y, to, left = self._pairs(tp)
+        # a run of consecutive paths is read as a view
+        total = self._block_totals(
+            rows[:, slice(tp[0], tp[-1] + 1) if (np.diff(tp) == 1).all() else tp], y, to)
+        nb = total.shape[1]
+        blocks = np.arange(nb)[:, None]
+        if rel.any():
+            total[:, blocks < rel] = 0.0                                # before first
+        start = np.subtract.accumulate(
+            np.concatenate((left[:, None], total), axis=1), axis=1)    # (k, nb+1, w)
+        exit_block = np.where(exits < w1, (exits - s0) // self.block, nb)
+        crossed = ((total >= start[:, :-1]).any(axis=0)
+                   & (blocks >= rel) & (blocks < exit_block))          # (nb, w)
+        event = np.where(crossed.any(axis=0), crossed.argmax(axis=0), exit_block)
+        self.budgets[tp, y, to] = start[:, event, np.arange(len(tp))]
+        return event < nb, event
+
+    def _block_totals(self, x, y, to):
+        """(k, nb, w) block totals of the depletion of the rates out of the
+        states y to the targets to (k, w), along x (n+1, w)."""
+        mv = self.tilts.modes(x)                                        # (m, n+1, w)
+        q = self.tilts.of(to[:, None, :], mv)
+        q /= self.tilts.of(y, mv)
+        q *= self.qz[y, to][:, None, :]                                 # (k, n+1, w)
+        # _segment_depletion(qa, qb, 0.0, 1.0, dt), whose factors of 1.0
+        # are exact, in place
+        dep = np.subtract(q[:, 1:], q[:, :-1])
+        dep *= 0.5
+        dep += q[:, :-1]
+        dep *= self.dt
+        return _block_sums(dep, self.block)
+
+    def _replay(self, win, r0, w1, starts, paths, blocks, exit_steps, exit_fracs):
+        """Run the given blocks step by step; returns the paths that go on
+        and their next block."""
+        blk = self.block
+        width = max(1, _Y_TILE_ELEMS // (blk + 1))
+        go_on, go_on_blocks = [paths[:0]], [blocks[:0]]
+        for i0 in range(0, len(paths), width):
+            tp, tb = paths[i0:i0 + width], blocks[i0:i0 + width]
+            s0 = starts[tb]
+            # steps each path runs in its block: up to and including its exit
+            run = np.minimum(np.minimum(blk, w1 - s0), exit_steps[tp] - s0 + 1)
+            steps = np.arange(blk)
+            fend = np.where(steps[None, :] == (exit_steps[tp] - s0)[:, None],
+                            exit_fracs[tp][:, None], 1.0)              # (R, blk)
+            rows = np.minimum(s0 - r0 + np.arange(blk + 1)[:, None], len(win) - 1)
+            tilts = self.tilts(win[rows, tp]).transpose(2, 0, 1)       # (R, m1, blk+1)
+            k = np.zeros(len(tp), dtype=np.int64)                     # next step
+            live = np.arange(len(tp))
+            while live.size:
+                live = self._replay_steps(tp, s0, live, k, run, fend, tilts)
+            self.open.update(tp.tolist())
+            # alive at the next block of the window
+            more = (s0 + blk < w1) & (exit_steps[tp] >= s0 + blk)
+            go_on.append(tp[more])
+            go_on_blocks.append(tb[more] + 1)
+        return np.concatenate(go_on), np.concatenate(go_on_blocks)
+
+    def _rates(self, tilts, y, to):
+        """Rates out of the states y to the targets to (k, R), from tilts
+        (R, m1, ...); (R, k, ...). The replay rounds a rate as (Q_ij tilt_j)
+        / tilt_i and the scan as Q_ij (tilt_j / tilt_i): every record
+        depends on both, so neither order may change."""
+        rows = np.arange(len(y))
+        qz = self.qz[y, to].T
+        num = tilts[rows[:, None], to.T] * qz.reshape(qz.shape + (1,) * (tilts.ndim - 2))
+        return num / tilts[rows, y][:, None]
+
+    def _replay_steps(self, tp, s0, live, k, run, fend, tilts):
+        """From step k on, settle each live path up to its first step with a
+        crossing and run that step's cascade; returns the paths with steps
+        left in their block."""
+        p, dt = tp[live], self.dt
+        y, to, left = self._pairs(p)
+        blk = fend.shape[1]
+        q = self._rates(tilts[live], y, to)                           # (R, k, blk+1)
+        fe = fend[live][:, None, :]
+        dep = _segment_depletion(q[:, :, :-1], q[:, :, 1:], 0.0, fe, dt)
+        steps = np.arange(blk)[None, :]
+        todo = (steps >= k[live, None]) & (steps < run[live, None])   # (R, blk)
+        start = np.subtract.accumulate(np.concatenate(
+            (left.T[:, :, None], np.where(todo[:, None, :], dep, 0.0)), axis=2), axis=2)
+        t = _crossing_fractions(q[:, :, :-1], q[:, :, 1:], 0.0, start[:, :, :-1], dt, fe)
+        hit = (t < np.inf).any(axis=1) & todo
+        fired = hit.any(axis=1)
+        step = np.where(fired, hit.argmax(axis=1), run[live])
+        self.budgets[p, y, to] = start[np.arange(len(p)), :, step].T
+        live = live[fired]
+        k[live] = step[fired] + 1
+        self._cascade(tp, s0, live, step[fired], fend, tilts)
+        return live[k[live] < run[live]]
+
+    def _cascade(self, tp, s0, live, step, fend, tilts):
+        """Jumps of the live paths inside their given step, in lockstep: each
+        path fires the earliest clock of its current state, redraws it from
+        its own stream and goes on from the crossing time, until no clock
+        fires before the step ends."""
+        dt = self.dt
+        t0 = np.zeros(len(live))
+        fe = fend[live, step]
+        while live.size:
+            p = tp[live]
+            y, to, left = self._pairs(p)
+            qa = self._rates(tilts[live, :, step], y, to)
+            qb = self._rates(tilts[live, :, step + 1], y, to)
+            t = _crossing_fractions(qa, qb, t0[:, None], left.T, dt, fe[:, None])
+            j = t.argmin(axis=1)
+            rows = np.arange(len(p))
+            tstar = t[rows, j]
+            fired = tstar < np.inf
+            tend = np.where(fired, tstar, fe)
+            self.budgets[p, y, to] = (left.T - _segment_depletion(
+                qa, qb, t0[:, None], tend[:, None], dt)).T
+            jf = to.T[rows, j][fired]
+            pf, yf = p[fired], y[fired]
+            times = (s0[live[fired]] + step[fired] + tstar[fired]) * dt
+            for pi, tj, yi, ji in zip(pf.tolist(), times.tolist(), yf.tolist(), jf.tolist()):
+                self.budgets[pi, yi, ji] = self.gens[pi].standard_exponential()
+                self.jumps[pi].append((tj, yi, ji))
+            self.y[pf] = jf
+            live, step, t0, fe = live[fired], step[fired], tstar[fired], fe[fired]
 
     def _interpolate(self, win, r0):
         """x at the new jump times, interpolated between the steps k = floor(t
@@ -621,6 +729,9 @@ def _run_chunk(cfg, model, potential, p_init, indices, bound):
                       bound, _stored_steps(n_steps, cfg.store_stride), cfg.absorb)
     for w0, nw in path.windows(_window_steps(chain.block)):
         chain.advance(path.win, w0 - 1, w0, w0 + nw, path.exit_steps, path.exit_fracs)
+        # once every path is absorbed, no later row enters a record
+        if not path.active.any() and not chain.open:
+            break
     return [_assemble_record(
         int(pidx), cfg.seed, path.stored[:, i], chain.jumps[i], chain.jump_x[i],
         chain.budgets[i].copy(), cfg.dt, cfg.store_stride, cfg.eps, n_steps,

@@ -11,6 +11,8 @@ import eigencoupler.cli as cli
 import eigencoupler.coupling as coupling
 from eigencoupler.config import parse_config
 from eigencoupler.errors import ConfigError
+from eigencoupler.potential import make_potential
+from eigencoupler.spectral import auto_grid, build_generator, decompose
 
 LIGHT = {
     "potential": "double_well",
@@ -100,6 +102,23 @@ def test_non_finite_config_numbers_exit_1(tmp_path, capsys, command, section, va
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, value", [
+    ("simulation", {"store_stride": 10 ** 400}),
+    ("simulation", {"n_paths": 2 ** 70}),
+    ("simulation", {"T": 1e300, "dt": 1e-300}),     # round(T / dt) past int64
+    ("grid", {"n": 10 ** 30}),
+    ("oracle", {"n": 2 ** 63}),
+])
+def test_oversized_config_integers_exit_1(tmp_path, capsys, section, value):
+    # every size becomes a numpy index or shape, so one past int64 is a
+    # validation problem, rejected before anything is allocated
+    data = json.loads(json.dumps(LIGHT))
+    data[section].update(value)
+    path = light_config(tmp_path, **{section: data[section]})
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 _numbers = st.one_of(st.integers(-3, 2 ** 70), st.integers(10 ** 308, 10 ** 400),
                      st.floats(0.0, 1.0), st.floats(), st.booleans())
 _configs = st.fixed_dictionaries(
@@ -140,6 +159,8 @@ def test_parse_config_rejects_or_returns_finite_numbers(data):
     except ConfigError:
         return
     assert _all_finite(cfg.resolved())
+    sizes = (cfg.grid_n, cfg.oracle_n, cfg.n_paths, cfg.store_stride, round(cfg.T / cfg.dt))
+    assert all(size < 2 ** 63 for size in sizes)
 
 
 def test_spectrum_on_ou_preset(tmp_path):
@@ -213,9 +234,21 @@ def test_verify_passes_light_config(tmp_path):
     assert cli.main(["verify", "--config", path, "--out", str(out)]) == 0
     report = json.loads((out / "verify_report.json").read_text())
     assert report["passed"]
-    names = {c["name"] for c in report["runs"][0]["checks"]}
-    assert "oracle_conditional_law_tv" in names
-    assert "two_route_eigenvalues_rel" in names
+    checks = {c["name"]: c for c in report["runs"][0]["checks"]}
+    assert "oracle_conditional_law_tv" in checks
+    assert checks["two_route_eigenvalues_rel"]["raw_value"] > 0
+
+
+def test_two_route_gap_is_extrapolated_and_still_gates():
+    # triple_well eps 0.05 at n = 4000: the raw gap is the Schrodinger route's
+    # O(h^2) discretization error, far above the gate; the Richardson value
+    # passes it, and generator eigenvalues off by 1e-3 still fail it
+    pot = make_potential("triple_well")
+    grid = auto_grid(pot, 0.05, n=cli.CROSS_ROUTE_N)
+    lams = decompose(build_generator(pot, 0.05, grid), 3).eigenvalues
+    rel, raw = cli._two_route_gaps(lams, pot, 0.05, grid)
+    assert raw > 0.1 and rel <= cli.CROSS_ROUTE_REL
+    assert cli._two_route_gaps(lams * (1 + 1e-3), pot, 0.05, grid)[0] > cli.CROSS_ROUTE_REL
 
 
 def test_verify_y_marginal_flags_biased_chain(tmp_path, monkeypatch):

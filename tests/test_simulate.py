@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -348,3 +349,184 @@ def test_config_validation():
         pipe = build_pipeline("double_well", 0.1, 50)
         cfg = EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, eps=0.2, seed=0)
         simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+
+
+def _crossing_fraction(qa, qb, t0, budget, dt):
+    """Scalar crossing time: smallest t in (t0, 1] with the segment depletion
+    equal to the budget, or None; an exhausted budget fires at t0."""
+    if budget <= 0.0:
+        return t0
+    a = 0.5 * (qb - qa)
+    b = qa
+    g = budget / dt + a * t0 * t0 + b * t0
+    disc = b * b + 4.0 * a * g
+    denom = b + np.sqrt(max(disc, 0.0))
+    if denom <= 0.0:
+        return None
+    t = 2.0 * g / denom
+    return float(t) if t0 < t <= 1.0 else None
+
+
+def _reference_walk(x, model, y0, gen, dt, exit_step, exit_frac):
+    """The chain walk one path and one block at a time, replaying a block
+    that holds a crossing or the exit one step and one clock at a time: the
+    rule the lockstep walk must reproduce bit for bit. Returns (jumps,
+    clocks)."""
+    import eigencoupler.simulate as sim
+    tilts, m1, n = sim._Tilts(model), model.n_states, len(x) - 1
+    qz = model.Q.copy()
+    np.fill_diagonal(qz, 0.0)
+    budgets = np.full((m1, m1), np.inf)
+    budgets[~np.eye(m1, dtype=bool)] = gen.standard_exponential(m1 * (m1 - 1))
+    y, jumps = y0, []
+    block = sim._y_block_size(model, dt)
+    for b0 in range(0, n, block):
+        if b0 > exit_step:
+            break
+        nb = min(block, n - b0)
+        xb = x[b0:b0 + nb + 1]
+        if exit_step >= b0 + nb:
+            to = np.array([j for j in range(m1) if j != y])
+            mv = tilts.modes(xb)
+            q = qz[y, to][:, None] * (tilts.of(to[:, None], mv) / tilts.of(y, mv))
+            dep = sim._segment_depletion(q[:, :-1], q[:, 1:], 0.0, 1.0, dt)
+            total = np.cumsum(dep, axis=1)[:, -1]
+            if not (total >= budgets[y, to]).any():
+                budgets[y, to] -= total
+                continue
+        tl = tilts(xb)
+        for k in range(min(nb, exit_step - b0 + 1)):
+            step = b0 + k
+            fend = exit_frac if step == exit_step else 1.0
+            t0 = 0.0
+            while True:
+                qa = qz[y] * tl[:, k] / tl[y, k]
+                qb = qz[y] * tl[:, k + 1] / tl[y, k + 1]
+                best = None
+                for j in range(m1):
+                    tj = None if j == y else _crossing_fraction(qa[j], qb[j], t0,
+                                                                budgets[y, j], dt)
+                    if tj is not None and tj <= fend and (best is None or tj < best[0]):
+                        best = (tj, j)
+                t1 = fend if best is None else best[0]
+                for j in range(m1):
+                    if j != y and (best is None or j != best[1]):
+                        budgets[y, j] -= sim._segment_depletion(qa[j], qb[j], t0, t1, dt)
+                if best is None:
+                    break
+                budgets[y, best[1]] = gen.standard_exponential()
+                jumps.append(((step + t1) * dt, y, best[1]))
+                y, t0 = best[1], t1
+    return jumps, budgets
+
+
+@pytest.mark.parametrize("case", ["steps", "blocks", "three_states", "exits"])
+def test_ensemble_matches_reference_walk(fast_chain, monkeypatch, case):
+    # regimes the lockstep walk handles beyond one jump per block: several
+    # jumps in one step, several in one block, three states (two clocks per
+    # state) and an exit inside a block that also holds a crossing; the
+    # rates are scaled up, which the walk does not check against the spectrum
+    import eigencoupler.simulate as sim
+    pipe = build_pipeline("triple_well", 0.3, 400) if case == "three_states" else fast_chain
+    scale, budget, dt, absorb = {"steps": (400.0, 0.04, 2e-3, None),
+                                 "blocks": (20.0, 1.0, 2e-3, None),
+                                 "three_states": (100.0, 1.0, 1e-3, None),
+                                 "exits": (20.0, 1.0, 2e-3, (0.5, 50.0))}[case]
+    model = dataclasses.replace(pipe.model, Q=pipe.model.Q * scale)
+    monkeypatch.setattr(sim, "_Y_REPLAY_BUDGET", budget)
+    block = sim._y_block_size(model, dt)
+    cfg = EnsembleConfig(n_paths=40, dt=dt, horizon=1.0, eps=model.eps, seed=17,
+                         store_stride=1, absorb=absorb)
+    recs = simulate_ensemble(cfg, model, pipe.potential, pipe.spec)
+    bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
+    shared_step = shared_block = exit_crossing = 0
+    for i, rec in enumerate(recs):
+        g = path_stream(17, i)
+        x0, y0 = sample_initial(model, pipe.spec.p, g)
+        path = sim._Diffusion(pipe.potential, model.eps, np.array([x0]),
+                              sim._NoiseStream([g], cfg.n_steps), dt, bound,
+                              np.arange(cfg.n_steps + 1), absorb)
+        for _ in path.windows(sim._NOISE_BLOCK):
+            pass
+        exit_step = int(path.exit_steps[0])
+        jumps, clocks = _reference_walk(path.stored[:, 0], model, y0, clock_stream(17, i),
+                                        dt, exit_step, float(path.exit_fracs[0]))
+        assert rec.jumps == tuple(jumps)
+        np.testing.assert_array_equal(rec.clocks, clocks)
+        if absorb is None:
+            one = simulate_y_given_x(path.stored[:, 0], model, y0, clock_stream(17, i), dt)
+            assert one.jumps == rec.jumps
+            np.testing.assert_array_equal(one.clocks, clocks)
+        steps = [int(t / dt) for t, _, _ in jumps]
+        shared_step += sum(a == b for a, b in zip(steps, steps[1:]))
+        shared_block += sum(a // block == b // block for a, b in zip(steps, steps[1:]))
+        exit_crossing += any(s // block == exit_step // block for s in steps)
+    if case == "steps":
+        assert shared_step > 0
+    elif case == "exits":
+        assert exit_crossing > 0 and sum(r.exit_time is not None for r in recs) > 20
+    else:
+        assert block > 1 and shared_block > 0
+
+
+def _record_digest(recs):
+    h = hashlib.sha256()
+    for r in recs:
+        for a in (r.times, r.x, r.y, r.clocks):
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        h.update(repr([(float(t), int(i), int(j)) for t, i, j in r.jumps]).encode())
+        h.update(repr(r.exit_time).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("jumps", "aea8c5abb1033cbc"),          # blocks of 2 steps, 818 jumps
+    ("triple_well", "552fef0faf529c54"),    # 3 states, 154 jumps
+    ("absorbing", "3a7750d9d477f16e"),      # 87 of 100 paths absorbed
+])
+def test_records_match_pinned_digests(name, digest):
+    # every field of every record, pinned from the walk that replayed each
+    # flagged path alone with a scalar cascade, which the lockstep walk
+    # replaced without changing a bit
+    if name == "jumps":
+        pipe = build_pipeline("double_well", 0.5, 400)
+        cfg = EnsembleConfig(n_paths=200, dt=4e-3, horizon=20.0, eps=0.5, seed=601,
+                             store_stride=50)
+    elif name == "triple_well":
+        pipe = build_pipeline("triple_well", 0.2, 400)
+        cfg = EnsembleConfig(n_paths=200, dt=1e-3, horizon=10.0, eps=0.2, seed=5,
+                             store_stride=100)
+    else:
+        pipe = build_pipeline("double_well", 0.15, 400)
+        m = pipe.potential.minima
+        cfg = EnsembleConfig(n_paths=100, dt=1e-3, horizon=40.0, eps=0.15, seed=5,
+                             initial_kind="fixed", x0=float(m[0]), y0=0,
+                             store_stride=100, absorb=(m[1] - 0.5, m[1] + 0.5))
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    assert _record_digest(recs) == digest
+
+
+def test_chunk_peak_memory_independent_of_blocks_per_window(monkeypatch):
+    # blocks of 2 steps: a window of W steps holds W / 2 blocks per path, yet
+    # the chain's temporaries are tiled over a fixed number of path-steps, so
+    # four times the window adds only the chunk's own window and noise rows
+    import tracemalloc
+    import eigencoupler.simulate as sim
+    pipe = build_pipeline("double_well", 0.5, 400)
+    model, pot = pipe.model, pipe.potential
+    bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
+    cfg = EnsembleConfig(n_paths=512, dt=4e-3, horizon=8.0, eps=0.5, seed=3,
+                         store_stride=50)
+    assert sim._y_block_size(model, cfg.dt) == 2
+    peaks = []
+    for window in (512, 2048):
+        monkeypatch.setattr(sim, "_NOISE_BLOCK", window)
+        tracemalloc.start()
+        try:
+            recs = sim._run_chunk(cfg, model, pot, model.p, np.arange(512), bound)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert sum(len(r.jumps) for r in recs) > 500
+    grown = 8 * 1536 * (2 * cfg.n_paths + sim._NOISE_GROUP)   # window, noise, buffer
+    assert peaks[1] <= peaks[0] + grown + 2 ** 16
