@@ -44,6 +44,7 @@ from .coupling import (
 )
 from .simulate import (
     EnsembleConfig,
+    Ensemble,
     TrajectoryRecord,
     simulate_x,
     simulate_y_given_x,

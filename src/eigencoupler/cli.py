@@ -159,26 +159,43 @@ def _run_ensemble(cfg: ExperimentConfig, eps: float):
     return pipe, simulate_ensemble(ens, pipe.model, pipe.potential, pipe.spec)
 
 
+def _write_simulate_csvs(ens, traj_path, jump_path):
+    """The trajectory and jump CSVs of an ensemble, with the bytes
+    csv.writer gives for these fields (nothing needs quoting). One % call
+    formats the rows of each bounded chunk of paths, and each stored time is
+    formatted once."""
+    stored_t = np.array(["%.10g" % t for t in ens.times.tolist()], dtype=object)
+    with open(traj_path, "w", newline="") as traj, open(jump_path, "w", newline="") as jumps:
+        traj.write("path_id,t,x,y\r\n")
+        jumps.write("path_id,t,from,to\r\n")
+        for a, b in ens.row_chunks():
+            rows = ens.rows(a, b)
+            t = stored_t[rows.grid]
+            inserted = rows.grid < 0
+            t[inserted] = ["%.10g" % v for v in rows.t[inserted].tolist()]
+            path_id = np.repeat(ens.path_index[a:b], np.diff(rows.offsets))
+            traj.write(_format_rows("%d,%s,%.10g,%d\r\n", path_id, t, rows.x, rows.y))
+            j = slice(ens.jump_offsets[a], ens.jump_offsets[b])
+            path_id = np.repeat(ens.path_index[a:b], np.diff(ens.jump_offsets[a:b + 1]))
+            jumps.write(_format_rows("%d,%.10g,%d,%d\r\n", path_id, ens.jump_t[j],
+                                     ens.jump_from[j], ens.jump_to[j]))
+
+
+def _format_rows(row_format, *columns) -> str:
+    """One % call on row_format repeated once per row, fields row-major."""
+    fields = [None] * (len(columns) * len(columns[0]))
+    for k, col in enumerate(columns):
+        fields[k::len(columns)] = col.tolist()
+    return (row_format * len(columns[0])) % tuple(fields)
+
+
 def _cmd_simulate(cfg: ExperimentConfig, out_dir) -> list:
     outputs = []
     for eps in cfg.epsilons:
-        *_, records = _run_ensemble(cfg, eps)
+        _, ens = _run_ensemble(cfg, eps)
         traj_path = os.path.join(out_dir, f"trajectories_eps{eps:g}.csv")
-        # one string per record, the bytes csv.writer gives for these fields
-        # (nothing needs quoting), at a fraction of its per-row cost
-        with open(traj_path, "w", newline="") as fh:
-            fh.write("path_id,t,x,y\r\n")
-            for rec in records:
-                p = rec.path_index
-                fh.write("".join(
-                    f"{p},{t:.10g},{x:.10g},{y}\r\n"
-                    for t, x, y in zip(rec.times.tolist(), rec.x.tolist(), rec.y.tolist())))
         jump_path = os.path.join(out_dir, f"jumps_eps{eps:g}.csv")
-        with open(jump_path, "w", newline="") as fh:
-            fh.write("path_id,t,from,to\r\n")
-            for rec in records:
-                p = rec.path_index
-                fh.write("".join(f"{p},{t:.10g},{i},{j}\r\n" for t, i, j in rec.jumps))
+        _write_simulate_csvs(ens, traj_path, jump_path)
         outputs += [traj_path, jump_path]
     return outputs
 
@@ -196,6 +213,19 @@ def _two_route_gaps(lams, potential, eps, grid: Grid):
         return float(np.max(np.abs(lams[1:] - eps * ref[1:]) / (eps * ref[1:])))
 
     return gap((4.0 * half - hat) / 3.0), gap(hat)
+
+
+def _tracking_z(est, oracle_value: float) -> float:
+    """Distance of a tracking estimate from the oracle value in binomial
+    standard errors under the null, sqrt(q (1 - q) / n) with q the oracle
+    value: the sample SE is zero whenever every path agrees. q is clipped
+    to [0, 1], since the oracle's normalization may round it past 1."""
+    q = min(max(oracle_value, 0.0), 1.0)
+    se = np.sqrt(q * (1.0 - q) / est.n)
+    gap = abs(est.point - q)
+    if se > 0:
+        return float(gap / se)
+    return 0.0 if gap == 0 else float("inf")
 
 
 def _verify_one(cfg: ExperimentConfig, eps: float):
@@ -225,7 +255,7 @@ def _verify_one(cfg: ExperimentConfig, eps: float):
 
     # chain structure of the grid_n pipeline, whose ensemble the Monte Carlo
     # checks below read
-    (_, _, _, spec, model), records = _run_ensemble(cfg, eps)
+    (_, _, _, spec, model), ens = _run_ensemble(cfg, eps)
     chain_rep = validate_chain(spec)
     record("chain_structure", chain_rep.passed, list(chain_rep.failures), "no failures")
     record("tilt_positivity", model.min_alpha > 0 and
@@ -233,8 +263,8 @@ def _verify_one(cfg: ExperimentConfig, eps: float):
 
     # Monte Carlo checks
     tv_threshold = MC_TV_BASE * np.sqrt(MC_TV_REF_PATHS / cfg.n_paths)
-    xT = np.array([r.x[-1] for r in records])
-    yT = np.array([r.y[-1] for r in records])
+    xT = ens.x[-1]
+    yT = ens.y_at(ens.times[-1])
     for j in range(model.n_states):
         sel = yT == j
         if sel.sum() < 50:
@@ -247,8 +277,8 @@ def _verify_one(cfg: ExperimentConfig, eps: float):
     # independent and each chain is Markov with generator Q from its start,
     # so the initial draw's sampling error does not carry into the later
     # checks and only the dynamics are tested there.
-    n = len(records)
-    counts0 = np.bincount([r.y_at(0.0) for r in records], minlength=model.n_states)
+    n = len(ens)
+    counts0 = np.bincount(ens.y_at(0.0), minlength=model.n_states)
     se0 = np.sqrt(np.maximum(spec.p * (1 - spec.p), 1e-12) / n)
     z = float(np.max(np.abs(counts0 / n - spec.p) / se0))
     record("mc_y_marginal_t0", z <= 3.0, z, 3.0)
@@ -256,7 +286,7 @@ def _verify_one(cfg: ExperimentConfig, eps: float):
     for t in (cfg.T / 4, cfg.T / 2, cfg.T):
         rows = np.array([evolve_distribution(Q, DistributionVector(e), t).weights
                          for e in np.eye(model.n_states)])
-        y_t = np.array([r.y_at(t) for r in records])
+        y_t = ens.y_at(t)
         occ = np.array([(y_t == j).mean() for j in range(model.n_states)])
         mean = counts0 @ rows / n
         se = np.sqrt(np.maximum(counts0 @ (rows * (1 - rows)), 1e-12)) / n
@@ -264,11 +294,11 @@ def _verify_one(cfg: ExperimentConfig, eps: float):
         record(f"mc_y_marginal_t{t:g}", z <= 3.0, z, 3.0)
 
     part = domains_of_attraction(potential)
-    tr = tracking_probability(records, part, cfg.T, model)
+    tr = tracking_probability(ens, part, cfg.T, model)
     for j, (est, oracle_val) in tr.items():
         if est is None:
             continue
-        z = abs(est.point - oracle_val) / max(est.se, 1e-12)
+        z = _tracking_z(est, oracle_val)
         record(f"mc_tracking_state{j}", z <= 3.0, z, 3.0)
 
     return {"eps": eps, "checks": checks,
@@ -294,9 +324,9 @@ def _cmd_verify(cfg: ExperimentConfig, out_dir) -> list:
 def _cmd_sweep(cfg: ExperimentConfig, out_dir) -> list:
     rows = []
     for eps in cfg.epsilons:
-        (potential, gen, dec, spec, model), records = _run_ensemble(cfg, eps)
+        (potential, gen, dec, spec, model), ens = _run_ensemble(cfg, eps)
         part = domains_of_attraction(potential)
-        tr = tracking_probability(records, part, cfg.T, model)
+        tr = tracking_probability(ens, part, cfg.T, model)
         nodes = gen.grid.nodes
         minima = potential.minima
         rho = 0.5 * float(np.min(np.abs(minima[:, None] - part.boundaries[None, :])))

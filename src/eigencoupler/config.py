@@ -215,7 +215,9 @@ def parse_config(source) -> ExperimentConfig:
             problems.append("chain.Q: must be a finite square matrix")
     if chain_p is not None:
         p = _float_array(chain_p)
-        if p is None or p.ndim != 1 or abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
+        # range-checked before it is summed, which could overflow
+        if (p is None or p.ndim != 1 or np.any((p < 0) | (p > 1))
+                or abs(p.sum() - 1.0) > 1e-9):
             problems.append("chain.p: must be a probability vector")
     if not isinstance(maximize_scale, bool):
         problems.append("chain.maximize_scale: must be a boolean")

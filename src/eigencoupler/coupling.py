@@ -88,6 +88,13 @@ class CouplingModel:
         return self.tilts * self.weights
 
     @cached_property
+    def cond_cdfs(self) -> np.ndarray:
+        """(m+1, n) cumulative sums of each conditional law, divided by
+        their last entry: the tables sample_initial inverts."""
+        cum = np.cumsum(self.cond, axis=1)
+        return cum / cum[:, -1:]
+
+    @cached_property
     def min_alpha(self) -> float:
         return float(self.tilts.min())
 
@@ -221,21 +228,29 @@ def sample_initial(model: CouplingModel, p, rng):
     the continuous coordinate by inverse CDF over that state's conditional
     density with a uniform within-cell jitter of one grid spacing.
 
-    Consumes exactly three uniforms from rng, in the order (state, cell,
-    jitter)."""
+    rng is one stream, or a sequence of streams with one draw each; every
+    draw consumes exactly three uniforms from its stream, in the order
+    (state, cell, jitter). Returns (x0, y0), or for a sequence the arrays of
+    them, elementwise the values one stream at a time gives."""
     p = np.asarray(p, dtype=float)
     if p.shape != (model.n_states,) or abs(p.sum() - 1.0) > 1e-12 or np.any(p < 0):
         raise ValueError("p must be a distribution on the chain states")
-    u = rng.random(3)
-    cum_p = np.cumsum(p)
-    y0 = int(np.searchsorted(cum_p, u[0], side="right"))
-    y0 = min(y0, model.n_states - 1)
-    cond = model.cond[y0]
-    cum = np.cumsum(cond)
-    cell = int(np.searchsorted(cum / cum[-1], u[1], side="right"))
-    cell = min(cell, model.n_nodes - 1)
+    single = isinstance(rng, np.random.Generator)
+    gens = [rng] if single else rng
+    u = np.empty((len(gens), 3))
+    for g, row in zip(gens, u):
+        g.random(out=row)
+    y0 = np.searchsorted(np.cumsum(p), u[:, 0], side="right")
+    np.minimum(y0, model.n_states - 1, out=y0)
+    cell = np.empty(len(u), dtype=np.int64)
+    for j in range(model.n_states):
+        sel = y0 == j
+        cell[sel] = np.searchsorted(model.cond_cdfs[j], u[sel, 1], side="right")
+    np.minimum(cell, model.n_nodes - 1, out=cell)
     h = model.grid_nodes[1] - model.grid_nodes[0]
-    x0 = float(model.grid_nodes[cell] + (u[2] - 0.5) * h)
+    x0 = model.grid_nodes[cell] + (u[:, 2] - 0.5) * h
+    if single:
+        return float(x0[0]), int(y0[0])
     return x0, y0
 
 

@@ -16,14 +16,20 @@ own stream, so no draw depends on the window length. The single-path entry
 points run the same kernels at width one, so an ensemble is bit-identical to
 composing them path by path with the derived streams, independent of
 chunking or worker scheduling.
+
+An ensemble is held as columns (Ensemble): the stored x of every path on one
+shared time grid, and one flat jump log. A path's TrajectoryRecord is a view
+assembled from those columns on access.
 """
 
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +39,7 @@ from .potential import Potential
 
 __all__ = [
     "EnsembleConfig",
+    "Ensemble",
     "TrajectoryRecord",
     "simulate_x",
     "simulate_y_given_x",
@@ -50,6 +57,8 @@ ESCAPE_FACTOR = 10.0
 _CHUNK_BYTES = 2 ** 28
 _NOISE_BLOCK = 512        # steps of noise drawn per path per window
 _NOISE_GROUP = 128        # paths per transpose of the noise buffer
+_ROW_CHUNK = 2 ** 14      # trajectory rows assembled (or written) at a time
+_STORED_TOL = 1e-9        # how far from a stored time x_at_stored may be asked
 
 
 @dataclass(frozen=True)
@@ -81,12 +90,158 @@ class TrajectoryRecord:
         k = bisect.bisect_right(self.jumps, t, key=lambda jump: jump[0])
         return int(self.jumps[k - 1][2]) if k else int(self.y[0])
 
-    def x_at_stored(self, t: float, tol: float = 1e-9) -> float:
+    def x_at_stored(self, t: float, tol: float = _STORED_TOL) -> float:
         i = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[i] - t) > tol:
             raise ValueError(f"time {t} is not stored in this record "
                              f"(nearest {self.times[i]})")
         return float(self.x[i])
+
+
+class Rows(NamedTuple):
+    """The trajectory rows of a range of paths, path-major: the concatenated
+    times, x and y of their records."""
+
+    offsets: np.ndarray     # (P+1,) the k-th path's rows are offsets[k]:offsets[k+1]
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    grid: np.ndarray        # index into Ensemble.times, -1 for a jump or exit row
+
+
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """A coupled path ensemble as columns.
+
+    Every path shares the stored-time grid times (every store_stride-th
+    step and the last); x holds the paths' positions there, and an absorbed
+    path stays at its exit point after its exit time. The jump log is flat,
+    ordered by path and then by time: path k's jumps are jump_offsets[k] to
+    jump_offsets[k+1]. Indexing and iteration give each path's
+    TrajectoryRecord, assembled from these columns.
+    """
+
+    times: np.ndarray         # (S,) stored-grid times
+    x: np.ndarray             # (S, P)
+    y0: np.ndarray            # (P,) initial chain states
+    jump_t: np.ndarray        # (J,) jump times
+    jump_from: np.ndarray     # (J,)
+    jump_to: np.ndarray       # (J,)
+    jump_x: np.ndarray        # (J,) x at the jumps, interpolated between steps
+    jump_offsets: np.ndarray  # (P+1,)
+    exit_time: np.ndarray     # (P,) absorption time, NaN where not absorbed
+    exit_x: np.ndarray        # (P,) x at absorption
+    clocks: np.ndarray        # (P, m+1, m+1) residual budgets, diagonal unused
+    path_index: np.ndarray    # (P,) stream index of each path
+    seed: int
+    dt: float
+    store_stride: int
+    eps: float
+
+    def __len__(self) -> int:
+        return len(self.y0)
+
+    def __getitem__(self, k) -> TrajectoryRecord:
+        k = range(len(self))[k]
+        return next(self._records(k, k + 1))
+
+    def __iter__(self):
+        return self._records(0, len(self))
+
+    def y_at(self, t: float) -> np.ndarray:
+        """(P,) exact chain states at time t, from the jump log."""
+        n = len(self)
+        path = np.repeat(np.arange(n), np.diff(self.jump_offsets))
+        count = np.bincount(path[self.jump_t <= t], minlength=n)
+        y = self.y0.copy()
+        moved = count > 0
+        y[moved] = self.jump_to[self.jump_offsets[:-1][moved] + count[moved] - 1]
+        return y
+
+    def x_at_stored(self, t: float) -> np.ndarray:
+        """(P,) x at the stored-grid time t. As a record's x_at_stored, it
+        raises when t is not stored or some path was absorbed before t."""
+        i = int(np.argmin(np.abs(self.times - t)))
+        if abs(self.times[i] - t) > _STORED_TOL:
+            raise ValueError(f"time {t} is not on the stored grid "
+                             f"(nearest {self.times[i]})")
+        gone = int(np.count_nonzero(self.exit_time < t - _STORED_TOL))
+        if gone:
+            raise ValueError(f"time {t} lies past the exit time of {gone} paths")
+        return self.x[i].copy()
+
+    def row_chunks(self, start: int = 0, stop: int | None = None):
+        """Ranges (a, b) of the paths start to stop, in order, with at most
+        _ROW_CHUNK rows each, or one path where a path alone has more."""
+        stop = len(self) if stop is None else stop
+        per_path = len(self.times) + 1      # and its jumps: a path's rows at most
+        fit = 1 + _ROW_CHUNK // per_path    # more paths than a chunk can hold
+        a = start
+        while a < stop:
+            ahead = np.diff(self.jump_offsets[a:min(a + fit, stop) + 1])
+            bound = np.cumsum(per_path + ahead)
+            b = a + max(1, int(np.searchsorted(bound, _ROW_CHUNK, side="right")))
+            yield a, b
+            a = b
+
+    def rows(self, start: int, stop: int) -> Rows:
+        """The rows of the records of paths start to stop: the stored times,
+        cut at the exit time if absorbed, merged with the jump times and the
+        exit time in time order, a stored time before an equal inserted one;
+        a row at the time of the row before it is dropped. y is the state
+        after the jumps at or before each time."""
+        n = stop - start
+        paths = np.arange(n)
+        exit_t = self.exit_time[start:stop]
+        absorbed = np.flatnonzero(~np.isnan(exit_t))
+        # NaN sorts last: a path never absorbed keeps every stored row
+        n_grid = np.searchsorted(self.times, exit_t, side="right")
+        gp = np.repeat(paths, n_grid)
+        gi = np.arange(len(gp)) - np.repeat(np.cumsum(n_grid) - n_grid, n_grid)
+        j0, j1 = self.jump_offsets[start], self.jump_offsets[stop]
+        jp = np.repeat(paths, np.diff(self.jump_offsets[start:stop + 1]))
+        jk = j0 + np.flatnonzero(~(self.jump_t[j0:j1] > exit_t[jp]))   # up to the exit
+        # stored rows, jumps and exits, sorted stably by path and time
+        p = np.concatenate((gp, jp[jk - j0], absorbed))
+        t = np.concatenate((self.times[gi], self.jump_t[jk], exit_t[absorbed]))
+        order = np.lexsort((t, p))
+        p, t = p[order], t[order]
+        x = np.concatenate((self.x[gi, start + gp], self.jump_x[jk],
+                            self.exit_x[start + absorbed]))[order]
+        grid = np.concatenate((gi, np.full(len(jk) + len(absorbed), -1)))[order]
+        jump = np.concatenate((np.full(len(gi), -1), jk,            # log index
+                               np.full(len(absorbed), -1)))[order]
+        kept = np.ones(len(t), dtype=bool)
+        kept[1:] = (t[1:] > t[:-1]) | (p[1:] != p[:-1])
+        kept = np.flatnonzero(kept)
+        # the last jump up to the last row at each kept row's time; log
+        # indices increase along the rows
+        last = np.maximum.accumulate(jump)[np.append(kept[1:], len(t)) - 1]
+        row_path = p[kept]
+        y = self.y0[start + row_path]
+        moved = last >= self.jump_offsets[start + row_path]
+        y[moved] = self.jump_to[last[moved]]
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_path, minlength=n), out=offsets[1:])
+        return Rows(offsets, t[kept], x[kept], y, grid[kept])
+
+    def _records(self, start, stop):
+        for a, b in self.row_chunks(start, stop):
+            rows = self.rows(a, b)
+            j0, j1 = self.jump_offsets[a], self.jump_offsets[b]
+            jumps = list(zip(self.jump_t[j0:j1].tolist(), self.jump_from[j0:j1].tolist(),
+                             self.jump_to[j0:j1].tolist()))
+            for k in range(b - a):
+                r = slice(rows.offsets[k], rows.offsets[k + 1])
+                exit_time = float(self.exit_time[a + k])
+                yield TrajectoryRecord(
+                    times=rows.t[r], x=rows.x[r], y=rows.y[r],
+                    jumps=tuple(jumps[self.jump_offsets[a + k] - j0:
+                                      self.jump_offsets[a + k + 1] - j0]),
+                    clocks=self.clocks[a + k], seed_key=self.seed,
+                    path_index=int(self.path_index[a + k]), dt=self.dt,
+                    store_stride=self.store_stride, eps=self.eps,
+                    exit_time=None if np.isnan(exit_time) else exit_time)
 
 
 @dataclass(frozen=True)
@@ -221,19 +376,21 @@ class _Diffusion:
     w0 - 1 + i: the row before the window start, kept for the chain's jump
     interpolation, then the window's own rows; the last two rows carry into
     the next window. Only the rows at stored_steps outlive their window, in
-    stored (S, C). Paths that hit the absorbing interval are frozen at the
-    interpolated crossing point; exit_steps stays n_steps + 1 for the others.
+    stored (S, C), a given array or a new one; n_stored of them are written.
+    Paths that hit the absorbing interval are frozen at the interpolated
+    crossing point; exit_steps stays n_steps + 1 for the others.
     """
 
     def __init__(self, potential, eps, x0s, noise: _NoiseStream, dt, bound,
-                 stored_steps, absorb=None):
+                 stored_steps, absorb=None, stored=None):
         n_steps, c = noise.shape
         self.potential, self.noise, self.dt, self.bound = potential, noise, dt, bound
         self.sig = np.sqrt(2.0 * eps * dt)
         self.x0s, self.absorb = x0s, absorb
         self.steps = stored_steps
-        self.stored = np.empty((len(stored_steps), c))
+        self.stored = np.empty((len(stored_steps), c)) if stored is None else stored
         self.stored[0] = x0s
+        self.n_stored = 1
         self.active = np.ones(c, dtype=bool)
         self.exit_steps = np.full(c, n_steps + 1, dtype=np.int64)
         self.exit_fracs = np.zeros(c)
@@ -291,6 +448,7 @@ class _Diffusion:
                             "the time step is too large for this potential")
             s0, s1 = np.searchsorted(self.steps, (w0 + 1, w0 + nw + 1))
             self.stored[s0:s1] = win[self.steps[s0:s1] - w0 + 1]
+            self.n_stored = s1
             yield w0, nw
             win[:2] = win[nw:nw + 2]
             w0 += nw
@@ -438,9 +596,11 @@ class _ChainWalk:
         for p, g in enumerate(gens):
             self.budgets[p][off] = g.standard_exponential(m1 * (m1 - 1))
         self.y = np.asarray(y0s, dtype=np.int64).copy()
-        self.jumps = [[] for _ in gens]
-        self.jump_x = [[] for _ in gens]   # x at each jump, once its rows were seen
-        self.open = set()                  # paths with jumps still lacking x
+        # (paths, t, from, to) of the jumps still lacking x, in rounds, and
+        # (paths, t, from, to, x) of those with x; each path's in event order
+        none = np.empty(0, dtype=np.int64)
+        self.log = [(none, np.empty(0), none, none)]
+        self.placed = [(none, np.empty(0), none, none, np.empty(0))]
         self.block = _y_block_size(model, dt)
 
     def advance(self, win, r0, w0, w1, exit_steps, exit_fracs):
@@ -539,7 +699,6 @@ class _ChainWalk:
             live = np.arange(len(tp))
             while live.size:
                 live = self._replay_steps(tp, s0, live, k, run, fend, tilts)
-            self.open.update(tp.tolist())
             # alive at the next block of the window
             more = (s0 + blk < w1) & (exit_steps[tp] >= s0 + blk)
             go_on.append(tp[more])
@@ -604,72 +763,43 @@ class _ChainWalk:
             jf = to.T[rows, j][fired]
             pf, yf = p[fired], y[fired]
             times = (s0[live[fired]] + step[fired] + tstar[fired]) * dt
-            for pi, tj, yi, ji in zip(pf.tolist(), times.tolist(), yf.tolist(), jf.tolist()):
+            for pi, yi, ji in zip(pf.tolist(), yf.tolist(), jf.tolist()):
                 self.budgets[pi, yi, ji] = self.gens[pi].standard_exponential()
-                self.jumps[pi].append((tj, yi, ji))
+            self.log.append((pf, times, yf, jf))
             self.y[pf] = jf
             live, step, t0, fe = live[fired], step[fired], tstar[fired], fe[fired]
 
     def _interpolate(self, win, r0):
         """x at the new jump times, interpolated between the steps k = floor(t
         / dt) and k + 1 (capped at n_steps), as on the whole path. A jump
-        whose step k + 1 lies past win waits for the next window."""
-        last = r0 + len(win) - 1
-        n = self.n_steps
-        waiting = set()
-        for p in self.open:
-            jx = self.jump_x[p]
-            for t, _, _ in self.jumps[p][len(jx):]:
-                u = t / self.dt
-                k = int(u)
-                if min(k + 1, n) > last:
-                    waiting.add(p)
-                    break
-                xk = win[min(k, n) - r0, p]
-                jx.append(xk + (u - k) * (win[min(k + 1, n) - r0, p] - xk))
-        self.open = waiting
+        whose step k + 1 lies past win waits for the next window, and so do
+        its path's later jumps."""
+        p, t, frm, to = (np.concatenate(col) for col in zip(*self.log))
+        u = t / self.dt
+        k = u.astype(np.int64)
+        k1 = np.minimum(k + 1, self.n_steps)
+        ready = k1 <= r0 + len(win) - 1
+        self.log = [(p[~ready], t[~ready], frm[~ready], to[~ready])]
+        p, u, k, k1 = p[ready], u[ready], k[ready], k1[ready]
+        xk = win[np.minimum(k, self.n_steps) - r0, p]
+        self.placed.append((p, t[ready], frm[ready], to[ready],
+                            xk + (u - k) * (win[k1 - r0, p] - xk)))
+
+    def columns(self) -> dict:
+        """The Ensemble fields the walk fills: the jump log, ordered by path
+        and then by event, with each path's range, and the clocks."""
+        p, t, frm, to, x = (np.concatenate(col) for col in zip(*self.placed))
+        order = np.argsort(p, kind="stable")
+        offsets = np.zeros(len(self.gens) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(p, minlength=len(self.gens)), out=offsets[1:])
+        return dict(jump_t=t[order], jump_from=frm[order], jump_to=to[order],
+                    jump_x=x[order], jump_offsets=offsets, clocks=self.budgets)
 
 
 def _window_steps(block: int) -> int:
     """Steps per window: the whole y-blocks that fit in _NOISE_BLOCK, at
     least one."""
     return block * max(1, _NOISE_BLOCK // block)
-
-
-def _assemble_record(path_index, seed, xs, jumps_p, jump_x, clocks, dt, stride,
-                     eps, n_steps, exit_step, exit_frac, exit_x, y0):
-    """xs: x at _stored_steps(n_steps, stride); jump_x: x at each jump."""
-    stored = _stored_steps(n_steps, stride)
-    exit_time = None
-    if exit_step <= n_steps:
-        exit_time = (exit_step + exit_frac) * dt
-        stored = stored[stored * dt <= exit_time]
-    times = stored * dt
-    xs = xs[:len(stored)].copy()        # the kept steps are a prefix
-    # insert exact jump times and the exit point
-    jump_t = np.array([tj for tj, _, _ in jumps_p], dtype=float)
-    extra_t = jump_t
-    extra_x = np.array(jump_x, dtype=float)
-    if exit_time is not None:
-        before = jump_t <= exit_time
-        extra_t = np.append(jump_t[before], exit_time)
-        extra_x = np.append(extra_x[before], exit_x)
-    if extra_t.size:
-        times = np.concatenate((times, extra_t))
-        xs = np.concatenate((xs, extra_x))
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-        xs = xs[order]
-        keep = np.concatenate(([True], np.diff(times) > 0))
-        times = times[keep]
-        xs = xs[keep]
-    # y after the jumps at or before each time; jump times never decrease
-    states = np.array([y0] + [to for _, _, to in jumps_p], dtype=np.int64)
-    ys = states[np.searchsorted(jump_t, times, side="right")]
-    return TrajectoryRecord(
-        times=times, x=xs, y=ys, jumps=tuple(jumps_p), clocks=clocks,
-        seed_key=seed, path_index=path_index, dt=dt, store_stride=stride,
-        eps=eps, exit_time=exit_time)
 
 
 def simulate_x(potential: Potential, eps: float, x0: float, dt: float, T: float,
@@ -702,16 +832,20 @@ def simulate_y_given_x(x_path, model: CouplingModel, y0: int, rng,
     an ensemble that is clock_stream(seed, path_index)."""
     x_path = np.asarray(x_path, dtype=float)
     n_steps = len(x_path) - 1
-    chain = _ChainWalk(model, np.array([int(y0)]), [rng], dt, n_steps)
+    y0s = np.array([int(y0)])
+    chain = _ChainWalk(model, y0s, [rng], dt, n_steps)
     # the whole path is one window
     chain.advance(x_path[:, None], 0, 0, n_steps,
                   np.array([n_steps + 1], dtype=np.int64), np.zeros(1))
-    return _assemble_record(0, 0, x_path, chain.jumps[0], chain.jump_x[0],
-                            chain.budgets[0], dt, 1, model.eps, n_steps,
-                            n_steps + 1, 0.0, 0.0, y0)
+    return Ensemble(times=_stored_steps(n_steps, 1) * dt, x=x_path[:, None], y0=y0s,
+                    exit_time=np.full(1, np.nan), exit_x=np.zeros(1),
+                    path_index=np.zeros(1, dtype=np.int64), seed=0, dt=dt,
+                    store_stride=1, eps=model.eps, **chain.columns())[0]
 
 
-def _run_chunk(cfg, model, potential, p_init, indices, bound):
+def _run_chunk(cfg, model, potential, p_init, indices, bound, stored=None):
+    """The paths of the given indices as an Ensemble; their stored x are
+    written to stored, an (S, len(indices)) array, if given."""
     gens = [path_stream(cfg.seed, int(i)) for i in indices]
     clocks = [_jumped(g) for g in gens]
     c = len(indices)
@@ -719,58 +853,74 @@ def _run_chunk(cfg, model, potential, p_init, indices, bound):
     x0s = np.empty(c)
     y0s = np.empty(c, dtype=np.int64)
     if cfg.initial_kind == "law":
-        for i, g in enumerate(gens):
-            x0s[i], y0s[i] = sample_initial(model, p_init, g)
+        x0s[:], y0s[:] = sample_initial(model, p_init, gens)
     else:
         x0s[:] = cfg.x0
         y0s[:] = cfg.y0
     chain = _ChainWalk(model, y0s, clocks, cfg.dt, n_steps)
     path = _Diffusion(potential, cfg.eps, x0s, _NoiseStream(gens, n_steps), cfg.dt,
-                      bound, _stored_steps(n_steps, cfg.store_stride), cfg.absorb)
+                      bound, _stored_steps(n_steps, cfg.store_stride), cfg.absorb, stored)
     for w0, nw in path.windows(_window_steps(chain.block)):
         chain.advance(path.win, w0 - 1, w0, w0 + nw, path.exit_steps, path.exit_fracs)
-        # once every path is absorbed, no later row enters a record
-        if not path.active.any() and not chain.open:
+        # once every path is absorbed and no jump waits for its x, every
+        # later row is an exit point
+        if not path.active.any() and not chain.log[0][0].size:
+            path.stored[path.n_stored:] = path.exit_xs
             break
-    return [_assemble_record(
-        int(pidx), cfg.seed, path.stored[:, i], chain.jumps[i], chain.jump_x[i],
-        chain.budgets[i].copy(), cfg.dt, cfg.store_stride, cfg.eps, n_steps,
-        int(path.exit_steps[i]), float(path.exit_fracs[i]), float(path.exit_xs[i]),
-        int(y0s[i])) for i, pidx in enumerate(indices)]
+    exit_time = np.where(path.exit_steps <= n_steps,
+                         (path.exit_steps + path.exit_fracs) * cfg.dt, np.nan)
+    return Ensemble(times=path.steps * cfg.dt, x=path.stored, y0=y0s, exit_time=exit_time,
+                    exit_x=path.exit_xs, path_index=np.asarray(indices), seed=cfg.seed,
+                    dt=cfg.dt, store_stride=cfg.store_stride, eps=cfg.eps,
+                    **chain.columns())
 
 
 def simulate_ensemble(cfg: EnsembleConfig, model: CouplingModel,
                       potential: Potential, chain_spec=None,
-                      allow_large_dt: bool = False):
+                      allow_large_dt: bool = False) -> Ensemble:
     """Independent coupled paths, each with its stream and clock substream.
 
-    The result is bit-identical to running sample_initial + simulate_x on
-    path_stream(seed, index), then simulate_y_given_x on clock_stream(seed,
-    index), per path, regardless of chunking or the number of workers.
+    The records of the result are bit-identical to running sample_initial +
+    simulate_x on path_stream(seed, index), then simulate_y_given_x on
+    clock_stream(seed, index), per path, regardless of chunking or the
+    number of workers.
     """
     _check_dt(potential, cfg.dt, allow_large_dt)
     if abs(cfg.eps - model.eps) > 1e-15 * max(model.eps, 1.0):
         raise ValueError("config eps and coupling model eps disagree")
     p_init = chain_spec.p if chain_spec is not None else model.p
     bound = ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
+    n_stored = len(_stored_steps(cfg.n_steps, cfg.store_stride))
     # a path holds its stored rows, plus a window row and a noise row per
     # step of a window
-    n_rows = (len(_stored_steps(cfg.n_steps, cfg.store_stride))
-              + 2 * _window_steps(_y_block_size(model, cfg.dt)) + 2)
+    n_rows = n_stored + 2 * _window_steps(_y_block_size(model, cfg.dt)) + 2
     chunk = max(1, min(int(_CHUNK_BYTES // (8 * n_rows)),
                        -(-cfg.n_paths // max(cfg.workers, 1))))
-    splits = [np.arange(s, min(s + chunk, cfg.n_paths))
-              for s in range(0, cfg.n_paths, chunk)]
-    if cfg.workers > 1 and len(splits) > 1:
+    x = np.empty((n_stored, cfg.n_paths))
+
+    def run(s):
+        ix = np.arange(s, min(s + chunk, cfg.n_paths))
+        return _run_chunk(cfg, model, potential, p_init, ix, bound, x[:, ix[0]:ix[-1] + 1])
+
+    starts = range(0, cfg.n_paths, chunk)
+    if cfg.workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(
-                lambda ix: _run_chunk(cfg, model, potential, p_init, ix, bound),
-                splits))
+            parts = list(pool.map(run, starts))
     else:
-        parts = [_run_chunk(cfg, model, potential, p_init, ix, bound)
-                 for ix in splits]
-    records = [r for part in parts for r in part]
-    return records
+        parts = [run(s) for s in starts]
+    if len(parts) == 1:
+        return parts[0]
+
+    def cat(name):
+        return np.concatenate([getattr(e, name) for e in parts])
+
+    counts = np.concatenate([np.diff(e.jump_offsets) for e in parts])
+    return dataclasses.replace(
+        parts[0], x=x, y0=cat("y0"), jump_t=cat("jump_t"), jump_from=cat("jump_from"),
+        jump_to=cat("jump_to"), jump_x=cat("jump_x"),
+        jump_offsets=np.concatenate(([0], np.cumsum(counts))),
+        exit_time=cat("exit_time"), exit_x=cat("exit_x"), clocks=cat("clocks"),
+        path_index=cat("path_index"))
 
 
 def first_exit_time(record: TrajectoryRecord, region, target: str = "x"):

@@ -18,7 +18,7 @@ import numpy as np
 from .coupling import CouplingModel
 from .oracle import mean_exit_times
 from .potential import DomainPartition
-from .simulate import first_exit_time
+from .simulate import Ensemble, first_exit_time
 
 __all__ = [
     "EstimateWithCI",
@@ -92,18 +92,18 @@ def ks_exponential(samples, n_bootstrap: int = 2000, seed: int = 2024) -> KSResu
                     n=n, rate=rate)
 
 
-def tracking_probability(records, partition: DomainPartition, t: float,
+def tracking_probability(ensemble: Ensemble, partition: DomainPartition, t: float,
                          model: CouplingModel):
     """Per-state tracking estimates P(X(t) in D_j | Y(t) = j) with binomial
     standard errors, next to the exact model value (the conditional mass of
-    D_j under state j's reference law).
+    D_j under state j's reference law). t must be a stored time.
 
     Returns a dict state -> (EstimateWithCI | None, oracle_value); the
     estimate is None when no path occupies the state at time t.
     """
     m1 = model.n_states
-    ys = np.array([r.y_at(t) for r in records])
-    xs = np.array([r.x_at_stored(t) for r in records])
+    ys = ensemble.y_at(t)
+    xs = ensemble.x_at_stored(t)
     located = partition.locate(xs)
     out = {}
     for j in range(m1):
@@ -177,7 +177,7 @@ def rate_match_report(ensembles: dict, chain_Q: np.ndarray,
     nodes = gen.grid.nodes
     rows = []
     for i in sorted(ensembles):
-        records = ensembles[i]
+        records = list(ensembles[i])     # the record views, built once
         for j in range(m1):
             if j == i:
                 continue

@@ -2,6 +2,7 @@ import dataclasses
 import json
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -384,3 +385,77 @@ def test_oracle_evolves_joint_law_once_per_time(monkeypatch):
     assert run["max_tv"] == cond.max_tv and run["max_l1"] == marg.max_l1
     assert run["tv_entries"] == [list(e) for e in cond.entries]
     assert run["l1_entries"] == [list(e) for e in marg.entries]
+
+
+def test_parse_config_huge_p_is_a_config_error():
+    # chain.p is range-checked before it is summed: a sum that overflows
+    # would warn, and under -W error replace the ConfigError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as err:
+            parse_config({"potential": "double_well", "epsilon": 0.1,
+                          "chain": {"p": [1e308, 1e308]}})
+    assert any(p.startswith("chain.p") for p in err.value.problems)
+
+
+def test_tracking_z_uses_the_binomial_se_under_the_null():
+    # every path agreeing gives a zero sample SE; the gate reads the SE of
+    # the oracle value instead, so a correct estimate passes and a biased
+    # one still fails
+    from eigencoupler.stats import EstimateWithCI
+    assert cli._tracking_z(EstimateWithCI(point=1.0, se=0.0, n=40), 0.99) <= 3.0
+    assert cli._tracking_z(EstimateWithCI(point=1.0, se=0.0, n=500), 0.9) > 3.0
+    biased = EstimateWithCI(point=0.85, se=math.sqrt(0.85 * 0.15 / 500), n=500)
+    assert cli._tracking_z(biased, 0.9) > 3.0
+    # an oracle value rounded just past 1 is read as 1, not as a NaN SE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli._tracking_z(EstimateWithCI(point=1.0, se=0.0, n=500), 1 + 1e-13) == 0.0
+
+
+def _simulate_ensemble(tmp_path, n_paths, T=3.0):
+    path = light_config(tmp_path, epsilon=0.5,
+                        simulation={"dt": 4e-3, "T": T, "n_paths": n_paths,
+                                    "seed": 9, "store_stride": 7})
+    return cli._run_ensemble(parse_config(path), 0.5)[1]
+
+
+def test_simulate_csv_peak_memory_independent_of_paths(tmp_path, monkeypatch):
+    # the CSVs are formatted a bounded chunk of rows at a time, so four
+    # times the paths write four times the rows at about the same peak: the
+    # largest chunk's (and path ids are new int objects past 256, so both
+    # ensembles are mostly past it)
+    import tracemalloc
+    import eigencoupler.simulate as sim
+    monkeypatch.setattr(sim, "_ROW_CHUNK", 250)
+    peaks = []
+    for n_paths in (1200, 4800):
+        ens = _simulate_ensemble(tmp_path, n_paths, T=1.0)
+        tracemalloc.start()
+        try:
+            cli._write_simulate_csvs(ens, tmp_path / "t.csv", tmp_path / "j.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "t.csv").stat().st_size > 40 * peaks[1]
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_simulate_builds_no_records(tmp_path, monkeypatch):
+    # simulate writes its CSVs from the ensemble's columns
+    import eigencoupler.simulate as sim
+    built = []
+
+    class Counting(sim.TrajectoryRecord):
+        def __init__(self, **fields):
+            built.append(fields["path_index"])
+            super().__init__(**fields)
+
+    monkeypatch.setattr(sim, "TrajectoryRecord", Counting)
+    path = light_config(tmp_path, epsilon=0.5,
+                        simulation={"dt": 4e-3, "T": 3.0, "n_paths": 30,
+                                    "seed": 9, "store_stride": 7})
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert built == []
+    ens = _simulate_ensemble(tmp_path, 30)
+    assert len(list(ens)) == 30 and built == list(range(30))

@@ -13,3 +13,14 @@ def test_conditional_law_oracle_demo(capsys):
     runpy.run_path(str(DEMOS / "04_conditional_law_oracle.py"), run_name="__main__")
     clean, perturbed = map(float, re.findall(r"max TV = (\S+)", capsys.readouterr().out))
     assert clean <= 1e-8 and perturbed > 1e-4
+
+
+def test_monte_carlo_tracking_demo(capsys):
+    # the public ensemble view: len, iteration, .jumps, .x[-1], .y[-1] and
+    # tracking_probability, at three noise levels
+    runpy.run_path(str(DEMOS / "05_monte_carlo_tracking.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert re.findall(r": (\d+) paths, \d+ chain jumps", out) == ["3000"] * 3
+    for oracle, mc, se in re.findall(r"oracle (\S+), MC (\S+) \+- (\S+)", out):
+        assert abs(float(mc) - float(oracle)) <= 3 * float(se)
+    assert all(float(tv) < 0.1 for tv in re.findall(r"histogram TV = (\S+)", out))

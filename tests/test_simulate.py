@@ -506,6 +506,67 @@ def test_records_match_pinned_digests(name, digest):
     assert _record_digest(recs) == digest
 
 
+def _probe_times(ens):
+    """t = 0, every jump time, the midpoints between a path's jumps and T."""
+    t = ens.jump_t
+    same_path = np.diff(np.repeat(np.arange(len(ens)), np.diff(ens.jump_offsets))) == 0
+    mid = 0.5 * (t[:-1] + t[1:])[same_path]
+    return [0.0, *t.tolist(), *mid.tolist(), float(ens.times[-1])]
+
+
+@pytest.mark.parametrize("case", ["three_states", "absorbing"])
+def test_ensemble_y_at_matches_records(fast_chain, case):
+    # the vectorized y_at reads the flat jump log as every record's own
+    # y_at reads its jumps, at t = 0, exactly at jump times, between jumps
+    # and at T; the stored x columns are the records' stored rows
+    if case == "three_states":
+        pipe = build_pipeline("triple_well", 0.3, 400)
+        model = dataclasses.replace(pipe.model, Q=pipe.model.Q * 100.0)
+        cfg = EnsembleConfig(n_paths=30, dt=1e-3, horizon=1.0, eps=model.eps, seed=17,
+                             store_stride=10)
+    else:
+        pipe = fast_chain
+        model = dataclasses.replace(pipe.model, Q=pipe.model.Q * 20.0)
+        cfg = EnsembleConfig(n_paths=30, dt=2e-3, horizon=1.0, eps=0.5, seed=17,
+                             store_stride=10, absorb=(0.5, 50.0))
+    ens = simulate_ensemble(cfg, model, pipe.potential, pipe.spec)
+    recs = list(ens)
+    assert len(ens.jump_t) > 2 * len(ens) and len(recs) == len(ens)
+    if case == "absorbing":
+        assert 0 < sum(r.exit_time is not None for r in recs) < len(ens)
+    for t in _probe_times(ens):
+        np.testing.assert_array_equal(ens.y_at(t), [r.y_at(t) for r in recs])
+    # past some path's exit time, x_at_stored raises as that record's does
+    raised = 0
+    for t in ens.times[::7]:
+        gone = [r for r in recs if r.exit_time is not None and r.exit_time < t]
+        if gone:
+            raised += 1
+            with pytest.raises(ValueError):
+                ens.x_at_stored(t)
+            with pytest.raises(ValueError):
+                gone[0].x_at_stored(t)
+        else:
+            np.testing.assert_array_equal(ens.x_at_stored(t),
+                                          [r.x_at_stored(t) for r in recs])
+    assert 0 < raised < len(ens.times[::7]) if case == "absorbing" else raised == 0
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.0])
+def test_absorbed_paths_hold_their_exit_point(fast_chain, x0):
+    # stored x after an exit reads the exit point; from x0 = 1 every path
+    # exits at once, and the chunk stops after its first window
+    pipe = fast_chain
+    cfg = EnsembleConfig(n_paths=20, dt=2e-3, horizon=4.0, eps=0.5, seed=3,
+                         initial_kind="fixed", x0=x0, y0=0, store_stride=10,
+                         absorb=(0.5, 50.0))
+    ens = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    assert (~np.isnan(ens.exit_time)).sum() >= 10
+    after = ens.times[:, None] > ens.exit_time           # never where NaN
+    np.testing.assert_array_equal(ens.x[after],
+                                  np.broadcast_to(ens.exit_x, ens.x.shape)[after])
+
+
 def test_chunk_peak_memory_independent_of_blocks_per_window(monkeypatch):
     # blocks of 2 steps: a window of W steps holds W / 2 blocks per path, yet
     # the chain's temporaries are tiled over a fixed number of path-steps, so
