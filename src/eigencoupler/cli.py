@@ -4,8 +4,8 @@ data, and SVG plots.
     eigencoupler <spectrum|synth|oracle|simulate|verify|sweep>
                  --config <path> [--out <dir>] [--seed <u64>] [--threads <n>]
 
-Exit codes: 0 success, 1 validation problem, 2 numerical failure,
-3 verification-check failure.
+Exit codes: 0 success, 1 validation problem, 2 numerical failure (running
+out of memory included), 3 verification-check failure.
 """
 
 from __future__ import annotations
@@ -18,6 +18,11 @@ import os
 import platform
 import sys
 import time
+
+try:
+    import resource
+except ImportError:         # not on every platform
+    resource = None
 
 import numpy as np
 import scipy
@@ -72,6 +77,12 @@ def _write_manifest(out_dir, cfg: ExperimentConfig, command, outputs, t_start):
         },
         "wall_clock_s": round(time.time() - t_start, 3),
     }
+    if resource is not None:
+        # of the process so far; ru_maxrss counts KiB, and bytes on macOS
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        unit = 2 ** 20 if sys.platform == "darwin" else 2 ** 10
+        manifest["peak_rss_mb"] = round(usage.ru_maxrss / unit, 1)
+        manifest["minor_faults"] = usage.ru_minflt
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -400,6 +411,12 @@ def execute(command: str, cfg: ExperimentConfig, out_dir=None) -> int:
     except np.linalg.LinAlgError as exc:
         # a ValueError subclass, but a numerical failure, not a bad input
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # e.g. an ensemble too large to hold: a resource failure, not a
+        # bad input and not worth a traceback
+        print(f"numerical failure: out of memory{f' ({exc})' if str(exc) else ''}",
+              file=sys.stderr)
         return 2
     except (ConfigError, GrowthAssumptionError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -274,9 +275,10 @@ class EnsembleConfig:
         return int(round(self.horizon / self.dt))
 
 
-def path_stream(seed: int, path_index: int) -> np.random.Generator:
+def path_stream(seed: int, path_index: int, counter=None) -> np.random.Generator:
     """The counter-based stream owned by one path: Philox keyed by the pair
-    (master seed, path index), one 64-bit key word each.
+    (master seed, path index), one 64-bit key word each, its counter at
+    zero unless given.
 
     Folding the index into the seed word (e.g. by XOR) would make the key
     sets of nearby seeds permutations of each other, so whole ensembles would
@@ -284,20 +286,16 @@ def path_stream(seed: int, path_index: int) -> np.random.Generator:
     stream distinct.
     """
     key = np.array([np.uint64(seed), np.uint64(path_index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def clock_stream(seed: int, path_index: int) -> np.random.Generator:
     """The substream of path_stream(seed, path_index) that drives the chain's
-    clocks: the same Philox key jumped ahead by 2**128 draws. The chain runs
-    alongside the diffusion, before the path's noise is all drawn, so its
-    draws cannot follow the noise on the main stream."""
-    return _jumped(path_stream(seed, path_index))
-
-
-def _jumped(gen: np.random.Generator) -> np.random.Generator:
-    """The jumped substream of a stream that has not drawn yet."""
-    return np.random.Generator(gen.bit_generator.jumped())
+    clocks: the same Philox key with the counter started 2**128 draws ahead,
+    the state that .jumped() gives, built without first building the main
+    stream. The chain runs alongside the diffusion, before the path's noise
+    is all drawn, so its draws cannot follow the noise on the main stream."""
+    return path_stream(seed, path_index, counter=[0, 0, 1, 0])
 
 
 def _tail_halfwidth(potential: Potential, eps: float) -> float:
@@ -454,6 +452,30 @@ class _Diffusion:
             w0 += nw
 
 
+def _fresh(name, shape, dtype=np.float64):
+    """A scratch provider that allocates every temporary anew."""
+    return np.empty(shape, dtype)
+
+
+class _Scratch:
+    """A scratch provider whose temporaries are views of arrays it keeps.
+    Each name owns one flat array, grown to an eighth more than the size
+    that outgrew it: the tiles of a scan differ in size by less than that,
+    so the first full tile sizes it for the rest. Fresh tile-sized arrays
+    would go back to the system when freed, and every tile would fault its
+    memory in anew."""
+
+    def __init__(self):
+        self.arrays = {}
+
+    def __call__(self, name, shape, dtype=np.float64):
+        size = math.prod(shape)
+        buf = self.arrays.get(name)
+        if buf is None or buf.size < size:
+            buf = self.arrays[name] = np.empty(size + size // 8, dtype)
+        return buf[:size].reshape(shape)
+
+
 class _Tilts:
     """Tilts 1 + vectors^T modes off the grid: the spectral modes are
     interpolated linearly in each cell, clamped at the ends (negligible
@@ -471,28 +493,36 @@ class _Tilts:
         self.slope = np.diff(model.modes, axis=1)
         self.vectors = model.vectors
 
-    def modes(self, x):
-        """(m,) + x.shape mode values at arbitrary positions."""
-        pos = np.subtract(x, self.origin)
+    def modes(self, x, out=None, scratch=_fresh):
+        """(m,) + x.shape mode values at arbitrary positions, into out if
+        given. scratch(name, shape, dtype) supplies the temporaries; x may
+        be its "pos" array, which is overwritten."""
+        pos = np.subtract(x, self.origin, out=scratch("pos", x.shape))
         pos /= self.h
-        idx = pos.astype(np.int64)
+        idx = scratch("idx", x.shape, np.int64)
+        np.copyto(idx, pos, casting="unsafe")       # pos.astype(np.int64)
         np.clip(idx, 0, self.left.shape[1] - 1, out=idx)
         frac = np.subtract(pos, idx, out=pos)
         np.clip(frac, 0.0, 1.0, out=frac)
-        out = np.empty((len(self.left),) + idx.shape)
+        if out is None:
+            out = np.empty((len(self.left),) + x.shape)
+        gather = scratch("gather", x.shape)
         for k, (left, slope) in enumerate(zip(self.left, self.slope)):
             # left + frac * slope, by row: a take from a 1-d table is the
             # fast one
-            np.multiply(np.take(slope, idx, mode="clip"), frac, out=out[k])
-            out[k] += np.take(left, idx, mode="clip")
+            np.multiply(np.take(slope, idx, mode="clip", out=gather), frac, out=out[k])
+            out[k] += np.take(left, idx, mode="clip", out=gather)
         return out
 
-    def of(self, states, modes):
-        """Tilts of the given states at the mode values, broadcast."""
-        acc = self.vectors[0, states] * modes[0]
+    def of(self, states, modes, out=None, term=None):
+        """Tilts of the given states at the mode values, broadcast; into out,
+        with term holding each product past the first, where given."""
+        acc = np.multiply(self.vectors[0, states], modes[0], out=out)
         for k in range(1, len(modes)):
-            acc = acc + self.vectors[k, states] * modes[k]
-        return 1.0 + acc
+            term = np.multiply(self.vectors[k, states], modes[k], out=term)
+            acc += term
+        acc += 1.0
+        return acc
 
     def __call__(self, x):
         """(m+1,) + x.shape tilt values at arbitrary positions."""
@@ -538,21 +568,25 @@ def _y_block_size(model: CouplingModel, dt: float) -> int:
     return int(np.clip(_Y_REPLAY_BUDGET / (rate_bound * dt), 1, _Y_BLOCK_MAX))
 
 
-def _block_sums(dep, block):
-    """(k, ceil(n / block), w) sums of the (k, n, w) depletions over each
-    block of steps, added in step order: the first step, plus the second,
-    and so on, as a running sum gives it. The loop runs over whichever is
-    fewer, the blocks or the steps of one block."""
+def _block_sums(dep, block, out):
+    """The (k, ceil(n / block), w) sums of the (k, n, w) depletions over
+    each block of steps, written to out, added in step order: the first
+    step, plus the second, and so on, as a running sum gives it. The loop
+    runs over whichever is fewer, the blocks or the steps of one block; the
+    first leaves each block's running sum in dep."""
     n = dep.shape[1]
     nblocks = -(-n // block)
     if nblocks <= block:
-        return np.stack([np.cumsum(dep[:, b:b + block], axis=1)[:, -1]
-                         for b in range(0, n, block)], axis=1)
-    tot = dep[:, ::block].copy()
+        for i, b in enumerate(range(0, n, block)):
+            run = dep[:, b:b + block]
+            np.cumsum(run, axis=1, out=run)
+            out[:, i] = run[:, -1]
+        return out
+    np.copyto(out, dep[:, ::block])
     for j in range(1, block):
         part = dep[:, j::block]
-        tot[:, :part.shape[1]] += part
-    return tot
+        out[:, :part.shape[1]] += part
+    return out
 
 
 class _ChainWalk:
@@ -578,7 +612,10 @@ class _ChainWalk:
     paths that jumped then return to the scan at their next block. Every
     operation is elementwise or a sequential sum along steps, and the
     temporaries are tiled over about _Y_TILE_ELEMS path-steps, so a path
-    rounds the same at any ensemble width or tiling.
+    rounds the same at any ensemble width or tiling. The scan computes its
+    tiles in the walk's own scratch arrays, sized by the first tiles and
+    reused by every later tile and window; each walk owns its own, so
+    chunks on different threads share none.
     """
 
     def __init__(self, model: CouplingModel, y0s, gens, dt, n_steps):
@@ -602,6 +639,7 @@ class _ChainWalk:
         self.log = [(none, np.empty(0), none, none)]
         self.placed = [(none, np.empty(0), none, none, np.empty(0))]
         self.block = _y_block_size(model, dt)
+        self.scratch = _Scratch()
 
     def advance(self, win, r0, w0, w1, exit_steps, exit_fracs):
         """Run the steps [w0, w1) on win, whose row i holds x at step r0 + i.
@@ -648,15 +686,23 @@ class _ChainWalk:
         rel, up to their first event; returns which paths have one and its
         block."""
         y, to, left = self._pairs(tp)
-        # a run of consecutive paths is read as a view
-        total = self._block_totals(
-            rows[:, slice(tp[0], tp[-1] + 1) if (np.diff(tp) == 1).all() else tp], y, to)
+        scratch = self.scratch
+        if (np.diff(tp) == 1).all():        # a run of consecutive paths: a view
+            x = rows[:, tp[0]:tp[-1] + 1]
+        else:
+            x = np.take(rows, tp, axis=1, mode="clip",
+                        out=scratch("pos", (len(rows), len(tp))))
+        # [budget, total_0, total_1, ...]
+        cat = scratch("cat", (len(to), -(-(len(rows) - 1) // self.block) + 1, len(tp)))
+        cat[:, 0] = left
+        total = self._block_totals(x, y, to, cat[:, 1:])
         nb = total.shape[1]
         blocks = np.arange(nb)[:, None]
         if rel.any():
             total[:, blocks < rel] = 0.0                                # before first
-        start = np.subtract.accumulate(
-            np.concatenate((left[:, None], total), axis=1), axis=1)    # (k, nb+1, w)
+        # the modes are spent; start fits in their array, as nb <= n and k = m
+        start = np.subtract.accumulate(cat, axis=1,
+                                       out=scratch("modes", cat.shape))  # (k, nb+1, w)
         exit_block = np.where(exits < w1, (exits - s0) // self.block, nb)
         crossed = ((total >= start[:, :-1]).any(axis=0)
                    & (blocks >= rel) & (blocks < exit_block))          # (nb, w)
@@ -664,20 +710,26 @@ class _ChainWalk:
         self.budgets[tp, y, to] = start[:, event, np.arange(len(tp))]
         return event < nb, event
 
-    def _block_totals(self, x, y, to):
+    def _block_totals(self, x, y, to, out):
         """(k, nb, w) block totals of the depletion of the rates out of the
-        states y to the targets to (k, w), along x (n+1, w)."""
-        mv = self.tilts.modes(x)                                        # (m, n+1, w)
-        q = self.tilts.of(to[:, None, :], mv)
-        q /= self.tilts.of(y, mv)
+        states y to the targets to (k, w), along x (n+1, w), into out."""
+        scratch, tilts = self.scratch, self.tilts
+        shape = (len(to),) + x.shape
+        mv = tilts.modes(x, scratch("modes", (len(tilts.left),) + x.shape), scratch)
+        term = scratch("term", shape) if len(mv) > 1 else None
+        q = tilts.of(to[:, None, :], mv, scratch("q", shape), term)
+        # the temporaries of modes are spent: tilt_y takes the array of its
+        # gathers, and dep that of its positions
+        q /= tilts.of(y, mv, scratch("gather", x.shape), None if term is None else term[0])
         q *= self.qz[y, to][:, None, :]                                 # (k, n+1, w)
         # _segment_depletion(qa, qb, 0.0, 1.0, dt), whose factors of 1.0
         # are exact, in place
-        dep = np.subtract(q[:, 1:], q[:, :-1])
+        dep = np.subtract(q[:, 1:], q[:, :-1],
+                          out=scratch("pos", (len(to), len(x) - 1, x.shape[1])))
         dep *= 0.5
         dep += q[:, :-1]
         dep *= self.dt
-        return _block_sums(dep, self.block)
+        return _block_sums(dep, self.block, out)
 
     def _replay(self, win, r0, w1, starts, paths, blocks, exit_steps, exit_fracs):
         """Run the given blocks step by step; returns the paths that go on
@@ -847,7 +899,7 @@ def _run_chunk(cfg, model, potential, p_init, indices, bound, stored=None):
     """The paths of the given indices as an Ensemble; their stored x are
     written to stored, an (S, len(indices)) array, if given."""
     gens = [path_stream(cfg.seed, int(i)) for i in indices]
-    clocks = [_jumped(g) for g in gens]
+    clocks = [clock_stream(cfg.seed, int(i)) for i in indices]
     c = len(indices)
     n_steps = cfg.n_steps
     x0s = np.empty(c)

@@ -363,6 +363,36 @@ def test_linalg_error_exit_code_2(tmp_path, monkeypatch):
     assert cli.main(["synth", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_out_of_memory_exit_code_2(tmp_path, monkeypatch, capsys):
+    # an allocation the machine cannot give is a numerical failure with a
+    # one-line message, not a traceback under the validation exit code
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 735. TiB for an array with shape "
+                          "(101, 1000000000000) and data type float64")
+    monkeypatch.setattr(cli, "simulate_ensemble", fail)
+    path = light_config(tmp_path, simulation={"dt": 1e-3, "T": 0.1, "n_paths": 20})
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: out of memory (Unable to allocate")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_manifest_records_peak_rss_and_faults(tmp_path, monkeypatch):
+    # the process's peak RSS and minor page faults sit beside the wall time,
+    # and are left out where the resource module is missing
+    path = light_config(tmp_path)
+    assert cli.main(["oracle", "--config", path, "--out", str(tmp_path / "a")]) == 0
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert manifest["wall_clock_s"] >= 0
+    assert manifest["peak_rss_mb"] > 1.0
+    assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] > 0
+    monkeypatch.setattr(cli, "resource", None)
+    assert cli.main(["oracle", "--config", path, "--out", str(tmp_path / "b")]) == 0
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert "wall_clock_s" in manifest
+    assert "peak_rss_mb" not in manifest and "minor_faults" not in manifest
+
+
 def test_oracle_evolves_joint_law_once_per_time(monkeypatch):
     # both oracle checks read one evolution of the joint law, and report
     # exactly what the two separate checks report

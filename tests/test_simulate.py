@@ -253,6 +253,56 @@ def test_chunk_peak_memory_independent_of_steps(dw_small):
         assert peaks[1] <= peaks[0] + stored_bytes + 2 ** 16
 
 
+def test_clock_stream_is_the_jumped_path_stream():
+    # clock_stream starts the Philox counter where .jumped() moves it: the
+    # same exponentials and normals, over many refills of Philox's 4-word
+    # buffer and both kinds of draw interleaved
+    for seed, i in [(0, 0), (601, 17), (2 ** 64 - 1, 2 ** 63 + 5)]:
+        a = clock_stream(seed, i)
+        b = np.random.Generator(path_stream(seed, i).bit_generator.jumped())
+        drawn = 0
+        for n in [1, 2, 3, 5, 7] * 40:
+            np.testing.assert_array_equal(a.standard_exponential(n),
+                                          b.standard_exponential(n))
+            np.testing.assert_array_equal(a.standard_normal(n), b.standard_normal(n))
+            drawn += 2 * n
+        assert drawn > 1000
+        np.testing.assert_array_equal(a.bit_generator.random_raw(9),
+                                      b.bit_generator.random_raw(9))
+
+
+@pytest.mark.parametrize("eps, dt, horizon, block", [(0.5, 4e-3, 8.0, 2),
+                                                     (0.1, 1e-4, 0.4, 256)])
+def test_scan_reuses_its_tile_buffers(monkeypatch, eps, dt, horizon, block):
+    # the busy regime (blocks of 2 steps) and the quiet one (blocks of 256):
+    # once the first window has sized the walk's tile buffers, a window
+    # allocates less than one tile of float64 temporaries
+    import tracemalloc
+    import eigencoupler.simulate as sim
+    pipe = build_pipeline("double_well", eps, 400)
+    model, pot = pipe.model, pipe.potential
+    bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
+    cfg = EnsembleConfig(n_paths=512, dt=dt, horizon=horizon, eps=eps, seed=3,
+                         store_stride=50)
+    assert sim._y_block_size(model, dt) == block
+    advance, peaks = sim._ChainWalk.advance, []
+
+    def traced(self, *args):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        advance(self, *args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+
+    monkeypatch.setattr(sim._ChainWalk, "advance", traced)
+    tracemalloc.start()
+    try:
+        sim._run_chunk(cfg, model, pot, model.p, np.arange(512), bound)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) > 3
+    assert max(peaks[1:]) < 8 * sim._Y_TILE_ELEMS
+
+
 def test_ensemble_mean_chain_state(fast_chain_decoupled):
     # E[Y(T)] for the two-state chain follows the scalar relaxation formula
     pipe = fast_chain_decoupled
@@ -483,11 +533,14 @@ def _record_digest(recs):
     ("jumps", "aea8c5abb1033cbc"),          # blocks of 2 steps, 818 jumps
     ("triple_well", "552fef0faf529c54"),    # 3 states, 154 jumps
     ("absorbing", "3a7750d9d477f16e"),      # 87 of 100 paths absorbed
+    ("quiet", "b13b7b5c0a98bacf"),          # blocks of 256 steps, 55 jumps
 ])
 def test_records_match_pinned_digests(name, digest):
     # every field of every record, pinned from the walk that replayed each
     # flagged path alone with a scalar cascade, which the lockstep walk
-    # replaced without changing a bit
+    # replaced without changing a bit; the quiet case from the walk that
+    # allocated every tile's temporaries anew
+    import eigencoupler.simulate as sim
     if name == "jumps":
         pipe = build_pipeline("double_well", 0.5, 400)
         cfg = EnsembleConfig(n_paths=200, dt=4e-3, horizon=20.0, eps=0.5, seed=601,
@@ -496,6 +549,13 @@ def test_records_match_pinned_digests(name, digest):
         pipe = build_pipeline("triple_well", 0.2, 400)
         cfg = EnsembleConfig(n_paths=200, dt=1e-3, horizon=10.0, eps=0.2, seed=5,
                              store_stride=100)
+    elif name == "quiet":
+        # the small-noise regime, where a block holds more steps than a
+        # window holds blocks: _block_sums takes its cumsum branch
+        pipe = build_pipeline("double_well", 0.1, 400)
+        cfg = EnsembleConfig(n_paths=200, dt=4e-4, horizon=16.0, eps=0.1, seed=601,
+                             store_stride=100)
+        assert sim._y_block_size(pipe.model, cfg.dt) == 256
     else:
         pipe = build_pipeline("double_well", 0.15, 400)
         m = pipe.potential.minima
