@@ -8,15 +8,15 @@ ends. Up to the eps scaling the two spectra must agree, and the smallest
 eigenvalue of route 1 is zero by construction.
 """
 
-from eigencoupler import auto_grid, make_potential, two_route_decomposition
-from eigencoupler.spectral import decomposition_to_csv
+from eigencoupler import auto_grid, build_generator, decompose, make_potential
+from eigencoupler.spectral import decomposition_to_csv, schrodinger_eigenvalues
 
 pot = make_potential("double_well")
 
 for eps in (0.2, 0.1, 0.05):
     grid = auto_grid(pot, eps, n=2000)
-    dec = two_route_decomposition(pot, eps, grid, m=3)
-    scaled = eps * dec.schrodinger_eigenvalues
+    dec = decompose(build_generator(pot, eps, grid), 3)
+    scaled = eps * schrodinger_eigenvalues(pot, eps, grid, 4)
     print(f"eps = {eps:g}  (grid: n = {grid.n}, L = {grid.L:.3f})")
     print("   k   generator route    eps * Dirichlet route   rel diff")
     for k in range(4):
@@ -31,6 +31,6 @@ for eps in (0.2, 0.1, 0.05):
 # intra-well modes stay O(1): that separation is exactly the metastability
 # the chain coupling exploits.
 
-dec = two_route_decomposition(pot, 0.1, auto_grid(pot, 0.1, n=2000), m=1)
+dec = decompose(build_generator(pot, 0.1, auto_grid(pot, 0.1, n=2000)), 1)
 decomposition_to_csv(dec, "demo_decomposition.csv")
 print("wrote demo_decomposition.csv (x, weight, mode_0, mode_1)")

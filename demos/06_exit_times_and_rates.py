@@ -13,9 +13,9 @@ from eigencoupler import (
     EnsembleConfig,
     build_pipeline,
     domains_of_attraction,
+    exact_exit_times,
     ks_exponential,
     make_potential,
-    mean_exit_times,
     rate_match_report,
     simulate_ensemble,
 )
@@ -28,14 +28,8 @@ minima = pot.minima
 rho = 0.5
 _, gen, _, spec, model = build_pipeline(pot, eps, 1000)
 
-print(f"chain E[tau 0->1] = {mean_exit_times(spec.Q, [0], [1])[0]:.3f} "
-      f"(= 1/Q01 exactly)")
-
-nodes = gen.grid.nodes
-ball = (minima[1] - rho, minima[1] + rho)
-target = np.nonzero((nodes >= ball[0]) & (nodes <= ball[1]))[0]
-src = int(np.argmin(np.abs(nodes - minima[0])))
-ref = float(mean_exit_times(gen, [src], target)[0])
+chain_t, ref = exact_exit_times(spec.Q, gen, minima, rho)[0, 1]
+print(f"chain E[tau 0->1] = {chain_t:.3f} (= 1/Q01 exactly)")
 print(f"grid-generator E[tau] into the rho-ball = {ref:.3f}")
 
 ensembles = {}

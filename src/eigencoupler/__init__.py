@@ -28,8 +28,6 @@ from .spectral import (
     build_generator,
     build_schrodinger,
     decompose,
-    two_route_decomposition,
-    verify_eigen_identity,
 )
 from .tridiag import eigensolve_tridiagonal
 from .chain import ChainSpec, synth_generator, scaled_eigenvectors, validate_chain
@@ -53,8 +51,7 @@ from .simulate import (
 )
 from .oracle import (
     evolve_distribution,
-    check_conditional_law,
-    check_y_marginal,
+    check_oracle,
     mean_exit_times,
 )
 from .stats import (
@@ -62,6 +59,7 @@ from .stats import (
     ks_exponential,
     tracking_probability,
     rate_match_report,
+    exact_exit_times,
     tv_distance,
 )
 

@@ -14,10 +14,12 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import platform
 import sys
 import time
+from statistics import NormalDist
 
 try:
     import resource
@@ -34,14 +36,13 @@ from .config import ExperimentConfig, parse_config
 from .coupling import (Pipeline, build_joint_generator, build_pipeline, coupling_summary,
                        coupling_to_csv)
 from .errors import ConfigError, EigencouplerError, GrowthAssumptionError
-from .oracle import (DistributionVector, check_oracle, evolve_distribution,
-                     mean_exit_times)
+from .oracle import DistributionVector, check_oracle, evolve_distribution
 from .potential import domains_of_attraction, make_potential, require_coupling_ready
 from .simulate import EnsembleConfig, simulate_ensemble
 from .spectral import (Grid, auto_grid, build_generator, decompose,
                        decomposition_to_csv, eigenvalues_to_json,
-                       schrodinger_eigenvalues, two_route_decomposition)
-from .stats import tv_distance, tracking_probability
+                       schrodinger_eigenvalues)
+from .stats import exact_exit_times, tv_distance, tracking_probability
 from . import svgplot
 
 CROSS_ROUTE_N = 4000
@@ -97,11 +98,15 @@ def _cmd_spectrum(cfg: ExperimentConfig, out_dir) -> list:
                                override=cfg.allow_assumption_violation)
         grid = auto_grid(potential, eps, n=cfg.grid_n, L=cfg.grid_L)
         m = max(potential.n_wells - 1, 1) + 2
-        dec = two_route_decomposition(potential, eps, grid, m)
+        # modes positive at the node nearest the leftmost minimum
+        sign_node = (int(np.argmin(np.abs(grid.nodes - potential.minima[0])))
+                     if potential.n_wells >= 1 else None)
+        dec = decompose(build_generator(potential, eps, grid), m, sign_node=sign_node)
         tag = f"eps{eps:g}"
         if "json" in cfg.formats:
             path = os.path.join(out_dir, f"eigenvalues_{tag}.json")
-            eigenvalues_to_json(dec, path)
+            hat = schrodinger_eigenvalues(potential, eps, grid, m + 1)
+            eigenvalues_to_json(dec, path, schrodinger_eigenvalues=hat)
             outputs.append(path)
         if "csv" in cfg.formats:
             path = os.path.join(out_dir, f"decomposition_{tag}.csv")
@@ -239,6 +244,39 @@ def _tracking_z(est, oracle_value: float) -> float:
     return 0.0 if gap == 0 else float("inf")
 
 
+def _binom_pmf(n: int, q) -> np.ndarray:
+    """(n + 1, len(q)) Binomial(n, q_j) pmfs over the counts 0..n, one column
+    per probability, evaluated in logs so that no term underflows early.
+    (scipy.stats has them, but importing it takes longer than a whole
+    verify invocation.)"""
+    k = np.arange(n + 1)[:, None]
+    q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
+    log_choose = np.concatenate(([0.0], np.cumsum(np.log(np.arange(n, 0, -1))
+                                                  - np.log(np.arange(1, n + 1)))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pmf = (log_choose[:, None] + np.where(k > 0, k * np.log(q), 0.0)
+                   + np.where(k < n, (n - k) * np.log1p(-q), 0.0))
+    return np.exp(log_pmf)
+
+
+def _count_z(counts, trials, probs) -> float:
+    """Largest z of the exact two-sided tests of counts[j], each against the
+    sum over i of independent Binomial(trials[i], probs[i, j]).
+
+    A test's z is the standard normal quantile of 1 - p/2, p the doubled
+    smaller tail (at most 1), so z <= 3 is p >= 2 Phi(-3) ~ 0.0027; a count
+    the law cannot give reads infinity."""
+    pmfs = [_binom_pmf(n_i, q_i) for n_i, q_i in zip(trials, probs)]
+    z = 0.0
+    for j, count in enumerate(counts):
+        pmf = np.ones(1)
+        for table in pmfs:
+            pmf = np.convolve(pmf, table[:, j])
+        p = min(1.0, 2.0 * min(pmf[:count + 1].sum(), pmf[count:].sum()))
+        z = max(z, -NormalDist().inv_cdf(p / 2) if p > 0 else math.inf)
+    return z
+
+
 def _verify_one(cfg: ExperimentConfig, eps: float):
     checks = []
 
@@ -287,21 +325,20 @@ def _verify_one(cfg: ExperimentConfig, eps: float):
     # tested against their law given those initial states: the paths are
     # independent and each chain is Markov with generator Q from its start,
     # so the initial draw's sampling error does not carry into the later
-    # checks and only the dynamics are tested there.
-    n = len(ens)
-    counts0 = np.bincount(ens.y_at(0.0), minlength=model.n_states)
-    se0 = np.sqrt(np.maximum(spec.p * (1 - spec.p), 1e-12) / n)
-    z = float(np.max(np.abs(counts0 / n - spec.p) / se0))
+    # checks and only the dynamics are tested there. Given the initial
+    # states, a state's count is a sum of independent binomials, one per
+    # initial state, and is tested against that exact law: a normal
+    # approximation overstates z when only a few paths change state.
+    m1 = model.n_states
+    counts0 = np.bincount(ens.y_at(0.0), minlength=m1)
+    z = _count_z(counts0, [len(ens)], spec.p[None])
     record("mc_y_marginal_t0", z <= 3.0, z, 3.0)
     Q = sp.csr_matrix(spec.Q)
     for t in (cfg.T / 4, cfg.T / 2, cfg.T):
         rows = np.array([evolve_distribution(Q, DistributionVector(e), t).weights
-                         for e in np.eye(model.n_states)])
-        y_t = ens.y_at(t)
-        occ = np.array([(y_t == j).mean() for j in range(model.n_states)])
-        mean = counts0 @ rows / n
-        se = np.sqrt(np.maximum(counts0 @ (rows * (1 - rows)), 1e-12)) / n
-        z = float(np.max(np.abs(occ - mean) / se))
+                         for e in np.eye(m1)])
+        counts = np.bincount(ens.y_at(t), minlength=m1)
+        z = _count_z(counts, counts0, rows)
         record(f"mc_y_marginal_t{t:g}", z <= 3.0, z, 3.0)
 
     part = domains_of_attraction(potential)
@@ -338,21 +375,10 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir) -> list:
         (potential, gen, dec, spec, model), ens = _run_ensemble(cfg, eps)
         part = domains_of_attraction(potential)
         tr = tracking_probability(ens, part, cfg.T, model)
-        nodes = gen.grid.nodes
         minima = potential.minima
         rho = 0.5 * float(np.min(np.abs(minima[:, None] - part.boundaries[None, :])))
-        rates = {}
-        for i in range(model.n_states):
-            for j in range(model.n_states):
-                if i == j:
-                    continue
-                chain_t = float(mean_exit_times(spec.Q, [i], [j])[0])
-                ball = (minima[j] - rho, minima[j] + rho)
-                tgt = np.nonzero((nodes >= ball[0]) & (nodes <= ball[1]))[0]
-                src = int(np.argmin(np.abs(nodes - minima[i])))
-                diff_t = float(mean_exit_times(gen, [src], tgt)[0])
-                rates[f"{i}->{j}"] = {"chain": chain_t, "diffusion": diff_t,
-                                      "ratio": chain_t / diff_t}
+        rates = {f"{i}->{j}": {"chain": c, "diffusion": d, "ratio": c / d}
+                 for (i, j), (c, d) in exact_exit_times(spec.Q, gen, minima, rho).items()}
         row = {"eps": eps, "lambdas": dec.eigenvalues[1:].tolist(),
                "rho": rho, "exit_times": rates}
         for j, (est, oracle_val) in tr.items():

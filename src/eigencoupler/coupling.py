@@ -110,11 +110,16 @@ class CouplingModel:
     def joint_dim(self) -> int:
         return self.n_states * self.n_nodes
 
-    def initial_law_for(self, p) -> np.ndarray:
+    def state_law(self, p) -> np.ndarray:
+        """p as a float array, checked to be a distribution on the chain
+        states (sum within 1e-12 of one)."""
         p = np.asarray(p, dtype=float)
         if p.shape != (self.n_states,) or abs(p.sum() - 1.0) > 1e-12 or np.any(p < 0):
             raise ValueError("p must be a distribution on the chain states")
-        return p[:, None] * self.cond
+        return p
+
+    def initial_law_for(self, p) -> np.ndarray:
+        return self.state_law(p)[:, None] * self.cond
 
 
 def build_coupling(dec: SpectralDecomposition, spec: ChainSpec) -> CouplingModel:
@@ -232,9 +237,7 @@ def sample_initial(model: CouplingModel, p, rng):
     draw consumes exactly three uniforms from its stream, in the order
     (state, cell, jitter). Returns (x0, y0), or for a sequence the arrays of
     them, elementwise the values one stream at a time gives."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (model.n_states,) or abs(p.sum() - 1.0) > 1e-12 or np.any(p < 0):
-        raise ValueError("p must be a distribution on the chain states")
+    p = model.state_law(p)
     single = isinstance(rng, np.random.Generator)
     gens = [rng] if single else rng
     u = np.empty((len(gens), 3))

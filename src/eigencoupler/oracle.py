@@ -22,8 +22,6 @@ from .spectral import DiscreteGenerator
 __all__ = [
     "DistributionVector",
     "evolve_distribution",
-    "check_conditional_law",
-    "check_y_marginal",
     "check_oracle",
     "mean_exit_times",
     "ConditionalLawReport",
@@ -172,18 +170,6 @@ def _conditional_report(laws, model: CouplingModel) -> ConditionalLawReport:
                                 skipped=tuple(skipped))
 
 
-def check_conditional_law(B: sp.spmatrix, model: CouplingModel, p, times,
-                          tol: float = DEFAULT_TOL) -> ConditionalLawReport:
-    """Total-variation error of the evolved conditional laws against the
-    model's reference conditionals, maximized over times and chain states.
-
-    Starts from the coupled initial law built from p. States whose marginal
-    mass falls below 1e-14 at some time are skipped and noted.
-    """
-    nu = DistributionVector(model.initial_law_for(p).reshape(-1), 0.0)
-    return _conditional_report(_evolve_at(B, nu, times, tol), model)
-
-
 @dataclass(frozen=True)
 class MarginalReport:
     max_l1: float
@@ -202,21 +188,16 @@ def _marginal_report(laws, Q: np.ndarray, p, tol: float) -> MarginalReport:
     return MarginalReport(max_l1=max(e[1] for e in entries), entries=tuple(entries))
 
 
-def check_y_marginal(B: sp.spmatrix, nu0, Q: np.ndarray, p, times,
-                     tol: float = DEFAULT_TOL) -> MarginalReport:
-    """l1 distance between the chain marginal of the evolved joint law and
-    the bare chain law p exp(Qt), each side computed by its own
-    uniformization."""
-    nu = nu0 if isinstance(nu0, DistributionVector) else DistributionVector(
-        np.asarray(nu0, dtype=float).reshape(-1), 0.0)
-    return _marginal_report(_evolve_at(B, nu, times, tol), Q, p, tol)
-
-
 def check_oracle(B: sp.spmatrix, model: CouplingModel, p, times,
                  tol: float = DEFAULT_TOL) -> tuple:
-    """check_conditional_law and check_y_marginal (against model.Q) from one
-    evolution of the coupled initial law built from p: the same two reports,
-    for half the uniformization work."""
+    """Both exact consequences of the coupling, from one evolution of the
+    coupled initial law built from p: (ConditionalLawReport, MarginalReport).
+
+    The first holds the total-variation errors of the evolved conditional
+    laws against the model's reference conditionals, skipping and noting
+    states whose mass falls below 1e-14; the second the l1 distances between
+    the chain marginal and p exp(Qt), Q = model.Q, uniformized on its own.
+    """
     nu = DistributionVector(model.initial_law_for(p).reshape(-1), 0.0)
     laws = _evolve_at(B, nu, times, tol)
     return _conditional_report(laws, model), _marginal_report(laws, model.Q, p, tol)

@@ -37,6 +37,7 @@ import numpy as np
 from .coupling import CouplingModel, sample_initial
 from .errors import BlowUpError
 from .potential import Potential
+from .spectral import auto_grid
 
 __all__ = [
     "EnsembleConfig",
@@ -298,20 +299,13 @@ def clock_stream(seed: int, path_index: int) -> np.random.Generator:
     return path_stream(seed, path_index, counter=[0, 0, 1, 0])
 
 
-def _tail_halfwidth(potential: Potential, eps: float) -> float:
-    crits = np.concatenate((potential.minima, potential.maxima))
-    lo = float(np.max(np.abs(crits))) if crits.size else 1.0
-    fmin = float(np.min(potential.value(crits))) if crits.size else 0.0
-    target = -eps * np.log(1e-12)
-    hi = lo + 1.0
-    while (potential.value(-hi) - fmin < target or potential.value(hi) - fmin < target):
-        hi *= 1.5
-    return hi
-
-
 def _escape_bound(potential: Potential, eps: float, x_extra: float = 0.0) -> float:
+    """ESCAPE_FACTOR times the larger of |x_extra| and the auto_grid
+    half-width, the bound simulate_ensemble draws from its grid's end nodes;
+    at eps = 0, where no grid is defined, the reach of the critical points
+    plus one stands in for the half-width."""
     if eps > 0:
-        base = _tail_halfwidth(potential, eps)
+        base = auto_grid(potential, eps).L
     else:
         crits = np.concatenate((potential.minima, potential.maxima))
         base = float(np.max(np.abs(crits)) + 1.0) if crits.size else 1.0

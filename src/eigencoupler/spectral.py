@@ -28,8 +28,6 @@ __all__ = [
     "build_generator",
     "build_schrodinger",
     "decompose",
-    "two_route_decomposition",
-    "verify_eigen_identity",
     "decomposition_to_csv",
     "eigenvalues_to_json",
 ]
@@ -121,15 +119,6 @@ class DiscreteGenerator:
         """(diag, lower, upper) of the generator acting on functions."""
         return -(self.birth + self.death), self.death[1:], self.birth[:-1]
 
-    def apply(self, f):
-        """Generator applied to a function vector (batched columns allowed)."""
-        f = np.asarray(f)
-        diag, lower, upper = self.tridiagonal()
-        out = (diag * f.T).T.astype(float)
-        out[:-1] += (upper * f[1:].T).T
-        out[1:] += (lower * f[:-1].T).T
-        return out
-
     def edge_factor(self):
         """(diag, superdiag) of the (n-1) x n bidiagonal G with
         G^T G = D^{1/2} (-A) D^{-1/2}, D = diag(weights).
@@ -206,8 +195,6 @@ class SpectralDecomposition:
     eigenvalues are 0 = lambda_0 < lambda_1 <= ... (1/time). modes has one
     eigenfunction per row, unit norm in L^2(weights), with modes[0] identically
     one. signed_weights[k] = modes[k] * weights sums to zero for k >= 1.
-    schrodinger_eigenvalues holds the route-2 cross-check values (lambda/eps
-    units) when the two-route constructor was used.
     """
 
     eigenvalues: np.ndarray
@@ -215,7 +202,6 @@ class SpectralDecomposition:
     weights: np.ndarray
     grid: Grid
     eps: float
-    schrodinger_eigenvalues: np.ndarray | None = None
 
     @property
     def m(self) -> int:
@@ -224,9 +210,6 @@ class SpectralDecomposition:
     @property
     def signed_weights(self) -> np.ndarray:
         return self.modes * self.weights
-
-    def mode_sup_norms(self) -> np.ndarray:
-        return np.max(np.abs(self.modes), axis=1)
 
 
 def _leftmost_weight_peak(w: np.ndarray) -> int:
@@ -296,37 +279,6 @@ def decompose(gen: DiscreteGenerator, m: int, sign_node: int | None = None) -> S
                                  weights=gen.weights, grid=gen.grid, eps=gen.eps)
 
 
-def two_route_decomposition(potential: Potential, eps: float, grid: Grid, m: int,
-                            sign_node: int | None = None) -> SpectralDecomposition:
-    """Generator-route decomposition with the independent Schrodinger route
-    attached as cross-check values (no gating; tolerances are resolution
-    dependent and belong to the caller)."""
-    gen = build_generator(potential, eps, grid)
-    if sign_node is None and potential.n_wells >= 1:
-        sign_node = int(np.argmin(np.abs(grid.nodes - potential.minima[0])))
-    dec = decompose(gen, m, sign_node=sign_node)
-    hat = schrodinger_eigenvalues(potential, eps, grid, m + 1)
-    return SpectralDecomposition(eigenvalues=dec.eigenvalues, modes=dec.modes,
-                                 weights=dec.weights, grid=dec.grid, eps=dec.eps,
-                                 schrodinger_eigenvalues=hat)
-
-
-def verify_eigen_identity(dec: SpectralDecomposition, gen: DiscreteGenerator,
-                          trials: int = 100, seed: int = 0) -> float:
-    """Max residual of sum((A f) * signed_weights[k]) = -lambda_k * sum(f *
-    signed_weights[k]) over random test vectors f, normalized by ||f||_inf."""
-    rng = np.random.default_rng(seed)
-    sw = dec.signed_weights
-    worst = 0.0
-    for _ in range(trials):
-        f = rng.standard_normal(gen.n)
-        af = gen.apply(f)
-        lhs = sw @ af
-        rhs = -dec.eigenvalues * (sw @ f)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / np.max(np.abs(f)))
-    return worst
-
-
 def decomposition_to_csv(dec: SpectralDecomposition, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -336,16 +288,19 @@ def decomposition_to_csv(dec: SpectralDecomposition, path):
                             + [f"{dec.modes[k, i]:.12g}" for k in range(dec.m + 1)])
 
 
-def eigenvalues_to_json(dec: SpectralDecomposition, path=None):
+def eigenvalues_to_json(dec: SpectralDecomposition, path=None,
+                        schrodinger_eigenvalues=None):
+    """The eigenvalues of dec and, when given, the route-2 values (lambda/eps
+    units) with their eps-scaled copies."""
     payload = {
         "eps": dec.eps,
         "grid": {"L": dec.grid.L, "n": dec.grid.n},
         "eigenvalues": dec.eigenvalues.tolist(),
     }
-    if dec.schrodinger_eigenvalues is not None:
-        payload["schrodinger_eigenvalues"] = dec.schrodinger_eigenvalues.tolist()
+    if schrodinger_eigenvalues is not None:
+        payload["schrodinger_eigenvalues"] = schrodinger_eigenvalues.tolist()
         payload["scaled_schrodinger_eigenvalues"] = (
-            (dec.eps * dec.schrodinger_eigenvalues).tolist())
+            (dec.eps * schrodinger_eigenvalues).tolist())
     if path is None:
         return payload
     with open(path, "w") as fh:

@@ -25,6 +25,7 @@ __all__ = [
     "ks_exponential",
     "tracking_probability",
     "rate_match_report",
+    "exact_exit_times",
     "tv_distance",
     "KSResult",
     "RateMatchReport",
@@ -174,18 +175,15 @@ def rate_match_report(ensembles: dict, chain_Q: np.ndarray,
     m1 = chain_Q.shape[0]
     if not all(_ball_inside(minima[j], rho, partition.intervals[j]) for j in range(m1)):
         raise ValueError("rho-ball is not contained in its domain of attraction")
-    nodes = gen.grid.nodes
+    exact = exact_exit_times(chain_Q, gen, minima, rho)
     rows = []
     for i in sorted(ensembles):
         records = list(ensembles[i])     # the record views, built once
         for j in range(m1):
             if j == i:
                 continue
-            chain_exact = float(mean_exit_times(chain_Q, [i], [j])[0])
+            chain_exact, diffusion_exact = exact[i, j]
             ball = (minima[j] - rho, minima[j] + rho)
-            target_nodes = np.nonzero((nodes >= ball[0]) & (nodes <= ball[1]))[0]
-            source_node = int(np.argmin(np.abs(nodes - minima[i])))
-            diffusion_exact = float(mean_exit_times(gen, [source_node], target_nodes)[0])
             taus = [first_exit_time(r, ball, target="x") for r in records]
             hit = np.array([t for t in taus if t is not None])
             n_censored = sum(1 for t in taus if t is None)
@@ -210,6 +208,28 @@ def rate_match_report(ensembles: dict, chain_Q: np.ndarray,
             "the source-minimum reading of the asymptotic rate comparison is "
             "ambiguous in its original statement and is not hard-coded")
     return RateMatchReport(rows=tuple(rows), rho=rho, note=note)
+
+
+def exact_exit_times(chain_Q: np.ndarray, gen, minima: np.ndarray, rho: float) -> dict:
+    """The exact mean exit times of the chain and of the diffusion for every
+    ordered pair of chain states: {(i, j): (chain, diffusion)}, i != j.
+
+    chain is the chain's E^i[tau_j] (a linear solve on chain_Q); diffusion is
+    the hitting time of the grid nodes in the rho-ball around the minimum
+    x_j from the node nearest x_i (a linear solve on the grid generator).
+    """
+    m1 = chain_Q.shape[0]
+    nodes = gen.grid.nodes
+    table = {}
+    for i in range(m1):
+        source_node = int(np.argmin(np.abs(nodes - minima[i])))
+        for j in range(m1):
+            if j == i:
+                continue
+            target_nodes = np.nonzero((nodes >= minima[j] - rho) & (nodes <= minima[j] + rho))[0]
+            table[i, j] = (float(mean_exit_times(chain_Q, [i], [j])[0]),
+                           float(mean_exit_times(gen, [source_node], target_nodes)[0]))
+    return table
 
 
 def _ball_inside(center: float, rho: float, interval) -> bool:

@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from eigencoupler.coupling import build_joint_generator, build_pipeline
-from eigencoupler.oracle import (
-    DistributionVector,
-    check_conditional_law,
-    check_y_marginal,
-    mean_exit_times,
-)
+from eigencoupler.oracle import check_oracle, mean_exit_times
 from eigencoupler.potential import Potential, domains_of_attraction, make_potential
 from eigencoupler.simulate import EnsembleConfig, simulate_ensemble
 from eigencoupler.spectral import Grid, build_generator, decompose, schrodinger_eigenvalues
@@ -38,7 +33,7 @@ def crit1_setup():
 def test_criterion_1_exact_conditional_law(crit1_setup):
     pipe, B = crit1_setup
     t0 = time.monotonic()
-    rep = check_conditional_law(B, pipe.model, pipe.spec.p, ORACLE_TIMES)
+    rep, _ = check_oracle(B, pipe.model, pipe.spec.p, ORACLE_TIMES)
     elapsed = time.monotonic() - t0
     report(1, "exact conditional law, max TV <= 1e-8 in < 10 s",
            rep.max_tv <= 1e-8 and elapsed < 10.0,
@@ -47,9 +42,7 @@ def test_criterion_1_exact_conditional_law(crit1_setup):
 
 def test_criterion_2_y_marginality(crit1_setup):
     pipe, B = crit1_setup
-    model, spec = pipe.model, pipe.spec
-    nu0 = DistributionVector(model.initial_law_for(spec.p).reshape(-1))
-    rep = check_y_marginal(B, nu0, spec.Q, spec.p, ORACLE_TIMES)
+    _, rep = check_oracle(B, pipe.model, pipe.spec.p, ORACLE_TIMES)
     report(2, "chain marginality, max l1 <= 1e-8",
            rep.max_l1 <= 1e-8, f"max l1 = {rep.max_l1:.3e}")
 
@@ -187,24 +180,25 @@ def test_criterion_9_negative_controls(crit1_setup):
     model, spec, gen = pipe.model, pipe.spec, pipe.gen
     times = ORACLE_TIMES
 
-    baseline = check_conditional_law(B, model, spec.p, times).max_tv
+    def max_tv(B, model):
+        return check_oracle(B, model, spec.p, times)[0].max_tv
+
+    baseline = max_tv(B, model)
 
     vec = spec.vectors.copy()
     vec[0, 0] *= 1.01
     m1_bad = dataclasses.replace(model, vectors=vec)
-    tv1 = check_conditional_law(build_joint_generator(m1_bad, gen), m1_bad,
-                                spec.p, times).max_tv
+    tv1 = max_tv(build_joint_generator(m1_bad, gen), m1_bad)
 
     m2_bad = dataclasses.replace(model, Q=1.01 * model.Q)
-    tv2 = check_conditional_law(build_joint_generator(m2_bad, gen), m2_bad,
-                                spec.p, times).max_tv
+    tv2 = max_tv(build_joint_generator(m2_bad, gen), m2_bad)
 
     # corrupted quadrature measure: reference laws and the initial law are
     # built from distorted weights while the dynamics stay true
     w_bad = model.weights * (1.0 + 0.01 * (model.grid_nodes > 0))
     w_bad /= w_bad.sum()
     m3_bad = dataclasses.replace(model, weights=w_bad)
-    tv3 = check_conditional_law(B, m3_bad, spec.p, times).max_tv
+    tv3 = max_tv(B, m3_bad)
 
     report(9, "fault injection drives criterion-1 TV above 1e-4",
            baseline <= 1e-8 and min(tv1, tv2, tv3) > 1e-4,

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -273,6 +275,49 @@ def test_verify_y_marginal_flags_biased_chain(tmp_path, monkeypatch):
     assert not any(passed[f"mc_y_marginal_t{t}"] for t in ("0.5", "1", "2"))
 
 
+def test_verify_y_marginal_exact_at_small_counts(tmp_path):
+    # triple_well eps 0.1, 500 paths to T = 0.2, seed 825: at t = 0.05 a few
+    # paths have left their wells, and the normal approximation, whose
+    # variance is near zero there, read z = 5.0 for a count of ordinary size
+    config = {"potential": "triple_well", "epsilon": 0.1,
+              "simulation": {"n_paths": 500, "T": 0.2}, "threads": 1}
+    out = tmp_path / "out"
+    cli.main(["verify", "--config", json.dumps(config), "--out", str(out), "--seed", "825"])
+    report = json.loads((out / "verify_report.json").read_text())
+    z = {c["name"]: c["value"] for c in report["runs"][0]["checks"]
+         if c["name"].startswith("mc_y_marginal")}
+    assert len(z) == 4 and max(z.values()) <= 3.0
+
+
+def test_count_z_is_the_exact_poisson_binomial_test():
+    # the convolved binomials give the law of the count of independent
+    # paths with per-path probabilities, scipy's Poisson binomial
+    from scipy.stats import norm, poisson_binom
+    trials = np.array([40, 25, 35])
+    probs = np.array([[0.9, 0.07, 0.03], [0.2, 0.7, 0.1], [0.01, 0.04, 0.95]])
+    law = poisson_binom(np.repeat(probs[:, 1], trials))
+    for count in (10, 20, 27, 35):
+        p = min(1.0, 2.0 * min(law.cdf(count), law.sf(count - 1)))
+        z = cli._count_z([count], trials, probs[:, [1]])
+        assert z == pytest.approx(norm.isf(p / 2), rel=1e-9, abs=1e-9)
+        # several states: the largest of their z
+        counts = [60, count, 100 - 60 - count]
+        assert cli._count_z(counts, trials, probs) == max(
+            cli._count_z([c], trials, probs[:, [j]]) for j, c in enumerate(counts))
+    assert cli._count_z([3], [100], [[0.0]]) == math.inf
+    assert cli._count_z([50, 50], [100], [[0.5, 0.5]]) == 0.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 500])
+def test_binom_pmf_matches_scipy(n):
+    from scipy.stats import binom
+    q = np.array([0.0, 1e-9, 0.003, 0.5, 0.97, 1.0 - 1e-12, 1.0])
+    got = cli._binom_pmf(n, q)
+    want = binom.pmf(np.arange(n + 1)[:, None], n, q)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-300)
+    np.testing.assert_allclose(got.sum(axis=0), 1.0, rtol=1e-12)
+
+
 def test_verify_fails_with_exit_code_3(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "ORACLE_TOL", 1e-20)
     path = light_config(tmp_path)
@@ -394,15 +439,13 @@ def test_manifest_records_peak_rss_and_faults(tmp_path, monkeypatch):
 
 
 def test_oracle_evolves_joint_law_once_per_time(monkeypatch):
-    # both oracle checks read one evolution of the joint law, and report
-    # exactly what the two separate checks report
+    # both oracle checks read one evolution of the joint law, and the report
+    # holds exactly what check_oracle returns
     import eigencoupler.oracle as oracle
     cfg = parse_config(LIGHT)
     _, gen, _, spec, model = cli._build_pipeline(cfg, 0.1, cfg.oracle_n)
     B = cli.build_joint_generator(model, gen)
-    cond = oracle.check_conditional_law(B, model, spec.p, cfg.oracle_times)
-    nu0 = oracle.DistributionVector(model.initial_law_for(spec.p).reshape(-1))
-    marg = oracle.check_y_marginal(B, nu0, spec.Q, spec.p, cfg.oracle_times)
+    cond, marg = oracle.check_oracle(B, model, spec.p, cfg.oracle_times)
     calls = []
     evolve = oracle.evolve_distribution
 
@@ -489,3 +532,53 @@ def test_simulate_builds_no_records(tmp_path, monkeypatch):
     assert built == []
     ens = _simulate_ensemble(tmp_path, 30)
     assert len(list(ens)) == 30 and built == list(range(30))
+
+
+_PINNED_CONFIGS = {
+    "double_well": {},
+    "triple_well": {"potential": "triple_well",
+                    "oracle": {"n": 100, "times": [0.1, 1.0]}},
+    "quadratic": {"potential": "quadratic", "epsilon": 0.5,
+                  "grid": {"n": 1000, "L": 8.0}, "allow_assumption_violation": True},
+}
+
+
+def _artifact_digest(out_dir) -> str:
+    """sha256 over the names and bytes of a command's artifacts, the
+    manifest and resolved config aside, with the oracle's wall-clock
+    runtime_s fields zeroed."""
+    h = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        if path.name in ("manifest.json", "config_resolved.json"):
+            continue
+        data = re.sub(rb'"runtime_s": [0-9.e+-]+', b'"runtime_s": 0', path.read_bytes())
+        h.update(path.name.encode() + b"\0" + data + b"\0")
+    return h.hexdigest()
+
+
+_PINNED_DIGESTS = {
+    ("double_well", "spectrum"):
+        "02c7e051ae26b23b0fb51cb86a226a34a4c36d493392cfb0abef16c712aa8aab",
+    ("double_well", "synth"):
+        "1c5ba87b5f0a3aa19a086995088ff3b56308c0b18a2f9fdd4a76b638cb9b760e",
+    ("double_well", "oracle"):
+        "8b3d13590fe1c88cef6d56a118c8f09a502c3fd5ca03606f3260a303631dcae4",
+    ("triple_well", "spectrum"):
+        "286126e4d0a9868452030318ea041291f3a40ef954b2062a45545f0ca23fc0ad",
+    ("triple_well", "synth"):
+        "75b3b58ab859e8f5fad0aa92853ecfb9a1103d0219b592d4e9a8d6f60716e09d",
+    ("triple_well", "oracle"):
+        "873b09d9e038e3ea3bbc0baf67944fa9902aa4bb4bbad523289e3406dfa269bd",
+    ("quadratic", "spectrum"):
+        "5d52ce2aa6c01e702dd099f1894ac5ad07c0cabcee6427a5f1034d48c4106c1d",
+}
+
+
+@pytest.mark.parametrize("name,command", list(_PINNED_DIGESTS))
+def test_exact_artifacts_match_pinned_digests(tmp_path, name, command):
+    # the exact (non-Monte Carlo) artifacts, pinned from the pipeline whose
+    # spectrum command took the route-2 values from the decomposition
+    path = light_config(tmp_path, **_PINNED_CONFIGS[name])
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 0
+    assert _artifact_digest(out) == _PINNED_DIGESTS[name, command]

@@ -12,8 +12,7 @@ from eigencoupler.oracle import (
     _depth_cap,
     _poisson_weights,
     DistributionVector,
-    check_conditional_law,
-    check_y_marginal,
+    check_oracle,
     evolve_distribution,
     mean_exit_times,
 )
@@ -90,21 +89,18 @@ def test_distribution_vector_validation():
 def test_conditional_law_decoupled_exact():
     pipe = build_pipeline("double_well", 0.1, 120, kappa=0.0)
     B = build_joint_generator(pipe.model, pipe.gen)
-    rep = check_conditional_law(B, pipe.model, pipe.spec.p, TIMES)
+    rep, _ = check_oracle(B, pipe.model, pipe.spec.p, TIMES)
     assert rep.max_tv <= 1e-12
 
 
 def test_conditional_law_default_double_well(dw_small, dw_small_joint):
-    rep = check_conditional_law(dw_small_joint, dw_small.model,
-                                dw_small.spec.p, TIMES)
+    rep, _ = check_oracle(dw_small_joint, dw_small.model, dw_small.spec.p, TIMES)
     assert rep.max_tv <= 1e-8
     assert not rep.skipped
 
 
 def test_y_marginal_default(dw_small, dw_small_joint):
-    model, spec = dw_small.model, dw_small.spec
-    nu0 = DistributionVector(model.initial_law_for(spec.p).reshape(-1))
-    rep = check_y_marginal(dw_small_joint, nu0, spec.Q, spec.p, TIMES)
+    _, rep = check_oracle(dw_small_joint, dw_small.model, dw_small.spec.p, TIMES)
     assert rep.max_l1 <= 1e-8
     assert rep.entries[0][0] == 0.1
 
@@ -112,9 +108,7 @@ def test_y_marginal_default(dw_small, dw_small_joint):
 def test_y_marginal_time_zero():
     pipe = build_pipeline("double_well", 0.1, 100)
     B = build_joint_generator(pipe.model, pipe.gen)
-    model, spec = pipe.model, pipe.spec
-    nu0 = DistributionVector(model.initial_law_for(spec.p).reshape(-1))
-    rep = check_y_marginal(B, nu0, spec.Q, spec.p, [0.0])
+    _, rep = check_oracle(B, pipe.model, pipe.spec.p, [0.0])
     assert rep.max_l1 <= 1e-14
 
 
@@ -123,9 +117,7 @@ def test_y_marginal_independent_of_scale(kappa):
     # the chain marginal identity holds whatever the eigenvector scale is
     pipe = build_pipeline("double_well", 0.1, 150, kappa=kappa)
     B = build_joint_generator(pipe.model, pipe.gen)
-    model, spec = pipe.model, pipe.spec
-    nu0 = DistributionVector(model.initial_law_for(spec.p).reshape(-1))
-    rep = check_y_marginal(B, nu0, spec.Q, spec.p, TIMES)
+    _, rep = check_oracle(B, pipe.model, pipe.spec.p, TIMES)
     assert rep.max_l1 <= 1e-8
 
 
@@ -142,10 +134,8 @@ def test_conditional_law_matrix(preset, n, eps, kappa, theta):
         pytest.skip("theta applies to two-state chains only")
     pipe = build_pipeline(preset, eps, n, kappa=kappa, theta=theta)
     B = build_joint_generator(pipe.model, pipe.gen)
-    rep = check_conditional_law(B, pipe.model, pipe.spec.p, TIMES)
+    rep, marg = check_oracle(B, pipe.model, pipe.spec.p, TIMES)
     assert rep.max_tv <= 1e-8
-    nu0 = DistributionVector(pipe.model.initial_law_for(pipe.spec.p).reshape(-1))
-    marg = check_y_marginal(B, nu0, pipe.spec.Q, pipe.spec.p, TIMES)
     assert marg.max_l1 <= 1e-8
 
 
@@ -154,7 +144,7 @@ def test_perturbed_eigenvector_breaks_law(dw_small):
     vec[0, 0] *= 1.01
     broken = dataclasses.replace(dw_small.model, vectors=vec)
     B = build_joint_generator(broken, dw_small.gen)
-    rep = check_conditional_law(B, broken, dw_small.spec.p, TIMES)
+    rep, _ = check_oracle(B, broken, dw_small.spec.p, TIMES)
     assert rep.max_tv > 1e-4
 
 

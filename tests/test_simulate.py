@@ -53,6 +53,19 @@ def test_blowup_guard():
                        allow_large_dt=True)
 
 
+@pytest.mark.parametrize("preset,eps", [("double_well", 0.1), ("triple_well", 0.05),
+                                        ("quadratic", 0.5)])
+def test_simulate_x_default_bound_is_the_ensemble_bound(preset, eps):
+    # one escape rule: ten times the larger of |x0| and the grid's half-width
+    import eigencoupler.simulate as sim
+    pipe = build_pipeline(make_potential(preset), eps, 300)
+    ensemble_bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(pipe.model.grid_nodes)))
+    assert sim._escape_bound(pipe.potential, eps) == ensemble_bound
+    x0 = -3 * ensemble_bound
+    assert sim._escape_bound(pipe.potential, eps, x0) == sim.ESCAPE_FACTOR * abs(x0)
+    assert sim._escape_bound(pipe.potential, 0.0) > 0
+
+
 def test_blowup_guard_catches_nan():
     # NaN fails every comparison, so a guard reading `max > bound` lets a NaN
     # path run to the horizon

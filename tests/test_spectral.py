@@ -13,8 +13,6 @@ from eigencoupler.spectral import (
     decomposition_to_csv,
     eigenvalues_to_json,
     schrodinger_eigenvalues,
-    two_route_decomposition,
-    verify_eigen_identity,
 )
 
 FLAT = Potential(np.array([0.0]), name="flat")
@@ -100,9 +98,8 @@ def test_schrodinger_ground_eigenvalue_small():
 
 def test_two_route_consistency_coarse():
     grid = auto_grid(DW, 0.1, n=1000)
-    dec = two_route_decomposition(DW, 0.1, grid, 3)
-    lam = dec.eigenvalues[1:]
-    hat = 0.1 * dec.schrodinger_eigenvalues[1:]
+    lam = decompose(build_generator(DW, 0.1, grid), 3).eigenvalues[1:]
+    hat = 0.1 * schrodinger_eigenvalues(DW, 0.1, grid, 4)[1:]
     assert np.max(np.abs(lam - hat) / hat) <= 1e-3
 
 
@@ -152,15 +149,17 @@ def test_ou_spectrum_equally_spaced():
 
 
 def test_verify_eigen_identity(dw_small):
-    worst = verify_eigen_identity(dw_small.dec, dw_small.gen, trials=100)
-    assert worst <= 1e-8
-    # eigenmode inputs satisfy the identity to near machine precision
+    # every mode is a right eigenvector of the generator, A phi_k =
+    # -lambda_k phi_k, and its signed weights a left one, sw_k A = -lambda_k
+    # sw_k, to a few ulp of the largest exit rate (each read 1e-15 or less)
     dec, gen = dw_small.dec, dw_small.gen
-    f = dec.modes[1]
-    af = gen.apply(f)
-    sw = dec.signed_weights
-    res = np.abs(sw @ af + dec.eigenvalues * (sw @ f)) / np.max(np.abs(f))
-    assert np.max(res) <= 1e-10
+    diag, lower, upper = gen.tridiagonal()
+    A = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    lam = dec.eigenvalues[:, None]
+    for vecs, residual in ((dec.modes, dec.modes @ A.T + lam * dec.modes),
+                           (dec.signed_weights, dec.signed_weights @ A + lam * dec.signed_weights)):
+        scale = gen.max_exit_rate() * np.max(np.abs(vecs), axis=1)
+        assert np.all(np.max(np.abs(residual), axis=1) <= 1e-12 * scale)
 
 
 def test_grid_refinement_second_order():
@@ -183,14 +182,16 @@ def test_mode_sup_norm_stable_under_refinement():
 
 
 def test_exports(tmp_path, dw_small):
-    dec = two_route_decomposition(DW, 0.1, dw_small.gen.grid, 1)
+    dec = dw_small.dec
     csv_path = tmp_path / "dec.csv"
     decomposition_to_csv(dec, csv_path)
     header = csv_path.read_text().splitlines()[0]
     assert header == "x,weight,mode_0,mode_1"
-    payload = eigenvalues_to_json(dec, tmp_path / "eig.json")
+    assert "schrodinger_eigenvalues" not in eigenvalues_to_json(dec)
+    hat = schrodinger_eigenvalues(DW, 0.1, dec.grid, 2)
+    payload = eigenvalues_to_json(dec, tmp_path / "eig.json", schrodinger_eigenvalues=hat)
     assert payload["eigenvalues"][0] == 0.0
-    assert "scaled_schrodinger_eigenvalues" in payload
+    assert payload["scaled_schrodinger_eigenvalues"] == (0.1 * hat).tolist()
 
 
 def _mp_lambda_1(gen, dps=80):
