@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,6 +105,16 @@ def _is_num(x) -> bool:
         return math.isfinite(x)
     except OverflowError:
         return False
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    # sysconf reads -1 for a value it cannot determine
+    return pages * size if pages > 0 and size > 0 else None
 
 
 def _list_of(value, valid):
@@ -244,6 +255,13 @@ def parse_config(source) -> ExperimentConfig:
         problems.append("simulation.store_stride: must be an integer in [1, 2**63 - 1]")
     if _is_num(dt) and _is_num(T) and dt > 0 and T > 0 and not T / dt < _INT64_MAX:
         problems.append("simulation: T / dt steps must be fewer than 2**63 - 1")
+    elif not problems:      # every size above is valid
+        n_stored = -(-round(T / dt) // store_stride) + 1
+        need, have = 8 * n_stored * n_paths, _physical_memory()
+        if have is not None and need > have:
+            problems.append(f"simulation: the stored x ({n_stored} rows x {n_paths} paths "
+                            f"x 8 B = {need / 2 ** 30:.3g} GiB) exceeds the "
+                            f"{have / 2 ** 30:.3g} GiB of physical memory")
 
     oracle = data.get("oracle", {})
     if not isinstance(oracle, dict):

@@ -47,8 +47,10 @@ class UnreachableTargetError(EigencouplerError):
 
 
 class ConfigError(EigencouplerError):
-    """Experiment configuration is malformed."""
+    """Experiment configuration is malformed: one line per problem, a
+    single problem on the heading's line."""
 
     def __init__(self, problems):
         self.problems = list(problems)
-        super().__init__("invalid configuration:\n" + "\n".join(self.problems))
+        sep = " " if len(self.problems) == 1 else "\n"
+        super().__init__("invalid configuration:" + sep + "\n".join(self.problems))

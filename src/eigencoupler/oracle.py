@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
+# scipy's private sparse kernels: y += A x for CSC arrays (indptr, indices,
+# data); pinned against PT @ term by tests/test_oracle.py
+from scipy.sparse._sparsetools import csc_matvec
 
 from .coupling import CouplingModel
 from .errors import UniformizationError, UnreachableTargetError
@@ -97,6 +100,10 @@ def _poisson_weights(a: float, tol: float) -> list:
 
 
 def _uniformize(B: sp.spmatrix, nu: np.ndarray, t: float, tol: float) -> np.ndarray:
+    n = B.shape[0]
+    # csc_matvec reads n entries of nu unchecked
+    if nu.shape != (n,):
+        raise ValueError(f"distribution of shape {nu.shape} for a generator on {n} states")
     rate = float(np.max(-B.diagonal()))
     if rate <= 0.0 or t == 0.0:
         return nu.copy()
@@ -104,16 +111,23 @@ def _uniformize(B: sp.spmatrix, nu: np.ndarray, t: float, tol: float) -> np.ndar
     # every sub-interval has the same rate-time, hence the same weights
     tau = t / n_sub
     weights = _poisson_weights(rate * tau, max(tol / n_sub, _EPS))
-    # column-stochastic transpose of the uniformized chain's kernel, formed
-    # once: nu @ P would rebuild it on every step
-    PT = (sp.eye(B.shape[0], format="csr") + B.multiply(1.0 / rate)).tocsr().T
+    # the uniformized chain's kernel, formed once; its CSR arrays are the CSC
+    # arrays of P^T, so each step is the csc_matvec that PT @ term runs,
+    # called directly into one of two reused buffers: the same operations in
+    # the same order, without sparse @'s dispatch and fresh output per step
+    P = (sp.eye(n, format="csr") + B.multiply(1.0 / rate)).tocsr()
+    bufs = (np.empty(n), np.empty(n))
+    tmp = np.empty(n)
     out = nu
     for _ in range(n_sub):
         term = out
         acc = weights[0] * term
-        for weight in weights[1:]:
-            term = PT @ term
-            acc = acc + weight * term
+        for k, weight in enumerate(weights[1:]):
+            nxt = bufs[k & 1]
+            nxt.fill(0.0)       # csc_matvec adds into its output
+            csc_matvec(n, n, P.indptr, P.indices, P.data, term, nxt)
+            term = nxt
+            acc += np.multiply(weight, term, out=tmp)
         out = acc
     return out
 

@@ -739,7 +739,9 @@ class _ChainWalk:
             steps = np.arange(blk)
             fend = np.where(steps[None, :] == (exit_steps[tp] - s0)[:, None],
                             exit_fracs[tp][:, None], 1.0)              # (R, blk)
-            rows = np.minimum(s0 - r0 + np.arange(blk + 1)[:, None], len(win) - 1)
+            # rows past step w1 were never written; the steps they would
+            # serve lie past every path's run
+            rows = np.minimum(s0 - r0 + np.arange(blk + 1)[:, None], w1 - r0)
             tilts = self.tilts(win[rows, tp]).transpose(2, 0, 1)       # (R, m1, blk+1)
             k = np.zeros(len(tp), dtype=np.int64)                     # next step
             live = np.arange(len(tp))

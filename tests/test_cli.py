@@ -422,6 +422,44 @@ def test_out_of_memory_exit_code_2(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_ensemble_beyond_physical_memory_exits_1(tmp_path, monkeypatch, capsys):
+    # 11 stored rows of 10**12 paths (88 TB) cannot be held: a validation
+    # problem on one line, found before any pipeline is built
+    import eigencoupler.config as config
+    if config._physical_memory() is None:
+        pytest.skip("physical memory size unavailable")
+
+    def never(*args, **kwargs):
+        raise AssertionError("pipeline built")
+
+    monkeypatch.setattr(cli, "_build_pipeline", never)
+    monkeypatch.setattr(coupling, "build_pipeline", never)
+    path = light_config(tmp_path, simulation={"dt": 1e-3, "T": 0.01, "n_paths": 10 ** 12,
+                                              "store_stride": 1})
+    for command in ("simulate", "verify", "sweep"):
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "physical memory" in err
+
+
+@pytest.mark.parametrize("T, stride", [(2.0, 100), (2.0, 300), (0.001, 7)])
+def test_stored_x_memory_bound_counts_stored_rows(monkeypatch, T, stride):
+    # the bound is n_stored * n_paths * 8 B with n_stored the rows the
+    # ensemble stores: a machine of exactly that size accepts the config,
+    # one byte less rejects it
+    import eigencoupler.config as config
+    from eigencoupler.simulate import _stored_steps
+    data = json.loads(json.dumps(LIGHT))
+    data["simulation"].update(T=T, store_stride=stride)
+    sim = data["simulation"]
+    need = 8 * len(_stored_steps(round(T / sim["dt"]), stride)) * sim["n_paths"]
+    monkeypatch.setattr(config, "_physical_memory", lambda: need)
+    parse_config(data)
+    monkeypatch.setattr(config, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ConfigError, match="physical memory"):
+        parse_config(data)
+
+
 def test_manifest_records_peak_rss_and_faults(tmp_path, monkeypatch):
     # the process's peak RSS and minor page faults sit beside the wall time,
     # and are left out where the resource module is missing

@@ -9,8 +9,10 @@ from eigencoupler.errors import UnreachableTargetError
 from eigencoupler.oracle import (
     _EPS,
     _MASS_TOL,
+    _MAX_RATE_STEP,
     _depth_cap,
     _poisson_weights,
+    _uniformize,
     DistributionVector,
     check_oracle,
     evolve_distribution,
@@ -39,6 +41,12 @@ def test_evolve_zero_generator():
     nu0 = np.array([0.2, 0.3, 0.5])
     nu = evolve_distribution(Z, nu0, 5.0)
     np.testing.assert_array_equal(nu.weights, nu0)
+
+
+def test_evolve_rejects_mismatched_length():
+    Q = sp.csr_matrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(ValueError):
+        evolve_distribution(Q, np.array([0.5, 0.25, 0.25]), 1.0)
 
 
 def test_poisson_depth_below_cap_where_tolerance_is_floored():
@@ -146,6 +154,55 @@ def test_perturbed_eigenvector_breaks_law(dw_small):
     B = build_joint_generator(broken, dw_small.gen)
     rep, _ = check_oracle(B, broken, dw_small.spec.p, TIMES)
     assert rep.max_tv > 1e-4
+
+
+def _uniformize_by_matmul(B, nu, t, tol):
+    """The series as sparse @ computes it, which _uniformize must reproduce
+    bit for bit."""
+    rate = float(np.max(-B.diagonal()))
+    if rate <= 0.0 or t == 0.0:
+        return nu.copy()
+    n_sub = max(1, int(np.ceil(rate * t / _MAX_RATE_STEP)))
+    weights = _poisson_weights(rate * (t / n_sub), max(tol / n_sub, _EPS))
+    PT = (sp.eye(B.shape[0], format="csr") + B.multiply(1.0 / rate)).tocsr().T
+    out = nu
+    for _ in range(n_sub):
+        term = out
+        acc = weights[0] * term
+        for weight in weights[1:]:
+            term = PT @ term
+            acc = acc + weight * term
+        out = acc
+    return out
+
+
+@pytest.mark.parametrize("preset,eps", [("double_well", 0.1), ("triple_well", 0.07)])
+def test_uniformize_is_bitwise_the_sparse_matmul_series(preset, eps):
+    # the direct csc_matvec steps round exactly as PT @ term and acc +
+    # weight * term do, on a single sub-interval and on several
+    pipe = build_pipeline(preset, eps, 200)
+    B = build_joint_generator(pipe.model, pipe.gen)
+    nu = pipe.model.initial_law_for(pipe.spec.p).reshape(-1)
+    rate = float(np.max(-B.diagonal()))
+    n_subs = []
+    for t in (0.5 * _MAX_RATE_STEP / rate, 0.1, 1.0):
+        out = _uniformize(B, nu, t, 1e-12)
+        np.testing.assert_array_equal(out, _uniformize_by_matmul(B, nu, t, 1e-12))
+        n_subs.append(int(np.ceil(rate * t / _MAX_RATE_STEP)))
+    assert n_subs[0] == 1 and n_subs[-1] > 1
+
+
+def test_check_oracle_bypasses_sparse_matmul(dw_small, dw_small_joint, monkeypatch):
+    # the series calls the CSC kernel itself: sparse @'s per-step dispatch
+    # must not creep back into the oracle
+    from scipy.sparse import _compressed
+
+    def fail(*args, **kwargs):
+        raise AssertionError("sparse matrix-vector product dispatched")
+
+    monkeypatch.setattr(_compressed._cs_matrix, "_matmul_vector", fail)
+    rep, marg = check_oracle(dw_small_joint, dw_small.model, dw_small.spec.p, TIMES)
+    assert rep.max_tv <= 1e-8 and marg.max_l1 <= 1e-8
 
 
 def test_mean_exit_two_state_exact():

@@ -19,6 +19,9 @@ from eigencoupler.simulate import (
 )
 from eigencoupler.stats import tv_distance
 
+# a stray NaN or invalid cast in the walk fails the test, not just warns
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 DW = make_potential("double_well")
 
 
@@ -664,3 +667,31 @@ def test_chunk_peak_memory_independent_of_blocks_per_window(monkeypatch):
     assert sum(len(r.jumps) for r in recs) > 500
     grown = 8 * 1536 * (2 * cfg.n_paths + sim._NOISE_GROUP)   # window, noise, buffer
     assert peaks[1] <= peaks[0] + grown + 2 ** 16
+
+
+def test_replay_reads_only_written_window_rows(fast_chain, monkeypatch):
+    # the regime of the reference walk's "blocks" case: 500 steps in blocks
+    # of 8, one window of 512 steps, so the last block runs past n_steps.
+    # With every fresh float array NaN-filled, a read of a window row past
+    # the window's last written one casts a NaN position to an index, which
+    # the module's RuntimeWarning filter turns into a failure.
+    import eigencoupler.simulate as sim
+    model = dataclasses.replace(fast_chain.model, Q=fast_chain.model.Q * 20.0)
+    monkeypatch.setattr(sim, "_Y_REPLAY_BUDGET", 1.0)
+    cfg = EnsembleConfig(n_paths=40, dt=2e-3, horizon=1.0, eps=model.eps, seed=17,
+                         store_stride=1)
+    block = sim._y_block_size(model, cfg.dt)
+    assert block == 8 and cfg.n_steps % block and cfg.n_steps < sim._NOISE_BLOCK
+    ref = simulate_ensemble(cfg, model, fast_chain.potential, fast_chain.spec)
+    empty = np.empty
+
+    def poisoned(shape, dtype=float, *args, **kwargs):
+        out = empty(shape, dtype, *args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(sim.np, "empty", poisoned)
+    recs = simulate_ensemble(cfg, model, fast_chain.potential, fast_chain.spec)
+    assert _record_digest(recs) == _record_digest(ref)
+    assert sum(len(r.jumps) for r in recs) > 0
