@@ -47,6 +47,7 @@ from .simulate import (
     simulate_x,
     simulate_y_given_x,
     simulate_ensemble,
+    simulate_ensembles,
     first_exit_time,
 )
 from .oracle import (

@@ -32,13 +32,13 @@ import scipy.sparse as sp
 
 from . import __version__
 from .chain import validate_chain
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config, stored_x_problem
 from .coupling import (Pipeline, build_joint_generator, build_pipeline, coupling_summary,
                        coupling_to_csv)
 from .errors import ConfigError, EigencouplerError, GrowthAssumptionError
 from .oracle import DistributionVector, check_oracle, evolve_distribution
 from .potential import domains_of_attraction, make_potential, require_coupling_ready
-from .simulate import EnsembleConfig, simulate_ensemble
+from .simulate import EnsembleConfig, simulate_ensemble, simulate_ensembles
 from .spectral import (Grid, auto_grid, build_generator, decompose,
                        decomposition_to_csv, eigenvalues_to_json,
                        schrodinger_eigenvalues)
@@ -166,13 +166,17 @@ def _cmd_oracle(cfg: ExperimentConfig, out_dir) -> list:
     return [path]
 
 
+def _ensemble_config(cfg: ExperimentConfig, eps: float) -> EnsembleConfig:
+    return EnsembleConfig(n_paths=cfg.n_paths, dt=cfg.dt, horizon=cfg.T, eps=eps,
+                          seed=cfg.seed, store_stride=cfg.store_stride,
+                          workers=cfg.threads)
+
+
 def _run_ensemble(cfg: ExperimentConfig, eps: float):
     """The pipeline at grid_n and its Monte Carlo ensemble."""
     pipe = _build_pipeline(cfg, eps, cfg.grid_n)
-    ens = EnsembleConfig(n_paths=cfg.n_paths, dt=cfg.dt, horizon=cfg.T, eps=eps,
-                         seed=cfg.seed, store_stride=cfg.store_stride,
-                         workers=cfg.threads)
-    return pipe, simulate_ensemble(ens, pipe.model, pipe.potential, pipe.spec)
+    return pipe, simulate_ensemble(_ensemble_config(cfg, eps), pipe.model,
+                                   pipe.potential, pipe.spec)
 
 
 def _write_simulate_csvs(ens, traj_path, jump_path):
@@ -370,9 +374,18 @@ def _cmd_verify(cfg: ExperimentConfig, out_dir) -> list:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, out_dir) -> list:
+    # the levels' ensembles run in lockstep, so all their stored x are held
+    # at once
+    problem = stored_x_problem(cfg.T, cfg.dt, cfg.store_stride, cfg.n_paths,
+                               len(cfg.epsilons))
+    if problem:
+        raise ConfigError([problem])
+    pipes = [_build_pipeline(cfg, eps, cfg.grid_n) for eps in cfg.epsilons]
+    ensembles = simulate_ensembles([_ensemble_config(cfg, eps) for eps in cfg.epsilons],
+                                   [pipe.model for pipe in pipes], pipes[0].potential,
+                                   [pipe.spec for pipe in pipes])
     rows = []
-    for eps in cfg.epsilons:
-        (potential, gen, dec, spec, model), ens = _run_ensemble(cfg, eps)
+    for eps, (potential, gen, dec, spec, model), ens in zip(cfg.epsilons, pipes, ensembles):
         part = domains_of_attraction(potential)
         tr = tracking_probability(ens, part, cfg.T, model)
         minima = potential.minima

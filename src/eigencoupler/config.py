@@ -117,6 +117,21 @@ def _physical_memory():
     return pages * size if pages > 0 and size > 0 else None
 
 
+def stored_x_problem(T, dt, store_stride, n_paths, levels=1):
+    """The problem with holding the stored x of levels ensembles at once,
+    stored rows x n_paths x 8 B each, in physical memory; None where they
+    fit or the platform does not say how much there is."""
+    n_stored = -(-round(T / dt) // store_stride) + 1
+    need, have = 8 * levels * n_stored * n_paths, _physical_memory()
+    if have is None or need <= have:
+        return None
+    shape = f"{n_stored} rows x {n_paths} paths x 8 B"
+    if levels > 1:
+        shape = f"{levels} levels x {shape}"
+    return (f"simulation: the stored x ({shape} = {need / 2 ** 30:.3g} GiB) exceeds "
+            f"the {have / 2 ** 30:.3g} GiB of physical memory")
+
+
 def _list_of(value, valid):
     """value as a tuple if it is a list whose items all pass valid, else None."""
     if isinstance(value, (list, tuple)) and all(valid(v) for v in value):
@@ -256,12 +271,9 @@ def parse_config(source) -> ExperimentConfig:
     if _is_num(dt) and _is_num(T) and dt > 0 and T > 0 and not T / dt < _INT64_MAX:
         problems.append("simulation: T / dt steps must be fewer than 2**63 - 1")
     elif not problems:      # every size above is valid
-        n_stored = -(-round(T / dt) // store_stride) + 1
-        need, have = 8 * n_stored * n_paths, _physical_memory()
-        if have is not None and need > have:
-            problems.append(f"simulation: the stored x ({n_stored} rows x {n_paths} paths "
-                            f"x 8 B = {need / 2 ** 30:.3g} GiB) exceeds the "
-                            f"{have / 2 ** 30:.3g} GiB of physical memory")
+        problem = stored_x_problem(T, dt, store_stride, n_paths)
+        if problem:
+            problems.append(problem)
 
     oracle = data.get("oracle", {})
     if not isinstance(oracle, dict):

@@ -228,21 +228,30 @@ def build_joint_generator(model: CouplingModel, gen: DiscreteGenerator) -> sp.cs
     return b.tocsr()
 
 
+def initial_uniforms(gens) -> np.ndarray:
+    """The draw step of sample_initial: (len(gens), 3) uniforms, three from
+    each stream in the order (state, cell, jitter), one row per stream."""
+    u = np.empty((len(gens), 3))
+    for g, row in zip(gens, u):
+        g.random(out=row)
+    return u
+
+
 def sample_initial(model: CouplingModel, p, rng):
     """Draw (x0, y0) from the joint initial law: the chain state from p, then
     the continuous coordinate by inverse CDF over that state's conditional
     density with a uniform within-cell jitter of one grid spacing.
 
-    rng is one stream, or a sequence of streams with one draw each; every
-    draw consumes exactly three uniforms from its stream, in the order
-    (state, cell, jitter). Returns (x0, y0), or for a sequence the arrays of
-    them, elementwise the values one stream at a time gives."""
+    rng is one stream, a sequence of streams with one draw each, or the
+    (n, 3) uniforms initial_uniforms drew from such a sequence, which the
+    draws of several models can share; every draw consumes exactly three
+    uniforms from its stream, in the order (state, cell, jitter). Returns
+    (x0, y0), or for a sequence or uniforms the arrays of them, elementwise
+    the values one stream at a time gives."""
     p = model.state_law(p)
     single = isinstance(rng, np.random.Generator)
-    gens = [rng] if single else rng
-    u = np.empty((len(gens), 3))
-    for g, row in zip(gens, u):
-        g.random(out=row)
+    u = rng if isinstance(rng, np.ndarray) else initial_uniforms([rng] if single else rng)
+    # the map step: state, cell and jitter from the uniforms
     y0 = np.searchsorted(np.cumsum(p), u[:, 0], side="right")
     np.minimum(y0, model.n_states - 1, out=y0)
     cell = np.empty(len(u), dtype=np.int64)

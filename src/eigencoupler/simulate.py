@@ -15,7 +15,9 @@ exactly as one call for the whole vector would, and the clocks have their
 own stream, so no draw depends on the window length. The single-path entry
 points run the same kernels at width one, so an ensemble is bit-identical to
 composing them path by path with the derived streams, independent of
-chunking or worker scheduling.
+chunking or worker scheduling. Noise levels of one config read the same
+streams, so simulate_ensembles runs them in lockstep on one draw of each
+path's normals, and each level equals its own simulate_ensemble.
 
 An ensemble is held as columns (Ensemble): the stored x of every path on one
 shared time grid, and one flat jump log. A path's TrajectoryRecord is a view
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import itertools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import CouplingModel, sample_initial
+from .coupling import CouplingModel, initial_uniforms, sample_initial
 from .errors import BlowUpError
 from .potential import Potential
 from .spectral import auto_grid
@@ -46,6 +49,7 @@ __all__ = [
     "simulate_x",
     "simulate_y_given_x",
     "simulate_ensemble",
+    "simulate_ensembles",
     "first_exit_time",
     "path_stream",
     "clock_stream",
@@ -53,11 +57,12 @@ __all__ = [
 
 DT_CURVATURE_FACTOR = 1e-2
 ESCAPE_FACTOR = 10.0
-# working memory of one chunk: its paths' stored rows plus a window and a
-# noise block per path. Wide chunks amortize the per-step numpy dispatch
-# overhead; past a few thousand paths there is little left to amortize
+# working memory of one chunk: its paths' stored rows plus a window per
+# noise level and the noise tape's rows. Wide chunks amortize the per-step
+# numpy dispatch overhead; past a few thousand paths there is little left to
+# amortize
 _CHUNK_BYTES = 2 ** 28
-_NOISE_BLOCK = 512        # steps of noise drawn per path per window
+_NOISE_BLOCK = 512        # steps of a window, shared by a chunk's noise levels
 _NOISE_GROUP = 128        # paths per transpose of the noise buffer
 _ROW_CHUNK = 2 ** 14      # trajectory rows assembled (or written) at a time
 _STORED_TOL = 1e-9        # how far from a stored time x_at_stored may be asked
@@ -328,29 +333,52 @@ def _check_dt(potential: Potential, dt: float, allow_large_dt: bool):
         warnings.warn(msg)
 
 
-class _NoiseStream:
+class _NoiseTape:
     """The (n_steps, C) standard normals of a block of paths, drawn from each
-    path's stream one window of steps at a time. Groups of _NOISE_GROUP paths
-    fill the rows of a cache-sized buffer, whose transpose is copied into the
-    step-major block the Euler loop reads; a whole-width transpose would miss
-    the cache on every element."""
+    path's stream once for any number of readers, each of which reads the
+    steps in order, one window at a time. The tape is a ring of cap rows,
+    step k in row k % cap: a step is drawn when the first reader asks for it
+    and its row is drawn over once no reader needs it again. A reader asks
+    for its next window only when no reader is behind it and that window
+    has at most cap steps, so the rows drawn over hold steps every reader
+    has passed. Groups of _NOISE_GROUP paths fill the rows of a cache-sized
+    buffer, whose transpose is copied into the step-major ring the Euler
+    loop reads; a whole-width transpose would miss the cache on every
+    element."""
 
-    def __init__(self, gens, n_steps: int):
+    def __init__(self, gens, n_steps: int, cap: int):
+        c = len(gens)
         self.gens = gens
-        self.shape = (n_steps, len(gens))
+        self.shape = (n_steps, c)
+        self.ring = np.empty((min(cap, n_steps), c))
+        self.buf = np.empty((min(_NOISE_GROUP, c), len(self.ring)))
+        self.drawn = 0
 
-    def blocks(self, width: int):
-        n_steps, c = self.shape
-        buf = np.empty((min(_NOISE_GROUP, c), width))
-        out = np.empty((width, c))
-        for k0 in range(0, n_steps, width):
-            nb = min(width, n_steps - k0)
-            for g0 in range(0, c, _NOISE_GROUP):
-                group = self.gens[g0:g0 + _NOISE_GROUP]
-                for i, g in enumerate(group):
-                    g.standard_normal(out=buf[i, :nb])
-                out[:nb, g0:g0 + len(group)] = buf[:len(group), :nb].T
-            yield out[:nb]
+    def rows(self, k0: int, k1: int):
+        """The (C,) rows of the steps k0 to k1, in order, drawing those not
+        drawn yet."""
+        cap = len(self.ring)
+        if k0 < self.drawn - cap or k1 - k0 > cap:
+            raise ValueError(f"steps {k0} to {k1} are not all on a tape of {cap} rows "
+                             f"drawn up to step {self.drawn}")
+        while self.drawn < k1:
+            a = self.drawn % cap
+            nb = min(k1 - self.drawn, cap - a)
+            self._draw(a, nb)
+            self.drawn += nb
+        a, b = k0 % cap, k0 % cap + k1 - k0
+        if b <= cap:
+            return iter(self.ring[a:b])
+        return itertools.chain(self.ring[a:], self.ring[:b - cap])
+
+    def _draw(self, a, nb):
+        """The next nb steps of every path into the ring rows a to a + nb."""
+        buf = self.buf
+        for g0 in range(0, self.shape[1], _NOISE_GROUP):
+            group = self.gens[g0:g0 + _NOISE_GROUP]
+            for i, g in enumerate(group):
+                g.standard_normal(out=buf[i, :nb])
+            self.ring[a:a + nb, g0:g0 + len(group)] = buf[:len(group), :nb].T
 
 
 def _stored_steps(n_steps: int, stride: int) -> np.ndarray:
@@ -370,10 +398,12 @@ class _Diffusion:
     the next window. Only the rows at stored_steps outlive their window, in
     stored (S, C), a given array or a new one; n_stored of them are written.
     Paths that hit the absorbing interval are frozen at the interpolated
-    crossing point; exit_steps stays n_steps + 1 for the others.
+    crossing point; exit_steps stays n_steps + 1 for the others. The noise
+    is read from a tape, which other diffusions may read too; each scales
+    its own copy of a step's row by sig, so the tape is never changed.
     """
 
-    def __init__(self, potential, eps, x0s, noise: _NoiseStream, dt, bound,
+    def __init__(self, potential, eps, x0s, noise: _NoiseTape, dt, bound,
                  stored_steps, absorb=None, stored=None):
         n_steps, c = noise.shape
         self.potential, self.noise, self.dt, self.bound = potential, noise, dt, bound
@@ -393,57 +423,68 @@ class _Diffusion:
             self.exit_steps[hit] = 0
             self.exit_xs[hit] = x0s[hit]
             self.active[hit] = False
+        self.w0 = 0           # steps run
+        self.win = None
 
     def windows(self, width: int):
         """Advance by windows of width steps, yielding (w0, nw) once win
         holds the window's rows."""
+        while self.w0 < self.noise.shape[0]:
+            yield self.advance(width)
+
+    def advance(self, width: int):
+        """Run the next window, of width steps or the steps left, with the
+        same width at every call; returns its (w0, nw) once win holds its
+        rows."""
         n_steps, c = self.noise.shape
-        win = self.win = np.empty((width + 2, c))
-        win[:2] = self.x0s
-        grad = np.empty(c)
+        w0 = self.w0
+        nw = min(width, n_steps - w0)
+        win = self.win
+        if win is None:
+            win = self.win = np.empty((width + 2, c))
+            win[:2] = self.x0s
+            self.grad, self.scaled = np.empty(c), np.empty(c)
+        else:
+            win[:2] = win[self.nw:self.nw + 2]
+        grad, scaled = self.grad, self.scaled
         active, exit_steps = self.active, self.exit_steps
         if self.absorb is not None:
             lo, hi = self.absorb
-        w0 = 0
-        for block in self.noise.blocks(width):
-            nw = len(block)
-            block *= self.sig
-            for i, z in enumerate(block):
-                k = w0 + i
-                # x - F'(x) dt + sig z, operation for operation
-                xk, xn = win[i + 1], win[i + 2]
-                self.potential.grad_into(xk, grad)
-                grad *= self.dt
-                np.subtract(xk, grad, out=xn)
-                xn += z
-                if self.absorb is not None:
-                    np.copyto(xn, xk, where=~active)
-                    entered = active & (xn >= lo) & (xn <= hi)
-                    if entered.any():
-                        idx = np.nonzero(entered)[0]
-                        prev = xk[idx]
-                        cur = xn[idx]
-                        boundary = np.where(prev < lo, lo, hi)
-                        with np.errstate(divide="ignore", invalid="ignore"):
-                            frac = np.where(cur == prev, 0.0,
-                                            np.clip((boundary - prev) / (cur - prev), 0.0, 1.0))
-                        exit_steps[idx] = k
-                        self.exit_fracs[idx] = frac
-                        self.exit_xs[idx] = boundary
-                        xn[idx] = boundary
-                        active[idx] = False
-                if k % 256 == 0 or k == n_steps - 1:
-                    mx = np.max(np.abs(xn))
-                    if not mx <= self.bound:   # NaN-safe: NaN fails every comparison
-                        raise BlowUpError(
-                            f"path escaped |x| <= {self.bound:g} (reached {mx:g}); "
-                            "the time step is too large for this potential")
-            s0, s1 = np.searchsorted(self.steps, (w0 + 1, w0 + nw + 1))
-            self.stored[s0:s1] = win[self.steps[s0:s1] - w0 + 1]
-            self.n_stored = s1
-            yield w0, nw
-            win[:2] = win[nw:nw + 2]
-            w0 += nw
+        for i, z in enumerate(self.noise.rows(w0, w0 + nw)):
+            k = w0 + i
+            # x - F'(x) dt + sig z, operation for operation
+            xk, xn = win[i + 1], win[i + 2]
+            self.potential.grad_into(xk, grad)
+            grad *= self.dt
+            np.subtract(xk, grad, out=xn)
+            xn += np.multiply(z, self.sig, out=scaled)
+            if self.absorb is not None:
+                np.copyto(xn, xk, where=~active)
+                entered = active & (xn >= lo) & (xn <= hi)
+                if entered.any():
+                    idx = np.nonzero(entered)[0]
+                    prev = xk[idx]
+                    cur = xn[idx]
+                    boundary = np.where(prev < lo, lo, hi)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        frac = np.where(cur == prev, 0.0,
+                                        np.clip((boundary - prev) / (cur - prev), 0.0, 1.0))
+                    exit_steps[idx] = k
+                    self.exit_fracs[idx] = frac
+                    self.exit_xs[idx] = boundary
+                    xn[idx] = boundary
+                    active[idx] = False
+            if k % 256 == 0 or k == n_steps - 1:
+                mx = np.max(np.abs(xn))
+                if not mx <= self.bound:   # NaN-safe: NaN fails every comparison
+                    raise BlowUpError(
+                        f"path escaped |x| <= {self.bound:g} (reached {mx:g}); "
+                        "the time step is too large for this potential")
+        s0, s1 = np.searchsorted(self.steps, (w0 + 1, w0 + nw + 1))
+        self.stored[s0:s1] = win[self.steps[s0:s1] - w0 + 1]
+        self.n_stored = s1
+        self.w0, self.nw = w0 + nw, nw
+        return w0, nw
 
 
 def _fresh(name, shape, dtype=np.float64):
@@ -493,14 +534,18 @@ class _Tilts:
         be its "pos" array, which is overwritten."""
         pos = np.subtract(x, self.origin, out=scratch("pos", x.shape))
         pos /= self.h
-        idx = scratch("idx", x.shape, np.int64)
-        np.copyto(idx, pos, casting="unsafe")       # pos.astype(np.int64)
-        np.clip(idx, 0, self.left.shape[1] - 1, out=idx)
-        frac = np.subtract(pos, idx, out=pos)
+        # the cell, pos.astype(np.int64) clipped to the table, found in
+        # floats: pos minus an int64 array would cast it through a buffer.
+        # The gathers below take the array once the cell is cast
+        gather = scratch("gather", x.shape)
+        cell = np.trunc(pos, out=gather)
+        np.clip(cell, 0, self.left.shape[1] - 1, out=cell)
+        frac = np.subtract(pos, cell, out=pos)
         np.clip(frac, 0.0, 1.0, out=frac)
+        idx = scratch("idx", x.shape, np.int64)
+        np.copyto(idx, cell, casting="unsafe")
         if out is None:
             out = np.empty((len(self.left),) + x.shape)
-        gather = scratch("gather", x.shape)
         for k, (left, slope) in enumerate(zip(self.left, self.slope)):
             # left + frac * slope, by row: a take from a 1-d table is the
             # fast one
@@ -607,12 +652,13 @@ class _ChainWalk:
     operation is elementwise or a sequential sum along steps, and the
     temporaries are tiled over about _Y_TILE_ELEMS path-steps, so a path
     rounds the same at any ensemble width or tiling. The scan computes its
-    tiles in the walk's own scratch arrays, sized by the first tiles and
-    reused by every later tile and window; each walk owns its own, so
-    chunks on different threads share none.
+    tiles in scratch arrays, sized by the first tiles and reused by every
+    later tile and window: the given scratch, which the walks of one chunk
+    share as they run one after another, or the walk's own; chunks on
+    different threads share none.
     """
 
-    def __init__(self, model: CouplingModel, y0s, gens, dt, n_steps):
+    def __init__(self, model: CouplingModel, y0s, gens, dt, n_steps, scratch=None):
         m1 = model.n_states
         self.gens, self.dt, self.n_steps = gens, dt, n_steps
         self.tilts = _Tilts(model)
@@ -633,7 +679,7 @@ class _ChainWalk:
         self.log = [(none, np.empty(0), none, none)]
         self.placed = [(none, np.empty(0), none, none, np.empty(0))]
         self.block = _y_block_size(model, dt)
-        self.scratch = _Scratch()
+        self.scratch = _Scratch() if scratch is None else scratch
 
     def advance(self, win, r0, w0, w1, exit_steps, exit_fracs):
         """Run the steps [w0, w1) on win, whose row i holds x at step r0 + i.
@@ -844,10 +890,11 @@ class _ChainWalk:
                     jump_x=x[order], jump_offsets=offsets, clocks=self.budgets)
 
 
-def _window_steps(block: int) -> int:
-    """Steps per window: the whole y-blocks that fit in _NOISE_BLOCK, at
-    least one."""
-    return block * max(1, _NOISE_BLOCK // block)
+def _window_steps(block: int, levels: int = 1) -> int:
+    """Steps per window of one of levels noise levels that share a tape: the
+    whole y-blocks that fit in the level's share of _NOISE_BLOCK, at least
+    one."""
+    return block * max(1, (_NOISE_BLOCK // levels) // block)
 
 
 def simulate_x(potential: Potential, eps: float, x0: float, dt: float, T: float,
@@ -867,7 +914,8 @@ def simulate_x(potential: Potential, eps: float, x0: float, dt: float, T: float,
     if bound is None:
         bound = _escape_bound(potential, eps, x0)
     path = _Diffusion(potential, eps, np.array([float(x0)]),
-                      _NoiseStream([rng], n_steps), dt, bound, np.arange(n_steps + 1))
+                      _NoiseTape([rng], n_steps, _NOISE_BLOCK), dt, bound,
+                      np.arange(n_steps + 1))
     for _ in path.windows(_NOISE_BLOCK):
         pass
     return path.stored[:, 0]
@@ -891,71 +939,65 @@ def simulate_y_given_x(x_path, model: CouplingModel, y0: int, rng,
                     store_stride=1, eps=model.eps, **chain.columns())[0]
 
 
-def _run_chunk(cfg, model, potential, p_init, indices, bound, stored=None):
-    """The paths of the given indices as an Ensemble; their stored x are
-    written to stored, an (S, len(indices)) array, if given."""
+def _run_chunk(cfgs, models, potential, p_inits, indices, bounds, stored=None):
+    """The paths of the given indices at every noise level, one Ensemble
+    per level; level l's stored x are written to stored[l], an
+    (S, len(indices)) array, if given.
+
+    The levels share the paths' streams: their initial uniforms are drawn
+    once and mapped through each level's model, and their diffusions read
+    one noise tape. The level furthest behind always runs its next window,
+    so the tape holds at most the longest window's steps."""
+    cfg = cfgs[0]
+    c, n_steps = len(indices), cfg.n_steps
     gens = [path_stream(cfg.seed, int(i)) for i in indices]
-    clocks = [clock_stream(cfg.seed, int(i)) for i in indices]
-    c = len(indices)
-    n_steps = cfg.n_steps
-    x0s = np.empty(c)
-    y0s = np.empty(c, dtype=np.int64)
-    if cfg.initial_kind == "law":
-        x0s[:], y0s[:] = sample_initial(model, p_init, gens)
-    else:
-        x0s[:] = cfg.x0
-        y0s[:] = cfg.y0
-    chain = _ChainWalk(model, y0s, clocks, cfg.dt, n_steps)
-    path = _Diffusion(potential, cfg.eps, x0s, _NoiseStream(gens, n_steps), cfg.dt,
-                      bound, _stored_steps(n_steps, cfg.store_stride), cfg.absorb, stored)
-    for w0, nw in path.windows(_window_steps(chain.block)):
+    u = initial_uniforms(gens) if cfg.initial_kind == "law" else None
+    widths = [_window_steps(_y_block_size(model, cfg.dt), len(models)) for model in models]
+    tape = _NoiseTape(gens, n_steps, max(widths))
+    steps = _stored_steps(n_steps, cfg.store_stride)
+    scratch = _Scratch()
+    levels = []
+    for lcfg, model, p_init, bound, out in zip(cfgs, models, p_inits, bounds,
+                                                stored or [None] * len(cfgs)):
+        x0s = np.empty(c)
+        y0s = np.empty(c, dtype=np.int64)
+        if u is None:
+            x0s[:] = cfg.x0
+            y0s[:] = cfg.y0
+        else:
+            x0s[:], y0s[:] = sample_initial(model, p_init, u)
+        clocks = [clock_stream(cfg.seed, int(i)) for i in indices]
+        levels.append((_Diffusion(potential, lcfg.eps, x0s, tape, cfg.dt, bound, steps,
+                                  cfg.absorb, out),
+                       _ChainWalk(model, y0s, clocks, cfg.dt, n_steps, scratch), y0s))
+    running = list(range(len(levels)))
+    while running:
+        level = min(running, key=lambda l: levels[l][0].w0)
+        path, chain, _ = levels[level]
+        w0, nw = path.advance(widths[level])
         chain.advance(path.win, w0 - 1, w0, w0 + nw, path.exit_steps, path.exit_fracs)
         # once every path is absorbed and no jump waits for its x, every
         # later row is an exit point
-        if not path.active.any() and not chain.log[0][0].size:
+        stop = not path.active.any() and not chain.log[0][0].size
+        if stop:
             path.stored[path.n_stored:] = path.exit_xs
-            break
-    exit_time = np.where(path.exit_steps <= n_steps,
-                         (path.exit_steps + path.exit_fracs) * cfg.dt, np.nan)
-    return Ensemble(times=path.steps * cfg.dt, x=path.stored, y0=y0s, exit_time=exit_time,
-                    exit_x=path.exit_xs, path_index=np.asarray(indices), seed=cfg.seed,
-                    dt=cfg.dt, store_stride=cfg.store_stride, eps=cfg.eps,
-                    **chain.columns())
+        if stop or path.w0 == n_steps:
+            running.remove(level)
+    # every level is done with the noise: free the tape before the chunk's
+    # columns are built, so they do not add to it at the chunk's peak
+    tape.ring = tape.buf = None
+    return [Ensemble(times=steps * cfg.dt, x=path.stored, y0=y0s, exit_time=np.where(
+                         path.exit_steps <= n_steps,
+                         (path.exit_steps + path.exit_fracs) * cfg.dt, np.nan),
+                     exit_x=path.exit_xs, path_index=np.asarray(indices), seed=cfg.seed,
+                     dt=cfg.dt, store_stride=cfg.store_stride, eps=lcfg.eps,
+                     **chain.columns())
+            for lcfg, (path, chain, y0s) in zip(cfgs, levels)]
 
 
-def simulate_ensemble(cfg: EnsembleConfig, model: CouplingModel,
-                      potential: Potential, chain_spec=None,
-                      allow_large_dt: bool = False) -> Ensemble:
-    """Independent coupled paths, each with its stream and clock substream.
-
-    The records of the result are bit-identical to running sample_initial +
-    simulate_x on path_stream(seed, index), then simulate_y_given_x on
-    clock_stream(seed, index), per path, regardless of chunking or the
-    number of workers.
-    """
-    _check_dt(potential, cfg.dt, allow_large_dt)
-    if abs(cfg.eps - model.eps) > 1e-15 * max(model.eps, 1.0):
-        raise ValueError("config eps and coupling model eps disagree")
-    p_init = chain_spec.p if chain_spec is not None else model.p
-    bound = ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
-    n_stored = len(_stored_steps(cfg.n_steps, cfg.store_stride))
-    # a path holds its stored rows, plus a window row and a noise row per
-    # step of a window
-    n_rows = n_stored + 2 * _window_steps(_y_block_size(model, cfg.dt)) + 2
-    chunk = max(1, min(int(_CHUNK_BYTES // (8 * n_rows)),
-                       -(-cfg.n_paths // max(cfg.workers, 1))))
-    x = np.empty((n_stored, cfg.n_paths))
-
-    def run(s):
-        ix = np.arange(s, min(s + chunk, cfg.n_paths))
-        return _run_chunk(cfg, model, potential, p_init, ix, bound, x[:, ix[0]:ix[-1] + 1])
-
-    starts = range(0, cfg.n_paths, chunk)
-    if cfg.workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(run, starts))
-    else:
-        parts = [run(s) for s in starts]
+def _concatenate(parts, x) -> Ensemble:
+    """One Ensemble of the chunk ensembles parts, in order, whose stored x
+    are the columns of x."""
     if len(parts) == 1:
         return parts[0]
 
@@ -969,6 +1011,67 @@ def simulate_ensemble(cfg: EnsembleConfig, model: CouplingModel,
         jump_offsets=np.concatenate(([0], np.cumsum(counts))),
         exit_time=cat("exit_time"), exit_x=cat("exit_x"), clocks=cat("clocks"),
         path_index=cat("path_index"))
+
+
+def simulate_ensembles(cfgs, models, potential: Potential, chain_specs=None,
+                       allow_large_dt: bool = False) -> list:
+    """One ensemble per noise level, as simulate_ensemble gives each, the
+    levels advancing in lockstep on one draw of each path's stream.
+
+    Every level reads the same streams path_stream(seed, i): the same
+    initial uniforms and the same normals, which differ between levels only
+    by the factor sqrt(2 eps dt). So the normals of a chunk of paths are
+    drawn once, onto a tape every level's diffusion reads, instead of once
+    per level. The configs may differ only in eps, each agreeing with its
+    model's; chain_specs, where given, supply each level's initial law p.
+    """
+    specs = [None] * len(cfgs) if chain_specs is None else list(chain_specs)
+    if not len(cfgs) == len(models) == len(specs) > 0:
+        raise ValueError("need at least one config, and one coupling model and one "
+                         "chain spec (if given) per config")
+    cfg = cfgs[0]
+    if any(dataclasses.replace(c, eps=cfg.eps) != cfg for c in cfgs):
+        raise ValueError("the configs of an ensemble's levels may differ only in eps")
+    _check_dt(potential, cfg.dt, allow_large_dt)
+    for c, model in zip(cfgs, models):
+        if abs(c.eps - model.eps) > 1e-15 * max(model.eps, 1.0):
+            raise ValueError("config eps and coupling model eps disagree")
+    p_inits = [model.p if spec is None else spec.p for model, spec in zip(models, specs)]
+    bounds = [ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes))) for model in models]
+    n_stored = len(_stored_steps(cfg.n_steps, cfg.store_stride))
+    # a path holds every level's stored rows and window, plus its rows of
+    # the noise tape, as long as the longest window
+    widths = [_window_steps(_y_block_size(model, cfg.dt), len(models)) for model in models]
+    n_rows = len(models) * n_stored + sum(w + 2 for w in widths) + max(widths)
+    chunk = max(1, min(int(_CHUNK_BYTES // (8 * n_rows)),
+                       -(-cfg.n_paths // max(cfg.workers, 1))))
+    xs = [np.empty((n_stored, cfg.n_paths)) for _ in models]
+
+    def run(s):
+        ix = np.arange(s, min(s + chunk, cfg.n_paths))
+        return _run_chunk(cfgs, models, potential, p_inits, ix, bounds,
+                          [x[:, ix[0]:ix[-1] + 1] for x in xs])
+
+    starts = range(0, cfg.n_paths, chunk)
+    if cfg.workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            parts = list(pool.map(run, starts))
+    else:
+        parts = [run(s) for s in starts]
+    return [_concatenate(level, x) for level, x in zip(zip(*parts), xs)]
+
+
+def simulate_ensemble(cfg: EnsembleConfig, model: CouplingModel,
+                      potential: Potential, chain_spec=None,
+                      allow_large_dt: bool = False) -> Ensemble:
+    """Independent coupled paths, each with its stream and clock substream.
+
+    The records of the result are bit-identical to running sample_initial +
+    simulate_x on path_stream(seed, index), then simulate_y_given_x on
+    clock_stream(seed, index), per path, regardless of chunking or the
+    number of workers. This is simulate_ensembles at one level.
+    """
+    return simulate_ensembles([cfg], [model], potential, [chain_spec], allow_large_dt)[0]
 
 
 def first_exit_time(record: TrajectoryRecord, region, target: str = "x"):

@@ -620,3 +620,81 @@ def test_exact_artifacts_match_pinned_digests(tmp_path, name, command):
     out = tmp_path / "out"
     assert cli.main([command, "--config", path, "--out", str(out)]) == 0
     assert _artifact_digest(out) == _PINNED_DIGESTS[name, command]
+
+
+_SWEEP_CONFIGS = {
+    "two_levels": {"epsilon": [0.2, 0.15],
+                   "simulation": {"dt": 1e-3, "T": 0.5, "n_paths": 200, "seed": 3,
+                                  "store_stride": 50}},
+    # y-blocks of 9, 31 and 125 steps, whose windows never align
+    "mixed_blocks": {"epsilon": [0.5, 0.2, 0.1],
+                     "simulation": {"dt": 1e-3, "T": 1.0, "n_paths": 150, "seed": 3,
+                                    "store_stride": 50}},
+    # the sweep_quiet shape: three levels of 256-step blocks
+    "quiet": {"epsilon": [0.15, 0.1, 0.07],
+              "simulation": {"dt": 1e-4, "T": 0.5, "n_paths": 200, "seed": 601,
+                             "store_stride": 100}},
+}
+
+_SWEEP_DIGESTS = {
+    "two_levels":
+        "7751e0fdbff288e0be92c943a1f40499002085f8254f4d700a6e5ed66c7468f4",
+    "mixed_blocks":
+        "b0d1091763496e8526d2b4eebdab5118ce904ab142b861ccbdd2c94df557616e",
+    "quiet":
+        "4b6bb3f9d4279f7e9ca077b2d8ee727dd94beba244246898e808971740f355de",
+}
+
+
+@pytest.mark.parametrize("name", list(_SWEEP_DIGESTS))
+def test_sweep_artifacts_match_pinned_digests(tmp_path, name):
+    # sweep_report.json, sweep.csv and tracking_trend.svg, pinned from the
+    # sweep that ran its levels one after another, each drawing its own
+    # normals
+    path = light_config(tmp_path, **_SWEEP_CONFIGS[name])
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config_resolved.json", "manifest.json", "sweep.csv", "sweep_report.json",
+        "tracking_trend.svg"]
+    assert _artifact_digest(out) == _SWEEP_DIGESTS[name]
+
+
+def test_sweep_memory_bound_counts_every_level(tmp_path, monkeypatch, capsys):
+    # the levels of a sweep hold their stored x at once: three levels that
+    # fit one at a time but not together exit 1 on one line, before any
+    # pipeline is built
+    import eigencoupler.config as config
+    from eigencoupler.simulate import _stored_steps
+    data = json.loads(json.dumps(LIGHT))
+    data["epsilon"] = [0.2, 0.15, 0.1]
+    sim = data["simulation"]
+    one = 8 * len(_stored_steps(round(sim["T"] / sim["dt"]), sim["store_stride"])) * sim["n_paths"]
+    monkeypatch.setattr(config, "_physical_memory", lambda: 3 * one - 1)
+    parse_config(data)
+
+    def never(*args, **kwargs):
+        raise AssertionError("pipeline built")
+
+    monkeypatch.setattr(cli, "_build_pipeline", never)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "3 levels" in err and "physical memory" in err
+
+
+def test_sweep_blow_up_at_one_level_exit_code_2(tmp_path, monkeypatch):
+    # NaN starts at one noise level of the lockstep sweep trip its blow-up
+    # guard, a numerical failure
+    import eigencoupler.simulate as sim
+    initial = sim.sample_initial
+
+    def nan_at_eps_0_15(model, p, rng):
+        x0, y0 = initial(model, p, rng)
+        return (x0 * np.nan if model.eps == 0.15 else x0), y0
+
+    monkeypatch.setattr(sim, "sample_initial", nan_at_eps_0_15)
+    path = light_config(tmp_path, epsilon=[0.2, 0.15],
+                        simulation={"dt": 1e-3, "T": 0.1, "n_paths": 20})
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2

@@ -14,6 +14,7 @@ from eigencoupler.simulate import (
     max_stable_dt,
     path_stream,
     simulate_ensemble,
+    simulate_ensembles,
     simulate_x,
     simulate_y_given_x,
 )
@@ -82,7 +83,7 @@ def test_ou_variance_matches_closed_form():
     eps, T, dt, n = 0.5, 5.0, 1e-3, 10000
     import eigencoupler.simulate as sim
     n_steps = int(T / dt)
-    noise = sim._NoiseStream([path_stream(3, i) for i in range(n)], n_steps)
+    noise = sim._NoiseTape([path_stream(3, i) for i in range(n)], n_steps, sim._NOISE_BLOCK)
     path = sim._Diffusion(quad, eps, np.zeros(n), noise, dt, 100.0,
                           np.array([0, n_steps]))
     for _ in path.windows(sim._NOISE_BLOCK):
@@ -235,7 +236,7 @@ def test_chunk_peak_memory_excludes_noise(dw_small):
                              absorb=absorb)
         tracemalloc.start()
         try:
-            recs = sim._run_chunk(cfg, model, pot, model.p, np.arange(64), bound)
+            recs = sim._run_chunk([cfg], [model], pot, [model.p], np.arange(64), [bound])[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -261,7 +262,7 @@ def test_chunk_peak_memory_independent_of_steps(dw_small):
                                  store_stride=1000, absorb=absorb)
             tracemalloc.start()
             try:
-                sim._run_chunk(cfg, model, pot, model.p, np.arange(64), bound)
+                sim._run_chunk([cfg], [model], pot, [model.p], np.arange(64), [bound])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -312,7 +313,7 @@ def test_scan_reuses_its_tile_buffers(monkeypatch, eps, dt, horizon, block):
     monkeypatch.setattr(sim._ChainWalk, "advance", traced)
     tracemalloc.start()
     try:
-        sim._run_chunk(cfg, model, pot, model.p, np.arange(512), bound)
+        sim._run_chunk([cfg], [model], pot, [model.p], np.arange(512), [bound])
     finally:
         tracemalloc.stop()
     assert len(peaks) > 3
@@ -510,7 +511,7 @@ def test_ensemble_matches_reference_walk(fast_chain, monkeypatch, case):
         g = path_stream(17, i)
         x0, y0 = sample_initial(model, pipe.spec.p, g)
         path = sim._Diffusion(pipe.potential, model.eps, np.array([x0]),
-                              sim._NoiseStream([g], cfg.n_steps), dt, bound,
+                              sim._NoiseTape([g], cfg.n_steps, sim._NOISE_BLOCK), dt, bound,
                               np.arange(cfg.n_steps + 1), absorb)
         for _ in path.windows(sim._NOISE_BLOCK):
             pass
@@ -660,7 +661,7 @@ def test_chunk_peak_memory_independent_of_blocks_per_window(monkeypatch):
         monkeypatch.setattr(sim, "_NOISE_BLOCK", window)
         tracemalloc.start()
         try:
-            recs = sim._run_chunk(cfg, model, pot, model.p, np.arange(512), bound)
+            recs = sim._run_chunk([cfg], [model], pot, [model.p], np.arange(512), [bound])[0]
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -695,3 +696,114 @@ def test_replay_reads_only_written_window_rows(fast_chain, monkeypatch):
     recs = simulate_ensemble(cfg, model, fast_chain.potential, fast_chain.spec)
     assert _record_digest(recs) == _record_digest(ref)
     assert sum(len(r.jumps) for r in recs) > 0
+
+
+def _assert_same_ensemble(a, b):
+    for field in dataclasses.fields(a):
+        va, vb = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(va, np.ndarray):
+            np.testing.assert_array_equal(va, vb, err_msg=field.name)
+        else:
+            assert va == vb, field.name
+
+
+# noise levels, dt, horizon and the levels' y-blocks
+_LOCKSTEP = {
+    # the sweep_quiet shape: three levels of 256-step blocks and windows
+    "quiet": ((0.15, 0.1, 0.07), 1e-4, 1.0, [256, 256, 256]),
+    # windows of 162, 155 and 125 steps, which never align: the tape holds
+    # rows of two windows and wraps around its ring
+    "mixed": ((0.5, 0.2, 0.1), 1e-3, 2.0, [9, 31, 125]),
+}
+
+
+@pytest.mark.parametrize("case", ["quiet", "mixed", "chunks"])
+def test_ensembles_match_one_level_runs(monkeypatch, case):
+    # every field of every level equals that of the level's own
+    # simulate_ensemble, one chunk or several on two workers; the normals
+    # of a chunk are drawn once for all its levels
+    import eigencoupler.simulate as sim
+    levels, dt, horizon, blocks = _LOCKSTEP["mixed" if case == "chunks" else case]
+    pipes = [build_pipeline("double_well", eps, 400) for eps in levels]
+    assert [sim._y_block_size(p.model, dt) for p in pipes] == blocks
+    cfgs = [EnsembleConfig(n_paths=100, dt=dt, horizon=horizon, eps=eps, seed=601,
+                           store_stride=50) for eps in levels]
+    refs = [simulate_ensemble(c, p.model, p.potential, p.spec) for c, p in zip(cfgs, pipes)]
+    chunks, drawn = [], []
+    run_chunk, draw = sim._run_chunk, sim._NoiseTape._draw
+    monkeypatch.setattr(sim, "_run_chunk", lambda *args: chunks.append(1) or run_chunk(*args))
+    monkeypatch.setattr(sim._NoiseTape, "_draw",
+                        lambda self, a, nb: drawn.append(nb) or draw(self, a, nb))
+    if case == "chunks":
+        monkeypatch.setattr(sim, "_CHUNK_BYTES", 2 ** 15)
+        cfgs = [dataclasses.replace(c, workers=2) for c in cfgs]
+    got = simulate_ensembles(cfgs, [p.model for p in pipes], pipes[0].potential,
+                             [p.spec for p in pipes])
+    assert len(got) == len(levels) and sum(len(e.jump_t) for e in got) > 0
+    for ens, ref in zip(got, refs):
+        _assert_same_ensemble(ens, ref)
+    assert len(chunks) > 2 if case == "chunks" else len(chunks) == 1
+    assert sum(drawn) == len(chunks) * cfgs[0].n_steps
+
+
+def test_ensembles_blow_up_at_one_level(monkeypatch):
+    # NaN starts at the second level only: its first window raises, after
+    # the first level has run its own
+    import eigencoupler.simulate as sim
+    pipes = [build_pipeline("double_well", eps, 400) for eps in (0.2, 0.1)]
+    initial = sim.sample_initial
+
+    def nan_at_second(model, p, rng):
+        x0, y0 = initial(model, p, rng)
+        return (x0 * np.nan if model is pipes[1].model else x0), y0
+
+    monkeypatch.setattr(sim, "sample_initial", nan_at_second)
+    cfgs = [EnsembleConfig(n_paths=10, dt=1e-3, horizon=0.5, eps=p.model.eps, seed=3)
+            for p in pipes]
+    with pytest.raises(BlowUpError):
+        simulate_ensembles(cfgs, [p.model for p in pipes], pipes[0].potential)
+
+
+def test_ensembles_levels_differ_only_in_eps(fast_chain):
+    pipe = fast_chain
+    cfg = EnsembleConfig(n_paths=4, dt=2e-3, horizon=0.1, eps=0.5, seed=5)
+    for other in (dataclasses.replace(cfg, seed=6), dataclasses.replace(cfg, n_paths=5),
+                  dataclasses.replace(cfg, store_stride=2)):
+        with pytest.raises(ValueError, match="differ only in eps"):
+            simulate_ensembles([cfg, other], [pipe.model] * 2, pipe.potential)
+    with pytest.raises(ValueError, match="eps disagree"):
+        simulate_ensembles([cfg, dataclasses.replace(cfg, eps=0.4)], [pipe.model] * 2,
+                           pipe.potential)
+    with pytest.raises(ValueError, match="one coupling model"):
+        simulate_ensembles([cfg], [pipe.model] * 2, pipe.potential)
+    with pytest.raises(ValueError, match="one coupling model"):
+        simulate_ensembles([cfg] * 2, [pipe.model] * 2, pipe.potential, [pipe.spec])
+
+
+def test_tilt_modes_allocate_nothing_with_scratch(dw_small):
+    # the cell is found in floats, so with its temporaries in scratch a call
+    # on a 513 x 127 tile allocates nothing of its size; the values are
+    # bitwise those of the int64 cell over the whole escape bound
+    import tracemalloc
+    import eigencoupler.simulate as sim
+    model = dw_small.model
+    tilts = sim._Tilts(model)
+    bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
+    x = np.random.default_rng(1).uniform(-bound, bound, (513, 127))
+    x[0, :len(model.grid_nodes)] = model.grid_nodes[:127]
+    x[1, :3] = (-bound, bound, 0.0)
+    pos = (x - tilts.origin) / tilts.h
+    idx = np.clip(pos.astype(np.int64), 0, tilts.left.shape[1] - 1)
+    frac = np.clip(pos - idx, 0.0, 1.0)
+    want = tilts.slope[:, idx] * frac + tilts.left[:, idx]
+    scratch, out = sim._Scratch(), np.empty((len(tilts.left),) + x.shape)
+    tilts.modes(x, out, scratch)           # sizes the scratch arrays
+    tracemalloc.start()
+    try:
+        tilts.modes(x, out, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(tilts.modes(x), want)
