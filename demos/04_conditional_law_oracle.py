@@ -21,7 +21,7 @@ _, gen, _, spec, model = build_pipeline("double_well", 0.1, 200)
 B = build_joint_generator(model, gen)
 times = (0.1, 1.0, 10.0)
 
-rep, marg = check_oracle(B, model, spec.p, times)
+rep, marg = check_oracle(B, model, times)
 print("conditional-law TV by (time, state):")
 for t, j, tv in rep.entries:
     print(f"  t = {t:5g}  state {j}:  TV = {tv:.3e}")
@@ -35,6 +35,6 @@ vec = spec.vectors.copy()
 vec[0, 0] *= 1.01
 broken = dataclasses.replace(model, vectors=vec)   # tilts and rates follow
 B_bad = build_joint_generator(broken, gen)
-bad, _ = check_oracle(B_bad, broken, spec.p, times)
+bad, _ = check_oracle(B_bad, broken, times)
 print(f"with a 1%-perturbed eigenvector: max TV = {bad.max_tv:.3e} "
       f"({bad.max_tv / max(rep.max_tv, 1e-300):.1e} times the clean run)")

@@ -8,6 +8,11 @@ reproducible bit for bit regardless of chunking.
 The tracking probability P(X(t) in D_j | Y(t) = j) measures how well the
 chain state observes the diffusion's current well; its exact value is an
 integral of the conditional law, and it grows as the noise shrinks.
+
+One EnsembleConfig serves all three noise levels: each level runs at its
+coupling model's eps and draws its starts from the model's initial law, and
+simulate_ensembles advances the levels in lockstep on one draw of each
+path's noise. Each level equals what simulate_ensemble gives it alone.
 """
 
 import numpy as np
@@ -17,7 +22,7 @@ from eigencoupler import (
     build_pipeline,
     domains_of_attraction,
     make_potential,
-    simulate_ensemble,
+    simulate_ensembles,
     tracking_probability,
     tv_distance,
 )
@@ -25,12 +30,12 @@ from eigencoupler import (
 pot = make_potential("double_well")
 part = domains_of_attraction(pot)
 
-for eps in (0.15, 0.10, 0.07):
-    *_, spec, model = build_pipeline(pot, eps, 1000)
+pipes = [build_pipeline(pot, eps, 1000) for eps in (0.15, 0.10, 0.07)]
+cfg = EnsembleConfig(n_paths=3000, dt=2e-4, horizon=1.0, seed=71, store_stride=500)
+levels = simulate_ensembles(cfg, [pipe.model for pipe in pipes], pot)
 
-    cfg = EnsembleConfig(n_paths=3000, dt=2e-4, horizon=1.0, eps=eps, seed=71,
-                         store_stride=500)
-    records = simulate_ensemble(cfg, model, pot, spec)
+for (*_, spec, model), records in zip(pipes, levels):
+    eps = model.eps
     out = tracking_probability(records, part, 1.0, model)
     jumps = sum(len(r.jumps) for r in records)
     print(f"eps = {eps:g}: {len(records)} paths, {jumps} chain jumps, "

@@ -4,7 +4,9 @@ Holding times of the chain are exponential (exactly so in the constant-rate
 control, where the time-change clocks are depleted linearly), and mean exit
 times are available three ways: exact linear solves on the chain and on the
 grid generator, and Monte Carlo first hits of a ball around the destination
-well.
+well. The Monte Carlo runs start every path at one point: an EnsembleConfig
+that gives both x0 and y0 fixes the start, and the noise level is always the
+coupling model's.
 """
 
 import numpy as np
@@ -36,10 +38,9 @@ ensembles = {}
 for i, x0 in enumerate(minima):
     other = minima[1 - i]
     cfg = EnsembleConfig(n_paths=400, dt=1e-3, horizon=round(15 * ref, 1),
-                         eps=eps, seed=40 + i, initial_kind="fixed",
-                         x0=float(x0), y0=i, store_stride=100,
+                         seed=40 + i, x0=float(x0), y0=i, store_stride=100,
                          absorb=(other - rho, other + rho))
-    ensembles[i] = simulate_ensemble(cfg, model, pot, spec)
+    ensembles[i] = simulate_ensemble(cfg, model, pot)
 
 report = rate_match_report(ensembles, spec.Q, part, rho, gen, minima)
 print()
@@ -51,9 +52,9 @@ print("note:", report.note)
 ctrl_pot = Potential(np.array([0.0, 0.0, 1.0]), name="x^2")
 *_, ctrl_spec, ctrl_model = build_pipeline(ctrl_pot, 0.5, 400, kappa=0.0, p=(1.0, 0.0))
 q01 = ctrl_spec.Q[0, 1]
-cfg = EnsembleConfig(n_paths=4000, dt=4e-3, horizon=round(12 / q01, 2), eps=0.5,
-                     seed=7, initial_kind="fixed", x0=0.0, y0=0, store_stride=500)
-recs = simulate_ensemble(cfg, ctrl_model, ctrl_pot, ctrl_spec)
+cfg = EnsembleConfig(n_paths=4000, dt=4e-3, horizon=round(12 / q01, 2), seed=7,
+                     x0=0.0, y0=0, store_stride=500)
+recs = simulate_ensemble(cfg, ctrl_model, ctrl_pot)
 taus = np.array([r.jumps[0][0] for r in recs if r.jumps])
 res = ks_exponential(taus, n_bootstrap=500, seed=3)
 print(f"\nholding-time KS: D = {res.statistic:.4f} vs bootstrap 5% critical "

@@ -143,7 +143,7 @@ def _oracle_run(cfg: ExperimentConfig, eps: float):
     _, gen, _, spec, model = _build_pipeline(cfg, eps, cfg.oracle_n)
     B = build_joint_generator(model, gen)
     t0 = time.time()
-    cond, marg = check_oracle(B, model, spec.p, cfg.oracle_times)
+    cond, marg = check_oracle(B, model, cfg.oracle_times)
     return {
         "eps": eps,
         "oracle_n": cfg.oracle_n,
@@ -166,17 +166,16 @@ def _cmd_oracle(cfg: ExperimentConfig, out_dir) -> list:
     return [path]
 
 
-def _ensemble_config(cfg: ExperimentConfig, eps: float) -> EnsembleConfig:
-    return EnsembleConfig(n_paths=cfg.n_paths, dt=cfg.dt, horizon=cfg.T, eps=eps,
-                          seed=cfg.seed, store_stride=cfg.store_stride,
-                          workers=cfg.threads)
+def _ensemble_config(cfg: ExperimentConfig) -> EnsembleConfig:
+    """The ensemble parameters every noise level of cfg shares."""
+    return EnsembleConfig(n_paths=cfg.n_paths, dt=cfg.dt, horizon=cfg.T, seed=cfg.seed,
+                          store_stride=cfg.store_stride, workers=cfg.threads)
 
 
 def _run_ensemble(cfg: ExperimentConfig, eps: float):
     """The pipeline at grid_n and its Monte Carlo ensemble."""
     pipe = _build_pipeline(cfg, eps, cfg.grid_n)
-    return pipe, simulate_ensemble(_ensemble_config(cfg, eps), pipe.model,
-                                   pipe.potential, pipe.spec)
+    return pipe, simulate_ensemble(_ensemble_config(cfg), pipe.model, pipe.potential)
 
 
 def _write_simulate_csvs(ens, traj_path, jump_path):
@@ -212,10 +211,11 @@ def _format_rows(row_format, *columns) -> str:
 def _cmd_simulate(cfg: ExperimentConfig, out_dir) -> list:
     outputs = []
     for eps in cfg.epsilons:
-        _, ens = _run_ensemble(cfg, eps)
         traj_path = os.path.join(out_dir, f"trajectories_eps{eps:g}.csv")
         jump_path = os.path.join(out_dir, f"jumps_eps{eps:g}.csv")
-        _write_simulate_csvs(ens, traj_path, jump_path)
+        # no name holds the ensemble, so it is freed once written, before
+        # the next level is simulated
+        _write_simulate_csvs(_run_ensemble(cfg, eps)[1], traj_path, jump_path)
         outputs += [traj_path, jump_path]
     return outputs
 
@@ -233,19 +233,6 @@ def _two_route_gaps(lams, potential, eps, grid: Grid):
         return float(np.max(np.abs(lams[1:] - eps * ref[1:]) / (eps * ref[1:])))
 
     return gap((4.0 * half - hat) / 3.0), gap(hat)
-
-
-def _tracking_z(est, oracle_value: float) -> float:
-    """Distance of a tracking estimate from the oracle value in binomial
-    standard errors under the null, sqrt(q (1 - q) / n) with q the oracle
-    value: the sample SE is zero whenever every path agrees. q is clipped
-    to [0, 1], since the oracle's normalization may round it past 1."""
-    q = min(max(oracle_value, 0.0), 1.0)
-    se = np.sqrt(q * (1.0 - q) / est.n)
-    gap = abs(est.point - q)
-    if se > 0:
-        return float(gap / se)
-    return 0.0 if gap == 0 else float("inf")
 
 
 def _binom_pmf(n: int, q) -> np.ndarray:
@@ -335,7 +322,7 @@ def _verify_one(cfg: ExperimentConfig, eps: float):
     # approximation overstates z when only a few paths change state.
     m1 = model.n_states
     counts0 = np.bincount(ens.y_at(0.0), minlength=m1)
-    z = _count_z(counts0, [len(ens)], spec.p[None])
+    z = _count_z(counts0, [len(ens)], model.p[None])
     record("mc_y_marginal_t0", z <= 3.0, z, 3.0)
     Q = sp.csr_matrix(spec.Q)
     for t in (cfg.T / 4, cfg.T / 2, cfg.T):
@@ -345,12 +332,14 @@ def _verify_one(cfg: ExperimentConfig, eps: float):
         z = _count_z(counts, counts0, rows)
         record(f"mc_y_marginal_t{t:g}", z <= 3.0, z, 3.0)
 
+    # of the est.n paths in state j at T, the count in well j is tested
+    # against the exact Binomial(est.n, oracle value)
     part = domains_of_attraction(potential)
     tr = tracking_probability(ens, part, cfg.T, model)
     for j, (est, oracle_val) in tr.items():
         if est is None:
             continue
-        z = _tracking_z(est, oracle_val)
+        z = _count_z([round(est.point * est.n)], [est.n], [[oracle_val]])
         record(f"mc_tracking_state{j}", z <= 3.0, z, 3.0)
 
     return {"eps": eps, "checks": checks,
@@ -381,9 +370,8 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir) -> list:
     if problem:
         raise ConfigError([problem])
     pipes = [_build_pipeline(cfg, eps, cfg.grid_n) for eps in cfg.epsilons]
-    ensembles = simulate_ensembles([_ensemble_config(cfg, eps) for eps in cfg.epsilons],
-                                   [pipe.model for pipe in pipes], pipes[0].potential,
-                                   [pipe.spec for pipe in pipes])
+    ensembles = simulate_ensembles(_ensemble_config(cfg), [pipe.model for pipe in pipes],
+                                   pipes[0].potential)
     rows = []
     for eps, (potential, gen, dec, spec, model), ens in zip(cfg.epsilons, pipes, ensembles):
         part = domains_of_attraction(potential)

@@ -110,16 +110,17 @@ class CouplingModel:
     def joint_dim(self) -> int:
         return self.n_states * self.n_nodes
 
-    def state_law(self, p) -> np.ndarray:
+    def state_law(self) -> np.ndarray:
         """p as a float array, checked to be a distribution on the chain
         states (sum within 1e-12 of one)."""
-        p = np.asarray(p, dtype=float)
+        p = np.asarray(self.p, dtype=float)
         if p.shape != (self.n_states,) or abs(p.sum() - 1.0) > 1e-12 or np.any(p < 0):
             raise ValueError("p must be a distribution on the chain states")
         return p
 
-    def initial_law_for(self, p) -> np.ndarray:
-        return self.state_law(p)[:, None] * self.cond
+    def initial_law_for(self) -> np.ndarray:
+        """(m+1, n) coupled initial law: p_i times state i's conditional law."""
+        return self.state_law()[:, None] * self.cond
 
 
 def build_coupling(dec: SpectralDecomposition, spec: ChainSpec) -> CouplingModel:
@@ -237,20 +238,20 @@ def initial_uniforms(gens) -> np.ndarray:
     return u
 
 
-def sample_initial(model: CouplingModel, p, rng):
-    """Draw (x0, y0) from the joint initial law: the chain state from p, then
-    the continuous coordinate by inverse CDF over that state's conditional
-    density with a uniform within-cell jitter of one grid spacing.
+def sample_initial(model: CouplingModel, rng):
+    """Draw (x0, y0) from the model's joint initial law: the chain state
+    from model.p, then the continuous coordinate by inverse CDF over that
+    state's conditional density with a uniform within-cell jitter of one
+    grid spacing.
 
-    rng is one stream, a sequence of streams with one draw each, or the
-    (n, 3) uniforms initial_uniforms drew from such a sequence, which the
-    draws of several models can share; every draw consumes exactly three
-    uniforms from its stream, in the order (state, cell, jitter). Returns
-    (x0, y0), or for a sequence or uniforms the arrays of them, elementwise
-    the values one stream at a time gives."""
-    p = model.state_law(p)
+    rng is one stream, or the (n, 3) uniforms initial_uniforms drew from n
+    streams, which the draws of several models can share; every draw
+    consumes exactly three uniforms from its stream, in the order (state,
+    cell, jitter). Returns (x0, y0), or for uniforms the arrays of them,
+    elementwise the values one stream at a time gives."""
+    p = model.state_law()
     single = isinstance(rng, np.random.Generator)
-    u = rng if isinstance(rng, np.ndarray) else initial_uniforms([rng] if single else rng)
+    u = initial_uniforms([rng]) if single else rng
     # the map step: state, cell and jitter from the uniforms
     y0 = np.searchsorted(np.cumsum(p), u[:, 0], side="right")
     np.minimum(y0, model.n_states - 1, out=y0)

@@ -202,19 +202,20 @@ def _marginal_report(laws, Q: np.ndarray, p, tol: float) -> MarginalReport:
     return MarginalReport(max_l1=max(e[1] for e in entries), entries=tuple(entries))
 
 
-def check_oracle(B: sp.spmatrix, model: CouplingModel, p, times,
+def check_oracle(B: sp.spmatrix, model: CouplingModel, times,
                  tol: float = DEFAULT_TOL) -> tuple:
     """Both exact consequences of the coupling, from one evolution of the
-    coupled initial law built from p: (ConditionalLawReport, MarginalReport).
+    model's coupled initial law: (ConditionalLawReport, MarginalReport).
 
     The first holds the total-variation errors of the evolved conditional
     laws against the model's reference conditionals, skipping and noting
     states whose mass falls below 1e-14; the second the l1 distances between
-    the chain marginal and p exp(Qt), Q = model.Q, uniformized on its own.
+    the chain marginal and p exp(Qt), p = model.p and Q = model.Q,
+    uniformized on its own.
     """
-    nu = DistributionVector(model.initial_law_for(p).reshape(-1), 0.0)
+    nu = DistributionVector(model.initial_law_for().reshape(-1), 0.0)
     laws = _evolve_at(B, nu, times, tol)
-    return _conditional_report(laws, model), _marginal_report(laws, model.Q, p, tol)
+    return _conditional_report(laws, model), _marginal_report(laws, model.Q, model.p, tol)
 
 
 def _generator_matrix(generator):

@@ -2,22 +2,29 @@
 time-change construction of the coupled chain, with reproducible per-path
 counter-based random streams.
 
+A noise level is fixed by its CouplingModel: the model's eps scales the
+noise and its initial law p, through the conditional laws, gives the
+starting points, unless the EnsembleConfig fixes one start (x0, y0) for
+every path. The config holds only what the levels of one run share: paths,
+time grid, seed, storage, absorption and workers.
+
 Every path owns a Philox stream keyed by (master seed, path index) and its
 jumped substream (the same key advanced by 2**128 draws). The main stream
-supplies the initial-condition uniforms, then the diffusion noise vector;
-the substream supplies the chain's initial clock budgets, then its clock
-redraws in event order. An ensemble advances x and y together, window by
-window: the Euler loop fills a window of steps from the noise drawn for it,
-the chain's time change runs on that window while it is in cache, and only
-the stored rows, x at the jumps and the exit points outlive it, so no
-full-resolution x array is ever formed. Block-wise draws consume a stream
-exactly as one call for the whole vector would, and the clocks have their
-own stream, so no draw depends on the window length. The single-path entry
-points run the same kernels at width one, so an ensemble is bit-identical to
-composing them path by path with the derived streams, independent of
-chunking or worker scheduling. Noise levels of one config read the same
-streams, so simulate_ensembles runs them in lockstep on one draw of each
-path's normals, and each level equals its own simulate_ensemble.
+supplies the initial-condition uniforms (unless the start is fixed), then
+the diffusion noise vector; the substream supplies the chain's initial clock
+budgets, then its clock redraws in event order. An ensemble advances x and y
+together, window by window: the Euler loop fills a window of steps from the
+noise drawn for it, the chain's time change runs on that window while it is
+in cache, and only the stored rows, x at the jumps and the exit points
+outlive it, so no full-resolution x array is ever formed. Block-wise draws
+consume a stream exactly as one call for the whole vector would, and the
+clocks have their own stream, so no draw depends on the window length. The
+single-path entry points run the same kernels at width one, so an ensemble
+is bit-identical to composing them path by path with the derived streams,
+independent of chunking or worker scheduling. The levels of one config read
+the same streams, so simulate_ensembles runs one level per model in lockstep
+on one draw of each path's normals, and each level equals its own
+simulate_ensemble.
 
 An ensemble is held as columns (Ensemble): the stored x of every path on one
 shared time grid, and one flat jump log. A path's TrajectoryRecord is a view
@@ -253,15 +260,14 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Ensemble parameters. initial_kind is "law" (draw from the coupled
-    initial distribution) or "fixed" (start every path at (x0, y0))."""
+    """Ensemble parameters. Every path starts at (x0, y0) when both are
+    given, and draws its start from the coupled initial law of its model
+    when neither is; a level runs at its model's eps."""
 
     n_paths: int
     dt: float
     horizon: float
-    eps: float
     seed: int
-    initial_kind: str = "law"
     x0: float | None = None
     y0: int | None = None
     store_stride: int = 1
@@ -271,10 +277,10 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.horizon < self.dt or self.n_paths < 1:
             raise ValueError("need dt > 0, horizon >= dt, n_paths >= 1")
-        if self.initial_kind not in ("law", "fixed"):
-            raise ValueError("initial_kind must be 'law' or 'fixed'")
-        if self.initial_kind == "fixed" and (self.x0 is None or self.y0 is None):
-            raise ValueError("fixed initial condition needs x0 and y0")
+        if (self.x0 is None) != (self.y0 is None):
+            raise ValueError("a fixed start needs both x0 and y0")
+        if self.store_stride < 1:
+            raise ValueError("need store_stride >= 1")
 
     @property
     def n_steps(self) -> int:
@@ -323,13 +329,13 @@ def max_stable_dt(potential: Potential) -> float:
     return DT_CURVATURE_FACTOR / curv if curv > 0 else np.inf
 
 
-def _check_dt(potential: Potential, dt: float, allow_large_dt: bool):
+def _check_dt(potential: Potential, dt: float, allow_large_dt: bool = False):
     bound = max_stable_dt(potential)
     if dt > bound:
         msg = (f"dt = {dt:g} exceeds the curvature bound {bound:g} "
                "(1e-2 over the stiffest well)")
         if not allow_large_dt:
-            raise ValueError(msg + "; pass allow_large_dt=True to override")
+            raise ValueError(msg)
         warnings.warn(msg)
 
 
@@ -906,6 +912,8 @@ def simulate_x(potential: Potential, eps: float, x0: float, dt: float, T: float,
     on the uniform grid k*dt.
 
     Raises:
+        ValueError: dt exceeds max_stable_dt, unless allow_large_dt, which
+            warns instead.
         BlowUpError: the path left [-bound, bound] (default ten half-widths)
             or became NaN.
     """
@@ -939,35 +947,33 @@ def simulate_y_given_x(x_path, model: CouplingModel, y0: int, rng,
                     store_stride=1, eps=model.eps, **chain.columns())[0]
 
 
-def _run_chunk(cfgs, models, potential, p_inits, indices, bounds, stored=None):
-    """The paths of the given indices at every noise level, one Ensemble
-    per level; level l's stored x are written to stored[l], an
+def _run_chunk(cfg, models, potential, indices, bounds, stored=None):
+    """The paths of the given indices at every model's noise level, one
+    Ensemble per level; level l's stored x are written to stored[l], an
     (S, len(indices)) array, if given.
 
     The levels share the paths' streams: their initial uniforms are drawn
     once and mapped through each level's model, and their diffusions read
     one noise tape. The level furthest behind always runs its next window,
     so the tape holds at most the longest window's steps."""
-    cfg = cfgs[0]
     c, n_steps = len(indices), cfg.n_steps
     gens = [path_stream(cfg.seed, int(i)) for i in indices]
-    u = initial_uniforms(gens) if cfg.initial_kind == "law" else None
+    u = initial_uniforms(gens) if cfg.x0 is None else None
     widths = [_window_steps(_y_block_size(model, cfg.dt), len(models)) for model in models]
     tape = _NoiseTape(gens, n_steps, max(widths))
     steps = _stored_steps(n_steps, cfg.store_stride)
     scratch = _Scratch()
     levels = []
-    for lcfg, model, p_init, bound, out in zip(cfgs, models, p_inits, bounds,
-                                                stored or [None] * len(cfgs)):
+    for model, bound, out in zip(models, bounds, stored or [None] * len(models)):
         x0s = np.empty(c)
         y0s = np.empty(c, dtype=np.int64)
         if u is None:
             x0s[:] = cfg.x0
             y0s[:] = cfg.y0
         else:
-            x0s[:], y0s[:] = sample_initial(model, p_init, u)
+            x0s[:], y0s[:] = sample_initial(model, u)
         clocks = [clock_stream(cfg.seed, int(i)) for i in indices]
-        levels.append((_Diffusion(potential, lcfg.eps, x0s, tape, cfg.dt, bound, steps,
+        levels.append((_Diffusion(potential, model.eps, x0s, tape, cfg.dt, bound, steps,
                                   cfg.absorb, out),
                        _ChainWalk(model, y0s, clocks, cfg.dt, n_steps, scratch), y0s))
     running = list(range(len(levels)))
@@ -990,9 +996,9 @@ def _run_chunk(cfgs, models, potential, p_inits, indices, bounds, stored=None):
                          path.exit_steps <= n_steps,
                          (path.exit_steps + path.exit_fracs) * cfg.dt, np.nan),
                      exit_x=path.exit_xs, path_index=np.asarray(indices), seed=cfg.seed,
-                     dt=cfg.dt, store_stride=cfg.store_stride, eps=lcfg.eps,
+                     dt=cfg.dt, store_stride=cfg.store_stride, eps=model.eps,
                      **chain.columns())
-            for lcfg, (path, chain, y0s) in zip(cfgs, levels)]
+            for model, (path, chain, y0s) in zip(models, levels)]
 
 
 def _concatenate(parts, x) -> Ensemble:
@@ -1013,30 +1019,19 @@ def _concatenate(parts, x) -> Ensemble:
         path_index=cat("path_index"))
 
 
-def simulate_ensembles(cfgs, models, potential: Potential, chain_specs=None,
-                       allow_large_dt: bool = False) -> list:
-    """One ensemble per noise level, as simulate_ensemble gives each, the
+def simulate_ensembles(cfg: EnsembleConfig, models, potential: Potential) -> list:
+    """One ensemble per coupling model, as simulate_ensemble gives each, the
     levels advancing in lockstep on one draw of each path's stream.
 
     Every level reads the same streams path_stream(seed, i): the same
     initial uniforms and the same normals, which differ between levels only
-    by the factor sqrt(2 eps dt). So the normals of a chunk of paths are
-    drawn once, onto a tape every level's diffusion reads, instead of once
-    per level. The configs may differ only in eps, each agreeing with its
-    model's; chain_specs, where given, supply each level's initial law p.
+    by the factor sqrt(2 eps dt), eps that of the level's model. So the
+    normals of a chunk of paths are drawn once, onto a tape every level's
+    diffusion reads, instead of once per level.
     """
-    specs = [None] * len(cfgs) if chain_specs is None else list(chain_specs)
-    if not len(cfgs) == len(models) == len(specs) > 0:
-        raise ValueError("need at least one config, and one coupling model and one "
-                         "chain spec (if given) per config")
-    cfg = cfgs[0]
-    if any(dataclasses.replace(c, eps=cfg.eps) != cfg for c in cfgs):
-        raise ValueError("the configs of an ensemble's levels may differ only in eps")
-    _check_dt(potential, cfg.dt, allow_large_dt)
-    for c, model in zip(cfgs, models):
-        if abs(c.eps - model.eps) > 1e-15 * max(model.eps, 1.0):
-            raise ValueError("config eps and coupling model eps disagree")
-    p_inits = [model.p if spec is None else spec.p for model, spec in zip(models, specs)]
+    if not models:
+        raise ValueError("need at least one coupling model")
+    _check_dt(potential, cfg.dt)
     bounds = [ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes))) for model in models]
     n_stored = len(_stored_steps(cfg.n_steps, cfg.store_stride))
     # a path holds every level's stored rows and window, plus its rows of
@@ -1049,7 +1044,7 @@ def simulate_ensembles(cfgs, models, potential: Potential, chain_specs=None,
 
     def run(s):
         ix = np.arange(s, min(s + chunk, cfg.n_paths))
-        return _run_chunk(cfgs, models, potential, p_inits, ix, bounds,
+        return _run_chunk(cfg, models, potential, ix, bounds,
                           [x[:, ix[0]:ix[-1] + 1] for x in xs])
 
     starts = range(0, cfg.n_paths, chunk)
@@ -1062,16 +1057,16 @@ def simulate_ensembles(cfgs, models, potential: Potential, chain_specs=None,
 
 
 def simulate_ensemble(cfg: EnsembleConfig, model: CouplingModel,
-                      potential: Potential, chain_spec=None,
-                      allow_large_dt: bool = False) -> Ensemble:
-    """Independent coupled paths, each with its stream and clock substream.
+                      potential: Potential) -> Ensemble:
+    """Independent coupled paths at the model's eps, each with its stream
+    and clock substream.
 
     The records of the result are bit-identical to running sample_initial +
     simulate_x on path_stream(seed, index), then simulate_y_given_x on
     clock_stream(seed, index), per path, regardless of chunking or the
     number of workers. This is simulate_ensembles at one level.
     """
-    return simulate_ensembles([cfg], [model], potential, [chain_spec], allow_large_dt)[0]
+    return simulate_ensembles(cfg, [model], potential)[0]
 
 
 def first_exit_time(record: TrajectoryRecord, region, target: str = "x"):

@@ -33,7 +33,7 @@ def crit1_setup():
 def test_criterion_1_exact_conditional_law(crit1_setup):
     pipe, B = crit1_setup
     t0 = time.monotonic()
-    rep, _ = check_oracle(B, pipe.model, pipe.spec.p, ORACLE_TIMES)
+    rep, _ = check_oracle(B, pipe.model, ORACLE_TIMES)
     elapsed = time.monotonic() - t0
     report(1, "exact conditional law, max TV <= 1e-8 in < 10 s",
            rep.max_tv <= 1e-8 and elapsed < 10.0,
@@ -42,7 +42,7 @@ def test_criterion_1_exact_conditional_law(crit1_setup):
 
 def test_criterion_2_y_marginality(crit1_setup):
     pipe, B = crit1_setup
-    _, rep = check_oracle(B, pipe.model, pipe.spec.p, ORACLE_TIMES)
+    _, rep = check_oracle(B, pipe.model, ORACLE_TIMES)
     report(2, "chain marginality, max l1 <= 1e-8",
            rep.max_l1 <= 1e-8, f"max l1 = {rep.max_l1:.3e}")
 
@@ -75,9 +75,9 @@ def test_criterion_4_ou_analytic_spectrum():
 def test_criterion_5_monte_carlo_conditional_law():
     t0 = time.monotonic()
     pipe = build_pipeline("double_well", 0.1, 2000, kappa=0.9, theta=0.5)
-    cfg = EnsembleConfig(n_paths=20000, dt=1e-4, horizon=5.0, eps=0.1, seed=42,
+    cfg = EnsembleConfig(n_paths=20000, dt=1e-4, horizon=5.0, seed=42,
                          store_stride=500)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
     xT = np.array([r.x[-1] for r in recs])
     yT = np.array([r.y[-1] for r in recs])
     tvs = {j: tv_distance(xT[yT == j], pipe.model.cond[j],
@@ -99,9 +99,8 @@ def test_criterion_6_exit_time_exponentiality():
     details = []
     for s in range(20):
         cfg = EnsembleConfig(n_paths=5000, dt=4e-3, horizon=round(12.0 / q01, 2),
-                             eps=0.5, seed=1000 + s, initial_kind="fixed",
-                             x0=0.0, y0=0, store_stride=500)
-        recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+                             seed=1000 + s, x0=0.0, y0=0, store_stride=500)
+        recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
         taus = np.array([r.jumps[0][0] for r in recs if r.jumps])
         res = ks_exponential(taus, n_bootstrap=2000, seed=77)
         passes += not res.rejected
@@ -118,9 +117,8 @@ def test_criterion_7_tracking_trend():
     for eps in (0.15, 0.10, 0.07):
         pipe = build_pipeline("double_well", eps, 2000, kappa=0.9, theta=0.5)
         part = domains_of_attraction(pipe.potential)
-        cfg = EnsembleConfig(n_paths=4000, dt=1e-4, horizon=1.0, eps=eps,
-                             seed=71, store_stride=100)
-        recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+        cfg = EnsembleConfig(n_paths=4000, dt=1e-4, horizon=1.0, seed=71, store_stride=100)
+        recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
         out = tracking_probability(recs, part, 1.0, pipe.model)
         vals = []
         for j, (est, oracle_val) in out.items():
@@ -152,9 +150,9 @@ def test_criterion_8_rate_match():
     src = int(np.argmin(np.abs(nodes - minima[0])))
     ref = float(mean_exit_times(pipe.gen, [src], tgt)[0])
     cfg = EnsembleConfig(n_paths=1000, dt=1e-3, horizon=round(15 * ref, 1),
-                         eps=eps, seed=5, initial_kind="fixed", x0=float(minima[0]),
-                         y0=0, store_stride=100, absorb=ball)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+                         seed=5, x0=float(minima[0]), y0=0, store_stride=100,
+                         absorb=ball)
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
     rep = rate_match_report({0: recs}, pipe.spec.Q, part, rho, pipe.gen, minima)
     row = next(r for r in rep.rows if r["from"] == 0 and r["to"] == 1)
     z = abs(row["mc_estimate"] - row["diffusion_exact"]) / row["mc_se"]
@@ -163,10 +161,10 @@ def test_criterion_8_rate_match():
     # a byte-identical report
     cfg_small = dataclasses.replace(cfg, n_paths=150)
     rep_a = rate_match_report(
-        {0: simulate_ensemble(cfg_small, pipe.model, pipe.potential, pipe.spec)},
+        {0: simulate_ensemble(cfg_small, pipe.model, pipe.potential)},
         pipe.spec.Q, part, rho, pipe.gen, minima).to_json()
     rep_b = rate_match_report(
-        {0: simulate_ensemble(cfg_small, pipe.model, pipe.potential, pipe.spec)},
+        {0: simulate_ensemble(cfg_small, pipe.model, pipe.potential)},
         pipe.spec.Q, part, rho, pipe.gen, minima).to_json()
     report(8, "rate match: exact chain value, MC within 3 SE of grid solve, "
               "deterministic report",
@@ -181,7 +179,7 @@ def test_criterion_9_negative_controls(crit1_setup):
     times = ORACLE_TIMES
 
     def max_tv(B, model):
-        return check_oracle(B, model, spec.p, times)[0].max_tv
+        return check_oracle(B, model, times)[0].max_tv
 
     baseline = max_tv(B, model)
 

@@ -259,11 +259,11 @@ def test_verify_y_marginal_flags_biased_chain(tmp_path, monkeypatch):
     # draw is unchanged, so t = 0 passes and every later y-marginal check fails
     real = cli.simulate_ensemble
 
-    def biased(ens, model, potential, spec):
+    def biased(ens, model, potential):
         Q = model.Q.copy()
         Q[0, 1] *= 3.0
         Q[0, 0] = -Q[0, 1]
-        return real(ens, dataclasses.replace(model, Q=Q), potential, spec)
+        return real(ens, dataclasses.replace(model, Q=Q), potential)
 
     monkeypatch.setattr(cli, "simulate_ensemble", biased)
     path = light_config(tmp_path)
@@ -334,7 +334,7 @@ def test_numerical_failure_exit_code_2(tmp_path):
 def test_nan_path_exit_code_2(tmp_path, monkeypatch):
     # a NaN start trips the blow-up guard, a numerical failure
     import eigencoupler.simulate as sim
-    monkeypatch.setattr(sim, "sample_initial", lambda model, p, rng: (np.nan, 0))
+    monkeypatch.setattr(sim, "sample_initial", lambda model, rng: (np.nan, 0))
     path = light_config(tmp_path, simulation={"dt": 1e-3, "T": 0.1, "n_paths": 20})
     assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
@@ -481,9 +481,9 @@ def test_oracle_evolves_joint_law_once_per_time(monkeypatch):
     # holds exactly what check_oracle returns
     import eigencoupler.oracle as oracle
     cfg = parse_config(LIGHT)
-    _, gen, _, spec, model = cli._build_pipeline(cfg, 0.1, cfg.oracle_n)
+    _, gen, _, _, model = cli._build_pipeline(cfg, 0.1, cfg.oracle_n)
     B = cli.build_joint_generator(model, gen)
-    cond, marg = oracle.check_oracle(B, model, spec.p, cfg.oracle_times)
+    cond, marg = oracle.check_oracle(B, model, cfg.oracle_times)
     calls = []
     evolve = oracle.evolve_distribution
 
@@ -509,19 +509,20 @@ def test_parse_config_huge_p_is_a_config_error():
     assert any(p.startswith("chain.p") for p in err.value.problems)
 
 
-def test_tracking_z_uses_the_binomial_se_under_the_null():
-    # every path agreeing gives a zero sample SE; the gate reads the SE of
-    # the oracle value instead, so a correct estimate passes and a biased
-    # one still fails
-    from eigencoupler.stats import EstimateWithCI
-    assert cli._tracking_z(EstimateWithCI(point=1.0, se=0.0, n=40), 0.99) <= 3.0
-    assert cli._tracking_z(EstimateWithCI(point=1.0, se=0.0, n=500), 0.9) > 3.0
-    biased = EstimateWithCI(point=0.85, se=math.sqrt(0.85 * 0.15 / 500), n=500)
-    assert cli._tracking_z(biased, 0.9) > 3.0
-    # an oracle value rounded just past 1 is read as 1, not as a NaN SE
+def test_tracking_gate_is_the_exact_binomial_test():
+    # the mc_tracking gate: of n paths in a state, count in its domain,
+    # against Binomial(n, q), q the oracle value. Every path agreeing (a
+    # zero sample SE) passes where the oracle value allows it and fails
+    # where it does not, and a biased estimate fails
+    def z(count, n, q):
+        return cli._count_z([count], [n], [[q]])
+    assert z(40, 40, 0.99) <= 3.0
+    assert z(500, 500, 0.9) > 3.0
+    assert z(425, 500, 0.9) > 3.0
+    # an oracle value rounded just past 1 is read as 1, not as a NaN law
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli._tracking_z(EstimateWithCI(point=1.0, se=0.0, n=500), 1 + 1e-13) == 0.0
+        assert z(500, 500, 1 + 1e-13) == 0.0
 
 
 def _simulate_ensemble(tmp_path, n_paths, T=3.0):
@@ -550,6 +551,25 @@ def test_simulate_csv_peak_memory_independent_of_paths(tmp_path, monkeypatch):
             tracemalloc.stop()
     assert (tmp_path / "t.csv").stat().st_size > 40 * peaks[1]
     assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_simulate_frees_each_level_before_the_next(tmp_path):
+    # a level's ensemble is written and dropped before the next level runs,
+    # so a second level adds next to nothing to the peak; holding the first
+    # would add its whole ensemble, a little more than its stored x
+    import tracemalloc
+    sim = {"dt": 4e-3, "T": 4.0, "n_paths": 400, "seed": 9, "store_stride": 1}
+    peaks = []
+    for eps in (0.5, [0.5, 0.4]):
+        path = light_config(tmp_path, epsilon=eps, simulation=sim)
+        tracemalloc.start()
+        try:
+            assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    stored_x = 8 * sim["n_paths"] * (round(sim["T"] / sim["dt"]) + 1)
+    assert peaks[1] <= peaks[0] + stored_x // 2
 
 
 def test_simulate_builds_no_records(tmp_path, monkeypatch):
@@ -690,8 +710,8 @@ def test_sweep_blow_up_at_one_level_exit_code_2(tmp_path, monkeypatch):
     import eigencoupler.simulate as sim
     initial = sim.sample_initial
 
-    def nan_at_eps_0_15(model, p, rng):
-        x0, y0 = initial(model, p, rng)
+    def nan_at_eps_0_15(model, rng):
+        x0, y0 = initial(model, rng)
         return (x0 * np.nan if model.eps == 0.15 else x0), y0
 
     monkeypatch.setattr(sim, "sample_initial", nan_at_eps_0_15)

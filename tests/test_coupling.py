@@ -144,17 +144,17 @@ def test_negative_tilt_rejected(dw_small):
 
 
 def test_sample_initial_distributions(dw_small):
-    model = dw_small.model
+    model = dataclasses.replace(dw_small.model, p=np.array([1.0, 0.0]))
     rng = np.random.default_rng(0)
-    ys = np.array([sample_initial(model, [1.0, 0.0], rng)[1] for _ in range(200)])
+    ys = np.array([sample_initial(model, rng)[1] for _ in range(200)])
     np.testing.assert_array_equal(ys, 0)
 
 
 def test_sample_initial_decoupled_matches_weights():
-    pipe = build_pipeline("double_well", 0.1, 300, kappa=0.0)
+    pipe = build_pipeline("double_well", 0.1, 300, kappa=0.0)    # p uniform
     model = pipe.model
     rng = np.random.default_rng(42)
-    xs = np.array([sample_initial(model, [0.5, 0.5], rng)[0] for _ in range(100000)])
+    xs = np.array([sample_initial(model, rng)[0] for _ in range(100000)])
     from eigencoupler.stats import tv_distance
     tv = tv_distance(xs, model.weights, model.grid_nodes, bins=50)
     assert tv <= 0.02

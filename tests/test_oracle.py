@@ -72,7 +72,7 @@ def test_evolve_stiff_chain_with_floored_tolerance():
 
 def test_evolve_long_horizon_mass_conserved(dw_small, dw_small_joint):
     model = dw_small.model
-    nu0 = model.initial_law_for(model.p).reshape(-1)
+    nu0 = model.initial_law_for().reshape(-1)
     nu = evolve_distribution(dw_small_joint, nu0, 10.0)
     assert abs(nu.weights.sum() - 1.0) <= 1e-12
     assert np.all(nu.weights >= 0)
@@ -97,18 +97,18 @@ def test_distribution_vector_validation():
 def test_conditional_law_decoupled_exact():
     pipe = build_pipeline("double_well", 0.1, 120, kappa=0.0)
     B = build_joint_generator(pipe.model, pipe.gen)
-    rep, _ = check_oracle(B, pipe.model, pipe.spec.p, TIMES)
+    rep, _ = check_oracle(B, pipe.model, TIMES)
     assert rep.max_tv <= 1e-12
 
 
 def test_conditional_law_default_double_well(dw_small, dw_small_joint):
-    rep, _ = check_oracle(dw_small_joint, dw_small.model, dw_small.spec.p, TIMES)
+    rep, _ = check_oracle(dw_small_joint, dw_small.model, TIMES)
     assert rep.max_tv <= 1e-8
     assert not rep.skipped
 
 
 def test_y_marginal_default(dw_small, dw_small_joint):
-    _, rep = check_oracle(dw_small_joint, dw_small.model, dw_small.spec.p, TIMES)
+    _, rep = check_oracle(dw_small_joint, dw_small.model, TIMES)
     assert rep.max_l1 <= 1e-8
     assert rep.entries[0][0] == 0.1
 
@@ -116,7 +116,7 @@ def test_y_marginal_default(dw_small, dw_small_joint):
 def test_y_marginal_time_zero():
     pipe = build_pipeline("double_well", 0.1, 100)
     B = build_joint_generator(pipe.model, pipe.gen)
-    _, rep = check_oracle(B, pipe.model, pipe.spec.p, [0.0])
+    _, rep = check_oracle(B, pipe.model, [0.0])
     assert rep.max_l1 <= 1e-14
 
 
@@ -125,7 +125,7 @@ def test_y_marginal_independent_of_scale(kappa):
     # the chain marginal identity holds whatever the eigenvector scale is
     pipe = build_pipeline("double_well", 0.1, 150, kappa=kappa)
     B = build_joint_generator(pipe.model, pipe.gen)
-    _, rep = check_oracle(B, pipe.model, pipe.spec.p, TIMES)
+    _, rep = check_oracle(B, pipe.model, TIMES)
     assert rep.max_l1 <= 1e-8
 
 
@@ -142,7 +142,7 @@ def test_conditional_law_matrix(preset, n, eps, kappa, theta):
         pytest.skip("theta applies to two-state chains only")
     pipe = build_pipeline(preset, eps, n, kappa=kappa, theta=theta)
     B = build_joint_generator(pipe.model, pipe.gen)
-    rep, marg = check_oracle(B, pipe.model, pipe.spec.p, TIMES)
+    rep, marg = check_oracle(B, pipe.model, TIMES)
     assert rep.max_tv <= 1e-8
     assert marg.max_l1 <= 1e-8
 
@@ -152,7 +152,7 @@ def test_perturbed_eigenvector_breaks_law(dw_small):
     vec[0, 0] *= 1.01
     broken = dataclasses.replace(dw_small.model, vectors=vec)
     B = build_joint_generator(broken, dw_small.gen)
-    rep, _ = check_oracle(B, broken, dw_small.spec.p, TIMES)
+    rep, _ = check_oracle(B, broken, TIMES)
     assert rep.max_tv > 1e-4
 
 
@@ -182,7 +182,7 @@ def test_uniformize_is_bitwise_the_sparse_matmul_series(preset, eps):
     # weight * term do, on a single sub-interval and on several
     pipe = build_pipeline(preset, eps, 200)
     B = build_joint_generator(pipe.model, pipe.gen)
-    nu = pipe.model.initial_law_for(pipe.spec.p).reshape(-1)
+    nu = pipe.model.initial_law_for().reshape(-1)
     rate = float(np.max(-B.diagonal()))
     n_subs = []
     for t in (0.5 * _MAX_RATE_STEP / rate, 0.1, 1.0):
@@ -201,7 +201,7 @@ def test_check_oracle_bypasses_sparse_matmul(dw_small, dw_small_joint, monkeypat
         raise AssertionError("sparse matrix-vector product dispatched")
 
     monkeypatch.setattr(_compressed._cs_matrix, "_matmul_vector", fail)
-    rep, marg = check_oracle(dw_small_joint, dw_small.model, dw_small.spec.p, TIMES)
+    rep, marg = check_oracle(dw_small_joint, dw_small.model, TIMES)
     assert rep.max_tv <= 1e-8 and marg.max_l1 <= 1e-8
 
 

@@ -20,9 +20,6 @@ from eigencoupler.simulate import (
 )
 from eigencoupler.stats import tv_distance
 
-# a stray NaN or invalid cast in the walk fails the test, not just warns
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 DW = make_potential("double_well")
 
 
@@ -101,9 +98,8 @@ def test_holding_time_exponential(fast_chain_decoupled):
     pipe = fast_chain_decoupled
     q01 = pipe.spec.Q[0, 1]
     cfg = EnsembleConfig(n_paths=5000, dt=4e-3, horizon=round(12.0 / q01, 2),
-                         eps=0.5, seed=7, initial_kind="fixed", x0=0.0, y0=0,
-                         store_stride=500)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+                         seed=7, x0=0.0, y0=0, store_stride=500)
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
     taus = np.array([r.jumps[0][0] for r in recs if r.jumps])
     assert len(taus) >= 4995
     s = np.sort(taus)
@@ -119,9 +115,9 @@ def test_absorbing_state_never_leaves(fast_chain_decoupled):
     Q = pipe.model.Q.copy()
     Q[0] = 0.0
     model = dataclasses.replace(pipe.model, Q=Q)
-    cfg = EnsembleConfig(n_paths=50, dt=2e-3, horizon=3.0, eps=0.5, seed=1,
-                         initial_kind="fixed", x0=0.0, y0=0, store_stride=10)
-    recs = simulate_ensemble(cfg, model, pipe.potential, pipe.spec)
+    cfg = EnsembleConfig(n_paths=50, dt=2e-3, horizon=3.0, seed=1,
+                         x0=0.0, y0=0, store_stride=10)
+    recs = simulate_ensemble(cfg, model, pipe.potential)
     assert all(len(r.jumps) == 0 for r in recs)
     assert all((r.y == 0).all() for r in recs)
 
@@ -137,9 +133,9 @@ def test_jump_count_matches_closed_form(fast_chain_decoupled):
     p0 = np.array([1.0, 0.0])
     T = 4.0
     expected = T * (piv @ r) + (1 - np.exp(-lam * T)) / lam * ((p0 - piv) @ r)
-    cfg = EnsembleConfig(n_paths=4000, dt=2e-3, horizon=T, eps=0.5, seed=21,
-                         initial_kind="fixed", x0=0.0, y0=0, store_stride=200)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    cfg = EnsembleConfig(n_paths=4000, dt=2e-3, horizon=T, seed=21,
+                         x0=0.0, y0=0, store_stride=200)
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
     counts = np.array([len(r.jumps) for r in recs])
     se = counts.std(ddof=1) / np.sqrt(len(counts))
     assert abs(counts.mean() - expected) <= 3 * se
@@ -147,10 +143,10 @@ def test_jump_count_matches_closed_form(fast_chain_decoupled):
 
 def test_ensemble_deterministic(fast_chain):
     pipe = fast_chain
-    cfg = EnsembleConfig(n_paths=4, dt=2e-3, horizon=2.0, eps=0.5, seed=5,
+    cfg = EnsembleConfig(n_paths=4, dt=2e-3, horizon=2.0, seed=5,
                          store_stride=1)
-    a = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
-    b = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    a = simulate_ensemble(cfg, pipe.model, pipe.potential)
+    b = simulate_ensemble(cfg, pipe.model, pipe.potential)
     for ra, rb in zip(a, b):
         np.testing.assert_array_equal(ra.x, rb.x)
         np.testing.assert_array_equal(ra.times, rb.times)
@@ -161,14 +157,14 @@ def test_ensemble_matches_sequential_composition(fast_chain):
     # the ensemble is bit-identical to drawing each path's stream and running
     # the single-path operations in order
     pipe = fast_chain
-    model, spec, pot = pipe.model, pipe.spec, pipe.potential
-    cfg = EnsembleConfig(n_paths=5, dt=2e-3, horizon=6.0, eps=0.5, seed=11,
+    model, pot = pipe.model, pipe.potential
+    cfg = EnsembleConfig(n_paths=5, dt=2e-3, horizon=6.0, seed=11,
                          store_stride=1)
-    recs = simulate_ensemble(cfg, model, pot, spec)
+    recs = simulate_ensemble(cfg, model, pot)
     assert sum(len(r.jumps) for r in recs) > 0
     for i, rec in enumerate(recs):
         g = path_stream(11, i)
-        x0, y0 = sample_initial(model, spec.p, g)
+        x0, y0 = sample_initial(model, g)
         x = simulate_x(pot, 0.5, x0, 2e-3, 6.0, g)
         ref = simulate_y_given_x(x, model, y0, clock_stream(11, i), 2e-3)
         np.testing.assert_array_equal(rec.times, ref.times)
@@ -181,12 +177,12 @@ def test_ensemble_matches_sequential_composition(fast_chain):
 def test_ensemble_chunking_and_workers_invariant(fast_chain, monkeypatch):
     import eigencoupler.simulate as sim
     pipe = fast_chain
-    cfg = EnsembleConfig(n_paths=6, dt=2e-3, horizon=2.0, eps=0.5, seed=5,
+    cfg = EnsembleConfig(n_paths=6, dt=2e-3, horizon=2.0, seed=5,
                          store_stride=1)
-    ref = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    ref = simulate_ensemble(cfg, pipe.model, pipe.potential)
     monkeypatch.setattr(sim, "_CHUNK_BYTES", 16.0 * 1000 * 2)
     cfg2 = dataclasses.replace(cfg, workers=3)
-    out = simulate_ensemble(cfg2, pipe.model, pipe.potential, pipe.spec)
+    out = simulate_ensemble(cfg2, pipe.model, pipe.potential)
     for ra, rb in zip(ref, out):
         np.testing.assert_array_equal(ra.x, rb.x)
         assert ra.jumps == rb.jumps
@@ -197,22 +193,22 @@ def test_ensemble_tiles_and_noise_blocks_invariant(fast_chain, monkeypatch):
     # none dividing it evenly, change no bit of any record
     import eigencoupler.simulate as sim
     pipe = fast_chain
-    model, spec, pot = pipe.model, pipe.spec, pipe.potential
+    model, pot = pipe.model, pipe.potential
     # dt gives blocks of more than 8 steps, where numpy's pairwise sums
     # would round differently at width one
-    cfg = EnsembleConfig(n_paths=23, dt=5e-4, horizon=2.0, eps=0.5, seed=13,
+    cfg = EnsembleConfig(n_paths=23, dt=5e-4, horizon=2.0, seed=13,
                          store_stride=1)
-    ref = simulate_ensemble(cfg, model, pot, spec)
+    ref = simulate_ensemble(cfg, model, pot)
     block = sim._y_block_size(model, cfg.dt)
     monkeypatch.setattr(sim, "_Y_TILE_ELEMS", 5 * (block + 1))
     monkeypatch.setattr(sim, "_NOISE_BLOCK", 7)
     monkeypatch.setattr(sim, "_NOISE_GROUP", 4)
     assert block > 8 and cfg.n_steps % 7 != 0
-    recs = simulate_ensemble(cfg, model, pot, spec)
+    recs = simulate_ensemble(cfg, model, pot)
     assert sum(len(r.jumps) for r in recs) > 0
     for i, (rec, r0) in enumerate(zip(recs, ref)):
         g = path_stream(13, i)
-        x0, y0 = sample_initial(model, spec.p, g)
+        x0, y0 = sample_initial(model, g)
         x = simulate_x(pot, 0.5, x0, 5e-4, 2.0, g)
         one = simulate_y_given_x(x, model, y0, clock_stream(13, i), 5e-4)
         for other in (one, r0):
@@ -231,12 +227,11 @@ def test_chunk_peak_memory_excludes_noise(dw_small):
     model, pot = dw_small.model, dw_small.potential
     bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
     for absorb in (None, (0.5, 1.5)):
-        cfg = EnsembleConfig(n_paths=64, dt=1e-3, horizon=20.0, eps=0.1, seed=3,
-                             initial_kind="fixed", x0=0.0, y0=0, store_stride=1000,
-                             absorb=absorb)
+        cfg = EnsembleConfig(n_paths=64, dt=1e-3, horizon=20.0, seed=3,
+                             x0=0.0, y0=0, store_stride=1000, absorb=absorb)
         tracemalloc.start()
         try:
-            recs = sim._run_chunk([cfg], [model], pot, [model.p], np.arange(64), [bound])[0]
+            recs = sim._run_chunk(cfg, [model], pot, np.arange(64), [bound])[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -257,12 +252,11 @@ def test_chunk_peak_memory_independent_of_steps(dw_small):
     for absorb in (None, (0.5, 1.5)):
         peaks = []
         for horizon in (2.0, 20.0):
-            cfg = EnsembleConfig(n_paths=64, dt=1e-3, horizon=horizon, eps=0.1,
-                                 seed=3, initial_kind="fixed", x0=0.0, y0=0,
-                                 store_stride=1000, absorb=absorb)
+            cfg = EnsembleConfig(n_paths=64, dt=1e-3, horizon=horizon, seed=3,
+                                 x0=0.0, y0=0, store_stride=1000, absorb=absorb)
             tracemalloc.start()
             try:
-                sim._run_chunk([cfg], [model], pot, [model.p], np.arange(64), [bound])
+                sim._run_chunk(cfg, [model], pot, np.arange(64), [bound])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -299,7 +293,7 @@ def test_scan_reuses_its_tile_buffers(monkeypatch, eps, dt, horizon, block):
     pipe = build_pipeline("double_well", eps, 400)
     model, pot = pipe.model, pipe.potential
     bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
-    cfg = EnsembleConfig(n_paths=512, dt=dt, horizon=horizon, eps=eps, seed=3,
+    cfg = EnsembleConfig(n_paths=512, dt=dt, horizon=horizon, seed=3,
                          store_stride=50)
     assert sim._y_block_size(model, dt) == block
     advance, peaks = sim._ChainWalk.advance, []
@@ -313,7 +307,7 @@ def test_scan_reuses_its_tile_buffers(monkeypatch, eps, dt, horizon, block):
     monkeypatch.setattr(sim._ChainWalk, "advance", traced)
     tracemalloc.start()
     try:
-        sim._run_chunk([cfg], [model], pot, [model.p], np.arange(512), [bound])
+        sim._run_chunk(cfg, [model], pot, np.arange(512), [bound])
     finally:
         tracemalloc.stop()
     assert len(peaks) > 3
@@ -328,9 +322,9 @@ def test_ensemble_mean_chain_state(fast_chain_decoupled):
     pi1 = Q[0, 1] / lam
     T = 1.5
     expected = pi1 + (0.0 - pi1) * np.exp(-lam * T)
-    cfg = EnsembleConfig(n_paths=4000, dt=2e-3, horizon=T, eps=0.5, seed=33,
-                         initial_kind="fixed", x0=0.0, y0=0, store_stride=150)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    cfg = EnsembleConfig(n_paths=4000, dt=2e-3, horizon=T, seed=33,
+                         x0=0.0, y0=0, store_stride=150)
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
     yT = np.array([r.y[-1] for r in recs], dtype=float)
     se = yT.std(ddof=1) / np.sqrt(len(yT))
     assert abs(yT.mean() - expected) <= 3 * se
@@ -339,9 +333,9 @@ def test_ensemble_mean_chain_state(fast_chain_decoupled):
 def test_first_exit_time_semantics(fast_chain_decoupled):
     pipe = fast_chain_decoupled
     q01 = pipe.spec.Q[0, 1]
-    cfg = EnsembleConfig(n_paths=400, dt=2e-3, horizon=8.0, eps=0.5, seed=2,
-                         initial_kind="fixed", x0=0.0, y0=0, store_stride=100)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    cfg = EnsembleConfig(n_paths=400, dt=2e-3, horizon=8.0, seed=2,
+                         x0=0.0, y0=0, store_stride=100)
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
     # never-hit region -> None
     assert first_exit_time(recs[0], (50.0, 60.0), target="x") is None
     # chain hitting {1} is the first jump time
@@ -360,9 +354,9 @@ def test_first_exit_time_semantics(fast_chain_decoupled):
 
 def test_first_exit_interpolates_crossing(fast_chain):
     pipe = fast_chain
-    cfg = EnsembleConfig(n_paths=1, dt=2e-3, horizon=4.0, eps=0.5, seed=9,
+    cfg = EnsembleConfig(n_paths=1, dt=2e-3, horizon=4.0, seed=9,
                          store_stride=1)
-    rec = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)[0]
+    rec = simulate_ensemble(cfg, pipe.model, pipe.potential)[0]
     # threshold strictly above the start so the hit happens mid-path
     lo = max(float(np.quantile(rec.x, 0.8)), float(rec.x[0]) + 0.05)
     assert float(np.max(rec.x)) > lo
@@ -374,12 +368,12 @@ def test_first_exit_interpolates_crossing(fast_chain):
 
 def test_dt_refinement_tv_stable():
     pipe = build_pipeline("double_well", 0.1, 1000)
-    model, spec, pot = pipe.model, pipe.spec, pipe.potential
+    model, pot = pipe.model, pipe.potential
     tvs = {}
     for dt in (2e-4, 1e-4):
-        cfg = EnsembleConfig(n_paths=4000, dt=dt, horizon=1.0, eps=0.1, seed=9,
+        cfg = EnsembleConfig(n_paths=4000, dt=dt, horizon=1.0, seed=9,
                              store_stride=int(round(0.5 / dt)))
-        recs = simulate_ensemble(cfg, model, pot, spec)
+        recs = simulate_ensemble(cfg, model, pot)
         xT = np.array([r.x[-1] for r in recs])
         yT = np.array([r.y[-1] for r in recs])
         tvs[dt] = max(tv_distance(xT[yT == j], model.cond[j], model.grid_nodes, 50)
@@ -391,10 +385,9 @@ def test_dt_refinement_tv_stable():
 def test_absorb_mode_stops_paths():
     pipe = build_pipeline("double_well", 0.2, 500)
     ball = (0.5, 1.5)
-    cfg = EnsembleConfig(n_paths=100, dt=1e-3, horizon=80.0, eps=0.2, seed=4,
-                         initial_kind="fixed", x0=-1.0, y0=0, store_stride=50,
-                         absorb=ball)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    cfg = EnsembleConfig(n_paths=100, dt=1e-3, horizon=80.0, seed=4,
+                         x0=-1.0, y0=0, store_stride=50, absorb=ball)
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
     absorbed = [r for r in recs if r.exit_time is not None]
     assert len(absorbed) >= 95
     for r in absorbed:
@@ -406,16 +399,19 @@ def test_absorb_mode_stops_paths():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EnsembleConfig(n_paths=0, dt=1e-3, horizon=1.0, eps=0.1, seed=0)
+        EnsembleConfig(n_paths=0, dt=1e-3, horizon=1.0, seed=0)
     with pytest.raises(ValueError):
-        EnsembleConfig(n_paths=1, dt=-1e-3, horizon=1.0, eps=0.1, seed=0)
+        EnsembleConfig(n_paths=1, dt=-1e-3, horizon=1.0, seed=0)
+    # a fixed start needs both coordinates
     with pytest.raises(ValueError):
-        EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, eps=0.1, seed=0,
-                       initial_kind="fixed")
+        EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, seed=0, x0=0.0)
     with pytest.raises(ValueError):
-        pipe = build_pipeline("double_well", 0.1, 50)
-        cfg = EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, eps=0.2, seed=0)
-        simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+        EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, seed=0, y0=0)
+    # a stride below one fails here, not as a division or index error deep
+    # in the run
+    for stride in (0, -1):
+        with pytest.raises(ValueError, match="store_stride"):
+            EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, seed=0, store_stride=stride)
 
 
 def _crossing_fraction(qa, qb, t0, budget, dt):
@@ -502,14 +498,14 @@ def test_ensemble_matches_reference_walk(fast_chain, monkeypatch, case):
     model = dataclasses.replace(pipe.model, Q=pipe.model.Q * scale)
     monkeypatch.setattr(sim, "_Y_REPLAY_BUDGET", budget)
     block = sim._y_block_size(model, dt)
-    cfg = EnsembleConfig(n_paths=40, dt=dt, horizon=1.0, eps=model.eps, seed=17,
+    cfg = EnsembleConfig(n_paths=40, dt=dt, horizon=1.0, seed=17,
                          store_stride=1, absorb=absorb)
-    recs = simulate_ensemble(cfg, model, pipe.potential, pipe.spec)
+    recs = simulate_ensemble(cfg, model, pipe.potential)
     bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
     shared_step = shared_block = exit_crossing = 0
     for i, rec in enumerate(recs):
         g = path_stream(17, i)
-        x0, y0 = sample_initial(model, pipe.spec.p, g)
+        x0, y0 = sample_initial(model, g)
         path = sim._Diffusion(pipe.potential, model.eps, np.array([x0]),
                               sim._NoiseTape([g], cfg.n_steps, sim._NOISE_BLOCK), dt, bound,
                               np.arange(cfg.n_steps + 1), absorb)
@@ -560,26 +556,26 @@ def test_records_match_pinned_digests(name, digest):
     import eigencoupler.simulate as sim
     if name == "jumps":
         pipe = build_pipeline("double_well", 0.5, 400)
-        cfg = EnsembleConfig(n_paths=200, dt=4e-3, horizon=20.0, eps=0.5, seed=601,
+        cfg = EnsembleConfig(n_paths=200, dt=4e-3, horizon=20.0, seed=601,
                              store_stride=50)
     elif name == "triple_well":
         pipe = build_pipeline("triple_well", 0.2, 400)
-        cfg = EnsembleConfig(n_paths=200, dt=1e-3, horizon=10.0, eps=0.2, seed=5,
+        cfg = EnsembleConfig(n_paths=200, dt=1e-3, horizon=10.0, seed=5,
                              store_stride=100)
     elif name == "quiet":
         # the small-noise regime, where a block holds more steps than a
         # window holds blocks: _block_sums takes its cumsum branch
         pipe = build_pipeline("double_well", 0.1, 400)
-        cfg = EnsembleConfig(n_paths=200, dt=4e-4, horizon=16.0, eps=0.1, seed=601,
+        cfg = EnsembleConfig(n_paths=200, dt=4e-4, horizon=16.0, seed=601,
                              store_stride=100)
         assert sim._y_block_size(pipe.model, cfg.dt) == 256
     else:
         pipe = build_pipeline("double_well", 0.15, 400)
         m = pipe.potential.minima
-        cfg = EnsembleConfig(n_paths=100, dt=1e-3, horizon=40.0, eps=0.15, seed=5,
-                             initial_kind="fixed", x0=float(m[0]), y0=0,
-                             store_stride=100, absorb=(m[1] - 0.5, m[1] + 0.5))
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+        cfg = EnsembleConfig(n_paths=100, dt=1e-3, horizon=40.0, seed=5,
+                             x0=float(m[0]), y0=0, store_stride=100,
+                             absorb=(m[1] - 0.5, m[1] + 0.5))
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
     assert _record_digest(recs) == digest
 
 
@@ -599,14 +595,14 @@ def test_ensemble_y_at_matches_records(fast_chain, case):
     if case == "three_states":
         pipe = build_pipeline("triple_well", 0.3, 400)
         model = dataclasses.replace(pipe.model, Q=pipe.model.Q * 100.0)
-        cfg = EnsembleConfig(n_paths=30, dt=1e-3, horizon=1.0, eps=model.eps, seed=17,
+        cfg = EnsembleConfig(n_paths=30, dt=1e-3, horizon=1.0, seed=17,
                              store_stride=10)
     else:
         pipe = fast_chain
         model = dataclasses.replace(pipe.model, Q=pipe.model.Q * 20.0)
-        cfg = EnsembleConfig(n_paths=30, dt=2e-3, horizon=1.0, eps=0.5, seed=17,
+        cfg = EnsembleConfig(n_paths=30, dt=2e-3, horizon=1.0, seed=17,
                              store_stride=10, absorb=(0.5, 50.0))
-    ens = simulate_ensemble(cfg, model, pipe.potential, pipe.spec)
+    ens = simulate_ensemble(cfg, model, pipe.potential)
     recs = list(ens)
     assert len(ens.jump_t) > 2 * len(ens) and len(recs) == len(ens)
     if case == "absorbing":
@@ -634,10 +630,9 @@ def test_absorbed_paths_hold_their_exit_point(fast_chain, x0):
     # stored x after an exit reads the exit point; from x0 = 1 every path
     # exits at once, and the chunk stops after its first window
     pipe = fast_chain
-    cfg = EnsembleConfig(n_paths=20, dt=2e-3, horizon=4.0, eps=0.5, seed=3,
-                         initial_kind="fixed", x0=x0, y0=0, store_stride=10,
-                         absorb=(0.5, 50.0))
-    ens = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    cfg = EnsembleConfig(n_paths=20, dt=2e-3, horizon=4.0, seed=3,
+                         x0=x0, y0=0, store_stride=10, absorb=(0.5, 50.0))
+    ens = simulate_ensemble(cfg, pipe.model, pipe.potential)
     assert (~np.isnan(ens.exit_time)).sum() >= 10
     after = ens.times[:, None] > ens.exit_time           # never where NaN
     np.testing.assert_array_equal(ens.x[after],
@@ -653,7 +648,7 @@ def test_chunk_peak_memory_independent_of_blocks_per_window(monkeypatch):
     pipe = build_pipeline("double_well", 0.5, 400)
     model, pot = pipe.model, pipe.potential
     bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
-    cfg = EnsembleConfig(n_paths=512, dt=4e-3, horizon=8.0, eps=0.5, seed=3,
+    cfg = EnsembleConfig(n_paths=512, dt=4e-3, horizon=8.0, seed=3,
                          store_stride=50)
     assert sim._y_block_size(model, cfg.dt) == 2
     peaks = []
@@ -661,7 +656,7 @@ def test_chunk_peak_memory_independent_of_blocks_per_window(monkeypatch):
         monkeypatch.setattr(sim, "_NOISE_BLOCK", window)
         tracemalloc.start()
         try:
-            recs = sim._run_chunk([cfg], [model], pot, [model.p], np.arange(512), [bound])[0]
+            recs = sim._run_chunk(cfg, [model], pot, np.arange(512), [bound])[0]
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -675,15 +670,15 @@ def test_replay_reads_only_written_window_rows(fast_chain, monkeypatch):
     # of 8, one window of 512 steps, so the last block runs past n_steps.
     # With every fresh float array NaN-filled, a read of a window row past
     # the window's last written one casts a NaN position to an index, which
-    # the module's RuntimeWarning filter turns into a failure.
+    # the suite's RuntimeWarning filter (pyproject.toml) turns into a failure.
     import eigencoupler.simulate as sim
     model = dataclasses.replace(fast_chain.model, Q=fast_chain.model.Q * 20.0)
     monkeypatch.setattr(sim, "_Y_REPLAY_BUDGET", 1.0)
-    cfg = EnsembleConfig(n_paths=40, dt=2e-3, horizon=1.0, eps=model.eps, seed=17,
+    cfg = EnsembleConfig(n_paths=40, dt=2e-3, horizon=1.0, seed=17,
                          store_stride=1)
     block = sim._y_block_size(model, cfg.dt)
     assert block == 8 and cfg.n_steps % block and cfg.n_steps < sim._NOISE_BLOCK
-    ref = simulate_ensemble(cfg, model, fast_chain.potential, fast_chain.spec)
+    ref = simulate_ensemble(cfg, model, fast_chain.potential)
     empty = np.empty
 
     def poisoned(shape, dtype=float, *args, **kwargs):
@@ -693,7 +688,7 @@ def test_replay_reads_only_written_window_rows(fast_chain, monkeypatch):
         return out
 
     monkeypatch.setattr(sim.np, "empty", poisoned)
-    recs = simulate_ensemble(cfg, model, fast_chain.potential, fast_chain.spec)
+    recs = simulate_ensemble(cfg, model, fast_chain.potential)
     assert _record_digest(recs) == _record_digest(ref)
     assert sum(len(r.jumps) for r in recs) > 0
 
@@ -726,9 +721,8 @@ def test_ensembles_match_one_level_runs(monkeypatch, case):
     levels, dt, horizon, blocks = _LOCKSTEP["mixed" if case == "chunks" else case]
     pipes = [build_pipeline("double_well", eps, 400) for eps in levels]
     assert [sim._y_block_size(p.model, dt) for p in pipes] == blocks
-    cfgs = [EnsembleConfig(n_paths=100, dt=dt, horizon=horizon, eps=eps, seed=601,
-                           store_stride=50) for eps in levels]
-    refs = [simulate_ensemble(c, p.model, p.potential, p.spec) for c, p in zip(cfgs, pipes)]
+    cfg = EnsembleConfig(n_paths=100, dt=dt, horizon=horizon, seed=601, store_stride=50)
+    refs = [simulate_ensemble(cfg, p.model, p.potential) for p in pipes]
     chunks, drawn = [], []
     run_chunk, draw = sim._run_chunk, sim._NoiseTape._draw
     monkeypatch.setattr(sim, "_run_chunk", lambda *args: chunks.append(1) or run_chunk(*args))
@@ -736,14 +730,13 @@ def test_ensembles_match_one_level_runs(monkeypatch, case):
                         lambda self, a, nb: drawn.append(nb) or draw(self, a, nb))
     if case == "chunks":
         monkeypatch.setattr(sim, "_CHUNK_BYTES", 2 ** 15)
-        cfgs = [dataclasses.replace(c, workers=2) for c in cfgs]
-    got = simulate_ensembles(cfgs, [p.model for p in pipes], pipes[0].potential,
-                             [p.spec for p in pipes])
+        cfg = dataclasses.replace(cfg, workers=2)
+    got = simulate_ensembles(cfg, [p.model for p in pipes], pipes[0].potential)
     assert len(got) == len(levels) and sum(len(e.jump_t) for e in got) > 0
     for ens, ref in zip(got, refs):
         _assert_same_ensemble(ens, ref)
     assert len(chunks) > 2 if case == "chunks" else len(chunks) == 1
-    assert sum(drawn) == len(chunks) * cfgs[0].n_steps
+    assert sum(drawn) == len(chunks) * cfg.n_steps
 
 
 def test_ensembles_blow_up_at_one_level(monkeypatch):
@@ -753,31 +746,20 @@ def test_ensembles_blow_up_at_one_level(monkeypatch):
     pipes = [build_pipeline("double_well", eps, 400) for eps in (0.2, 0.1)]
     initial = sim.sample_initial
 
-    def nan_at_second(model, p, rng):
-        x0, y0 = initial(model, p, rng)
+    def nan_at_second(model, rng):
+        x0, y0 = initial(model, rng)
         return (x0 * np.nan if model is pipes[1].model else x0), y0
 
     monkeypatch.setattr(sim, "sample_initial", nan_at_second)
-    cfgs = [EnsembleConfig(n_paths=10, dt=1e-3, horizon=0.5, eps=p.model.eps, seed=3)
-            for p in pipes]
+    cfg = EnsembleConfig(n_paths=10, dt=1e-3, horizon=0.5, seed=3)
     with pytest.raises(BlowUpError):
-        simulate_ensembles(cfgs, [p.model for p in pipes], pipes[0].potential)
+        simulate_ensembles(cfg, [p.model for p in pipes], pipes[0].potential)
 
 
-def test_ensembles_levels_differ_only_in_eps(fast_chain):
-    pipe = fast_chain
-    cfg = EnsembleConfig(n_paths=4, dt=2e-3, horizon=0.1, eps=0.5, seed=5)
-    for other in (dataclasses.replace(cfg, seed=6), dataclasses.replace(cfg, n_paths=5),
-                  dataclasses.replace(cfg, store_stride=2)):
-        with pytest.raises(ValueError, match="differ only in eps"):
-            simulate_ensembles([cfg, other], [pipe.model] * 2, pipe.potential)
-    with pytest.raises(ValueError, match="eps disagree"):
-        simulate_ensembles([cfg, dataclasses.replace(cfg, eps=0.4)], [pipe.model] * 2,
-                           pipe.potential)
-    with pytest.raises(ValueError, match="one coupling model"):
-        simulate_ensembles([cfg], [pipe.model] * 2, pipe.potential)
-    with pytest.raises(ValueError, match="one coupling model"):
-        simulate_ensembles([cfg] * 2, [pipe.model] * 2, pipe.potential, [pipe.spec])
+def test_ensembles_need_a_model(fast_chain):
+    cfg = EnsembleConfig(n_paths=4, dt=2e-3, horizon=0.1, seed=5)
+    with pytest.raises(ValueError, match="at least one coupling model"):
+        simulate_ensembles(cfg, [], fast_chain.potential)
 
 
 def test_tilt_modes_allocate_nothing_with_scratch(dw_small):

@@ -100,18 +100,18 @@ def test_tv_distance_bounded(seed, bins):
 @pytest.fixture(scope="module")
 def tracking_ensemble():
     pipe = build_pipeline("double_well", 0.1, 500)
-    cfg = EnsembleConfig(n_paths=3000, dt=5e-4, horizon=1.0, eps=0.1, seed=12,
+    cfg = EnsembleConfig(n_paths=3000, dt=5e-4, horizon=1.0, seed=12,
                          store_stride=200)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
     return pipe, recs
 
 
 def test_tracking_symmetric_decoupled_half():
     pipe = build_pipeline("double_well", 0.1, 300, kappa=0.0)
     part = domains_of_attraction(pipe.potential)
-    cfg = EnsembleConfig(n_paths=400, dt=1e-3, horizon=0.2, eps=0.1, seed=3,
+    cfg = EnsembleConfig(n_paths=400, dt=1e-3, horizon=0.2, seed=3,
                          store_stride=100)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
     out = tracking_probability(recs, part, 0.2, pipe.model)
     for j, (est, oracle_val) in out.items():
         assert oracle_val == pytest.approx(0.5, abs=1e-10)
@@ -137,9 +137,9 @@ def test_tracking_deterministic(tracking_ensemble):
 def test_tracking_empty_state_flagged():
     pipe = build_pipeline("double_well", 0.1, 200, p=(1.0, 0.0))
     part = domains_of_attraction(pipe.potential)
-    cfg = EnsembleConfig(n_paths=60, dt=1e-3, horizon=0.05, eps=0.1, seed=6,
-                         initial_kind="fixed", x0=-1.0, y0=0, store_stride=10)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    cfg = EnsembleConfig(n_paths=60, dt=1e-3, horizon=0.05, seed=6,
+                         x0=-1.0, y0=0, store_stride=10)
+    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
     out = tracking_probability(recs, part, 0.05, pipe.model)
     assert out[1][0] is None          # nobody occupies state 1 yet
     assert out[0][0] is not None
@@ -152,12 +152,10 @@ def exit_setup():
     ens = {}
     for i, x0 in enumerate(pipe.potential.minima):
         ball_j = pipe.potential.minima[1 - i]
-        cfg = EnsembleConfig(n_paths=300, dt=1e-3, horizon=120.0, eps=0.2,
-                             seed=40 + i, initial_kind="fixed", x0=float(x0),
-                             y0=i, store_stride=100,
+        cfg = EnsembleConfig(n_paths=300, dt=1e-3, horizon=120.0, seed=40 + i,
+                             x0=float(x0), y0=i, store_stride=100,
                              absorb=(ball_j - 0.5, ball_j + 0.5))
-        ens[i] = simulate_ensemble(cfg, pipe.model, pipe.potential,
-                                   pipe.spec)
+        ens[i] = simulate_ensemble(cfg, pipe.model, pipe.potential)
     return pipe, part, ens
 
 
@@ -190,10 +188,9 @@ def test_rate_match_deterministic(exit_setup):
 
 def test_rate_match_censoring_flagged(exit_setup):
     pipe, part, _ = exit_setup
-    cfg = EnsembleConfig(n_paths=30, dt=1e-3, horizon=0.5, eps=0.2, seed=90,
-                         initial_kind="fixed", x0=-1.0, y0=0, store_stride=10,
-                         absorb=(0.5, 1.5))
-    short = simulate_ensemble(cfg, pipe.model, pipe.potential, pipe.spec)
+    cfg = EnsembleConfig(n_paths=30, dt=1e-3, horizon=0.5, seed=90,
+                         x0=-1.0, y0=0, store_stride=10, absorb=(0.5, 1.5))
+    short = simulate_ensemble(cfg, pipe.model, pipe.potential)
     report = rate_match_report({0: short}, pipe.spec.Q, part, 0.5,
                                pipe.gen, pipe.potential.minima)
     row = report.rows[0]
