@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -32,7 +31,7 @@ import scipy.sparse as sp
 
 from . import __version__
 from .chain import validate_chain
-from .config import ExperimentConfig, parse_config, stored_x_problem
+from .config import ExperimentConfig, apply_overrides, parse_config, stored_x_problem
 from .coupling import (Pipeline, build_joint_generator, build_pipeline, coupling_summary,
                        coupling_to_csv)
 from .errors import ConfigError, EigencouplerError, GrowthAssumptionError
@@ -472,17 +471,12 @@ def main(argv=None) -> int:
                         help="worker threads (or env EIGENCOUPLER_THREADS)")
     args = parser.parse_args(argv)
     try:
-        cfg = parse_config(args.config)
+        cfg = apply_overrides(parse_config(args.config), seed=args.seed,
+                              threads=args.threads,
+                              env_threads=os.environ.get("EIGENCOUPLER_THREADS"))
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    threads = args.threads
-    if threads is None and os.environ.get("EIGENCOUPLER_THREADS"):
-        threads = int(os.environ["EIGENCOUPLER_THREADS"])
-    if threads is not None:
-        cfg = dataclasses.replace(cfg, threads=threads)
     return execute(args.command, cfg, out_dir=args.out)
 
 

@@ -6,6 +6,7 @@ rejected at all levels so typos cannot silently fall back to defaults.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .potential import preset_names
 
-__all__ = ["ExperimentConfig", "parse_config", "DEFAULTS"]
+__all__ = ["ExperimentConfig", "parse_config", "apply_overrides", "DEFAULTS"]
 
 DEFAULTS = {
     "theta": 0.5,
@@ -94,6 +95,14 @@ _INT64_MAX = 2 ** 63 - 1
 def _is_size(x, lo) -> bool:
     """A JSON integer in [lo, int64 max]: sizes become numpy indices."""
     return _is_int(x) and lo <= x <= _INT64_MAX
+
+
+def _is_seed(x) -> bool:
+    return _is_int(x) and 0 <= x < 2 ** 64
+
+
+def _is_threads(x) -> bool:
+    return _is_int(x) and x >= 1
 
 
 def _is_num(x) -> bool:
@@ -264,7 +273,7 @@ def parse_config(source) -> ExperimentConfig:
         problems.append("simulation.T: must be positive")
     if not _is_size(n_paths, 1):
         problems.append("simulation.n_paths: must be an integer in [1, 2**63 - 1]")
-    if not (_is_int(seed) and 0 <= seed < 2 ** 64):
+    if not _is_seed(seed):
         problems.append("simulation.seed: must be a u64")
     if not _is_size(store_stride, 1):
         problems.append("simulation.store_stride: must be an integer in [1, 2**63 - 1]")
@@ -307,7 +316,7 @@ def parse_config(source) -> ExperimentConfig:
     if not isinstance(allow, bool):
         problems.append("allow_assumption_violation: must be a boolean")
     threads = data.get("threads", 1)
-    if not (_is_int(threads) and threads >= 1):
+    if not _is_threads(threads):
         problems.append("threads: must be a positive integer")
 
     if problems:
@@ -320,3 +329,34 @@ def parse_config(source) -> ExperimentConfig:
         n_paths=n_paths, seed=seed, store_stride=store_stride,
         out_dir=str(out_dir), formats=formats,
         allow_assumption_violation=allow, threads=threads)
+
+
+def apply_overrides(cfg: ExperimentConfig, seed=None, threads=None,
+                    env_threads=None) -> ExperimentConfig:
+    """cfg with a command line's --seed and --threads, or else the text of
+    EIGENCOUPLER_THREADS, each checked by the rule of its config key.
+
+    Raises:
+        ConfigError: with one line per bad override.
+    """
+    problems, changes = [], {}
+    if seed is not None:
+        if _is_seed(seed):
+            changes["seed"] = seed
+        else:
+            problems.append("--seed: must be a u64")
+    source = "--threads"
+    if threads is None and env_threads:
+        source = "EIGENCOUPLER_THREADS"
+        try:
+            threads = int(env_threads)
+        except ValueError:
+            threads = env_threads       # not an integer: fails the check
+    if threads is not None:
+        if _is_threads(threads):
+            changes["threads"] = threads
+        else:
+            problems.append(f"{source}: must be a positive integer")
+    if problems:
+        raise ConfigError(problems)
+    return dataclasses.replace(cfg, **changes)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
-# scipy's private sparse kernels: y += A x for CSC arrays (indptr, indices,
+# scipy's private sparse kernel: y += A x for CSR arrays (indptr, indices,
 # data); pinned against PT @ term by tests/test_oracle.py
-from scipy.sparse._sparsetools import csc_matvec
+from scipy.sparse._sparsetools import csr_matvec
 
 from .coupling import CouplingModel
 from .errors import UniformizationError, UnreachableTargetError
@@ -101,7 +101,7 @@ def _poisson_weights(a: float, tol: float) -> list:
 
 def _uniformize(B: sp.spmatrix, nu: np.ndarray, t: float, tol: float) -> np.ndarray:
     n = B.shape[0]
-    # csc_matvec reads n entries of nu unchecked
+    # csr_matvec reads n entries of nu unchecked
     if nu.shape != (n,):
         raise ValueError(f"distribution of shape {nu.shape} for a generator on {n} states")
     rate = float(np.max(-B.diagonal()))
@@ -111,11 +111,15 @@ def _uniformize(B: sp.spmatrix, nu: np.ndarray, t: float, tol: float) -> np.ndar
     # every sub-interval has the same rate-time, hence the same weights
     tau = t / n_sub
     weights = _poisson_weights(rate * tau, max(tol / n_sub, _EPS))
-    # the uniformized chain's kernel, formed once; its CSR arrays are the CSC
-    # arrays of P^T, so each step is the csc_matvec that PT @ term runs,
-    # called directly into one of two reused buffers: the same operations in
-    # the same order, without sparse @'s dispatch and fresh output per step
+    # the uniformized chain's kernel P^T, formed once in CSR with sorted
+    # indices. PT @ term runs csc_matvec on P's CSR arrays, scattering row j
+    # of P into every entry's sum in ascending j from zero; csr_matvec on
+    # P^T's rows gathers each entry's terms in that same order, called
+    # directly into one of two reused buffers without sparse @'s dispatch
+    # and fresh output per step
     P = (sp.eye(n, format="csr") + B.multiply(1.0 / rate)).tocsr()
+    PT = P.T.tocsr()
+    PT.sort_indices()
     bufs = (np.empty(n), np.empty(n))
     tmp = np.empty(n)
     out = nu
@@ -124,8 +128,8 @@ def _uniformize(B: sp.spmatrix, nu: np.ndarray, t: float, tol: float) -> np.ndar
         acc = weights[0] * term
         for k, weight in enumerate(weights[1:]):
             nxt = bufs[k & 1]
-            nxt.fill(0.0)       # csc_matvec adds into its output
-            csc_matvec(n, n, P.indptr, P.indices, P.data, term, nxt)
+            nxt.fill(0.0)       # csr_matvec adds into its output
+            csr_matvec(n, n, PT.indptr, PT.indices, PT.data, term, nxt)
             term = nxt
             acc += np.multiply(weight, term, out=tmp)
         out = acc

@@ -7,6 +7,7 @@ the coupling pipeline are exact symbolic facts instead of numerical estimates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -69,15 +70,24 @@ class Potential:
         return np.polynomial.polynomial.polyval(x, self._dcoeffs)
 
     def grad_into(self, x, out):
-        """grad(x) written into the preallocated array out, bit for bit:
-        polyval's Horner steps (c[-1] + x*0, then c[-i] + acc*x) done in
-        place, without its per-call allocations."""
-        c = self._dcoeffs
-        np.multiply(x, 0.0, out=out)
-        out += c[-1]
-        for ci in c[-2::-1]:
+        """grad(x) written into the preallocated array out: polyval's Horner
+        steps (c[-1] + x*0, then c[-i] + acc*x) done in place, without its
+        per-call allocations or its additions of zero. Bit for bit polyval
+        for finite x and NaN; for ±inf it gives ±inf where polyval gives NaN
+        (from x*0) unless F' is constant, and the simulator's blow-up guard
+        rejects both.
+
+        For finite x polyval's acc is exactly c[j] at the highest nonzero
+        coefficient c[j], so Horner starts from x * c[j]. A skipped + 0.0
+        only turns an exact -0 into +0, which the next nonzero add or the
+        kept final + c[0] absorbs; a skipped + -0.0 changes nothing."""
+        lead, inner, c0 = self._grad_horner
+        np.multiply(x, lead, out=out)
+        for ci in inner:
+            if ci is not None:
+                out += ci
             out *= x
-            out += ci
+        out += c0
         return out
 
     def hess(self, x):
@@ -86,6 +96,20 @@ class Potential:
     @cached_property
     def _dcoeffs(self) -> np.ndarray:
         return np.polynomial.polynomial.polyder(self.coeffs)
+
+    @cached_property
+    def _grad_horner(self) -> tuple:
+        """(lead, inner, c0) of grad_into: out = x * lead, then for each
+        inner coefficient + ci (None: skipped) and * x, then + c0. Where no
+        coefficient past c[0] is nonzero, or c[0] is -0.0 (an identity add
+        that keeps a zero's sign, so every earlier sign counts), these are
+        polyval's own steps."""
+        c = [float(v) for v in self._dcoeffs]
+        nz = np.flatnonzero(self._dcoeffs)
+        j = int(nz[-1]) if nz.size else 0
+        if j == 0 or (c[0] == 0.0 and math.copysign(1.0, c[0]) < 0.0):
+            return 0.0, tuple(c[:0:-1]), c[0]
+        return c[j], tuple(ci if ci else None for ci in c[j - 1:0:-1]), c[0]
 
     @cached_property
     def _ddcoeffs(self) -> np.ndarray:

@@ -281,6 +281,16 @@ class EnsembleConfig:
             raise ValueError("a fixed start needs both x0 and y0")
         if self.store_stride < 1:
             raise ValueError("need store_stride >= 1")
+        if self.absorb is not None:
+            try:
+                lo, hi = self.absorb
+                ok = math.isfinite(lo) and math.isfinite(hi) and lo < hi
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError("absorb must be two finite numbers lo < hi")
+        if self.workers < 1:
+            raise ValueError("need workers >= 1")
 
     @property
     def n_steps(self) -> int:
@@ -614,23 +624,29 @@ def _y_block_size(model: CouplingModel, dt: float) -> int:
 
 
 def _block_sums(dep, block, out):
-    """The (k, ceil(n / block), w) sums of the (k, n, w) depletions over
-    each block of steps, written to out, added in step order: the first
-    step, plus the second, and so on, as a running sum gives it. The loop
-    runs over whichever is fewer, the blocks or the steps of one block; the
-    first leaves each block's running sum in dep."""
-    n = dep.shape[1]
-    nblocks = -(-n // block)
-    if nblocks <= block:
-        for i, b in enumerate(range(0, n, block)):
-            run = dep[:, b:b + block]
-            np.cumsum(run, axis=1, out=run)
-            out[:, i] = run[:, -1]
+    """The (k, ceil(n / block), w) sums of the C-contiguous (k, n, w)
+    depletions over each block of steps, written to out, added in step
+    order: the first step, plus the second, and so on, as a running sum
+    gives it.
+
+    One add.reduce over the full blocks, seen as (k, nblocks, block, w), and
+    one over the trailing partial block give that order: numpy sums pairwise
+    only along the fast axis, and the reduced step axis is not the fast one
+    while w >= 2, so each output element takes its steps one by one. At
+    w = 1 the path axis drops out, the step axis becomes the fast one and
+    the sum turns pairwise, so a 1-path tile adds its steps in a loop."""
+    k, n, w = dep.shape
+    if w == 1:
+        np.copyto(out, dep[:, ::block])
+        for j in range(1, block):
+            part = dep[:, j::block]
+            out[:, :part.shape[1]] += part
         return out
-    np.copyto(out, dep[:, ::block])
-    for j in range(1, block):
-        part = dep[:, j::block]
-        out[:, :part.shape[1]] += part
+    full = n // block
+    np.add.reduce(dep[:, :full * block].reshape(k, full, block, w), axis=2,
+                  out=out[:, :full])
+    if full * block < n:
+        np.add.reduce(dep[:, full * block:], axis=1, out=out[:, full])
     return out
 
 

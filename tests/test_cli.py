@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import eigencoupler.cli as cli
 import eigencoupler.coupling as coupling
-from eigencoupler.config import parse_config
+from eigencoupler.config import apply_overrides, parse_config
 from eigencoupler.errors import ConfigError
 from eigencoupler.potential import make_potential
 from eigencoupler.spectral import auto_grid, build_generator, decompose
@@ -120,6 +120,42 @@ def test_oversized_config_integers_exit_1(tmp_path, capsys, section, value):
     path = light_config(tmp_path, **{section: data[section]})
     assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, env, problem", [
+    (["--seed", "-5"], None, "--seed: must be a u64"),
+    (["--seed", str(2 ** 64)], None, "--seed: must be a u64"),
+    (["--threads", "0"], None, "--threads: must be a positive integer"),
+    ([], "abc", "EIGENCOUPLER_THREADS: must be a positive integer"),
+    ([], "-2", "EIGENCOUPLER_THREADS: must be a positive integer"),
+])
+def test_cli_overrides_follow_the_config_rules(tmp_path, monkeypatch, capsys,
+                                               args, env, problem):
+    # --seed, --threads and EIGENCOUPLER_THREADS are checked as the keys
+    # they override: one line, exit 1, before any work or artifact
+    def never(*args, **kwargs):
+        raise AssertionError("pipeline built")
+
+    monkeypatch.setattr(cli, "_build_pipeline", never)
+    monkeypatch.setattr(coupling, "build_pipeline", never)
+    if env is None:
+        monkeypatch.delenv("EIGENCOUPLER_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("EIGENCOUPLER_THREADS", env)
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", light_config(tmp_path),
+                     "--out", str(out), *args]) == 1
+    assert capsys.readouterr().err == f"invalid configuration: {problem}\n"
+    assert not out.exists()
+
+
+def test_cli_overrides_apply_in_order():
+    cfg = parse_config(LIGHT)
+    assert apply_overrides(cfg) == cfg
+    assert apply_overrides(cfg, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+    assert apply_overrides(cfg, env_threads="2").threads == 2
+    # the flag wins over the environment, whose text is then never read
+    assert apply_overrides(cfg, threads=3, env_threads="abc").threads == 3
 
 
 _numbers = st.one_of(st.integers(-3, 2 ** 70), st.integers(10 ** 308, 10 ** 400),

@@ -161,13 +161,27 @@ def test_gradient_flow_lands_in_correct_well(preset):
     assert (part.locate(phi) == expected).all()
 
 
-@pytest.mark.parametrize("name", preset_names())
+_ZERO_TERMS = {
+    # F' = -x + 1.5 x^4, with interior and leading zero coefficients
+    "custom": (0.1, 0.0, -0.5, 0.0, 0.0, 0.3, 0.0, 0.0),
+    # F' = -0 + 0 x + x^2: an add of -0.0 last keeps every earlier zero's sign
+    "signed_zero": (0.3, -0.0, 0.0, 1.0 / 3.0),
+}
+
+
+@pytest.mark.parametrize("name", preset_names() + tuple(_ZERO_TERMS))
 def test_grad_into_bitwise_polyval(name):
     # the Euler loop's in-place gradient rounds exactly as polyval, sign of
-    # zero and NaN included
-    pot = make_potential(name)
+    # zero and NaN included, at the roots of F' and past its zero terms
+    pot = (Potential(np.array(_ZERO_TERMS[name])) if name in _ZERO_TERMS
+           else make_potential(name))
+    roots = np.polynomial.polynomial.polyroots(np.trim_zeros(pot._dcoeffs, "b"))
+    roots = roots[np.isreal(roots)].real
     rng = np.random.default_rng(5)
+    tiny = np.finfo(float).smallest_subnormal
     x = np.concatenate((rng.normal(0.0, 3.0, 1000), -rng.uniform(0, 1e-3, 50),
+                        roots, -roots, np.nextafter(roots, np.inf),
+                        np.arange(-5.0, 6.0), [1.0, -1.0, tiny, -tiny, 3 * tiny, 1e-310],
                         [0.0, -0.0, np.nan, -np.nan, 1e300, -1e300]))
     out = np.full_like(x, 7.0)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -190,33 +190,38 @@ def test_ensemble_chunking_and_workers_invariant(fast_chain, monkeypatch):
 
 def test_ensemble_tiles_and_noise_blocks_invariant(fast_chain, monkeypatch):
     # y-kernel tiles, noise blocks and noise groups narrower than the ensemble,
-    # none dividing it evenly, change no bit of any record
+    # none dividing it evenly, change no bit of any record; in the quiet
+    # regime (blocks of 256 steps) the scan runs on 1-path tiles
     import eigencoupler.simulate as sim
-    pipe = fast_chain
-    model, pot = pipe.model, pipe.potential
     # dt gives blocks of more than 8 steps, where numpy's pairwise sums
     # would round differently at width one
-    cfg = EnsembleConfig(n_paths=23, dt=5e-4, horizon=2.0, seed=13,
-                         store_stride=1)
-    ref = simulate_ensemble(cfg, model, pot)
-    block = sim._y_block_size(model, cfg.dt)
-    monkeypatch.setattr(sim, "_Y_TILE_ELEMS", 5 * (block + 1))
+    busy = EnsembleConfig(n_paths=23, dt=5e-4, horizon=2.0, seed=13, store_stride=1)
+    quiet = EnsembleConfig(n_paths=12, dt=4e-4, horizon=8.0, seed=13, store_stride=1)
+    cases = ((fast_chain, busy), (build_pipeline("double_well", 0.1, 400), quiet))
+    refs = [simulate_ensemble(cfg, pipe.model, pipe.potential) for pipe, cfg in cases]
     monkeypatch.setattr(sim, "_NOISE_BLOCK", 7)
     monkeypatch.setattr(sim, "_NOISE_GROUP", 4)
-    assert block > 8 and cfg.n_steps % 7 != 0
-    recs = simulate_ensemble(cfg, model, pot)
-    assert sum(len(r.jumps) for r in recs) > 0
-    for i, (rec, r0) in enumerate(zip(recs, ref)):
-        g = path_stream(13, i)
-        x0, y0 = sample_initial(model, g)
-        x = simulate_x(pot, 0.5, x0, 5e-4, 2.0, g)
-        one = simulate_y_given_x(x, model, y0, clock_stream(13, i), 5e-4)
-        for other in (one, r0):
-            np.testing.assert_array_equal(rec.times, other.times)
-            np.testing.assert_array_equal(rec.x, other.x)
-            np.testing.assert_array_equal(rec.y, other.y)
-            assert rec.jumps == other.jumps
-            np.testing.assert_array_equal(rec.clocks, other.clocks)
+    for (pipe, cfg), ref in zip(cases, refs):
+        model, pot = pipe.model, pipe.potential
+        block = sim._y_block_size(model, cfg.dt)
+        assert block > 8 and cfg.n_steps % 7 != 0
+        assert cfg is busy or block == 256
+        monkeypatch.setattr(sim, "_Y_TILE_ELEMS", 5 * (block + 1) if cfg is busy else 1)
+        recs = simulate_ensemble(cfg, model, pot)
+        assert sum(len(r.jumps) for r in recs) > 0
+        for i, (rec, r0) in enumerate(zip(recs, ref)):
+            others = [r0]
+            if cfg is busy:
+                g = path_stream(13, i)
+                x0, y0 = sample_initial(model, g)
+                x = simulate_x(pot, model.eps, x0, cfg.dt, cfg.horizon, g)
+                others.append(simulate_y_given_x(x, model, y0, clock_stream(13, i), cfg.dt))
+            for other in others:
+                np.testing.assert_array_equal(rec.times, other.times)
+                np.testing.assert_array_equal(rec.x, other.x)
+                np.testing.assert_array_equal(rec.y, other.y)
+                assert rec.jumps == other.jumps
+                np.testing.assert_array_equal(rec.clocks, other.clocks)
 
 
 def test_chunk_peak_memory_excludes_noise(dw_small):
@@ -412,6 +417,38 @@ def test_config_validation():
     for stride in (0, -1):
         with pytest.raises(ValueError, match="store_stride"):
             EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, seed=0, store_stride=stride)
+    # an empty or unordered absorbing interval would absorb nothing, and no
+    # workers would run as one
+    for absorb in ((1.5, 0.5), (0.5, 0.5), (0.0, np.inf), (np.nan, 1.0), (0.0,),
+                   (0.0, 1.0, 2.0), ("a", "b"), 1.0):
+        with pytest.raises(ValueError, match="absorb"):
+            EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, seed=0, absorb=absorb)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, seed=0, workers=workers)
+    EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, seed=0, absorb=(-1.0, 0.5))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 255])
+@pytest.mark.parametrize("block", [1, 9, 256])
+def test_block_sums_add_each_block_step_by_step(width, block):
+    # every block total is its first step, plus the second, and so on, bit
+    # for bit, with and without a trailing partial block; at width one a
+    # reduce along steps would sum pairwise and round differently
+    import eigencoupler.simulate as sim
+    rng = np.random.default_rng(width * 1000 + block)
+    for n in (3 * block, 3 * block + 5, max(1, block - 4)):
+        dep = rng.standard_cauchy((2, n, width)) * 10.0 ** rng.integers(-6, 7, (2, n, width))
+        nb = -(-n // block)
+        ref = np.empty((2, nb, width))
+        for i, b in enumerate(range(0, n, block)):
+            acc = dep[:, b].copy()
+            for s in range(b + 1, min(n, b + block)):
+                acc = acc + dep[:, s]
+            ref[:, i] = acc
+        cat = np.full((2, nb + 1, width), np.nan)    # out is a strided view
+        got = sim._block_sums(dep, block, cat[:, 1:])
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def _crossing_fraction(qa, qb, t0, budget, dt):
@@ -564,7 +601,7 @@ def test_records_match_pinned_digests(name, digest):
                              store_stride=100)
     elif name == "quiet":
         # the small-noise regime, where a block holds more steps than a
-        # window holds blocks: _block_sums takes its cumsum branch
+        # window holds blocks
         pipe = build_pipeline("double_well", 0.1, 400)
         cfg = EnsembleConfig(n_paths=200, dt=4e-4, horizon=16.0, seed=601,
                              store_stride=100)
