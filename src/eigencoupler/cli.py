@@ -31,13 +31,13 @@ import scipy.sparse as sp
 
 from . import __version__
 from .chain import validate_chain
-from .config import ExperimentConfig, apply_overrides, parse_config, stored_x_problem
+from .config import ExperimentConfig, apply_overrides, parse_config
 from .coupling import (Pipeline, build_joint_generator, build_pipeline, coupling_summary,
                        coupling_to_csv)
 from .errors import ConfigError, EigencouplerError, GrowthAssumptionError
 from .oracle import DistributionVector, check_oracle, evolve_distribution
 from .potential import domains_of_attraction, make_potential, require_coupling_ready
-from .simulate import EnsembleConfig, simulate_ensemble, simulate_ensembles
+from .simulate import EnsembleConfig, ensemble_chunks, simulate_ensemble, simulate_ensembles
 from .spectral import (Grid, auto_grid, build_generator, decompose,
                        decomposition_to_csv, eigenvalues_to_json,
                        schrodinger_eigenvalues)
@@ -52,7 +52,11 @@ MC_TV_REF_PATHS = 20000
 
 
 class VerificationFailure(EigencouplerError):
-    pass
+    """One or more checks failed; outputs are the artifacts written."""
+
+    def __init__(self, message, outputs):
+        super().__init__(message)
+        self.outputs = outputs
 
 
 def _build_pipeline(cfg: ExperimentConfig, eps: float, n: int) -> Pipeline:
@@ -165,38 +169,36 @@ def _cmd_oracle(cfg: ExperimentConfig, out_dir) -> list:
     return [path]
 
 
-def _ensemble_config(cfg: ExperimentConfig) -> EnsembleConfig:
-    """The ensemble parameters every noise level of cfg shares."""
+def _ensemble_config(cfg: ExperimentConfig, ends_only=False) -> EnsembleConfig:
+    """The ensemble parameters every noise level of cfg shares. With
+    ends_only, x is stored at 0 and T only: sweep and verify read x at T
+    alone, and y from the jump log."""
+    stride = round(cfg.T / cfg.dt) if ends_only else cfg.store_stride
     return EnsembleConfig(n_paths=cfg.n_paths, dt=cfg.dt, horizon=cfg.T, seed=cfg.seed,
-                          store_stride=cfg.store_stride, workers=cfg.threads)
+                          store_stride=stride, workers=cfg.threads)
 
 
-def _run_ensemble(cfg: ExperimentConfig, eps: float):
-    """The pipeline at grid_n and its Monte Carlo ensemble."""
-    pipe = _build_pipeline(cfg, eps, cfg.grid_n)
-    return pipe, simulate_ensemble(_ensemble_config(cfg), pipe.model, pipe.potential)
-
-
-def _write_simulate_csvs(ens, traj_path, jump_path):
-    """The trajectory and jump CSVs of an ensemble, with the bytes
-    csv.writer gives for these fields (nothing needs quoting). One % call
-    formats the rows of each bounded chunk of paths, and each stored time is
-    formatted once."""
-    stored_t = np.array(["%.10g" % t for t in ens.times.tolist()], dtype=object)
+def _write_simulate_csvs(chunks, traj_path, jump_path):
+    """The trajectory and jump CSVs of the ensembles chunks, in order, with
+    the bytes csv.writer gives for these fields (nothing needs quoting). Each
+    chunk is written as it comes, one % call formatting the rows of each
+    bounded run of its paths, and each of its stored times formatted once."""
     with open(traj_path, "w", newline="") as traj, open(jump_path, "w", newline="") as jumps:
         traj.write("path_id,t,x,y\r\n")
         jumps.write("path_id,t,from,to\r\n")
-        for a, b in ens.row_chunks():
-            rows = ens.rows(a, b)
-            t = stored_t[rows.grid]
-            inserted = rows.grid < 0
-            t[inserted] = ["%.10g" % v for v in rows.t[inserted].tolist()]
-            path_id = np.repeat(ens.path_index[a:b], np.diff(rows.offsets))
-            traj.write(_format_rows("%d,%s,%.10g,%d\r\n", path_id, t, rows.x, rows.y))
-            j = slice(ens.jump_offsets[a], ens.jump_offsets[b])
-            path_id = np.repeat(ens.path_index[a:b], np.diff(ens.jump_offsets[a:b + 1]))
-            jumps.write(_format_rows("%d,%.10g,%d,%d\r\n", path_id, ens.jump_t[j],
-                                     ens.jump_from[j], ens.jump_to[j]))
+        for ens in chunks:
+            stored_t = np.array(["%.10g" % t for t in ens.times.tolist()], dtype=object)
+            for a, b in ens.row_chunks():
+                rows = ens.rows(a, b)
+                t = stored_t[rows.grid]
+                inserted = rows.grid < 0
+                t[inserted] = ["%.10g" % v for v in rows.t[inserted].tolist()]
+                path_id = np.repeat(ens.path_index[a:b], np.diff(rows.offsets))
+                traj.write(_format_rows("%d,%s,%.10g,%d\r\n", path_id, t, rows.x, rows.y))
+                j = slice(ens.jump_offsets[a], ens.jump_offsets[b])
+                path_id = np.repeat(ens.path_index[a:b], np.diff(ens.jump_offsets[a:b + 1]))
+                jumps.write(_format_rows("%d,%.10g,%d,%d\r\n", path_id, ens.jump_t[j],
+                                         ens.jump_from[j], ens.jump_to[j]))
 
 
 def _format_rows(row_format, *columns) -> str:
@@ -212,9 +214,17 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir) -> list:
     for eps in cfg.epsilons:
         traj_path = os.path.join(out_dir, f"trajectories_eps{eps:g}.csv")
         jump_path = os.path.join(out_dir, f"jumps_eps{eps:g}.csv")
-        # no name holds the ensemble, so it is freed once written, before
-        # the next level is simulated
-        _write_simulate_csvs(_run_ensemble(cfg, eps)[1], traj_path, jump_path)
+        pipe = _build_pipeline(cfg, eps, cfg.grid_n)
+        chunks = ensemble_chunks(_ensemble_config(cfg), [pipe.model], pipe.potential)
+        try:
+            _write_simulate_csvs((level[0] for level in chunks), traj_path, jump_path)
+        except BaseException:
+            # a run that fails part way leaves no CSV that could pass for a
+            # whole one
+            for path in (traj_path, jump_path):
+                if os.path.exists(path):
+                    os.remove(path)
+            raise
         outputs += [traj_path, jump_path]
     return outputs
 
@@ -294,7 +304,9 @@ def _verify_one(cfg: ExperimentConfig, eps: float):
 
     # chain structure of the grid_n pipeline, whose ensemble the Monte Carlo
     # checks below read
-    (_, _, _, spec, model), ens = _run_ensemble(cfg, eps)
+    pipe = _build_pipeline(cfg, eps, cfg.grid_n)
+    spec, model = pipe.spec, pipe.model
+    ens = simulate_ensemble(_ensemble_config(cfg, ends_only=True), model, pipe.potential)
     chain_rep = validate_chain(spec)
     record("chain_structure", chain_rep.passed, list(chain_rep.failures), "no failures")
     record("tilt_positivity", model.min_alpha > 0 and
@@ -357,20 +369,14 @@ def _cmd_verify(cfg: ExperimentConfig, out_dir) -> list:
             print(f"[{status}] eps={run['eps']:g} {c['name']}: value={c['value']} "
                   f"threshold={c['threshold']}")
     if not report["passed"]:
-        raise VerificationFailure("one or more verification checks failed")
+        raise VerificationFailure("one or more verification checks failed", [path])
     return [path]
 
 
 def _cmd_sweep(cfg: ExperimentConfig, out_dir) -> list:
-    # the levels' ensembles run in lockstep, so all their stored x are held
-    # at once
-    problem = stored_x_problem(cfg.T, cfg.dt, cfg.store_stride, cfg.n_paths,
-                               len(cfg.epsilons))
-    if problem:
-        raise ConfigError([problem])
     pipes = [_build_pipeline(cfg, eps, cfg.grid_n) for eps in cfg.epsilons]
-    ensembles = simulate_ensembles(_ensemble_config(cfg), [pipe.model for pipe in pipes],
-                                   pipes[0].potential)
+    ensembles = simulate_ensembles(_ensemble_config(cfg, ends_only=True),
+                                   [pipe.model for pipe in pipes], pipes[0].potential)
     rows = []
     for eps, (potential, gen, dec, spec, model), ens in zip(cfg.epsilons, pipes, ensembles):
         part = domains_of_attraction(potential)
@@ -432,7 +438,7 @@ def execute(command: str, cfg: ExperimentConfig, out_dir=None) -> int:
         outputs = _COMMANDS[command](cfg, out_dir)
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
-        _write_manifest(out_dir, cfg, command, [], t0)
+        _write_manifest(out_dir, cfg, command, exc.outputs, t0)
         return 3
     except np.linalg.LinAlgError as exc:
         # a ValueError subclass, but a numerical failure, not a bad input

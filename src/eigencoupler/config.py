@@ -9,7 +9,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,31 +113,6 @@ def _is_num(x) -> bool:
         return math.isfinite(x)
     except OverflowError:
         return False
-
-
-def _physical_memory():
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-    # sysconf reads -1 for a value it cannot determine
-    return pages * size if pages > 0 and size > 0 else None
-
-
-def stored_x_problem(T, dt, store_stride, n_paths, levels=1):
-    """The problem with holding the stored x of levels ensembles at once,
-    stored rows x n_paths x 8 B each, in physical memory; None where they
-    fit or the platform does not say how much there is."""
-    n_stored = -(-round(T / dt) // store_stride) + 1
-    need, have = 8 * levels * n_stored * n_paths, _physical_memory()
-    if have is None or need <= have:
-        return None
-    shape = f"{n_stored} rows x {n_paths} paths x 8 B"
-    if levels > 1:
-        shape = f"{levels} levels x {shape}"
-    return (f"simulation: the stored x ({shape} = {need / 2 ** 30:.3g} GiB) exceeds "
-            f"the {have / 2 ** 30:.3g} GiB of physical memory")
 
 
 def _list_of(value, valid):
@@ -279,10 +253,6 @@ def parse_config(source) -> ExperimentConfig:
         problems.append("simulation.store_stride: must be an integer in [1, 2**63 - 1]")
     if _is_num(dt) and _is_num(T) and dt > 0 and T > 0 and not T / dt < _INT64_MAX:
         problems.append("simulation: T / dt steps must be fewer than 2**63 - 1")
-    elif not problems:      # every size above is valid
-        problem = stored_x_problem(T, dt, store_stride, n_paths)
-        if problem:
-            problems.append(problem)
 
     oracle = data.get("oracle", {})
     if not isinstance(oracle, dict):

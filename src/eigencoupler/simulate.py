@@ -22,13 +22,16 @@ clocks have their own stream, so no draw depends on the window length. The
 single-path entry points run the same kernels at width one, so an ensemble
 is bit-identical to composing them path by path with the derived streams,
 independent of chunking or worker scheduling. The levels of one config read
-the same streams, so simulate_ensembles runs one level per model in lockstep
-on one draw of each path's normals, and each level equals its own
+the same streams, so a run advances one level per model in lockstep on one
+draw of each path's normals, and each level equals its own
 simulate_ensemble.
 
 An ensemble is held as columns (Ensemble): the stored x of every path on one
 shared time grid, and one flat jump log. A path's TrajectoryRecord is a view
-assembled from those columns on access.
+assembled from those columns on access. ensemble_chunks yields the run
+chunk by chunk, in path order, so a caller that consumes each chunk as it
+comes (the simulate command writing its CSVs) holds one chunk, not the
+ensemble; simulate_ensembles and simulate_ensemble join the chunks.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import bisect
 import dataclasses
 import itertools
 import math
+import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -57,6 +61,7 @@ __all__ = [
     "simulate_y_given_x",
     "simulate_ensemble",
     "simulate_ensembles",
+    "ensemble_chunks",
     "first_exit_time",
     "path_stream",
     "clock_stream",
@@ -258,6 +263,10 @@ class Ensemble:
                     exit_time=None if np.isnan(exit_time) else exit_time)
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Ensemble parameters. Every path starts at (x0, y0) when both are
@@ -275,12 +284,20 @@ class EnsembleConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon < self.dt or self.n_paths < 1:
-            raise ValueError("need dt > 0, horizon >= dt, n_paths >= 1")
+        if not (math.isfinite(self.dt) and math.isfinite(self.horizon)
+                and 0 < self.dt <= self.horizon and self.horizon / self.dt < 2 ** 63):
+            raise ValueError("need finite dt > 0 and horizon >= dt, fewer than 2**63 steps")
+        if not (_is_integer(self.n_paths) and self.n_paths >= 1):
+            raise ValueError("need an integer n_paths >= 1")
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2 ** 64):
+            raise ValueError("need an integer seed in [0, 2**64)")
         if (self.x0 is None) != (self.y0 is None):
             raise ValueError("a fixed start needs both x0 and y0")
-        if self.store_stride < 1:
-            raise ValueError("need store_stride >= 1")
+        if self.x0 is not None and not (math.isfinite(self.x0) and _is_integer(self.y0)
+                                        and self.y0 >= 0):
+            raise ValueError("a fixed start needs a finite x0 and an integer y0 >= 0")
+        if not (_is_integer(self.store_stride) and self.store_stride >= 1):
+            raise ValueError("need an integer store_stride >= 1")
         if self.absorb is not None:
             try:
                 lo, hi = self.absorb
@@ -289,8 +306,8 @@ class EnsembleConfig:
                 ok = False
             if not ok:
                 raise ValueError("absorb must be two finite numbers lo < hi")
-        if self.workers < 1:
-            raise ValueError("need workers >= 1")
+        if not (_is_integer(self.workers) and self.workers >= 1):
+            raise ValueError("need an integer workers >= 1")
 
     @property
     def n_steps(self) -> int:
@@ -1035,19 +1052,28 @@ def _concatenate(parts, x) -> Ensemble:
         path_index=cat("path_index"))
 
 
-def simulate_ensembles(cfg: EnsembleConfig, models, potential: Potential) -> list:
-    """One ensemble per coupling model, as simulate_ensemble gives each, the
-    levels advancing in lockstep on one draw of each path's stream.
+def ensemble_chunks(cfg: EnsembleConfig, models, potential: Potential, xs=None):
+    """The paths of cfg chunk by chunk, in path order: an iterator of one
+    Ensemble per coupling model for each chunk, the levels advancing in
+    lockstep on one draw of each path's stream. Level l's stored x are
+    written to the chunk's columns of xs[l], an (S, n_paths) array, if given.
 
     Every level reads the same streams path_stream(seed, i): the same
     initial uniforms and the same normals, which differ between levels only
     by the factor sqrt(2 eps dt), eps that of the level's model. So the
     normals of a chunk of paths are drawn once, onto a tape every level's
-    diffusion reads, instead of once per level.
+    diffusion reads, instead of once per level. With workers > 1, chunks run
+    in groups of workers, so at most that many wait to be taken.
+
+    Raises (before any path runs):
+        ValueError: no models, dt above max_stable_dt, or a fixed y0 that
+            is not a state of every model.
     """
     if not models:
         raise ValueError("need at least one coupling model")
     _check_dt(potential, cfg.dt)
+    if cfg.y0 is not None and any(cfg.y0 >= model.n_states for model in models):
+        raise ValueError(f"y0 = {cfg.y0} is not a state of every model")
     bounds = [ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes))) for model in models]
     n_stored = len(_stored_steps(cfg.n_steps, cfg.store_stride))
     # a path holds every level's stored rows and window, plus its rows of
@@ -1055,20 +1081,33 @@ def simulate_ensembles(cfg: EnsembleConfig, models, potential: Potential) -> lis
     widths = [_window_steps(_y_block_size(model, cfg.dt), len(models)) for model in models]
     n_rows = len(models) * n_stored + sum(w + 2 for w in widths) + max(widths)
     chunk = max(1, min(int(_CHUNK_BYTES // (8 * n_rows)),
-                       -(-cfg.n_paths // max(cfg.workers, 1))))
-    xs = [np.empty((n_stored, cfg.n_paths)) for _ in models]
+                       -(-cfg.n_paths // cfg.workers)))
 
     def run(s):
         ix = np.arange(s, min(s + chunk, cfg.n_paths))
         return _run_chunk(cfg, models, potential, ix, bounds,
-                          [x[:, ix[0]:ix[-1] + 1] for x in xs])
+                          None if xs is None else [x[:, ix[0]:ix[-1] + 1] for x in xs])
 
     starts = range(0, cfg.n_paths, chunk)
-    if cfg.workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(run, starts))
-    else:
-        parts = [run(s) for s in starts]
+    if cfg.workers == 1 or len(starts) == 1:
+        return map(run, starts)
+    return _in_groups(run, starts, cfg.workers)
+
+
+def _in_groups(fn, items, workers):
+    """fn of each item, in order, run on workers threads a group of workers
+    items at a time."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for k in range(0, len(items), workers):
+            yield from pool.map(fn, items[k:k + workers])
+
+
+def simulate_ensembles(cfg: EnsembleConfig, models, potential: Potential) -> list:
+    """One ensemble per coupling model, as simulate_ensemble gives each: the
+    chunks of ensemble_chunks, joined."""
+    n_stored = len(_stored_steps(cfg.n_steps, cfg.store_stride))
+    xs = [np.empty((n_stored, cfg.n_paths)) for _ in models]
+    parts = list(ensemble_chunks(cfg, models, potential, xs))
     return [_concatenate(level, x) for level, x in zip(zip(*parts), xs)]
 
 

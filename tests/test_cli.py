@@ -359,6 +359,9 @@ def test_verify_fails_with_exit_code_3(tmp_path, monkeypatch):
     path = light_config(tmp_path)
     assert cli.main(["verify", "--config", path,
                      "--out", str(tmp_path / "o")]) == 3
+    # the manifest lists the report that says which checks failed
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["outputs"] == [str(tmp_path / "o" / "verify_report.json")]
 
 
 def test_numerical_failure_exit_code_2(tmp_path):
@@ -373,6 +376,28 @@ def test_nan_path_exit_code_2(tmp_path, monkeypatch):
     monkeypatch.setattr(sim, "sample_initial", lambda model, rng: (np.nan, 0))
     path = light_config(tmp_path, simulation={"dt": 1e-3, "T": 0.1, "n_paths": 20})
     assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_failed_simulate_leaves_no_partial_csv(tmp_path, monkeypatch):
+    # the CSVs are written chunk by chunk: a blow-up in the second chunk
+    # removes the rows of the first rather than leave CSVs that could pass
+    # for whole ones
+    import eigencoupler.simulate as sim
+    initial, calls = sim.sample_initial, []
+
+    def nan_in_second_chunk(model, u):
+        x0, y0 = initial(model, u)
+        calls.append(len(x0))
+        return (x0 * np.nan if len(calls) == 2 else x0), y0
+
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 2 ** 16)
+    monkeypatch.setattr(sim, "sample_initial", nan_in_second_chunk)
+    path = light_config(tmp_path, epsilon=0.5,
+                        simulation={"dt": 4e-3, "T": 0.4, "n_paths": 200, "store_stride": 1})
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert len(calls) == 2 and sum(calls) < 200
+    assert not list(out.glob("*.csv"))
 
 
 def test_validation_exit_code_1(tmp_path):
@@ -419,7 +444,7 @@ def test_simulate_csv_bytes_match_csv_writer(tmp_path):
                                     "seed": 9, "store_stride": 7})
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
-    *_, records = cli._run_ensemble(parse_config(path), 0.5)
+    records = _simulate_ensemble(tmp_path, 30)      # the same config
     assert sum(len(r.jumps) for r in records) > 0
     traj, jumps = io.StringIO(newline=""), io.StringIO(newline="")
     tw, jw = csv.writer(traj), csv.writer(jumps)
@@ -447,53 +472,20 @@ def test_linalg_error_exit_code_2(tmp_path, monkeypatch):
 def test_out_of_memory_exit_code_2(tmp_path, monkeypatch, capsys):
     # an allocation the machine cannot give is a numerical failure with a
     # one-line message, not a traceback under the validation exit code
+    import eigencoupler.simulate as sim
+
     def fail(*args, **kwargs):
         raise MemoryError("Unable to allocate 735. TiB for an array with shape "
                           "(101, 1000000000000) and data type float64")
-    monkeypatch.setattr(cli, "simulate_ensemble", fail)
-    path = light_config(tmp_path, simulation={"dt": 1e-3, "T": 0.1, "n_paths": 20})
-    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: out of memory (Unable to allocate")
-    assert err.count("\n") == 1 and "Traceback" not in err
-
-
-def test_ensemble_beyond_physical_memory_exits_1(tmp_path, monkeypatch, capsys):
-    # 11 stored rows of 10**12 paths (88 TB) cannot be held: a validation
-    # problem on one line, found before any pipeline is built
-    import eigencoupler.config as config
-    if config._physical_memory() is None:
-        pytest.skip("physical memory size unavailable")
-
-    def never(*args, **kwargs):
-        raise AssertionError("pipeline built")
-
-    monkeypatch.setattr(cli, "_build_pipeline", never)
-    monkeypatch.setattr(coupling, "build_pipeline", never)
-    path = light_config(tmp_path, simulation={"dt": 1e-3, "T": 0.01, "n_paths": 10 ** 12,
-                                              "store_stride": 1})
-    for command in ("simulate", "verify", "sweep"):
-        assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    monkeypatch.setattr(cli, "ensemble_chunks", fail)
+    monkeypatch.setattr(sim, "ensemble_chunks", fail)
+    path = light_config(tmp_path, epsilon=[0.2, 0.15],
+                        simulation={"dt": 1e-3, "T": 0.1, "n_paths": 20})
+    for command in ("simulate", "sweep"):
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "physical memory" in err
-
-
-@pytest.mark.parametrize("T, stride", [(2.0, 100), (2.0, 300), (0.001, 7)])
-def test_stored_x_memory_bound_counts_stored_rows(monkeypatch, T, stride):
-    # the bound is n_stored * n_paths * 8 B with n_stored the rows the
-    # ensemble stores: a machine of exactly that size accepts the config,
-    # one byte less rejects it
-    import eigencoupler.config as config
-    from eigencoupler.simulate import _stored_steps
-    data = json.loads(json.dumps(LIGHT))
-    data["simulation"].update(T=T, store_stride=stride)
-    sim = data["simulation"]
-    need = 8 * len(_stored_steps(round(T / sim["dt"]), stride)) * sim["n_paths"]
-    monkeypatch.setattr(config, "_physical_memory", lambda: need)
-    parse_config(data)
-    monkeypatch.setattr(config, "_physical_memory", lambda: need - 1)
-    with pytest.raises(ConfigError, match="physical memory"):
-        parse_config(data)
+        assert err.startswith("numerical failure: out of memory (Unable to allocate")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_manifest_records_peak_rss_and_faults(tmp_path, monkeypatch):
@@ -565,7 +557,9 @@ def _simulate_ensemble(tmp_path, n_paths, T=3.0):
     path = light_config(tmp_path, epsilon=0.5,
                         simulation={"dt": 4e-3, "T": T, "n_paths": n_paths,
                                     "seed": 9, "store_stride": 7})
-    return cli._run_ensemble(parse_config(path), 0.5)[1]
+    cfg = parse_config(path)
+    pipe = cli._build_pipeline(cfg, 0.5, cfg.grid_n)
+    return cli.simulate_ensemble(cli._ensemble_config(cfg), pipe.model, pipe.potential)
 
 
 def test_simulate_csv_peak_memory_independent_of_paths(tmp_path, monkeypatch):
@@ -581,7 +575,7 @@ def test_simulate_csv_peak_memory_independent_of_paths(tmp_path, monkeypatch):
         ens = _simulate_ensemble(tmp_path, n_paths, T=1.0)
         tracemalloc.start()
         try:
-            cli._write_simulate_csvs(ens, tmp_path / "t.csv", tmp_path / "j.csv")
+            cli._write_simulate_csvs([ens], tmp_path / "t.csv", tmp_path / "j.csv")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -606,6 +600,58 @@ def test_simulate_frees_each_level_before_the_next(tmp_path):
             tracemalloc.stop()
     stored_x = 8 * sim["n_paths"] * (round(sim["T"] / sim["dt"]) + 1)
     assert peaks[1] <= peaks[0] + stored_x // 2
+
+
+def test_simulate_peak_memory_independent_of_paths(tmp_path, monkeypatch):
+    # simulate writes each chunk's rows as the chunk comes, so four times the
+    # paths, in four times the chunks, peak at about the same memory; holding
+    # the ensemble until it is written would add its stored x (8 kB a path)
+    import tracemalloc
+    import eigencoupler.simulate as sim
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 2 ** 20)
+    peaks = []
+    for n_paths in (200, 800):
+        path = light_config(tmp_path, epsilon=0.5,
+                            simulation={"dt": 4e-3, "T": 4.0, "n_paths": n_paths,
+                                        "seed": 9, "store_stride": 1})
+        tracemalloc.start()
+        try:
+            assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_sweep_and_verify_store_x_at_0_and_T_only(tmp_path, monkeypatch, command):
+    # both read x at T alone and y from the jump log, whatever store_stride
+    # says
+    ensembles = []
+
+    def keep(run):
+        def wrapped(*args):
+            out = run(*args)
+            ensembles.extend(out if isinstance(out, list) else [out])
+            return out
+        return wrapped
+
+    monkeypatch.setattr(cli, "simulate_ensemble", keep(cli.simulate_ensemble))
+    monkeypatch.setattr(cli, "simulate_ensembles", keep(cli.simulate_ensembles))
+    path = light_config(tmp_path, epsilon=[0.2, 0.15],
+                        simulation={"dt": 1e-3, "T": 0.5, "n_paths": 200, "store_stride": 1})
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) in (0, 3)
+    assert len(ensembles) == 2
+    for ens in ensembles:
+        np.testing.assert_array_equal(ens.times, [0.0, 0.5])
+        assert ens.x.shape == (2, 200)
+
+
+def test_spectrum_ignores_the_simulation_size(tmp_path):
+    # spectrum simulates nothing, so no ensemble size can fail it
+    path = light_config(tmp_path, simulation={"dt": 1e-3, "T": 0.01, "n_paths": 10 ** 9,
+                                              "store_stride": 1})
+    assert cli.main(["spectrum", "--config", path, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_simulate_builds_no_records(tmp_path, monkeypatch):
@@ -714,30 +760,6 @@ def test_sweep_artifacts_match_pinned_digests(tmp_path, name):
         "config_resolved.json", "manifest.json", "sweep.csv", "sweep_report.json",
         "tracking_trend.svg"]
     assert _artifact_digest(out) == _SWEEP_DIGESTS[name]
-
-
-def test_sweep_memory_bound_counts_every_level(tmp_path, monkeypatch, capsys):
-    # the levels of a sweep hold their stored x at once: three levels that
-    # fit one at a time but not together exit 1 on one line, before any
-    # pipeline is built
-    import eigencoupler.config as config
-    from eigencoupler.simulate import _stored_steps
-    data = json.loads(json.dumps(LIGHT))
-    data["epsilon"] = [0.2, 0.15, 0.1]
-    sim = data["simulation"]
-    one = 8 * len(_stored_steps(round(sim["T"] / sim["dt"]), sim["store_stride"])) * sim["n_paths"]
-    monkeypatch.setattr(config, "_physical_memory", lambda: 3 * one - 1)
-    parse_config(data)
-
-    def never(*args, **kwargs):
-        raise AssertionError("pipeline built")
-
-    monkeypatch.setattr(cli, "_build_pipeline", never)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(data))
-    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "3 levels" in err and "physical memory" in err
 
 
 def test_sweep_blow_up_at_one_level_exit_code_2(tmp_path, monkeypatch):

@@ -427,6 +427,30 @@ def test_config_validation():
         with pytest.raises(ValueError, match="workers"):
             EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, seed=0, workers=workers)
     EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, seed=0, absorb=(-1.0, 0.5))
+    # non-finite or overflowing step counts, fractional sizes, seeds that
+    # are not u64 and non-finite starts fail here, before any work
+    for dt, horizon in ((np.nan, 1.0), (np.inf, 1.0), (1e-3, np.nan), (1e-3, np.inf),
+                        (1e-300, 1e300)):
+        with pytest.raises(ValueError, match="dt"):
+            EnsembleConfig(n_paths=1, dt=dt, horizon=horizon, seed=0)
+    with pytest.raises(ValueError, match="n_paths"):
+        EnsembleConfig(n_paths=2.5, dt=1e-3, horizon=1.0, seed=0)
+    with pytest.raises(ValueError, match="store_stride"):
+        EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, seed=0, store_stride=2.5)
+    for seed in (-1, 2 ** 64, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, seed=seed)
+    for x0, y0 in ((np.nan, 0), (np.inf, 0), (0.0, -1), (0.0, 0.5)):
+        with pytest.raises(ValueError, match="fixed start"):
+            EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, seed=0, x0=x0, y0=y0)
+
+
+def test_fixed_start_outside_the_chain_fails_before_the_run(dw_small):
+    # a fixed y0 = 5 names no state of the two-state chain
+    pipe = dw_small
+    cfg = EnsembleConfig(n_paths=3, dt=1e-3, horizon=0.1, seed=0, x0=0.0, y0=5)
+    with pytest.raises(ValueError, match="y0 = 5"):
+        simulate_ensemble(cfg, pipe.model, pipe.potential)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 255])
