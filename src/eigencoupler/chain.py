@@ -20,6 +20,7 @@ __all__ = ["ChainSpec", "ChainReport", "synth_generator", "scaled_eigenvectors",
            "validate_chain", "stationary_distribution"]
 
 EIG_RESIDUAL_REL = 1e-10
+ROW_SUM_REL = 1e-12
 NEWTON_MAX_ITER = 200
 NEWTON_REL_TOL = 1e-12
 
@@ -45,11 +46,6 @@ class ChainSpec:
     @property
     def n_states(self) -> int:
         return self.Q.shape[0]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Spectrum of Q: 0 followed by the negated rates."""
-        return np.concatenate(([0.0], -self.rates))
 
     def to_json(self, path=None):
         payload = {
@@ -266,6 +262,15 @@ class ChainReport:
         return not self.failures
 
 
+def offdiagonal_nonnegative(Q: np.ndarray) -> bool:
+    return bool(np.all(Q[~np.eye(Q.shape[0], dtype=bool)] >= 0))
+
+
+def row_sums_zero(Q: np.ndarray) -> bool:
+    """Every row sum within ROW_SUM_REL of the largest entry (at least 1)."""
+    return bool(np.max(np.abs(Q.sum(axis=1))) <= ROW_SUM_REL * max(np.max(np.abs(Q)), 1.0))
+
+
 def validate_chain(spec: ChainSpec) -> ChainReport:
     """Structural checks: sign pattern, zero row sums, eigen residuals,
     irreducibility; reports the stationary distribution."""
@@ -279,9 +284,8 @@ def validate_chain(spec: ChainSpec) -> ChainReport:
         if not ok:
             failures.append(name)
 
-    off = Q[~np.eye(n, dtype=bool)]
-    record("offdiagonal_nonnegative", np.all(off >= 0))
-    record("row_sums_zero", np.max(np.abs(Q.sum(axis=1))) <= 1e-12 * max(np.max(np.abs(Q)), 1.0))
+    record("offdiagonal_nonnegative", offdiagonal_nonnegative(Q))
+    record("row_sums_zero", row_sums_zero(Q))
     for k, lam in enumerate(spec.rates):
         res = np.max(np.abs(Q @ spec.vectors[k] + lam * spec.vectors[k]))
         scale = np.max(np.abs(spec.vectors[k]))

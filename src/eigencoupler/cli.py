@@ -102,8 +102,7 @@ def _cmd_spectrum(cfg: ExperimentConfig, out_dir) -> list:
         grid = auto_grid(potential, eps, n=cfg.grid_n, L=cfg.grid_L)
         m = max(potential.n_wells - 1, 1) + 2
         # modes positive at the node nearest the leftmost minimum
-        sign_node = (int(np.argmin(np.abs(grid.nodes - potential.minima[0])))
-                     if potential.n_wells >= 1 else None)
+        sign_node = int(np.argmin(np.abs(grid.nodes - potential.minima[0])))
         dec = decompose(build_generator(potential, eps, grid), m, sign_node=sign_node)
         tag = f"eps{eps:g}"
         if "json" in cfg.formats:

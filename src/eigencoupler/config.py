@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .potential import preset_names
+from .simulate import _STORED_TOL
 
 __all__ = ["ExperimentConfig", "parse_config", "apply_overrides", "DEFAULTS"]
 
@@ -251,8 +252,13 @@ def parse_config(source) -> ExperimentConfig:
         problems.append("simulation.seed: must be a u64")
     if not _is_size(store_stride, 1):
         problems.append("simulation.store_stride: must be an integer in [1, 2**63 - 1]")
-    if _is_num(dt) and _is_num(T) and dt > 0 and T > 0 and not T / dt < _INT64_MAX:
-        problems.append("simulation: T / dt steps must be fewer than 2**63 - 1")
+    if _is_num(dt) and _is_num(T) and dt > 0 and T > 0:
+        if not T / dt < _INT64_MAX:
+            problems.append("simulation: T / dt steps must be fewer than 2**63 - 1")
+        elif abs(round(T / dt) * dt - T) > _STORED_TOL:
+            # the ensemble's grid ends at round(T / dt) * dt, and x at T is
+            # read off the stored grid
+            problems.append("simulation.T: must be a whole number of dt steps")
 
     oracle = data.get("oracle", {})
     if not isinstance(oracle, dict):

@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .chain import ChainSpec, scaled_eigenvectors, synth_generator
+from .chain import (ChainSpec, offdiagonal_nonnegative, row_sums_zero, scaled_eigenvectors,
+                    synth_generator)
 from .errors import CouplingError
 from .potential import Potential, make_potential
 from .spectral import (DiscreteGenerator, SpectralDecomposition, auto_grid,
@@ -179,19 +180,30 @@ def build_pipeline(potential, eps: float, n: int, *, L=None, kappa: float = 0.9,
     otherwise. Its eigenvectors are scaled by kappa (a budget that keeps every
     tilt >= 1 - kappa, or the fraction kappa of the exact positivity boundary
     if maximize), and its initial law p defaults to uniform.
+
+    Raises:
+        ValueError: an explicit Q is not (m+1) x (m+1), has a negative
+            off-diagonal entry, or has a row sum that is not zero (within
+            validate_chain's tolerance).
     """
     if not isinstance(potential, Potential):
         potential = make_potential(potential)
+    m = max(potential.n_wells - 1, 1)
+    if Q is not None:
+        Q = np.asarray(Q, dtype=float)
+        if Q.shape != (m + 1, m + 1):
+            raise ValueError(f"Q has shape {Q.shape}; a potential with "
+                             f"{potential.n_wells} wells needs {(m + 1, m + 1)}")
+        if not (offdiagonal_nonnegative(Q) and row_sums_zero(Q)):
+            raise ValueError("Q is not a generator: it needs nonnegative off-diagonal "
+                             "entries and zero row sums")
     grid = auto_grid(potential, eps, n=n, L=L)
     gen = build_generator(potential, eps, grid)
-    m = max(potential.n_wells - 1, 1)
     sign_node = int(np.argmin(np.abs(grid.nodes - potential.minima[0])))
     dec = decompose(gen, m, sign_node=sign_node)
     lams = dec.eigenvalues[1:]
     if Q is None:
         Q = synth_generator(lams, "two_state" if m == 1 else "birth_death", theta=theta)
-    else:
-        Q = np.asarray(Q, dtype=float)
     vectors, scales, min_alpha = scaled_eigenvectors(Q, lams, dec.modes[1:],
                                                      kappa=kappa, maximize=maximize)
     p = np.full(m + 1, 1.0 / (m + 1)) if p is None else np.asarray(p, dtype=float)

@@ -153,11 +153,11 @@ def evolve_distribution(B: sp.spmatrix, nu0, t: float,
     return DistributionVector(weights=out, time=t0 + t)
 
 
-def _evolve_at(B: sp.spmatrix, nu: DistributionVector, times, tol: float) -> list:
+def _evolve_at(B: sp.spmatrix, nu: DistributionVector, times) -> list:
     """(t, law at t) for the sorted times, each law evolved from the last."""
     laws = []
     for t in sorted(float(t) for t in times):
-        nu = evolve_distribution(B, nu, t - nu.time, tol=tol)
+        nu = evolve_distribution(B, nu, t - nu.time)
         laws.append((t, nu))
     return laws
 
@@ -194,20 +194,19 @@ class MarginalReport:
     entries: tuple          # ((t, l1), ...)
 
 
-def _marginal_report(laws, Q: np.ndarray, p, tol: float) -> MarginalReport:
+def _marginal_report(laws, Q: np.ndarray, p) -> MarginalReport:
     Q = np.asarray(Q, dtype=float)
     m1 = Q.shape[0]
     entries = []
     pv = DistributionVector(np.asarray(p, dtype=float).copy(), 0.0)
     for t, nu in laws:
-        pv = evolve_distribution(sp.csr_matrix(Q), pv, t - pv.time, tol=tol)
+        pv = evolve_distribution(sp.csr_matrix(Q), pv, t - pv.time)
         marginal = nu.weights.reshape(m1, -1).sum(axis=1)
         entries.append((t, float(np.abs(marginal - pv.weights).sum())))
     return MarginalReport(max_l1=max(e[1] for e in entries), entries=tuple(entries))
 
 
-def check_oracle(B: sp.spmatrix, model: CouplingModel, times,
-                 tol: float = DEFAULT_TOL) -> tuple:
+def check_oracle(B: sp.spmatrix, model: CouplingModel, times) -> tuple:
     """Both exact consequences of the coupling, from one evolution of the
     model's coupled initial law: (ConditionalLawReport, MarginalReport).
 
@@ -218,32 +217,46 @@ def check_oracle(B: sp.spmatrix, model: CouplingModel, times,
     uniformized on its own.
     """
     nu = DistributionVector(model.initial_law_for().reshape(-1), 0.0)
-    laws = _evolve_at(B, nu, times, tol)
-    return _conditional_report(laws, model), _marginal_report(laws, model.Q, model.p, tol)
+    laws = _evolve_at(B, nu, times)
+    return _conditional_report(laws, model), _marginal_report(laws, model.Q, model.p)
 
 
-def _generator_matrix(generator):
+def _restricted_bands(generator, keep: np.ndarray):
+    """((lower, upper), ab): the generator restricted to the kept states in
+    LAPACK band storage, ab[upper + i - j, j] = G[keep[i], keep[j]], at
+    bandwidths never below (1, 1)."""
     if isinstance(generator, DiscreteGenerator):
+        # tridiagonal: two kept nodes are coupled only if grid neighbours
         diag, lower, upper = generator.tridiagonal()
-        return sp.diags([lower, diag, upper], offsets=[-1, 0, 1], format="csc")
-    if sp.issparse(generator):
-        return generator.tocsc()
-    return sp.csc_matrix(np.asarray(generator, dtype=float))
+        adjacent = np.diff(keep) == 1
+        ab = np.zeros((3, len(keep)))
+        ab[0, 1:] = np.where(adjacent, upper[keep[:-1]], 0.0)
+        ab[1] = diag[keep]
+        ab[2, :-1] = np.where(adjacent, lower[keep[:-1]], 0.0)
+        return (1, 1), ab
+    sub = np.asarray(generator, dtype=float)[np.ix_(keep, keep)]
+    i, j = np.nonzero(sub)
+    lo = max(1, int(np.max(i - j, initial=0)))
+    up = max(1, int(np.max(j - i, initial=0)))
+    ab = np.zeros((lo + up + 1, len(keep)))
+    ab[up + i - j, j] = sub[i, j]
+    return (lo, up), ab
 
 
 def mean_exit_times(generator, sources, targets) -> np.ndarray:
     """Expected hitting times of the target set from each source state,
-    solved exactly from the generator restricted to the complement.
+    solved exactly from the generator restricted to the complement by one
+    banded LAPACK solve (solve_banded).
 
-    generator may be a chain matrix, a DiscreteGenerator, or a sparse
-    generator; sources and targets are state indices.
+    generator is a chain matrix (a square array, solved at its own
+    bandwidth) or a DiscreteGenerator (tridiagonal); sources and targets are
+    state indices.
 
     Raises:
         UnreachableTargetError: the restricted system is singular or yields
             non-physical (negative or non-finite) times.
     """
-    G = _generator_matrix(generator)
-    n = G.shape[0]
+    n = generator.n if isinstance(generator, DiscreteGenerator) else len(generator)
     targets = np.asarray(targets, dtype=np.int64)
     sources = np.asarray(sources, dtype=np.int64)
     mask = np.ones(n, dtype=bool)
@@ -251,16 +264,13 @@ def mean_exit_times(generator, sources, targets) -> np.ndarray:
     if not mask.any():
         return np.zeros(len(sources))
     keep = np.nonzero(mask)[0]
-    sub = G[np.ix_(keep, keep)]
-    rhs = -np.ones(len(keep))
+    bandwidths, ab = _restricted_bands(generator, keep)
     try:
-        # singular restrictions surface as non-finite solutions, checked below
+        # a singular 1 x 1 restriction divides by zero; its non-finite
+        # solution is caught below
         with np.errstate(divide="ignore", invalid="ignore"):
-            if _is_tridiagonal(sub):
-                u_keep = _solve_tridiagonal(sub, rhs)
-            else:
-                u_keep = sp.linalg.spsolve(sub.tocsc(), rhs)
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
+            u_keep = solve_banded(bandwidths, ab, -np.ones(len(keep)))
+    except np.linalg.LinAlgError as exc:
         raise UnreachableTargetError(f"singular restricted generator: {exc}") from exc
     if not np.all(np.isfinite(u_keep)) or np.any(u_keep < 0):
         raise UnreachableTargetError(
@@ -269,16 +279,3 @@ def mean_exit_times(generator, sources, targets) -> np.ndarray:
     u = np.zeros(n)
     u[keep] = u_keep
     return u[sources]
-
-
-def _is_tridiagonal(m: sp.spmatrix) -> bool:
-    coo = m.tocoo()
-    return bool(np.all(np.abs(coo.row - coo.col) <= 1))
-
-
-def _solve_tridiagonal(m: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    bands = np.zeros((3, m.shape[0]))
-    bands[0, 1:] = m.diagonal(1)
-    bands[1] = m.diagonal()
-    bands[2, :-1] = m.diagonal(-1)
-    return solve_banded((1, 1), bands, rhs)

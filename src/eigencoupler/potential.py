@@ -29,6 +29,9 @@ __all__ = [
 
 CURVATURE_TOL = 1e-9
 ROOT_TOL = 1e-12
+_SCAN_POINTS = 8192
+_EPS_PROBE = 0.1
+_N_RADII = 400
 
 # Preset coefficient lists, lowest degree first.
 _PRESETS = {
@@ -214,17 +217,19 @@ def _bisect_root(f, lo: float, hi: float, tol: float = ROOT_TOL) -> float:
     return 0.5 * (lo + hi)
 
 
-def find_critical_points(potential: Potential, bracket=None, scan_points: int = 8192):
+def find_critical_points(potential: Potential):
     """Locate and classify the simple roots of F'.
 
-    Returns (minima, maxima) as sorted arrays. The bracket is widened until it
-    provably contains every real root of F' (sign conditions at the ends plus
-    the Cauchy bound). Roots are found by bisection on sign-change
-    subintervals to absolute tolerance 1e-12 and classified by the sign of F''.
+    Returns (minima, maxima) as sorted arrays. The interval [-c, c], c the
+    Cauchy bound on the roots of F', is doubled until F' < 0 at its left end
+    and > 0 at its right; F' is sampled at 8192 points across it, and roots
+    are found by bisection on sign-change subintervals to absolute tolerance
+    1e-12 and classified by the sign of F''.
 
     Raises:
         DegenerateCriticalPointError: some root has |F''| < 1e-9.
-        ValueError: no minima exist (non-confining input).
+        ValueError: the potential is constant or not confining, or no
+            minimum is found.
     """
     dcoeffs = potential._dcoeffs
     nz = np.nonzero(dcoeffs)[0]
@@ -235,17 +240,13 @@ def find_critical_points(potential: Potential, bracket=None, scan_points: int = 
                          "leading coefficient")
 
     bound = _cauchy_root_bound(dcoeffs)
-    if bracket is None:
-        lo, hi = -bound, bound
-    else:
-        lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = -bound, bound
     # widen until F' < 0 on the left and > 0 on the right (odd degree,
-    # positive leading coefficient), and the Cauchy bound is covered
-    lo, hi = min(lo, -bound), max(hi, bound)
+    # positive leading coefficient)
     while potential.grad(lo) >= 0 or potential.grad(hi) <= 0:
         lo, hi = 2 * lo, 2 * hi
 
-    xs = np.linspace(lo, hi, scan_points)
+    xs = np.linspace(lo, hi, _SCAN_POINTS)
     gs = potential.grad(xs)
     roots = []
     for i in np.nonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]:
@@ -288,15 +289,14 @@ def _fit_sandwich(values: np.ndarray, radii: np.ndarray, a_lo: float, a_hi: floa
     return {"c1": c1, "c2": 0.0, "c3": c3, "c4": 0.0}, c1 > 0 and np.isfinite(c3)
 
 
-def validate_assumptions(potential: Potential, eps_probe: float = 0.1,
-                         n_radii: int = 400) -> AssumptionReport:
+def validate_assumptions(potential: Potential) -> AssumptionReport:
     """Audit the growth conditions needed by the coupling pipeline.
 
     The exponents a1 = a2 = 2*(degree-1) are exact for polynomials; the gap
     condition a2 < 2*a1 - 2 is therefore equivalent to degree > 2. The
     sandwich bounds for |F'|^2, (|F'| - 2F'')^2, |F| (exponent a/2 + 1), and
-    the ground-state-form potential at eps_probe are audited numerically on a
-    log-spaced radius grid |x| in [10, 1e4] by fitting certificate constants.
+    the ground-state-form potential at eps = 0.1 are audited numerically on
+    400 log-spaced radii |x| in [10, 1e4] by fitting certificate constants.
     """
     d = potential.degree
     if not potential.is_confining():
@@ -306,7 +306,7 @@ def validate_assumptions(potential: Potential, eps_probe: float = 0.1,
     a = 2.0 * (d - 1)
     gap_ok = d > 2
 
-    r = np.logspace(1, 4, n_radii)
+    r = np.logspace(1, 4, _N_RADII)
     x = np.concatenate((-r[::-1], r))
     rad = np.abs(x)
     g = potential.grad(x)
@@ -322,9 +322,9 @@ def validate_assumptions(potential: Potential, eps_probe: float = 0.1,
         consts, ok = _fit_sandwich(vals, rad, lo_e, hi_e)
         checks.append(AuditCheck(name, ok, consts))
 
-    v_eps = g ** 2 / (4 * eps_probe ** 2) - h / (2 * eps_probe)
+    v_eps = g ** 2 / (4 * _EPS_PROBE ** 2) - h / (2 * _EPS_PROBE)
     consts, ok = _fit_sandwich(v_eps, rad, a, a)
-    consts["eps"] = eps_probe
+    consts["eps"] = _EPS_PROBE
     checks.append(AuditCheck("ground_state_potential_sandwich", ok, consts))
 
     return AssumptionReport(degree=d, a1=a, a2=a, exponent_gap_ok=gap_ok,

@@ -41,7 +41,6 @@ import dataclasses
 import itertools
 import math
 import numbers
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -109,9 +108,9 @@ class TrajectoryRecord:
         k = bisect.bisect_right(self.jumps, t, key=lambda jump: jump[0])
         return int(self.jumps[k - 1][2]) if k else int(self.y[0])
 
-    def x_at_stored(self, t: float, tol: float = _STORED_TOL) -> float:
+    def x_at_stored(self, t: float) -> float:
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > tol:
+        if abs(self.times[i] - t) > _STORED_TOL:
             raise ValueError(f"time {t} is not stored in this record "
                              f"(nearest {self.times[i]})")
         return float(self.x[i])
@@ -356,14 +355,11 @@ def max_stable_dt(potential: Potential) -> float:
     return DT_CURVATURE_FACTOR / curv if curv > 0 else np.inf
 
 
-def _check_dt(potential: Potential, dt: float, allow_large_dt: bool = False):
+def _check_dt(potential: Potential, dt: float):
     bound = max_stable_dt(potential)
     if dt > bound:
-        msg = (f"dt = {dt:g} exceeds the curvature bound {bound:g} "
-               "(1e-2 over the stiffest well)")
-        if not allow_large_dt:
-            raise ValueError(msg)
-        warnings.warn(msg)
+        raise ValueError(f"dt = {dt:g} exceeds the curvature bound {bound:g} "
+                         "(1e-2 over the stiffest well)")
 
 
 class _NoiseTape:
@@ -936,8 +932,7 @@ def _window_steps(block: int, levels: int = 1) -> int:
     return block * max(1, (_NOISE_BLOCK // levels) // block)
 
 
-def simulate_x(potential: Potential, eps: float, x0: float, dt: float, T: float,
-               rng, bound: float | None = None, allow_large_dt: bool = False):
+def simulate_x(potential: Potential, eps: float, x0: float, dt: float, T: float, rng):
     """Euler-Maruyama path: X_{k+1} = X_k - F'(X_k) dt + sqrt(2 eps dt) Z_k.
 
     Draws the noise vector from rng block by block, the same draws one call
@@ -945,17 +940,15 @@ def simulate_x(potential: Potential, eps: float, x0: float, dt: float, T: float,
     on the uniform grid k*dt.
 
     Raises:
-        ValueError: dt exceeds max_stable_dt, unless allow_large_dt, which
-            warns instead.
-        BlowUpError: the path left [-bound, bound] (default ten half-widths)
-            or became NaN.
+        ValueError: dt exceeds max_stable_dt.
+        BlowUpError: the path left [-bound, bound], bound ten times the
+            larger of |x0| and the grid half-width, or became NaN.
     """
-    _check_dt(potential, dt, allow_large_dt)
+    _check_dt(potential, dt)
     n_steps = int(round(T / dt))
-    if bound is None:
-        bound = _escape_bound(potential, eps, x0)
     path = _Diffusion(potential, eps, np.array([float(x0)]),
-                      _NoiseTape([rng], n_steps, _NOISE_BLOCK), dt, bound,
+                      _NoiseTape([rng], n_steps, _NOISE_BLOCK), dt,
+                      _escape_bound(potential, eps, x0),
                       np.arange(n_steps + 1))
     for _ in path.windows(_NOISE_BLOCK):
         pass

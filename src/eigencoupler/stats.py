@@ -10,7 +10,6 @@ levels, which is outside this package's scope.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,16 +132,12 @@ class RateMatchReport:
     rho: float
     note: str
 
-    def to_json(self, path=None):
-        payload = {
+    def to_json(self) -> dict:
+        return {
             "rho": self.rho,
             "note": self.note,
             "rows": [dict(r) for r in self.rows],
         }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        return payload
 
     def to_text(self) -> str:
         header = (f"{'i->j':>6} {'chain_exact':>14} {'mc_estimate':>14} "

@@ -1,4 +1,4 @@
-"""Minimal self-contained SVG line/step charts (no plotting dependency)."""
+"""Minimal self-contained SVG line charts (no plotting dependency)."""
 
 from __future__ import annotations
 
@@ -33,8 +33,8 @@ def _fmt(v: float) -> str:
 
 
 def line_chart(path, x, series: dict, title: str = "", xlabel: str = "",
-               ylabel: str = "", step: bool = False):
-    """Write a line chart (or step chart) of the named series over x."""
+               ylabel: str = ""):
+    """Write a line chart of the named series over x."""
     x = np.asarray(x, dtype=float)
     ys = {name: np.asarray(v, dtype=float) for name, v in series.items()}
     xlo, xhi = float(np.min(x)), float(np.max(x))
@@ -75,11 +75,7 @@ def line_chart(path, x, series: dict, title: str = "", xlabel: str = "",
 
     for idx, (name, y) in enumerate(ys.items()):
         color = _COLORS[idx % len(_COLORS)]
-        pts = []
-        for i in range(len(x)):
-            if step and i > 0:
-                pts.append(f"{sx(x[i]):.2f},{sy(y[i - 1]):.2f}")
-            pts.append(f"{sx(x[i]):.2f},{sy(y[i]):.2f}")
+        pts = [f"{sx(xi):.2f},{sy(yi):.2f}" for xi, yi in zip(x, y)]
         parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         ly = _MT + 14 + 16 * idx

@@ -370,6 +370,50 @@ def test_numerical_failure_exit_code_2(tmp_path):
     assert cli.main(["synth", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
+def _backwards_Q():
+    # row sums zero, but the 0 -> 1 rate is negative: that jump never fires
+    lam1 = coupling.build_pipeline("double_well", 0.2, 400).spec.rates[0]
+    return [[0.1, -0.1], [lam1 + 0.1, -(lam1 + 0.1)]]
+
+
+@pytest.mark.parametrize("command", ["synth", "simulate"])
+@pytest.mark.parametrize("case", ["negative_rate", "row_sum", "three_states"])
+def test_explicit_Q_that_is_not_a_generator_exits_1(tmp_path, capsys, command, case):
+    Q = {"negative_rate": _backwards_Q,
+         "row_sum": lambda: [[-1.0, 1.0], [1.0, -1.0 + 1e-6]],
+         "three_states": lambda: [[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 1.0, -1.0]]}[case]()
+    path = light_config(tmp_path, epsilon=0.2, chain={"Q": Q},
+                        simulation={"dt": 1e-3, "T": 0.1, "n_paths": 20})
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 1
+    assert "validation error: Q " in capsys.readouterr().err
+    assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "verify"])
+def test_T_off_the_dt_grid_exits_1_before_writing(tmp_path, capsys, command):
+    # 0.2 / 3e-4 steps round to 667, whose grid ends at 0.2001, not at T
+    path = light_config(tmp_path, simulation={"dt": 3e-4, "T": 0.2, "n_paths": 20})
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 1
+    assert "simulation.T: must be a whole number of dt steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_maximize_scale_reaches_the_kappa_boundary(tmp_path):
+    # an asymmetric two-state chain on a tilted well: the budget scaling
+    # stops short of the positivity boundary, maximize_scale reaches kappa of it
+    bounds = {}
+    for maximize in (False, True):
+        path = light_config(tmp_path, potential="tilted_double_well", epsilon=0.15,
+                            chain={"theta": 0.2, "kappa": 0.6, "maximize_scale": maximize})
+        out = tmp_path / f"o{maximize}"
+        assert cli.main(["synth", "--config", path, "--out", str(out)]) == 0
+        bounds[maximize] = json.loads((out / "chain_eps0.15.json").read_text())["min_alpha_bound"]
+    assert abs(bounds[True] - (1 - 0.6)) <= 1e-12
+    assert bounds[False] > 1 - 0.6 + 0.1
+
+
 def test_nan_path_exit_code_2(tmp_path, monkeypatch):
     # a NaN start trips the blow-up guard, a numerical failure
     import eigencoupler.simulate as sim

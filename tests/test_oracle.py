@@ -218,6 +218,19 @@ def test_mean_exit_three_state_hand_solved():
     np.testing.assert_allclose(out, [3.0, 2.0], atol=1e-12)
 
 
+def test_mean_exit_full_chain_matches_dense_solve():
+    # every entry nonzero: the banded solve runs at the full bandwidth
+    rng = np.random.default_rng(7)
+    Q = rng.uniform(0.1, 2.0, (4, 4))
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    for targets in ([3], [0], [1, 2]):
+        keep = [i for i in range(4) if i not in targets]
+        ref = np.linalg.solve(Q[np.ix_(keep, keep)], -np.ones(len(keep)))
+        out = mean_exit_times(Q, keep, targets)
+        np.testing.assert_allclose(out, ref, rtol=1e-13, atol=0)
+
+
 def test_mean_exit_unreachable_target():
     # state 0 is absorbing, so {1} cannot be reached from it
     Q = np.array([[0.0, 0.0], [1.0, -1.0]])

@@ -41,17 +41,15 @@ def test_dt_precondition():
     with pytest.raises(ValueError):
         simulate_x(DW, 0.1, 0.0, 0.5, 1.0, rng)    # above 1e-2 / F''(min)
     assert max_stable_dt(DW) == pytest.approx(5e-3)
-    with pytest.warns(UserWarning):
-        simulate_x(DW, 0.0, 1.0, 6e-3, 0.1, rng, allow_large_dt=True)
 
 
 def test_blowup_guard():
     rng = path_stream(0, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.warns(UserWarning), pytest.raises(BlowUpError):
-            # gross overstepping makes the quartic drift oscillate and explode
-            simulate_x(DW, 0.1, 2.5, 0.5, 2.0, rng, bound=20.0,
-                       allow_large_dt=True)
+        with pytest.raises(BlowUpError):
+            # far out, the quartic drift oversteps even at an allowed dt:
+            # the path oscillates and explodes
+            simulate_x(DW, 0.1, 25.0, 4e-3, 2.0, rng)
 
 
 @pytest.mark.parametrize("preset,eps", [("double_well", 0.1), ("triple_well", 0.05),
@@ -71,7 +69,7 @@ def test_blowup_guard_catches_nan():
     # NaN fails every comparison, so a guard reading `max > bound` lets a NaN
     # path run to the horizon
     with pytest.raises(BlowUpError):
-        simulate_x(DW, 0.1, np.nan, 1e-3, 1.0, path_stream(0, 0), bound=20.0)
+        simulate_x(DW, 0.1, np.nan, 1e-3, 1.0, path_stream(0, 0))
 
 
 def test_ou_variance_matches_closed_form():
