@@ -472,13 +472,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path or inline JSON")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
     parser.add_argument("--seed", type=int, default=None, help="override simulation seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (or env EIGENCOUPLER_THREADS)")
+    parser.add_argument("--threads", type=int, default=None, help="worker threads")
     args = parser.parse_args(argv)
     try:
         cfg = apply_overrides(parse_config(args.config), seed=args.seed,
-                              threads=args.threads,
-                              env_threads=os.environ.get("EIGENCOUPLER_THREADS"))
+                              threads=args.threads)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .potential import preset_names
-from .simulate import _STORED_TOL
+from .simulate import _off_step_grid
 
 __all__ = ["ExperimentConfig", "parse_config", "apply_overrides", "DEFAULTS"]
 
@@ -255,9 +255,7 @@ def parse_config(source) -> ExperimentConfig:
     if _is_num(dt) and _is_num(T) and dt > 0 and T > 0:
         if not T / dt < _INT64_MAX:
             problems.append("simulation: T / dt steps must be fewer than 2**63 - 1")
-        elif abs(round(T / dt) * dt - T) > _STORED_TOL:
-            # the ensemble's grid ends at round(T / dt) * dt, and x at T is
-            # read off the stored grid
+        elif _off_step_grid(dt, T):
             problems.append("simulation.T: must be a whole number of dt steps")
 
     oracle = data.get("oracle", {})
@@ -307,10 +305,9 @@ def parse_config(source) -> ExperimentConfig:
         allow_assumption_violation=allow, threads=threads)
 
 
-def apply_overrides(cfg: ExperimentConfig, seed=None, threads=None,
-                    env_threads=None) -> ExperimentConfig:
-    """cfg with a command line's --seed and --threads, or else the text of
-    EIGENCOUPLER_THREADS, each checked by the rule of its config key.
+def apply_overrides(cfg: ExperimentConfig, seed=None, threads=None) -> ExperimentConfig:
+    """cfg with a command line's --seed and --threads, each checked by the
+    rule of its config key.
 
     Raises:
         ConfigError: with one line per bad override.
@@ -321,18 +318,11 @@ def apply_overrides(cfg: ExperimentConfig, seed=None, threads=None,
             changes["seed"] = seed
         else:
             problems.append("--seed: must be a u64")
-    source = "--threads"
-    if threads is None and env_threads:
-        source = "EIGENCOUPLER_THREADS"
-        try:
-            threads = int(env_threads)
-        except ValueError:
-            threads = env_threads       # not an integer: fails the check
     if threads is not None:
         if _is_threads(threads):
             changes["threads"] = threads
         else:
-            problems.append(f"{source}: must be a positive integer")
+            problems.append("--threads: must be a positive integer")
     if problems:
         raise ConfigError(problems)
     return dataclasses.replace(cfg, **changes)

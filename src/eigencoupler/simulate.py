@@ -36,7 +36,6 @@ ensemble; simulate_ensembles and simulate_ensemble join the chunks.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import itertools
 import math
@@ -76,7 +75,15 @@ _CHUNK_BYTES = 2 ** 28
 _NOISE_BLOCK = 512        # steps of a window, shared by a chunk's noise levels
 _NOISE_GROUP = 128        # paths per transpose of the noise buffer
 _ROW_CHUNK = 2 ** 14      # trajectory rows assembled (or written) at a time
-_STORED_TOL = 1e-9        # how far from a stored time x_at_stored may be asked
+_STORED_TOL = 1e-9        # how far from a stored time x_at_stored may be asked,
+                          # and a horizon from the dt grid
+
+
+def _off_step_grid(dt: float, horizon: float) -> bool:
+    """Whether horizon is not a whole number of dt steps: a run ends at
+    round(horizon / dt) * dt, and x at the horizon is read off the stored
+    grid."""
+    return abs(round(horizon / dt) * dt - horizon) > _STORED_TOL
 
 
 @dataclass(frozen=True)
@@ -96,24 +103,8 @@ class TrajectoryRecord:
     y: np.ndarray
     jumps: tuple                      # ((t, from_state, to_state), ...)
     clocks: np.ndarray                # (m+1, m+1), diagonal unused
-    seed_key: int
     path_index: int
-    dt: float
-    store_stride: int
-    eps: float
     exit_time: float | None = None    # absorption time, if absorbed
-
-    def y_at(self, t: float) -> int:
-        """Exact chain state at time t, reconstructed from the jump log."""
-        k = bisect.bisect_right(self.jumps, t, key=lambda jump: jump[0])
-        return int(self.jumps[k - 1][2]) if k else int(self.y[0])
-
-    def x_at_stored(self, t: float) -> float:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > _STORED_TOL:
-            raise ValueError(f"time {t} is not stored in this record "
-                             f"(nearest {self.times[i]})")
-        return float(self.x[i])
 
 
 class Rows(NamedTuple):
@@ -151,10 +142,6 @@ class Ensemble:
     exit_x: np.ndarray        # (P,) x at absorption
     clocks: np.ndarray        # (P, m+1, m+1) residual budgets, diagonal unused
     path_index: np.ndarray    # (P,) stream index of each path
-    seed: int
-    dt: float
-    store_stride: int
-    eps: float
 
     def __len__(self) -> int:
         return len(self.y0)
@@ -177,8 +164,8 @@ class Ensemble:
         return y
 
     def x_at_stored(self, t: float) -> np.ndarray:
-        """(P,) x at the stored-grid time t. As a record's x_at_stored, it
-        raises when t is not stored or some path was absorbed before t."""
+        """(P,) x at the stored-grid time t. Raises when t is not stored or
+        some path was absorbed before t."""
         i = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[i] - t) > _STORED_TOL:
             raise ValueError(f"time {t} is not on the stored grid "
@@ -256,9 +243,7 @@ class Ensemble:
                     times=rows.t[r], x=rows.x[r], y=rows.y[r],
                     jumps=tuple(jumps[self.jump_offsets[a + k] - j0:
                                       self.jump_offsets[a + k + 1] - j0]),
-                    clocks=self.clocks[a + k], seed_key=self.seed,
-                    path_index=int(self.path_index[a + k]), dt=self.dt,
-                    store_stride=self.store_stride, eps=self.eps,
+                    clocks=self.clocks[a + k], path_index=int(self.path_index[a + k]),
                     exit_time=None if np.isnan(exit_time) else exit_time)
 
 
@@ -286,6 +271,9 @@ class EnsembleConfig:
         if not (math.isfinite(self.dt) and math.isfinite(self.horizon)
                 and 0 < self.dt <= self.horizon and self.horizon / self.dt < 2 ** 63):
             raise ValueError("need finite dt > 0 and horizon >= dt, fewer than 2**63 steps")
+        if _off_step_grid(self.dt, self.horizon):
+            raise ValueError(f"horizon {self.horizon:g} is not a whole number of "
+                             f"dt = {self.dt:g} steps")
         if not (_is_integer(self.n_paths) and self.n_paths >= 1):
             raise ValueError("need an integer n_paths >= 1")
         if not (_is_integer(self.seed) and 0 <= self.seed < 2 ** 64):
@@ -336,9 +324,9 @@ def clock_stream(seed: int, path_index: int) -> np.random.Generator:
     return path_stream(seed, path_index, counter=[0, 0, 1, 0])
 
 
-def _escape_bound(potential: Potential, eps: float, x_extra: float = 0.0) -> float:
+def _escape_bound(potential: Potential, eps: float, x_extra: float) -> float:
     """ESCAPE_FACTOR times the larger of |x_extra| and the auto_grid
-    half-width, the bound simulate_ensemble draws from its grid's end nodes;
+    half-width, the bound an ensemble draws from its grid's end nodes;
     at eps = 0, where no grid is defined, the reach of the critical points
     plus one stands in for the half-width."""
     if eps > 0:
@@ -969,11 +957,10 @@ def simulate_y_given_x(x_path, model: CouplingModel, y0: int, rng,
                   np.array([n_steps + 1], dtype=np.int64), np.zeros(1))
     return Ensemble(times=_stored_steps(n_steps, 1) * dt, x=x_path[:, None], y0=y0s,
                     exit_time=np.full(1, np.nan), exit_x=np.zeros(1),
-                    path_index=np.zeros(1, dtype=np.int64), seed=0, dt=dt,
-                    store_stride=1, eps=model.eps, **chain.columns())[0]
+                    path_index=np.zeros(1, dtype=np.int64), **chain.columns())[0]
 
 
-def _run_chunk(cfg, models, potential, indices, bounds, stored=None):
+def _run_chunk(cfg, models, potential, indices, stored=None):
     """The paths of the given indices at every model's noise level, one
     Ensemble per level; level l's stored x are written to stored[l], an
     (S, len(indices)) array, if given.
@@ -990,7 +977,8 @@ def _run_chunk(cfg, models, potential, indices, bounds, stored=None):
     steps = _stored_steps(n_steps, cfg.store_stride)
     scratch = _Scratch()
     levels = []
-    for model, bound, out in zip(models, bounds, stored or [None] * len(models)):
+    for model, out in zip(models, stored or [None] * len(models)):
+        bound = ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
         x0s = np.empty(c)
         y0s = np.empty(c, dtype=np.int64)
         if u is None:
@@ -1021,10 +1009,8 @@ def _run_chunk(cfg, models, potential, indices, bounds, stored=None):
     return [Ensemble(times=steps * cfg.dt, x=path.stored, y0=y0s, exit_time=np.where(
                          path.exit_steps <= n_steps,
                          (path.exit_steps + path.exit_fracs) * cfg.dt, np.nan),
-                     exit_x=path.exit_xs, path_index=np.asarray(indices), seed=cfg.seed,
-                     dt=cfg.dt, store_stride=cfg.store_stride, eps=model.eps,
-                     **chain.columns())
-            for model, (path, chain, y0s) in zip(models, levels)]
+                     exit_x=path.exit_xs, path_index=np.asarray(indices), **chain.columns())
+            for path, chain, y0s in levels]
 
 
 def _concatenate(parts, x) -> Ensemble:
@@ -1067,7 +1053,6 @@ def ensemble_chunks(cfg: EnsembleConfig, models, potential: Potential, xs=None):
     _check_dt(potential, cfg.dt)
     if cfg.y0 is not None and any(cfg.y0 >= model.n_states for model in models):
         raise ValueError(f"y0 = {cfg.y0} is not a state of every model")
-    bounds = [ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes))) for model in models]
     n_stored = len(_stored_steps(cfg.n_steps, cfg.store_stride))
     # a path holds every level's stored rows and window, plus its rows of
     # the noise tape, as long as the longest window
@@ -1078,7 +1063,7 @@ def ensemble_chunks(cfg: EnsembleConfig, models, potential: Potential, xs=None):
 
     def run(s):
         ix = np.arange(s, min(s + chunk, cfg.n_paths))
-        return _run_chunk(cfg, models, potential, ix, bounds,
+        return _run_chunk(cfg, models, potential, ix,
                           None if xs is None else [x[:, ix[0]:ix[-1] + 1] for x in xs])
 
     starts = range(0, cfg.n_paths, chunk)
@@ -1117,37 +1102,49 @@ def simulate_ensemble(cfg: EnsembleConfig, model: CouplingModel,
     return simulate_ensembles(cfg, [model], potential)[0]
 
 
-def first_exit_time(record: TrajectoryRecord, region, target: str = "x"):
-    """First time the chosen component hits the region.
+def _first_per_path(hits, offsets):
+    """The first of the ascending row indices hits in each path's range of
+    offsets, and those paths."""
+    path = np.searchsorted(offsets, hits, side="right") - 1
+    first = np.ones(len(hits), dtype=bool)
+    first[1:] = path[1:] != path[:-1]
+    return hits[first], path[first]
 
-    For the diffusion the region is an interval (lo, hi) and the hit is
-    located by linear interpolation between the stored samples that straddle
-    the boundary; for the chain the region is a set of states and the exact
-    jump time is returned. None if the region is not hit on the record.
+
+def first_exit_time(ensemble: Ensemble, region, target: str = "x") -> np.ndarray:
+    """(P,) first time each path's chosen component hits the region, NaN
+    where it does not.
+
+    For the diffusion the region is an interval (lo, hi), read on the rows
+    a path's record holds (Ensemble.rows), and the hit is located by linear
+    interpolation between the rows that straddle the boundary; for the
+    chain the region is a set of states and the exact jump time is
+    returned. A path that starts inside hits at 0.
     """
+    out = np.full(len(ensemble), np.nan)
     if target == "y":
-        states = set(int(s) for s in region)
-        if int(record.y[0]) in states:
-            return 0.0
-        for tj, _, to in record.jumps:
-            if int(to) in states:
-                return float(tj)
-        return None
+        states = [int(s) for s in region]
+        jumps, path = _first_per_path(np.flatnonzero(np.isin(ensemble.jump_to, states)),
+                                      ensemble.jump_offsets)
+        out[path] = ensemble.jump_t[jumps]
+        out[np.isin(ensemble.y0, states)] = 0.0
+        return out
     if target != "x":
         raise ValueError("target must be 'x' or 'y'")
     lo, hi = float(region[0]), float(region[1])
     if not lo < hi:
         raise ValueError("empty region")
-    x = record.x
-    inside = (x >= lo) & (x <= hi)
-    if not inside.any():
-        return None
-    idx = int(np.argmax(inside))
-    if idx == 0:
-        return 0.0
-    prev, cur = x[idx - 1], x[idx]
-    boundary = lo if prev < lo else hi
-    denom = cur - prev
-    frac = 0.0 if denom == 0 else (boundary - prev) / denom
-    t0, t1 = record.times[idx - 1], record.times[idx]
-    return float(t0 + np.clip(frac, 0.0, 1.0) * (t1 - t0))
+    for a, b in ensemble.row_chunks():
+        rows = ensemble.rows(a, b)
+        i, path = _first_per_path(np.flatnonzero((rows.x >= lo) & (rows.x <= hi)),
+                                  rows.offsets)
+        at_start = i == rows.offsets[path]
+        out[a + path[at_start]] = 0.0
+        i, path = i[~at_start], path[~at_start]
+        prev, cur = rows.x[i - 1], rows.x[i]
+        boundary = np.where(prev < lo, lo, hi)
+        denom = cur - prev
+        frac = np.divide(boundary - prev, denom, out=np.zeros(len(i)), where=denom != 0)
+        t0, t1 = rows.t[i - 1], rows.t[i]
+        out[a + path] = t0 + np.clip(frac, 0.0, 1.0) * (t1 - t0)
+    return out

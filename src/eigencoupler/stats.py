@@ -1,11 +1,11 @@
 """Estimators and hypothesis checks over path ensembles: exit-time laws,
 conditional histograms, tracking probabilities, and the rate-match table.
 
-Everything here is a deterministic function of the records and parameters;
-re-running on the same ensemble reproduces the reports bit for bit. The
-tracking and rate diagnostics report trends and ratios only -- the asymptotic
-claims they probe depend on how the coupling family is chosen across noise
-levels, which is outside this package's scope.
+Everything here is a deterministic function of the ensembles' columns and
+the parameters; re-running on the same ensemble reproduces the reports bit
+for bit. The tracking and rate diagnostics report trends and ratios only --
+the asymptotic claims they probe depend on how the coupling family is
+chosen across noise levels, which is outside this package's scope.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def rate_match_report(ensembles: dict, chain_Q: np.ndarray,
                       gen, minima: np.ndarray) -> RateMatchReport:
     """Exit-time comparison table between the chain and the diffusion.
 
-    ensembles maps a source state i to records started at the minimum x_i;
+    ensembles maps a source state i to an Ensemble started at the minimum x_i;
     for each ordered pair (i, j) the table holds the exact chain hitting time
     E^i[tau_j] (linear solve on Q), the Monte Carlo estimate of the diffusion
     hitting time of the rho-ball around x_j with its CI, the exact value for
@@ -173,17 +173,20 @@ def rate_match_report(ensembles: dict, chain_Q: np.ndarray,
     exact = exact_exit_times(chain_Q, gen, minima, rho)
     rows = []
     for i in sorted(ensembles):
-        records = list(ensembles[i])     # the record views, built once
+        ens = ensembles[i]
         for j in range(m1):
             if j == i:
                 continue
             chain_exact, diffusion_exact = exact[i, j]
             ball = (minima[j] - rho, minima[j] + rho)
-            taus = [first_exit_time(r, ball, target="x") for r in records]
-            hit = np.array([t for t in taus if t is not None])
-            n_censored = sum(1 for t in taus if t is None)
+            taus = first_exit_time(ens, ball, target="x")
+            censored = np.isnan(taus)
+            hit = taus[~censored]
+            n_censored = int(np.count_nonzero(censored))
             if len(hit) == 0:
-                horizon = float(max(r.times[-1] for r in records))
+                # a path's last time: its exit time if absorbed, else T
+                horizon = float(np.max(np.where(np.isnan(ens.exit_time), ens.times[-1],
+                                                ens.exit_time)))
                 rows.append({"from": i, "to": j, "chain_exact": chain_exact,
                              "mc_estimate": None, "mc_se": None,
                              "mc_lower_bound": horizon,

@@ -126,13 +126,13 @@ def test_oversized_config_integers_exit_1(tmp_path, capsys, section, value):
     (["--seed", "-5"], None, "--seed: must be a u64"),
     (["--seed", str(2 ** 64)], None, "--seed: must be a u64"),
     (["--threads", "0"], None, "--threads: must be a positive integer"),
-    ([], "abc", "EIGENCOUPLER_THREADS: must be a positive integer"),
-    ([], "-2", "EIGENCOUPLER_THREADS: must be a positive integer"),
+    (["--threads", "0"], "abc", "--threads: must be a positive integer"),
 ])
 def test_cli_overrides_follow_the_config_rules(tmp_path, monkeypatch, capsys,
                                                args, env, problem):
-    # --seed, --threads and EIGENCOUPLER_THREADS are checked as the keys
-    # they override: one line, exit 1, before any work or artifact
+    # --seed and --threads are checked as the keys they override: one line,
+    # exit 1, before any work or artifact; EIGENCOUPLER_THREADS is no longer
+    # read, so a malformed value left in the environment is never reported
     def never(*args, **kwargs):
         raise AssertionError("pipeline built")
 
@@ -153,9 +153,7 @@ def test_cli_overrides_apply_in_order():
     cfg = parse_config(LIGHT)
     assert apply_overrides(cfg) == cfg
     assert apply_overrides(cfg, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
-    assert apply_overrides(cfg, env_threads="2").threads == 2
-    # the flag wins over the environment, whose text is then never read
-    assert apply_overrides(cfg, threads=3, env_threads="abc").threads == 3
+    assert apply_overrides(cfg, threads=3).threads == 3
 
 
 _numbers = st.one_of(st.integers(-3, 2 ** 70), st.integers(10 ** 308, 10 ** 400),
@@ -699,8 +697,11 @@ def test_spectrum_ignores_the_simulation_size(tmp_path):
 
 
 def test_simulate_builds_no_records(tmp_path, monkeypatch):
-    # simulate writes its CSVs from the ensemble's columns
+    # simulate writes its CSVs from the ensemble's columns; sweep, verify and
+    # the rate-match table read columns too
     import eigencoupler.simulate as sim
+    from eigencoupler.potential import domains_of_attraction
+    from eigencoupler.stats import rate_match_report
     built = []
 
     class Counting(sim.TrajectoryRecord):
@@ -713,6 +714,18 @@ def test_simulate_builds_no_records(tmp_path, monkeypatch):
                         simulation={"dt": 4e-3, "T": 3.0, "n_paths": 30,
                                     "seed": 9, "store_stride": 7})
     assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    path = light_config(tmp_path, epsilon=[0.2, 0.15],
+                        simulation={"dt": 1e-3, "T": 0.5, "n_paths": 200, "store_stride": 1})
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == 0
+    assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "v")]) in (0, 3)
+    pipe = coupling.build_pipeline("double_well", 0.2, 400)
+    minima = pipe.potential.minima
+    absorbed = sim.simulate_ensemble(
+        sim.EnsembleConfig(n_paths=30, dt=1e-3, horizon=5.0, seed=4, x0=float(minima[0]),
+                           y0=0, store_stride=100, absorb=(minima[1] - 0.5, minima[1] + 0.5)),
+        pipe.model, pipe.potential)
+    rate_match_report({0: absorbed}, pipe.spec.Q, domains_of_attraction(pipe.potential),
+                      0.5, pipe.gen, minima)
     assert built == []
     ens = _simulate_ensemble(tmp_path, 30)
     assert len(list(ens)) == 30 and built == list(range(30))

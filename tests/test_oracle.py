@@ -193,8 +193,8 @@ def test_uniformize_is_bitwise_the_sparse_matmul_series(preset, eps):
 
 
 def test_check_oracle_bypasses_sparse_matmul(dw_small, dw_small_joint, monkeypatch):
-    # the series calls the CSC kernel itself: sparse @'s per-step dispatch
-    # must not creep back into the oracle
+    # the series calls csr_matvec on P^T's CSR arrays itself: sparse @'s
+    # per-step dispatch must not creep back into the oracle
     from scipy.sparse import _compressed
 
     def fail(*args, **kwargs):

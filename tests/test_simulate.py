@@ -59,10 +59,10 @@ def test_simulate_x_default_bound_is_the_ensemble_bound(preset, eps):
     import eigencoupler.simulate as sim
     pipe = build_pipeline(make_potential(preset), eps, 300)
     ensemble_bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(pipe.model.grid_nodes)))
-    assert sim._escape_bound(pipe.potential, eps) == ensemble_bound
+    assert sim._escape_bound(pipe.potential, eps, 0.0) == ensemble_bound
     x0 = -3 * ensemble_bound
     assert sim._escape_bound(pipe.potential, eps, x0) == sim.ESCAPE_FACTOR * abs(x0)
-    assert sim._escape_bound(pipe.potential, 0.0) > 0
+    assert sim._escape_bound(pipe.potential, 0.0, 0.0) > 0
 
 
 def test_blowup_guard_catches_nan():
@@ -228,13 +228,12 @@ def test_chunk_peak_memory_excludes_noise(dw_small):
     import tracemalloc
     import eigencoupler.simulate as sim
     model, pot = dw_small.model, dw_small.potential
-    bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
     for absorb in (None, (0.5, 1.5)):
         cfg = EnsembleConfig(n_paths=64, dt=1e-3, horizon=20.0, seed=3,
                              x0=0.0, y0=0, store_stride=1000, absorb=absorb)
         tracemalloc.start()
         try:
-            recs = sim._run_chunk(cfg, [model], pot, np.arange(64), [bound])[0]
+            recs = sim._run_chunk(cfg, [model], pot, np.arange(64))[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -251,7 +250,6 @@ def test_chunk_peak_memory_independent_of_steps(dw_small):
     import tracemalloc
     import eigencoupler.simulate as sim
     model, pot = dw_small.model, dw_small.potential
-    bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
     for absorb in (None, (0.5, 1.5)):
         peaks = []
         for horizon in (2.0, 20.0):
@@ -259,7 +257,7 @@ def test_chunk_peak_memory_independent_of_steps(dw_small):
                                  x0=0.0, y0=0, store_stride=1000, absorb=absorb)
             tracemalloc.start()
             try:
-                sim._run_chunk(cfg, [model], pot, np.arange(64), [bound])
+                sim._run_chunk(cfg, [model], pot, np.arange(64))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -295,7 +293,6 @@ def test_scan_reuses_its_tile_buffers(monkeypatch, eps, dt, horizon, block):
     import eigencoupler.simulate as sim
     pipe = build_pipeline("double_well", eps, 400)
     model, pot = pipe.model, pipe.potential
-    bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
     cfg = EnsembleConfig(n_paths=512, dt=dt, horizon=horizon, seed=3,
                          store_stride=50)
     assert sim._y_block_size(model, dt) == block
@@ -310,7 +307,7 @@ def test_scan_reuses_its_tile_buffers(monkeypatch, eps, dt, horizon, block):
     monkeypatch.setattr(sim._ChainWalk, "advance", traced)
     tracemalloc.start()
     try:
-        sim._run_chunk(cfg, [model], pot, np.arange(512), [bound])
+        sim._run_chunk(cfg, [model], pot, np.arange(512))
     finally:
         tracemalloc.stop()
     assert len(peaks) > 3
@@ -338,19 +335,15 @@ def test_first_exit_time_semantics(fast_chain_decoupled):
     q01 = pipe.spec.Q[0, 1]
     cfg = EnsembleConfig(n_paths=400, dt=2e-3, horizon=8.0, seed=2,
                          x0=0.0, y0=0, store_stride=100)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
-    # never-hit region -> None
-    assert first_exit_time(recs[0], (50.0, 60.0), target="x") is None
+    ens = simulate_ensemble(cfg, pipe.model, pipe.potential)
+    # never-hit region -> NaN
+    assert np.isnan(first_exit_time(ens, (50.0, 60.0), target="x")).all()
     # chain hitting {1} is the first jump time
-    taus = []
-    for r in recs:
-        t = first_exit_time(r, {1}, target="y")
-        if r.jumps:
-            assert t == r.jumps[0][0]
-            taus.append(t)
-        else:
-            assert t is None
-    taus = np.array(taus)
+    taus = first_exit_time(ens, {1}, target="y")
+    moved = np.diff(ens.jump_offsets) > 0
+    np.testing.assert_array_equal(taus[moved], ens.jump_t[ens.jump_offsets[:-1][moved]])
+    assert np.isnan(taus[~moved]).all()
+    taus = taus[moved]
     se = taus.std(ddof=1) / np.sqrt(len(taus))
     assert abs(taus.mean() - 1.0 / q01) <= 3 * se
 
@@ -359,14 +352,77 @@ def test_first_exit_interpolates_crossing(fast_chain):
     pipe = fast_chain
     cfg = EnsembleConfig(n_paths=1, dt=2e-3, horizon=4.0, seed=9,
                          store_stride=1)
-    rec = simulate_ensemble(cfg, pipe.model, pipe.potential)[0]
+    ens = simulate_ensemble(cfg, pipe.model, pipe.potential)
+    rec = ens[0]
     # threshold strictly above the start so the hit happens mid-path
     lo = max(float(np.quantile(rec.x, 0.8)), float(rec.x[0]) + 0.05)
     assert float(np.max(rec.x)) > lo
-    tau = first_exit_time(rec, (lo, np.inf), target="x")
-    assert tau is not None and tau > 0
+    tau = first_exit_time(ens, (lo, np.inf), target="x")[0]
+    assert tau > 0
     k = int(np.searchsorted(rec.times, tau))
     assert rec.times[k - 1] <= tau <= rec.times[k]
+
+
+def _first_exit_reference(rec, region, target):
+    """One record's first hit: the first jump into the set of states, or
+    the first row inside the interval, interpolated from the row before it;
+    0 from inside, NaN for none."""
+    if target == "y":
+        if int(rec.y[0]) in region:
+            return 0.0
+        return next((t for t, _, to in rec.jumps if to in region), np.nan)
+    lo, hi = region
+    inside = np.flatnonzero((rec.x >= lo) & (rec.x <= hi))
+    if not inside.size:
+        return np.nan
+    k = inside[0]
+    if k == 0:
+        return 0.0
+    prev, cur = rec.x[k - 1], rec.x[k]
+    boundary = lo if prev < lo else hi
+    denom = cur - prev
+    frac = 0.0 if denom == 0 else (boundary - prev) / denom
+    t0, t1 = rec.times[k - 1], rec.times[k]
+    return float(t0 + np.clip(frac, 0.0, 1.0) * (t1 - t0))
+
+
+@pytest.mark.parametrize("case", ["absorbing", "busy", "three_states"])
+def test_first_exit_time_matches_records(fast_chain, case):
+    # the columnar first hit is each record's, bit for bit: on absorbed
+    # paths, where a jump row is one of the two straddling the boundary,
+    # from inside, never, and into a set of states holding y0
+    if case == "three_states":
+        pipe = build_pipeline("triple_well", 0.3, 400)
+        model = dataclasses.replace(pipe.model, Q=pipe.model.Q * 100.0)
+        cfg = EnsembleConfig(n_paths=40, dt=1e-3, horizon=1.0, seed=17, store_stride=10)
+    else:
+        pipe = fast_chain
+        model = dataclasses.replace(pipe.model, Q=pipe.model.Q * 20.0)
+        cfg = EnsembleConfig(n_paths=40, dt=2e-3, horizon=1.0, seed=17, store_stride=10,
+                             absorb=(0.5, 50.0) if case == "absorbing" else None)
+    ens = simulate_ensemble(cfg, model, pipe.potential)
+    recs = list(ens)
+    regions = [((0.5, 50.0), "x"), ((-0.3, 0.3), "x"), ((50.0, 60.0), "x"),
+               ((0.2, np.inf), "x"), ({0}, "y"), ({1, 2}, "y")]
+    found = {}
+    for region, target in regions:
+        got = first_exit_time(ens, region, target)
+        want = np.array([_first_exit_reference(r, region, target) for r in recs])
+        np.testing.assert_array_equal(got, want)
+        found[str(region)] = got
+    assert np.isnan(found["(50.0, 60.0)"]).all()
+    assert 0 < np.count_nonzero(found["(-0.3, 0.3)"] == 0.0) < len(ens)
+    assert 0 < np.count_nonzero(found["{0}"] == 0.0) < len(ens)
+    if case == "busy":
+        # some hit of x >= 0.2 is interpolated across a jump row
+        inserted = 0
+        for r in recs:
+            k = np.flatnonzero(r.x >= 0.2)
+            if k.size and k[0] > 0:
+                inserted += not np.isin(r.times[k[0] - 1:k[0] + 1], ens.times).all()
+        assert inserted > 0
+    if case == "absorbing":
+        assert 0 < np.count_nonzero(~np.isnan(ens.exit_time)) < len(ens)
 
 
 def test_dt_refinement_tv_stable():
@@ -390,13 +446,13 @@ def test_absorb_mode_stops_paths():
     ball = (0.5, 1.5)
     cfg = EnsembleConfig(n_paths=100, dt=1e-3, horizon=80.0, seed=4,
                          x0=-1.0, y0=0, store_stride=50, absorb=ball)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
-    absorbed = [r for r in recs if r.exit_time is not None]
+    ens = simulate_ensemble(cfg, pipe.model, pipe.potential)
+    taus = first_exit_time(ens, ball, target="x")
+    absorbed = [(r, tau) for r, tau in zip(ens, taus) if r.exit_time is not None]
     assert len(absorbed) >= 95
-    for r in absorbed:
+    for r, tau in absorbed:
         assert r.times[-1] == r.exit_time
         assert ball[0] <= r.x[-1] <= ball[1]
-        tau = first_exit_time(r, ball, target="x")
         assert tau == pytest.approx(r.exit_time, abs=1e-12)
 
 
@@ -425,6 +481,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="workers"):
             EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, seed=0, workers=workers)
     EnsembleConfig(n_paths=1, dt=1e-3, horizon=1.0, seed=0, absorb=(-1.0, 0.5))
+    # a horizon off the dt grid would run to round(horizon / dt) * dt
+    with pytest.raises(ValueError, match="horizon 0.2 is not a whole number"):
+        EnsembleConfig(n_paths=4, dt=3e-4, horizon=0.2, seed=1, store_stride=1000)
+    EnsembleConfig(n_paths=4, dt=4e-4, horizon=0.2, seed=1)
     # non-finite or overflowing step counts, fractional sizes, seeds that
     # are not u64 and non-finite starts fail here, before any work
     for dt, horizon in ((np.nan, 1.0), (np.inf, 1.0), (1e-3, np.nan), (1e-3, np.inf),
@@ -648,9 +708,9 @@ def _probe_times(ens):
 
 @pytest.mark.parametrize("case", ["three_states", "absorbing"])
 def test_ensemble_y_at_matches_records(fast_chain, case):
-    # the vectorized y_at reads the flat jump log as every record's own
-    # y_at reads its jumps, at t = 0, exactly at jump times, between jumps
-    # and at T; the stored x columns are the records' stored rows
+    # the vectorized y_at reads the flat jump log as every record reads its
+    # jumps, at t = 0, exactly at jump times, between jumps and at T; the
+    # stored x columns are the records' stored rows
     if case == "three_states":
         pipe = build_pipeline("triple_well", 0.3, 400)
         model = dataclasses.replace(pipe.model, Q=pipe.model.Q * 100.0)
@@ -667,20 +727,22 @@ def test_ensemble_y_at_matches_records(fast_chain, case):
     if case == "absorbing":
         assert 0 < sum(r.exit_time is not None for r in recs) < len(ens)
     for t in _probe_times(ens):
-        np.testing.assert_array_equal(ens.y_at(t), [r.y_at(t) for r in recs])
-    # past some path's exit time, x_at_stored raises as that record's does
+        # a record's state at t: its first, then each jump at or before t
+        np.testing.assert_array_equal(
+            ens.y_at(t), [[r.y[0], *(to for tj, _, to in r.jumps if tj <= t)][-1]
+                          for r in recs])
+    # past some path's exit time, x_at_stored raises, as that record has no
+    # row at t
     raised = 0
     for t in ens.times[::7]:
-        gone = [r for r in recs if r.exit_time is not None and r.exit_time < t]
-        if gone:
+        rows = [np.flatnonzero(np.abs(r.times - t) <= 1e-9) for r in recs]
+        if not all(k.size for k in rows):
             raised += 1
             with pytest.raises(ValueError):
                 ens.x_at_stored(t)
-            with pytest.raises(ValueError):
-                gone[0].x_at_stored(t)
         else:
             np.testing.assert_array_equal(ens.x_at_stored(t),
-                                          [r.x_at_stored(t) for r in recs])
+                                          [r.x[k[0]] for r, k in zip(recs, rows)])
     assert 0 < raised < len(ens.times[::7]) if case == "absorbing" else raised == 0
 
 
@@ -706,7 +768,6 @@ def test_chunk_peak_memory_independent_of_blocks_per_window(monkeypatch):
     import eigencoupler.simulate as sim
     pipe = build_pipeline("double_well", 0.5, 400)
     model, pot = pipe.model, pipe.potential
-    bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
     cfg = EnsembleConfig(n_paths=512, dt=4e-3, horizon=8.0, seed=3,
                          store_stride=50)
     assert sim._y_block_size(model, cfg.dt) == 2
@@ -715,7 +776,7 @@ def test_chunk_peak_memory_independent_of_blocks_per_window(monkeypatch):
         monkeypatch.setattr(sim, "_NOISE_BLOCK", window)
         tracemalloc.start()
         try:
-            recs = sim._run_chunk(cfg, [model], pot, np.arange(512), [bound])[0]
+            recs = sim._run_chunk(cfg, [model], pot, np.arange(512))[0]
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
