@@ -1,11 +1,11 @@
 """Synthesizing a chain generator with a prescribed spectrum.
 
 A two-state generator is a one-knob family: theta splits the decay rate
-between the two directed rates. For three or more states the rates of a
-uniform-stationary birth-death chain are fitted to the target eigenvalues by
-damped Newton iteration; the spectrum of the result is verified with a dense
-eigensolver, and the eigenvectors are scaled so that every coupling tilt
-stays strictly positive.
+between the two directed rates. For any number of states the builder is the
+one reflection-symmetric birth-death chain with the target spectrum, rebuilt
+by Lanczos from the spectrum and its spectral measure at state 0; the
+spectrum of the result is verified with a dense eigensolver, and the
+eigenvectors are scaled so that every coupling tilt stays strictly positive.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from eigencoupler.chain import ChainSpec, stationary_distribution
 
 # two-state: one decay rate, split by theta
 for theta in (0.5, 0.25):
-    Q = synth_generator([2.0], "two_state", theta=theta)
+    Q = synth_generator([2.0], theta=theta)
     print(f"theta = {theta}: Q = {Q.tolist()}, stationary = "
           f"{np.round(stationary_distribution(Q), 3)}")
 print()
@@ -37,7 +37,7 @@ dec = decompose(gen, 2)
 targets = dec.eigenvalues[1:]
 print("triple-well decay rates:", targets)
 
-Q = synth_generator(targets, "birth_death")
+Q = synth_generator(targets)
 print("synthesized birth-death generator:")
 print(np.array_str(Q, precision=6, suppress_small=True))
 print("dense eigensolve check:", np.sort(np.linalg.eigvals(Q).real))
@@ -51,9 +51,12 @@ report = validate_chain(spec)
 print("structure checks pass:", report.passed)
 print("chain stationary distribution:", np.round(report.stationary, 6))
 
-# infeasibility is detected, not hidden: a 3-state uniform-stationary
-# birth-death chain cannot produce eigenvalue ratios below 3
-try:
-    synth_generator([1.0, 2.0], "birth_death")
-except Exception as exc:
-    print(f"\nratio-2 targets rejected as expected: {exc}")
+# every distinct positive spectrum builds: the equal-depth triple well
+# x^2 (x^2 - 4)^2 / 8 has rate ratio about 2, and its chain puts the
+# Freidlin-Wentzell well masses (1/4, 1/2, 1/4) on its states
+equal = make_potential([0, 0, 2, 0, -1, 0, 0.125])
+grid = auto_grid(equal, eps, n=400)
+rates = decompose(build_generator(equal, eps, grid), 2).eigenvalues[1:]
+Q = synth_generator(rates)
+print(f"\nequal-depth triple well: rate ratio {rates[1] / rates[0]:.4f}, "
+      f"stationary = {np.round(stationary_distribution(Q), 4)}")

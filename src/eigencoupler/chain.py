@@ -1,10 +1,12 @@
 """Finite-state Markov chain generators with a prescribed spectrum, plus
 eigenvector scalings that keep the coupling tilt functions strictly positive.
 
-Two shapes are supported: a two-state generator with a user-chosen split of
-the single nonzero rate, and (for three or more states) a birth-death
-generator with uniform stationary distribution whose nearest-neighbour rates
-are fitted to the target eigenvalues by damped Newton iteration.
+One builder serves every number of states: the reflection-symmetric
+birth-death chain with the given spectrum, rebuilt by Lanczos from the
+spectrum and its persymmetric spectral measure at state 0 (Karlin & McGregor
+1957; de Boor & Golub 1978). Every distinct positive spectrum has one. With a
+single eigenvalue, theta splits its rate between the two directed rates, and
+theta = 0.5 is the same reflection-symmetric chain.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ __all__ = ["ChainSpec", "ChainReport", "synth_generator", "scaled_eigenvectors",
 
 EIG_RESIDUAL_REL = 1e-10
 ROW_SUM_REL = 1e-12
-NEWTON_MAX_ITER = 200
-NEWTON_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -80,106 +80,63 @@ def _two_state(rate: float, theta: float) -> np.ndarray:
     return np.array([[-q01, q01], [q10, -q10]])
 
 
-def _birth_death_uniform(targets: np.ndarray) -> np.ndarray:
-    """Symmetric birth-death generator on {0..m} whose nonzero spectrum is
-    {-targets}; uniform stationary distribution ties death rates to birth
-    rates, leaving m nearest-neighbour rates for the m targets."""
-    m = len(targets)
-    scale = float(np.max(targets))
-    lam = targets / scale
-
-    if m == 2:
-        # closed form: rate sum and product are linear in the spectrum
-        s = 0.5 * (lam[0] + lam[1])
-        prod = lam[0] * lam[1] / 3.0
-        disc = s * s - 4.0 * prod
-        if disc < 0:
-            raise ChainSynthesisError(
-                f"targets with ratio {lam[1] / lam[0]:.3f} < 3 are infeasible "
-                "for a 3-state uniform-stationary birth-death chain")
-        u = np.array([0.5 * (s + np.sqrt(disc)), 0.5 * (s - np.sqrt(disc))])
-    else:
-        # graded start breaks the rate-reversal symmetry, whose fixed points
-        # make the Newton system singular
-        path_eigs = np.sort(4 * np.sin(np.arange(1, m + 1) * np.pi / (2 * (m + 1))) ** 2)
-        base = float(np.mean(lam / path_eigs))
-        u = base * (1.0 + 0.5 * np.arange(m) / max(m - 1, 1))
-
-    def assemble(u):
-        q = np.zeros((m + 1, m + 1))
-        idx = np.arange(m)
-        q[idx, idx + 1] = u
-        q[idx + 1, idx] = u
-        np.fill_diagonal(q, -q.sum(axis=1))
-        return q
-
-    def spectrum_and_vectors(u):
-        vals, vecs = np.linalg.eigh(-assemble(u))
-        return vals[1:], vecs[:, 1:]   # drop the zero mode
-
-    res_norm = np.inf
-    for _ in range(NEWTON_MAX_ITER):
-        vals, vecs = spectrum_and_vectors(u)
-        res = vals - lam
-        res_norm = float(np.max(np.abs(res) / lam))
-        if res_norm <= NEWTON_REL_TOL:
-            break
-        # d lambda_k / d u_j = (v_k[j] - v_k[j+1])^2 for the edge-j rate bump
-        jac = (vecs[:-1, :] - vecs[1:, :]).T ** 2
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise ChainSynthesisError(
-                "singular Newton system; the target eigenvalues are infeasible "
-                "for a uniform-stationary birth-death chain (try different "
-                "constraints or a different eigenvalue split)") from exc
-        alpha = 1.0
-        while alpha > 1e-8:
-            cand = u + alpha * step
-            if np.all(cand > 0):
-                cvals, _ = spectrum_and_vectors(cand)
-                if float(np.max(np.abs(cvals - lam) / lam)) < res_norm:
-                    u = cand
-                    break
-            alpha *= 0.5
-        else:
-            raise ChainSynthesisError(
-                "damped Newton stalled; the target eigenvalues appear "
-                "infeasible for a uniform-stationary birth-death chain")
-    if res_norm > 1e-10:
-        raise ChainSynthesisError(
-            f"Newton did not reach the eigenvalue tolerance after "
-            f"{NEWTON_MAX_ITER} iterations (relative residual {res_norm:.2e}); "
-            "try different constraints")
-    return assemble(u) * scale
+def _persymmetric(lam: np.ndarray) -> np.ndarray:
+    """The reflection-symmetric birth-death generator on {0..m} with nonzero
+    spectrum {-lam}: Lanczos on diag(0, -lam) from the square root of the
+    persymmetric weights w_k ~ 1 / prod_{j != k} |a_k - a_j| rebuilds the
+    Jacobi matrix J with that spectrum (de Boor & Golub 1978), and its
+    positive eigenvector phi for 0 turns J into the generator
+    diag(phi)^-1 J diag(phi), whose stationary law is phi**2."""
+    scale = float(lam[-1])
+    a = np.concatenate(([0.0], -lam / scale))
+    gaps = np.abs(a[:, None] - a)
+    np.fill_diagonal(gaps, 1.0)
+    log_w = -np.log(gaps).sum(axis=1)
+    n = len(a)
+    basis = np.zeros((n, n))
+    basis[:, 0] = np.exp(0.5 * (log_w - log_w.max()))
+    basis[:, 0] /= np.linalg.norm(basis[:, 0])
+    beta = np.empty(n - 1)
+    for k in range(n - 1):
+        r = a * basis[:, k]
+        for _ in range(2):      # full reorthogonalization, twice is enough
+            r -= basis[:, :k + 1] @ (basis[:, :k + 1].T @ r)
+        beta[k] = np.linalg.norm(r)
+        basis[:, k + 1] = r / beta[k]
+    # J's eigenvector for a_0 = 0 is the first row of the Lanczos basis
+    phi = basis[0]
+    Q = np.diag(beta * phi[1:] / phi[:-1], 1) + np.diag(beta * phi[:-1] / phi[1:], -1)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    return Q * scale
 
 
-def synth_generator(eigenvalues, shape: str = "two_state", theta: float = 0.5) -> np.ndarray:
+def synth_generator(eigenvalues, theta: float = 0.5) -> np.ndarray:
     """Generator with spectrum {0} union {-eigenvalues}.
 
-    shape "two_state" (one eigenvalue): rates theta*lambda_1 up and
-    (1-theta)*lambda_1 down. shape "birth_death": uniform-stationary
-    birth-death chain fitted by damped Newton.
+    One eigenvalue lambda_1 gives the two-state chain with rates
+    theta*lambda_1 up and (1-theta)*lambda_1 down. Two or more give the one
+    reflection-symmetric birth-death chain with that spectrum, which every
+    distinct positive spectrum has; theta = 0.5 is that chain for one
+    eigenvalue too, and theta applies to one eigenvalue only.
 
     Raises:
-        ChainSynthesisError: infeasible targets or non-convergent Newton.
+        ValueError: an eigenvalue is not positive, or theta is outside (0, 1).
+        ChainSynthesisError: repeated eigenvalues, which no birth-death
+            chain has.
     """
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
     if lam.size == 0 or lam[0] <= 0:
         raise ValueError("eigenvalues must be positive")
-    if shape == "two_state":
-        if lam.size != 1:
-            raise ValueError("two_state shape requires exactly one eigenvalue")
-        if not 0.0 < theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        return _two_state(float(lam[0]), theta)
-    if shape == "birth_death":
-        if np.any(np.diff(lam) <= 0):
-            raise ChainSynthesisError(
-                "birth-death spectra are simple; repeated target eigenvalues "
-                "are infeasible")
-        return _birth_death_uniform(lam)
-    raise ValueError(f"unknown chain shape {shape!r}")
+    if np.any(np.diff(lam) <= 0):
+        raise ChainSynthesisError(
+            "birth-death spectra are simple; repeated target eigenvalues "
+            "are infeasible")
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie in (0, 1)")
+    if lam.size > 1:
+        return _persymmetric(lam)
+    # Lanczos from the weights (1 - theta, theta), in closed form
+    return _two_state(float(lam[0]), theta)
 
 
 def _right_eigenvectors(Q: np.ndarray, rates: np.ndarray) -> np.ndarray:

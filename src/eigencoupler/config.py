@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .potential import preset_names
-from .simulate import _off_step_grid
+from .simulate import _is_integer, _is_seed, _is_size, _off_step_grid, _steps_fit
 
 __all__ = ["ExperimentConfig", "parse_config", "apply_overrides", "DEFAULTS"]
 
@@ -84,25 +84,8 @@ class ExperimentConfig:
         }
 
 
-def _is_int(x) -> bool:
-    """A JSON integer: true and false are Python ints but not config numbers."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-_INT64_MAX = 2 ** 63 - 1
-
-
-def _is_size(x, lo) -> bool:
-    """A JSON integer in [lo, int64 max]: sizes become numpy indices."""
-    return _is_int(x) and lo <= x <= _INT64_MAX
-
-
-def _is_seed(x) -> bool:
-    return _is_int(x) and 0 <= x < 2 ** 64
-
-
 def _is_threads(x) -> bool:
-    return _is_int(x) and x >= 1
+    return _is_integer(x) and x >= 1
 
 
 def _is_num(x) -> bool:
@@ -246,14 +229,14 @@ def parse_config(source) -> ExperimentConfig:
         problems.append("simulation.dt: must be positive")
     if not (_is_num(T) and T > 0):
         problems.append("simulation.T: must be positive")
-    if not _is_size(n_paths, 1):
+    if not _is_size(n_paths):
         problems.append("simulation.n_paths: must be an integer in [1, 2**63 - 1]")
     if not _is_seed(seed):
         problems.append("simulation.seed: must be a u64")
-    if not _is_size(store_stride, 1):
+    if not _is_size(store_stride):
         problems.append("simulation.store_stride: must be an integer in [1, 2**63 - 1]")
     if _is_num(dt) and _is_num(T) and dt > 0 and T > 0:
-        if not T / dt < _INT64_MAX:
+        if not _steps_fit(dt, T):
             problems.append("simulation: T / dt steps must be fewer than 2**63 - 1")
         elif _off_step_grid(dt, T):
             problems.append("simulation.T: must be a whole number of dt steps")

@@ -175,9 +175,10 @@ def build_pipeline(potential, eps: float, n: int, *, L=None, kappa: float = 0.9,
     n-node grid of half-width L (auto-sized if None).
 
     The decomposition keeps m = max(wells - 1, 1) modes, signed at the node
-    nearest the first minimum. Unless Q is given, the chain is the two-state
-    split by theta for one mode and the uniform-stationary birth-death chain
-    otherwise. Its eigenvectors are scaled by kappa (a budget that keeps every
+    nearest the first minimum. Unless Q is given, the chain is
+    synth_generator's: the reflection-symmetric birth-death chain with the
+    modes' eigenvalues, whose one rate theta splits when there is one mode.
+    Its eigenvectors are scaled by kappa (a budget that keeps every
     tilt >= 1 - kappa, or the fraction kappa of the exact positivity boundary
     if maximize), and its initial law p defaults to uniform.
 
@@ -203,7 +204,7 @@ def build_pipeline(potential, eps: float, n: int, *, L=None, kappa: float = 0.9,
     dec = decompose(gen, m, sign_node=sign_node)
     lams = dec.eigenvalues[1:]
     if Q is None:
-        Q = synth_generator(lams, "two_state" if m == 1 else "birth_death", theta=theta)
+        Q = synth_generator(lams, theta=theta)
     vectors, scales, min_alpha = scaled_eigenvectors(Q, lams, dec.modes[1:],
                                                      kappa=kappa, maximize=maximize)
     p = np.full(m + 1, 1.0 / (m + 1)) if p is None else np.asarray(p, dtype=float)

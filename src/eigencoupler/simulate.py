@@ -248,7 +248,28 @@ class Ensemble:
 
 
 def _is_integer(v) -> bool:
+    """An integer: true and false are Python ints but not counts."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+# the rules an ensemble's sizes, seed and length obey, in a config file
+# and in an EnsembleConfig alike
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _is_size(v, lo: int = 1) -> bool:
+    """An integer in [lo, int64 max]: sizes become numpy indices."""
+    return _is_integer(v) and lo <= v <= _INT64_MAX
+
+
+def _is_seed(v) -> bool:
+    """An integer in [0, 2**64): the key of every path's streams."""
+    return _is_integer(v) and 0 <= v < 2 ** 64
+
+
+def _steps_fit(dt: float, horizon: float) -> bool:
+    """Whether a run of horizon / dt steps counts its steps in an int64."""
+    return horizon / dt < _INT64_MAX
 
 
 @dataclass(frozen=True)
@@ -269,21 +290,21 @@ class EnsembleConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and math.isfinite(self.horizon)
-                and 0 < self.dt <= self.horizon and self.horizon / self.dt < 2 ** 63):
+                and 0 < self.dt <= self.horizon and _steps_fit(self.dt, self.horizon)):
             raise ValueError("need finite dt > 0 and horizon >= dt, fewer than 2**63 steps")
         if _off_step_grid(self.dt, self.horizon):
             raise ValueError(f"horizon {self.horizon:g} is not a whole number of "
                              f"dt = {self.dt:g} steps")
-        if not (_is_integer(self.n_paths) and self.n_paths >= 1):
+        if not _is_size(self.n_paths):
             raise ValueError("need an integer n_paths >= 1")
-        if not (_is_integer(self.seed) and 0 <= self.seed < 2 ** 64):
+        if not _is_seed(self.seed):
             raise ValueError("need an integer seed in [0, 2**64)")
         if (self.x0 is None) != (self.y0 is None):
             raise ValueError("a fixed start needs both x0 and y0")
         if self.x0 is not None and not (math.isfinite(self.x0) and _is_integer(self.y0)
                                         and self.y0 >= 0):
             raise ValueError("a fixed start needs a finite x0 and an integer y0 >= 0")
-        if not (_is_integer(self.store_stride) and self.store_stride >= 1):
+        if not _is_size(self.store_stride):
             raise ValueError("need an integer store_stride >= 1")
         if self.absorb is not None:
             try:
@@ -1111,6 +1132,33 @@ def _first_per_path(hits, offsets):
     return hits[first], path[first]
 
 
+def _x_interval(region) -> tuple:
+    """(lo, hi) of an x region, which must not be empty."""
+    lo, hi = float(region[0]), float(region[1])
+    if not lo < hi:
+        raise ValueError("empty region")
+    return lo, hi
+
+
+def _first_x_hits(rows: Rows, lo: float, hi: float):
+    """The paths of one Rows chunk (indices into it) whose x hits [lo, hi],
+    and the time of each one's first hit: 0 where the path starts inside,
+    else by linear interpolation between the rows that straddle the
+    boundary."""
+    i, path = _first_per_path(np.flatnonzero((rows.x >= lo) & (rows.x <= hi)),
+                              rows.offsets)
+    times = np.zeros(len(i))
+    later = i != rows.offsets[path]
+    i = i[later]
+    prev, cur = rows.x[i - 1], rows.x[i]
+    boundary = np.where(prev < lo, lo, hi)
+    denom = cur - prev
+    frac = np.divide(boundary - prev, denom, out=np.zeros(len(i)), where=denom != 0)
+    t0, t1 = rows.t[i - 1], rows.t[i]
+    times[later] = t0 + np.clip(frac, 0.0, 1.0) * (t1 - t0)
+    return path, times
+
+
 def first_exit_time(ensemble: Ensemble, region, target: str = "x") -> np.ndarray:
     """(P,) first time each path's chosen component hits the region, NaN
     where it does not.
@@ -1131,20 +1179,8 @@ def first_exit_time(ensemble: Ensemble, region, target: str = "x") -> np.ndarray
         return out
     if target != "x":
         raise ValueError("target must be 'x' or 'y'")
-    lo, hi = float(region[0]), float(region[1])
-    if not lo < hi:
-        raise ValueError("empty region")
+    lo, hi = _x_interval(region)
     for a, b in ensemble.row_chunks():
-        rows = ensemble.rows(a, b)
-        i, path = _first_per_path(np.flatnonzero((rows.x >= lo) & (rows.x <= hi)),
-                                  rows.offsets)
-        at_start = i == rows.offsets[path]
-        out[a + path[at_start]] = 0.0
-        i, path = i[~at_start], path[~at_start]
-        prev, cur = rows.x[i - 1], rows.x[i]
-        boundary = np.where(prev < lo, lo, hi)
-        denom = cur - prev
-        frac = np.divide(boundary - prev, denom, out=np.zeros(len(i)), where=denom != 0)
-        t0, t1 = rows.t[i - 1], rows.t[i]
-        out[a + path] = t0 + np.clip(frac, 0.0, 1.0) * (t1 - t0)
+        path, times = _first_x_hits(ensemble.rows(a, b), lo, hi)
+        out[a + path] = times
     return out

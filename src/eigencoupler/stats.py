@@ -17,7 +17,7 @@ import numpy as np
 from .coupling import CouplingModel
 from .oracle import mean_exit_times
 from .potential import DomainPartition
-from .simulate import Ensemble, first_exit_time
+from .simulate import Ensemble, _first_x_hits, _x_interval
 
 __all__ = [
     "EstimateWithCI",
@@ -174,14 +174,19 @@ def rate_match_report(ensembles: dict, chain_Q: np.ndarray,
     rows = []
     for i in sorted(ensembles):
         ens = ensembles[i]
-        for j in range(m1):
-            if j == i:
-                continue
+        targets = [j for j in range(m1) if j != i]
+        balls = [_x_interval((minima[j] - rho, minima[j] + rho)) for j in targets]
+        # every target's first hits from one pass over the source's rows
+        taus = np.full((len(targets), len(ens)), np.nan)
+        for a, b in ens.row_chunks():
+            chunk = ens.rows(a, b)
+            for tau, (lo, hi) in zip(taus, balls):
+                path, times = _first_x_hits(chunk, lo, hi)
+                tau[a + path] = times
+        for j, tau in zip(targets, taus):
             chain_exact, diffusion_exact = exact[i, j]
-            ball = (minima[j] - rho, minima[j] + rho)
-            taus = first_exit_time(ens, ball, target="x")
-            censored = np.isnan(taus)
-            hit = taus[~censored]
+            censored = np.isnan(tau)
+            hit = tau[~censored]
             n_censored = int(np.count_nonzero(censored))
             if len(hit) == 0:
                 # a path's last time: its exit time if absorbed, else T

@@ -13,12 +13,12 @@ from eigencoupler.errors import ChainSynthesisError
 
 
 def test_two_state_symmetric():
-    Q = synth_generator([2.0], "two_state", theta=0.5)
+    Q = synth_generator([2.0], theta=0.5)
     np.testing.assert_allclose(Q, [[-1.0, 1.0], [1.0, -1.0]])
 
 
 def test_two_state_asymmetric_split():
-    Q = synth_generator([2.0], "two_state", theta=0.25)
+    Q = synth_generator([2.0], theta=0.25)
     np.testing.assert_allclose(Q, [[-0.5, 0.5], [1.5, -1.5]])
     np.testing.assert_allclose(sorted(np.linalg.eigvals(Q).real), [-2.0, 0.0],
                                atol=1e-14)
@@ -26,16 +26,29 @@ def test_two_state_asymmetric_split():
 
 def test_two_state_validation():
     with pytest.raises(ValueError):
-        synth_generator([2.0], "two_state", theta=1.0)
+        synth_generator([2.0], theta=1.0)
     with pytest.raises(ValueError):
-        synth_generator([2.0, 3.0], "two_state")
+        synth_generator([1.0, 3.0], theta=0.0)
     with pytest.raises(ValueError):
-        synth_generator([-1.0], "two_state")
+        synth_generator([-1.0])
+    with pytest.raises(ValueError):
+        synth_generator([])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(1e-12, 1e6), theta=st.floats(0.0, 1.0, exclude_min=True,
+                                                    exclude_max=True))
+def test_two_state_is_the_theta_split_bit_for_bit(lam, theta):
+    # every double_well artifact reads these bits: the split theta * lambda
+    # up and (1 - theta) * lambda down, each one product
+    q01, q10 = theta * lam, (1.0 - theta) * lam
+    np.testing.assert_array_equal(synth_generator([lam], theta=theta),
+                                  np.array([[-q01, q01], [q10, -q10]]))
 
 
 def test_birth_death_three_state():
     # independent check: dense eigensolve of the returned generator
-    Q = synth_generator([1.0, 3.0], "birth_death")
+    Q = synth_generator([1.0, 3.0])
     spectrum = np.sort(np.linalg.eigvals(Q).real)
     np.testing.assert_allclose(spectrum, [-3.0, -1.0, 0.0], atol=1e-10)
     off = Q[~np.eye(3, dtype=bool)]
@@ -45,32 +58,51 @@ def test_birth_death_three_state():
 
 def test_birth_death_metastable_targets():
     targets = [4.3e-5, 7.2e-3]
-    Q = synth_generator(targets, "birth_death")
+    Q = synth_generator(targets)
     spectrum = np.sort(np.linalg.eigvals(Q).real)
     np.testing.assert_allclose(spectrum[:2], [-7.2e-3, -4.3e-5], rtol=1e-10)
 
 
+@pytest.mark.parametrize("targets", [pytest.param([1.0, 2.0], id="ratio_2"),
+                                     pytest.param([4.3e-5, 7.2e-3], id="metastable")])
+def test_birth_death_three_state_closed_form(targets):
+    # the reflection-symmetric chain 0 <-> 1 <-> 2 with Q01 = Q21 = a and
+    # Q10 = Q12 = b has decay rates a (odd mode) and a + 2b (even mode), so
+    # a = lambda_1 and b = (lambda_2 - lambda_1) / 2, whatever the ratio
+    lam1, lam2 = targets
+    a, b = lam1, 0.5 * (lam2 - lam1)
+    np.testing.assert_allclose(synth_generator(targets),
+                               [[-a, a, 0.0], [b, -2 * b, b], [0.0, a, -a]],
+                               rtol=1e-12, atol=0.0)
+
+
+def _check_reflection_symmetric(targets):
+    Q = synth_generator(targets)
+    m1 = len(targets) + 1
+    assert Q.shape == (m1, m1)
+    spectrum = np.sort(np.linalg.eigvals(Q).real)[::-1]
+    np.testing.assert_allclose(-spectrum[1:], targets, rtol=1e-10)
+    assert np.all(Q[~np.eye(m1, dtype=bool)] >= 0)
+    assert np.all(np.triu(Q, 2) == 0) and np.all(np.tril(Q, -2) == 0)
+    np.testing.assert_allclose(Q, Q[::-1, ::-1], rtol=1e-12, atol=0.0)
+    pi = stationary_distribution(Q)
+    np.testing.assert_allclose(pi, pi[::-1], rtol=1e-10)
+
+
 def test_birth_death_four_state():
-    # feasible by construction: the spectrum of the rate triple (0.001, 0.08,
-    # 0.5), computed with the independent dense symmetric eigensolver
-    targets = [0.0013255823349672953, 0.11548255919864855, 1.0451918584663842]
-    Q = synth_generator(targets, "birth_death")
-    spectrum = np.sort(np.linalg.eigvals(Q).real)
-    np.testing.assert_allclose(spectrum, [-t for t in targets[::-1]] + [0.0],
-                               atol=1e-10)
-    np.testing.assert_allclose(stationary_distribution(Q), np.full(4, 0.25),
-                               atol=1e-10)
+    # the spectrum of the rate triple (0.001, 0.08, 0.5), computed with the
+    # independent dense symmetric eigensolver
+    _check_reflection_symmetric(
+        [0.0013255823349672953, 0.11548255919864855, 1.0451918584663842])
 
 
-def test_birth_death_infeasible_ratio():
-    # a 3-state uniform-stationary chain needs lambda_2 >= 3 lambda_1
-    with pytest.raises(ChainSynthesisError):
-        synth_generator([1.0, 2.0], "birth_death")
+def test_birth_death_five_state():
+    _check_reflection_symmetric([3.1e-4, 2.2e-2, 0.4, 1.7])
 
 
 def test_birth_death_repeated_targets_rejected():
     with pytest.raises(ChainSynthesisError):
-        synth_generator([1.0, 1.0], "birth_death")
+        synth_generator([1.0, 1.0])
 
 
 def test_unnormalized_eigenvector_identity():
@@ -105,7 +137,7 @@ def test_maximize_mode_reaches_budget_boundary():
     _, _, min_alpha = scaled_eigenvectors(Q, [2.0], mode, kappa=0.9, maximize=True)
     np.testing.assert_allclose(min_alpha, 0.1, atol=1e-12)
     with pytest.raises(ValueError):
-        scaled_eigenvectors(synth_generator([1.0, 3.0], "birth_death"),
+        scaled_eigenvectors(synth_generator([1.0, 3.0]),
                             [1.0, 3.0], np.ones((2, 4)), 0.5, maximize=True)
 
 
@@ -125,7 +157,7 @@ def test_eigen_mismatch_rejected():
 def test_positivity_budget_property(lam, theta, kappa, seed):
     # the scaling always leaves min tilt >= 1 - kappa
     rng = np.random.default_rng(seed)
-    Q = synth_generator([lam], "two_state", theta=theta)
+    Q = synth_generator([lam], theta=theta)
     mode = rng.uniform(-3, 3, size=(1, 50))
     mode[0, rng.integers(50)] = 3.0   # nonzero sup guaranteed
     _, _, min_alpha = scaled_eigenvectors(Q, [lam], mode, kappa=kappa)

@@ -763,9 +763,9 @@ _PINNED_DIGESTS = {
     ("triple_well", "spectrum"):
         "286126e4d0a9868452030318ea041291f3a40ef954b2062a45545f0ca23fc0ad",
     ("triple_well", "synth"):
-        "75b3b58ab859e8f5fad0aa92853ecfb9a1103d0219b592d4e9a8d6f60716e09d",
+        "18f212ab847107428b0726562fe0777602b1b1391d48916239345cd0d8ead86a",
     ("triple_well", "oracle"):
-        "873b09d9e038e3ea3bbc0baf67944fa9902aa4bb4bbad523289e3406dfa269bd",
+        "f6cacfc4ad4bfaae973577aa751997f1bb05b310c62a056b53bc1e8d0b9d8d5f",
     ("quadratic", "spectrum"):
         "5d52ce2aa6c01e702dd099f1894ac5ad07c0cabcee6427a5f1034d48c4106c1d",
 }

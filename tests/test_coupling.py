@@ -13,7 +13,9 @@ from eigencoupler.coupling import (
     coupling_to_csv,
     sample_initial,
 )
+from eigencoupler.chain import stationary_distribution
 from eigencoupler.errors import CouplingError
+from eigencoupler.potential import domains_of_attraction
 from eigencoupler.spectral import DiscreteGenerator, Grid
 
 
@@ -27,6 +29,22 @@ def test_decoupled_limit_constant_rates():
                 np.testing.assert_array_equal(model.jump_rates[i, j],
                                               model.Q[i, j])
     np.testing.assert_allclose(conditional_density(model, 0), model.weights)
+
+
+def test_triple_well_chain_tends_to_the_well_masses():
+    # the paper's Part II question for three wells: the coupled chain keeps
+    # the diffusion's eigenvalues, and its stationary law approaches the
+    # Gibbs masses of the domains of attraction as the noise vanishes
+    gaps = []
+    for eps in (0.2, 0.1, 0.07, 0.05):
+        pipe = build_pipeline("triple_well", eps, 2000)
+        domain = np.searchsorted(domains_of_attraction(pipe.potential).boundaries,
+                                 pipe.model.grid_nodes)
+        mu = np.bincount(domain, weights=pipe.model.weights, minlength=3)
+        pi = stationary_distribution(pipe.spec.Q)
+        gaps.append(float(np.max(np.abs(pi - mu / mu.sum()))))
+    assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
+    assert gaps[-1] <= 1e-3, gaps
 
 
 def test_conditional_normalization(dw_small):

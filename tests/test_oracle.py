@@ -129,18 +129,27 @@ def test_y_marginal_independent_of_scale(kappa):
     assert rep.max_l1 <= 1e-8
 
 
-@pytest.mark.parametrize("preset,n", [("double_well", 200),
-                                      ("tilted_double_well", 200),
-                                      ("triple_well", 300)])
-@pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
-@pytest.mark.parametrize("kappa,theta", [(0.3, 0.25), (0.9, 0.25),
-                                         (0.3, 0.5), (0.9, 0.5)])
-def test_conditional_law_matrix(preset, n, eps, kappa, theta):
+# the equal-depth triple well x^2 (x^2 - 4)^2 / 8: lambda_2 / lambda_1 is
+# about 2, and its Freidlin-Wentzell chain has well masses (1/4, 1/2, 1/4)
+EQUAL_TRIPLE_WELL = [0, 0, 2, 0, -1, 0, 0.125]
+_LAW_INPUTS = {"double_well": ("double_well", 200),
+               "tilted_double_well": ("tilted_double_well", 200),
+               "triple_well": ("triple_well", 300),
+               "equal_triple_well": (EQUAL_TRIPLE_WELL, 200)}
+_TWO_WELLS = ("double_well", "tilted_double_well")
+
+
+@pytest.mark.parametrize("kappa,theta,eps,name,n", [
+    pytest.param(kappa, theta, eps, name, n, id=f"{kappa}-{theta}-{eps}-{name}-{n}")
+    for name, (_, n) in _LAW_INPUTS.items()
+    for eps in (0.05, 0.1, 0.2)
+    for kappa, theta in ((0.3, 0.25), (0.9, 0.25), (0.3, 0.5), (0.9, 0.5))
+    # theta splits the one rate of a two-state chain
+    if theta == 0.5 or name in _TWO_WELLS])
+def test_conditional_law_matrix(kappa, theta, eps, name, n):
     # the strongest structural guarantee: exact conditional laws across the
     # whole preset/noise/scale/split matrix
-    if preset == "triple_well" and theta != 0.5:
-        pytest.skip("theta applies to two-state chains only")
-    pipe = build_pipeline(preset, eps, n, kappa=kappa, theta=theta)
+    pipe = build_pipeline(_LAW_INPUTS[name][0], eps, n, kappa=kappa, theta=theta)
     B = build_joint_generator(pipe.model, pipe.gen)
     rep, marg = check_oracle(B, pipe.model, TIMES)
     assert rep.max_tv <= 1e-8

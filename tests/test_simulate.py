@@ -456,6 +456,33 @@ def test_absorb_mode_stops_paths():
         assert tau == pytest.approx(r.exit_time, abs=1e-12)
 
 
+@pytest.mark.parametrize("key, value, ok", [
+    ("n_paths", 0, False), ("n_paths", 2 ** 63 - 1, True), ("n_paths", 2 ** 63, False),
+    ("n_paths", 2.5, False), ("seed", -1, False), ("seed", 2 ** 64 - 1, True),
+    ("seed", 2 ** 64, False), ("store_stride", 0, False),
+    ("store_stride", 2 ** 63 - 1, True), ("store_stride", 2 ** 63, False),
+    ("T", 2.0 ** 62, True), ("T", 2.0 ** 63, False),
+])
+def test_config_file_and_ensemble_config_share_each_rule(key, value, ok):
+    # a config file and an EnsembleConfig accept the same sizes, seeds and
+    # step counts
+    from eigencoupler.config import parse_config
+    from eigencoupler.errors import ConfigError
+    sim = {"dt": 1.0, "T": 2.0, "n_paths": 1, "seed": 0, "store_stride": 1, key: value}
+    try:
+        parse_config({"potential": "double_well", "epsilon": 0.1, "simulation": sim})
+        file_ok = True
+    except ConfigError:
+        file_ok = False
+    try:
+        EnsembleConfig(n_paths=sim["n_paths"], dt=sim["dt"], horizon=sim["T"],
+                       seed=sim["seed"], store_stride=sim["store_stride"])
+        ensemble_ok = True
+    except ValueError:
+        ensemble_ok = False
+    assert file_ok == ensemble_ok == ok
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EnsembleConfig(n_paths=0, dt=1e-3, horizon=1.0, seed=0)
@@ -663,7 +690,7 @@ def _record_digest(recs):
 
 @pytest.mark.parametrize("name, digest", [
     ("jumps", "aea8c5abb1033cbc"),          # blocks of 2 steps, 818 jumps
-    ("triple_well", "552fef0faf529c54"),    # 3 states, 154 jumps
+    ("triple_well", "dd95e211d786fbd7"),    # 3 states, 115 jumps
     ("absorbing", "3a7750d9d477f16e"),      # 87 of 100 paths absorbed
     ("quiet", "b13b7b5c0a98bacf"),          # blocks of 256 steps, 55 jumps
 ])
