@@ -15,8 +15,6 @@ simulate_ensembles advances the levels in lockstep on one draw of each
 path's noise. Each level equals what simulate_ensemble gives it alone.
 """
 
-import numpy as np
-
 from eigencoupler import (
     EnsembleConfig,
     build_pipeline,
@@ -34,18 +32,17 @@ pipes = [build_pipeline(pot, eps, 1000) for eps in (0.15, 0.10, 0.07)]
 cfg = EnsembleConfig(n_paths=3000, dt=2e-4, horizon=1.0, seed=71, store_stride=500)
 levels = simulate_ensembles(cfg, [pipe.model for pipe in pipes], pot)
 
-for (*_, spec, model), records in zip(pipes, levels):
+for (*_, spec, model), ens in zip(pipes, levels):
     eps = model.eps
-    out = tracking_probability(records, part, 1.0, model)
-    jumps = sum(len(r.jumps) for r in records)
-    print(f"eps = {eps:g}: {len(records)} paths, {jumps} chain jumps, "
+    out = tracking_probability(ens, part, 1.0, model)
+    print(f"eps = {eps:g}: {len(ens)} paths, {len(ens.jump_t)} chain jumps, "
           f"gap = {spec.rates[0]:.4f}")
     for j, (est, oracle_val) in out.items():
         print(f"  state {j}: oracle {oracle_val:.4f}, "
               f"MC {est.point:.4f} +- {est.se:.4f}")
 
-    xT = np.array([r.x[-1] for r in records])
-    yT = np.array([r.y[-1] for r in records])
+    # every path's x and y at the horizon, one column each
+    xT, yT = ens.x[-1], ens.y_at(cfg.horizon)
     tv = max(tv_distance(xT[yT == j], model.cond[j], model.grid_nodes, bins=50)
              for j in (0, 1))
     print(f"  end-time conditional histogram TV = {tv:.3f} "

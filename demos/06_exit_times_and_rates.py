@@ -16,6 +16,7 @@ from eigencoupler import (
     build_pipeline,
     domains_of_attraction,
     exact_exit_times,
+    first_exit_time,
     ks_exponential,
     make_potential,
     rate_match_report,
@@ -54,8 +55,9 @@ ctrl_pot = Potential(np.array([0.0, 0.0, 1.0]), name="x^2")
 q01 = ctrl_spec.Q[0, 1]
 cfg = EnsembleConfig(n_paths=4000, dt=4e-3, horizon=round(12 / q01, 2), seed=7,
                      x0=0.0, y0=0, store_stride=500)
-recs = simulate_ensemble(cfg, ctrl_model, ctrl_pot)
-taus = np.array([r.jumps[0][0] for r in recs if r.jumps])
+# each path's first jump, out of state 0 into state 1
+taus = first_exit_time(simulate_ensemble(cfg, ctrl_model, ctrl_pot), {1}, "y")
+taus = taus[~np.isnan(taus)]
 res = ks_exponential(taus, n_bootstrap=500, seed=3)
 print(f"\nholding-time KS: D = {res.statistic:.4f} vs bootstrap 5% critical "
       f"{res.critical_bootstrap:.4f} -> "

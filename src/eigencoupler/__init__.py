@@ -43,7 +43,6 @@ from .coupling import (
 from .simulate import (
     EnsembleConfig,
     Ensemble,
-    TrajectoryRecord,
     simulate_x,
     simulate_y_given_x,
     simulate_ensemble,

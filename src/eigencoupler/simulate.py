@@ -27,11 +27,12 @@ draw of each path's normals, and each level equals its own
 simulate_ensemble.
 
 An ensemble is held as columns (Ensemble): the stored x of every path on one
-shared time grid, and one flat jump log. A path's TrajectoryRecord is a view
-assembled from those columns on access. ensemble_chunks yields the run
-chunk by chunk, in path order, so a caller that consumes each chunk as it
-comes (the simulate command writing its CSVs) holds one chunk, not the
-ensemble; simulate_ensembles and simulate_ensemble join the chunks.
+shared time grid, and one flat jump log. A path is the Ensemble of one that
+indexing gives, a view of its x column and its range of the jump log;
+Ensemble.rows merges the stored rows with the jumps. ensemble_chunks yields
+the run chunk by chunk, in path order, so a caller that consumes each chunk
+as it comes (the simulate command writing its CSVs) holds one chunk, not
+the ensemble; simulate_ensembles and simulate_ensemble join the chunks.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .spectral import auto_grid
 __all__ = [
     "EnsembleConfig",
     "Ensemble",
-    "TrajectoryRecord",
     "simulate_x",
     "simulate_y_given_x",
     "simulate_ensemble",
@@ -86,30 +86,9 @@ def _off_step_grid(dt: float, horizon: float) -> bool:
     return abs(round(horizon / dt) * dt - horizon) > _STORED_TOL
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One coupled sample path.
-
-    times contains the stored uniform grid times (every store_stride-th step)
-    with the exact chain jump times inserted, plus the interpolated absorption
-    time when an absorbing region was active. x is continuous (linearly
-    interpolated at inserted times); y is piecewise constant and changes only
-    at jump times. clocks holds the residual unit-exponential budgets per
-    ordered state pair at the end of the path.
-    """
-
-    times: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    jumps: tuple                      # ((t, from_state, to_state), ...)
-    clocks: np.ndarray                # (m+1, m+1), diagonal unused
-    path_index: int
-    exit_time: float | None = None    # absorption time, if absorbed
-
-
 class Rows(NamedTuple):
-    """The trajectory rows of a range of paths, path-major: the concatenated
-    times, x and y of their records."""
+    """The trajectory rows of a range of paths, path-major: each path's
+    times, x and y, concatenated."""
 
     offsets: np.ndarray     # (P+1,) the k-th path's rows are offsets[k]:offsets[k+1]
     t: np.ndarray
@@ -126,8 +105,10 @@ class Ensemble:
     step and the last); x holds the paths' positions there, and an absorbed
     path stays at its exit point after its exit time. The jump log is flat,
     ordered by path and then by time: path k's jumps are jump_offsets[k] to
-    jump_offsets[k+1]. Indexing and iteration give each path's
-    TrajectoryRecord, assembled from these columns.
+    jump_offsets[k+1]. A path is an Ensemble of one, which indexing and
+    iteration give: views of its columns and of its range of the jump log,
+    the offsets rebased to 0. rows merges paths' stored rows with their
+    jumps and exits.
     """
 
     times: np.ndarray         # (S,) stored-grid times
@@ -146,12 +127,25 @@ class Ensemble:
     def __len__(self) -> int:
         return len(self.y0)
 
-    def __getitem__(self, k) -> TrajectoryRecord:
+    def __getitem__(self, k) -> Ensemble:
         k = range(len(self))[k]
-        return next(self._records(k, k + 1))
+        j0, j1 = self.jump_offsets[k], self.jump_offsets[k + 1]
+        one = slice(k, k + 1)
+        return Ensemble(
+            times=self.times, x=self.x[:, one], y0=self.y0[one],
+            jump_t=self.jump_t[j0:j1], jump_from=self.jump_from[j0:j1],
+            jump_to=self.jump_to[j0:j1], jump_x=self.jump_x[j0:j1],
+            jump_offsets=np.array([0, j1 - j0]), exit_time=self.exit_time[one],
+            exit_x=self.exit_x[one], clocks=self.clocks[one], path_index=self.path_index[one])
 
     def __iter__(self):
-        return self._records(0, len(self))
+        return (self[k] for k in range(len(self)))
+
+    @property
+    def jumps(self) -> tuple:
+        """The jump log as (t, from, to) triples, in log order."""
+        return tuple(zip(self.jump_t.tolist(), self.jump_from.tolist(),
+                         self.jump_to.tolist()))
 
     def y_at(self, t: float) -> np.ndarray:
         """(P,) exact chain states at time t, from the jump log."""
@@ -190,7 +184,7 @@ class Ensemble:
             a = b
 
     def rows(self, start: int, stop: int) -> Rows:
-        """The rows of the records of paths start to stop: the stored times,
+        """The rows of the paths start to stop: the stored times,
         cut at the exit time if absorbed, merged with the jump times and the
         exit time in time order, a stored time before an equal inserted one;
         a row at the time of the row before it is dropped. y is the state
@@ -229,22 +223,6 @@ class Ensemble:
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(row_path, minlength=n), out=offsets[1:])
         return Rows(offsets, t[kept], x[kept], y, grid[kept])
-
-    def _records(self, start, stop):
-        for a, b in self.row_chunks(start, stop):
-            rows = self.rows(a, b)
-            j0, j1 = self.jump_offsets[a], self.jump_offsets[b]
-            jumps = list(zip(self.jump_t[j0:j1].tolist(), self.jump_from[j0:j1].tolist(),
-                             self.jump_to[j0:j1].tolist()))
-            for k in range(b - a):
-                r = slice(rows.offsets[k], rows.offsets[k + 1])
-                exit_time = float(self.exit_time[a + k])
-                yield TrajectoryRecord(
-                    times=rows.t[r], x=rows.x[r], y=rows.y[r],
-                    jumps=tuple(jumps[self.jump_offsets[a + k] - j0:
-                                      self.jump_offsets[a + k + 1] - j0]),
-                    clocks=self.clocks[a + k], path_index=int(self.path_index[a + k]),
-                    exit_time=None if np.isnan(exit_time) else exit_time)
 
 
 def _is_integer(v) -> bool:
@@ -846,8 +824,8 @@ class _ChainWalk:
     def _rates(self, tilts, y, to):
         """Rates out of the states y to the targets to (k, R), from tilts
         (R, m1, ...); (R, k, ...). The replay rounds a rate as (Q_ij tilt_j)
-        / tilt_i and the scan as Q_ij (tilt_j / tilt_i): every record
-        depends on both, so neither order may change."""
+        / tilt_i and the scan as Q_ij (tilt_j / tilt_i): every pinned
+        path depends on both, so neither order may change."""
         rows = np.arange(len(y))
         qz = self.qz[y, to].T
         num = tilts[rows[:, None], to.T] * qz.reshape(qz.shape + (1,) * (tilts.ndim - 2))
@@ -965,10 +943,11 @@ def simulate_x(potential: Potential, eps: float, x0: float, dt: float, T: float,
 
 
 def simulate_y_given_x(x_path, model: CouplingModel, y0: int, rng,
-                       dt: float) -> TrajectoryRecord:
+                       dt: float) -> Ensemble:
     """Chain path coupled to a given diffusion path by the time-change
-    construction (full-resolution record). rng drives the chain's clocks; in
-    an ensemble that is clock_stream(seed, path_index)."""
+    construction: the one-path Ensemble with x_path stored at every step,
+    path index 0. rng drives the chain's clocks; in an ensemble that is
+    clock_stream(seed, path_index)."""
     x_path = np.asarray(x_path, dtype=float)
     n_steps = len(x_path) - 1
     y0s = np.array([int(y0)])
@@ -978,7 +957,7 @@ def simulate_y_given_x(x_path, model: CouplingModel, y0: int, rng,
                   np.array([n_steps + 1], dtype=np.int64), np.zeros(1))
     return Ensemble(times=_stored_steps(n_steps, 1) * dt, x=x_path[:, None], y0=y0s,
                     exit_time=np.full(1, np.nan), exit_x=np.zeros(1),
-                    path_index=np.zeros(1, dtype=np.int64), **chain.columns())[0]
+                    path_index=np.zeros(1, dtype=np.int64), **chain.columns())
 
 
 def _run_chunk(cfg, models, potential, indices, stored=None):
@@ -999,7 +978,9 @@ def _run_chunk(cfg, models, potential, indices, stored=None):
     scratch = _Scratch()
     levels = []
     for model, out in zip(models, stored or [None] * len(models)):
-        bound = ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
+        # simulate_x's rule, on the model's grid: a fixed start widens it
+        bound = ESCAPE_FACTOR * max(float(np.max(np.abs(model.grid_nodes))),
+                                    0.0 if cfg.x0 is None else abs(cfg.x0))
         x0s = np.empty(c)
         y0s = np.empty(c, dtype=np.int64)
         if u is None:
@@ -1115,10 +1096,11 @@ def simulate_ensemble(cfg: EnsembleConfig, model: CouplingModel,
     """Independent coupled paths at the model's eps, each with its stream
     and clock substream.
 
-    The records of the result are bit-identical to running sample_initial +
-    simulate_x on path_stream(seed, index), then simulate_y_given_x on
-    clock_stream(seed, index), per path, regardless of chunking or the
-    number of workers. This is simulate_ensembles at one level.
+    Each path of the result, stored at every step, is bit-identical, but
+    for its path index, to running sample_initial + simulate_x on
+    path_stream(seed, index), then simulate_y_given_x on clock_stream(seed,
+    index), regardless of chunking or the number of workers. This is
+    simulate_ensembles at one level.
     """
     return simulate_ensembles(cfg, [model], potential)[0]
 
@@ -1163,8 +1145,8 @@ def first_exit_time(ensemble: Ensemble, region, target: str = "x") -> np.ndarray
     """(P,) first time each path's chosen component hits the region, NaN
     where it does not.
 
-    For the diffusion the region is an interval (lo, hi), read on the rows
-    a path's record holds (Ensemble.rows), and the hit is located by linear
+    For the diffusion the region is an interval (lo, hi), read on each
+    path's rows (Ensemble.rows), and the hit is located by linear
     interpolation between the rows that straddle the boundary; for the
     chain the region is a set of states and the exact jump time is
     returned. A path that starts inside hits at 0.

@@ -139,6 +139,10 @@ def build_generator(potential: Potential, eps: float, grid: Grid) -> DiscreteGen
     Reversible w.r.t. weights proportional to exp(-F/eps) at any h, and
     consistent with eps*f'' - F'*f' to O(h^2). Exponents are taken relative
     to min F to avoid overflow.
+
+    Raises:
+        GridError: fewer than 2 nodes, or a Gibbs weight that is 0 or not
+            finite in float64, which decompose would divide by.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -149,19 +153,27 @@ def build_generator(potential: Potential, eps: float, grid: Grid) -> DiscreteGen
     scale = eps / grid.h ** 2
     birth = np.zeros(grid.n)
     death = np.zeros(grid.n)
-    birth[:-1] = scale * np.exp(-(f[1:] - f[:-1]) / (2 * eps))
-    death[1:] = scale * np.exp(-(f[:-1] - f[1:]) / (2 * eps))
-    # accumulate the Gibbs weights from the deepest node via the rate ratios:
-    # detailed balance then holds to a couple of ulp at any tail depth,
-    # whereas exp(-(F - Fmin)/eps) alone loses (F - Fmin)/eps ulps
-    i0 = int(np.argmin(f))
-    w = np.empty(grid.n)
-    w[i0] = 1.0
-    if i0 + 1 < grid.n:
-        w[i0 + 1:] = np.cumprod(birth[i0:-1] / death[i0 + 1:])
-    if i0 > 0:
-        w[:i0] = np.cumprod(death[i0:0:-1] / birth[i0 - 1::-1])[::-1]
-    w /= w.sum()
+    # a rate or weight that over- or underflows is caught below, once
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        birth[:-1] = scale * np.exp(-(f[1:] - f[:-1]) / (2 * eps))
+        death[1:] = scale * np.exp(-(f[:-1] - f[1:]) / (2 * eps))
+        # accumulate the Gibbs weights from the deepest node via the rate
+        # ratios: detailed balance then holds to a couple of ulp at any tail
+        # depth, whereas exp(-(F - Fmin)/eps) alone loses (F - Fmin)/eps ulps
+        i0 = int(np.argmin(f))
+        w = np.empty(grid.n)
+        w[i0] = 1.0
+        if i0 + 1 < grid.n:
+            w[i0 + 1:] = np.cumprod(birth[i0:-1] / death[i0 + 1:])
+        if i0 > 0:
+            w[:i0] = np.cumprod(death[i0:0:-1] / birth[i0 - 1::-1])[::-1]
+        w /= w.sum()
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+    if bad.size:
+        raise GridError(
+            f"Gibbs weight exp(-F/eps) is {w[bad[0]]:g} at x = {x[bad[0]]:.4g}: "
+            f"the grid reaches further into the tails than float64 resolves at "
+            f"eps = {eps:g}; narrow the grid (grid.L) or raise eps")
     return DiscreteGenerator(grid=grid, eps=eps, birth=birth, death=death, weights=w)
 
 

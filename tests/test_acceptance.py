@@ -10,7 +10,7 @@ import pytest
 from eigencoupler.coupling import build_joint_generator, build_pipeline
 from eigencoupler.oracle import check_oracle, mean_exit_times
 from eigencoupler.potential import Potential, domains_of_attraction, make_potential
-from eigencoupler.simulate import EnsembleConfig, simulate_ensemble
+from eigencoupler.simulate import EnsembleConfig, first_exit_time, simulate_ensemble
 from eigencoupler.spectral import Grid, build_generator, decompose, schrodinger_eigenvalues
 from eigencoupler.stats import ks_exponential, rate_match_report, tracking_probability, tv_distance
 
@@ -77,9 +77,8 @@ def test_criterion_5_monte_carlo_conditional_law():
     pipe = build_pipeline("double_well", 0.1, 2000, kappa=0.9, theta=0.5)
     cfg = EnsembleConfig(n_paths=20000, dt=1e-4, horizon=5.0, seed=42,
                          store_stride=500)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
-    xT = np.array([r.x[-1] for r in recs])
-    yT = np.array([r.y[-1] for r in recs])
+    ens = simulate_ensemble(cfg, pipe.model, pipe.potential)
+    xT, yT = ens.x[-1], ens.y_at(ens.times[-1])
     tvs = {j: tv_distance(xT[yT == j], pipe.model.cond[j],
                           pipe.model.grid_nodes, bins=50)
            for j in (0, 1)}
@@ -100,8 +99,9 @@ def test_criterion_6_exit_time_exponentiality():
     for s in range(20):
         cfg = EnsembleConfig(n_paths=5000, dt=4e-3, horizon=round(12.0 / q01, 2),
                              seed=1000 + s, x0=0.0, y0=0, store_stride=500)
-        recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
-        taus = np.array([r.jumps[0][0] for r in recs if r.jumps])
+        # each path's first jump, out of state 0 into state 1
+        taus = first_exit_time(simulate_ensemble(cfg, pipe.model, pipe.potential), {1}, "y")
+        taus = taus[~np.isnan(taus)]
         res = ks_exponential(taus, n_bootstrap=2000, seed=77)
         passes += not res.rejected
         details.append(f"{res.statistic:.4f}{'<' if not res.rejected else '>'}"
@@ -118,8 +118,8 @@ def test_criterion_7_tracking_trend():
         pipe = build_pipeline("double_well", eps, 2000, kappa=0.9, theta=0.5)
         part = domains_of_attraction(pipe.potential)
         cfg = EnsembleConfig(n_paths=4000, dt=1e-4, horizon=1.0, seed=71, store_stride=100)
-        recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
-        out = tracking_probability(recs, part, 1.0, pipe.model)
+        ens = simulate_ensemble(cfg, pipe.model, pipe.potential)
+        out = tracking_probability(ens, part, 1.0, pipe.model)
         vals = []
         for j, (est, oracle_val) in out.items():
             vals.append(oracle_val)
@@ -152,8 +152,8 @@ def test_criterion_8_rate_match():
     cfg = EnsembleConfig(n_paths=1000, dt=1e-3, horizon=round(15 * ref, 1),
                          seed=5, x0=float(minima[0]), y0=0, store_stride=100,
                          absorb=ball)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
-    rep = rate_match_report({0: recs}, pipe.spec.Q, part, rho, pipe.gen, minima)
+    ens = simulate_ensemble(cfg, pipe.model, pipe.potential)
+    rep = rate_match_report({0: ens}, pipe.spec.Q, part, rho, pipe.gen, minima)
     row = next(r for r in rep.rows if r["from"] == 0 and r["to"] == 1)
     z = abs(row["mc_estimate"] - row["diffusion_exact"]) / row["mc_se"]
 

@@ -368,6 +368,22 @@ def test_numerical_failure_exit_code_2(tmp_path):
     assert cli.main(["synth", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_underflowed_gibbs_weight_exit_code_2(tmp_path):
+    # the auto grid of this quartic reaches tails whose Gibbs weight is 0 in
+    # float64: decompose would divide by it and write NaN into the coupling
+    # summary; the generator build stops the run with a typed error instead
+    from eigencoupler.errors import GridError
+    coefficients = [0.0, -3.4338, 4.3148, -1.8236, 0.2570]
+    path = light_config(tmp_path, potential=coefficients, epsilon=0.2529,
+                        grid={"n": 200}, oracle={"n": 200})
+    out = tmp_path / "o"
+    assert cli.main(["synth", "--config", path, "--out", str(out)]) == 2
+    written = list(out.glob("*.json")) if out.exists() else []
+    assert not any(b"NaN" in p.read_bytes() for p in written)
+    with pytest.raises(GridError, match="Gibbs weight"):
+        coupling.build_pipeline(make_potential(coefficients), 0.2529, 200)
+
+
 def _backwards_Q():
     # row sums zero, but the 0 -> 1 rate is negative: that jump never fires
     lam1 = coupling.build_pipeline("double_well", 0.2, 400).spec.rates[0]
@@ -477,8 +493,8 @@ def test_manifest_reproducibility_fields(tmp_path):
 
 
 def test_simulate_csv_bytes_match_csv_writer(tmp_path):
-    # the joined per-record writes give the bytes of one csv.writer row per
-    # line, \r\n endings included
+    # the joined chunk writes give the bytes of one csv.writer row per line,
+    # path by path, \r\n endings included
     import csv
     import io
     path = light_config(tmp_path, epsilon=0.5,
@@ -486,17 +502,18 @@ def test_simulate_csv_bytes_match_csv_writer(tmp_path):
                                     "seed": 9, "store_stride": 7})
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
-    records = _simulate_ensemble(tmp_path, 30)      # the same config
-    assert sum(len(r.jumps) for r in records) > 0
+    ens = _simulate_ensemble(tmp_path, 30)      # the same config
+    assert len(ens.jump_t) > 0
     traj, jumps = io.StringIO(newline=""), io.StringIO(newline="")
     tw, jw = csv.writer(traj), csv.writer(jumps)
     tw.writerow(["path_id", "t", "x", "y"])
     jw.writerow(["path_id", "t", "from", "to"])
-    for rec in records:
-        for t, x, y in zip(rec.times, rec.x, rec.y):
-            tw.writerow([rec.path_index, f"{t:.10g}", f"{x:.10g}", y])
-        for t, i, j in rec.jumps:
-            jw.writerow([rec.path_index, f"{t:.10g}", i, j])
+    for one in ens:
+        k, rows = int(one.path_index[0]), one.rows(0, 1)
+        for t, x, y in zip(rows.t.tolist(), rows.x.tolist(), rows.y.tolist()):
+            tw.writerow([k, f"{t:.10g}", f"{x:.10g}", y])
+        for t, i, j in zip(one.jump_t.tolist(), one.jump_from.tolist(), one.jump_to.tolist()):
+            jw.writerow([k, f"{t:.10g}", i, j])
     assert (out / "trajectories_eps0.5.csv").read_bytes() == traj.getvalue().encode()
     assert (out / "jumps_eps0.5.csv").read_bytes() == jumps.getvalue().encode()
 
@@ -698,18 +715,18 @@ def test_spectrum_ignores_the_simulation_size(tmp_path):
 
 def test_simulate_builds_no_records(tmp_path, monkeypatch):
     # simulate writes its CSVs from the ensemble's columns; sweep, verify and
-    # the rate-match table read columns too
+    # the rate-match table read columns too, and none takes a path apart
     import eigencoupler.simulate as sim
     from eigencoupler.potential import domains_of_attraction
     from eigencoupler.stats import rate_match_report
     built = []
+    getitem = sim.Ensemble.__getitem__
 
-    class Counting(sim.TrajectoryRecord):
-        def __init__(self, **fields):
-            built.append(fields["path_index"])
-            super().__init__(**fields)
+    def counting(self, k):
+        built.append(k)
+        return getitem(self, k)
 
-    monkeypatch.setattr(sim, "TrajectoryRecord", Counting)
+    monkeypatch.setattr(sim.Ensemble, "__getitem__", counting)
     path = light_config(tmp_path, epsilon=0.5,
                         simulation={"dt": 4e-3, "T": 3.0, "n_paths": 30,
                                     "seed": 9, "store_stride": 7})
@@ -727,8 +744,9 @@ def test_simulate_builds_no_records(tmp_path, monkeypatch):
     rate_match_report({0: absorbed}, pipe.spec.Q, domains_of_attraction(pipe.potential),
                       0.5, pipe.gen, minima)
     assert built == []
-    ens = _simulate_ensemble(tmp_path, 30)
-    assert len(list(ens)) == 30 and built == list(range(30))
+    paths = list(_simulate_ensemble(tmp_path, 30))
+    assert built == list(range(30))
+    assert all(isinstance(one, sim.Ensemble) and len(one) == 1 for one in paths)
 
 
 _PINNED_CONFIGS = {

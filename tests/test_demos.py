@@ -16,7 +16,7 @@ def test_conditional_law_oracle_demo(capsys):
 
 
 def test_monte_carlo_tracking_demo(capsys):
-    # the public ensemble view: len, iteration, .jumps, .x[-1], .y[-1] and
+    # the public ensemble columns: len, jump_t, x[-1], y_at(T) and
     # tracking_probability, at three noise levels
     runpy.run_path(str(DEMOS / "05_monte_carlo_tracking.py"), run_name="__main__")
     out = capsys.readouterr().out
@@ -24,3 +24,14 @@ def test_monte_carlo_tracking_demo(capsys):
     for oracle, mc, se in re.findall(r"oracle (\S+), MC (\S+) \+- (\S+)", out):
         assert abs(float(mc) - float(oracle)) <= 3 * float(se)
     assert all(float(tv) < 0.1 for tv in re.findall(r"histogram TV = (\S+)", out))
+
+
+def test_exit_times_and_rates_demo(capsys):
+    # the rate-match table of both wells and the holding-time KS verdict,
+    # whose first jump times are read off the jump log
+    runpy.run_path(str(DEMOS / "06_exit_times_and_rates.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert re.search(r"i->j +chain_exact +mc_estimate", out)
+    assert len(re.findall(r"^ +[01]->[01] ", out, re.MULTILINE)) == 2
+    assert re.search(r"holding-time KS: D = \S+ vs bootstrap 5% critical \S+ -> "
+                     r"(consistent with exponential|rejected)", out)

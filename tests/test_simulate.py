@@ -97,8 +97,8 @@ def test_holding_time_exponential(fast_chain_decoupled):
     q01 = pipe.spec.Q[0, 1]
     cfg = EnsembleConfig(n_paths=5000, dt=4e-3, horizon=round(12.0 / q01, 2),
                          seed=7, x0=0.0, y0=0, store_stride=500)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
-    taus = np.array([r.jumps[0][0] for r in recs if r.jumps])
+    taus = first_exit_time(simulate_ensemble(cfg, pipe.model, pipe.potential), {1}, "y")
+    taus = taus[~np.isnan(taus)]
     assert len(taus) >= 4995
     s = np.sort(taus)
     n = len(s)
@@ -115,9 +115,9 @@ def test_absorbing_state_never_leaves(fast_chain_decoupled):
     model = dataclasses.replace(pipe.model, Q=Q)
     cfg = EnsembleConfig(n_paths=50, dt=2e-3, horizon=3.0, seed=1,
                          x0=0.0, y0=0, store_stride=10)
-    recs = simulate_ensemble(cfg, model, pipe.potential)
-    assert all(len(r.jumps) == 0 for r in recs)
-    assert all((r.y == 0).all() for r in recs)
+    ens = simulate_ensemble(cfg, model, pipe.potential)
+    assert len(ens.jump_t) == 0
+    assert (ens.y0 == 0).all() and (ens.y_at(cfg.horizon) == 0).all()
 
 
 def test_jump_count_matches_closed_form(fast_chain_decoupled):
@@ -133,8 +133,7 @@ def test_jump_count_matches_closed_form(fast_chain_decoupled):
     expected = T * (piv @ r) + (1 - np.exp(-lam * T)) / lam * ((p0 - piv) @ r)
     cfg = EnsembleConfig(n_paths=4000, dt=2e-3, horizon=T, seed=21,
                          x0=0.0, y0=0, store_stride=200)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
-    counts = np.array([len(r.jumps) for r in recs])
+    counts = np.diff(simulate_ensemble(cfg, pipe.model, pipe.potential).jump_offsets)
     se = counts.std(ddof=1) / np.sqrt(len(counts))
     assert abs(counts.mean() - expected) <= 3 * se
 
@@ -145,10 +144,7 @@ def test_ensemble_deterministic(fast_chain):
                          store_stride=1)
     a = simulate_ensemble(cfg, pipe.model, pipe.potential)
     b = simulate_ensemble(cfg, pipe.model, pipe.potential)
-    for ra, rb in zip(a, b):
-        np.testing.assert_array_equal(ra.x, rb.x)
-        np.testing.assert_array_equal(ra.times, rb.times)
-        assert ra.jumps == rb.jumps
+    _assert_same_ensemble(a, b)
 
 
 def test_ensemble_matches_sequential_composition(fast_chain):
@@ -158,18 +154,27 @@ def test_ensemble_matches_sequential_composition(fast_chain):
     model, pot = pipe.model, pipe.potential
     cfg = EnsembleConfig(n_paths=5, dt=2e-3, horizon=6.0, seed=11,
                          store_stride=1)
-    recs = simulate_ensemble(cfg, model, pot)
-    assert sum(len(r.jumps) for r in recs) > 0
-    for i, rec in enumerate(recs):
+    ens = simulate_ensemble(cfg, model, pot)
+    assert len(ens.jump_t) > 0
+    for i, one in enumerate(ens):
         g = path_stream(11, i)
         x0, y0 = sample_initial(model, g)
         x = simulate_x(pot, 0.5, x0, 2e-3, 6.0, g)
-        ref = simulate_y_given_x(x, model, y0, clock_stream(11, i), 2e-3)
-        np.testing.assert_array_equal(rec.times, ref.times)
-        np.testing.assert_array_equal(rec.x, ref.x)
-        np.testing.assert_array_equal(rec.y, ref.y)
-        assert rec.jumps == ref.jumps
-        np.testing.assert_array_equal(rec.clocks, ref.clocks)
+        _assert_same_path(one, simulate_y_given_x(x, model, y0, clock_stream(11, i), 2e-3))
+
+
+def test_fixed_start_beyond_the_grid_matches_sequential_composition():
+    # a start twelve grid half-widths out: simulate_x widens its escape
+    # bound to |x0|, and so does the ensemble, which equals the composition
+    pipe = build_pipeline("double_well", 0.2, 400)
+    model, pot = pipe.model, pipe.potential
+    x0 = 12 * float(np.max(np.abs(model.grid_nodes)))
+    cfg = EnsembleConfig(n_paths=3, dt=1e-4, horizon=0.1, seed=5, x0=x0, y0=0)
+    ens = simulate_ensemble(cfg, model, pot)
+    assert (np.abs(ens.x[-1]) < 3.0).all()
+    for i, one in enumerate(ens):
+        x = simulate_x(pot, 0.2, x0, cfg.dt, cfg.horizon, path_stream(5, i))
+        _assert_same_path(one, simulate_y_given_x(x, model, 0, clock_stream(5, i), cfg.dt))
 
 
 def test_ensemble_chunking_and_workers_invariant(fast_chain, monkeypatch):
@@ -180,10 +185,7 @@ def test_ensemble_chunking_and_workers_invariant(fast_chain, monkeypatch):
     ref = simulate_ensemble(cfg, pipe.model, pipe.potential)
     monkeypatch.setattr(sim, "_CHUNK_BYTES", 16.0 * 1000 * 2)
     cfg2 = dataclasses.replace(cfg, workers=3)
-    out = simulate_ensemble(cfg2, pipe.model, pipe.potential)
-    for ra, rb in zip(ref, out):
-        np.testing.assert_array_equal(ra.x, rb.x)
-        assert ra.jumps == rb.jumps
+    _assert_same_ensemble(simulate_ensemble(cfg2, pipe.model, pipe.potential), ref)
 
 
 def test_ensemble_tiles_and_noise_blocks_invariant(fast_chain, monkeypatch):
@@ -205,21 +207,16 @@ def test_ensemble_tiles_and_noise_blocks_invariant(fast_chain, monkeypatch):
         assert block > 8 and cfg.n_steps % 7 != 0
         assert cfg is busy or block == 256
         monkeypatch.setattr(sim, "_Y_TILE_ELEMS", 5 * (block + 1) if cfg is busy else 1)
-        recs = simulate_ensemble(cfg, model, pot)
-        assert sum(len(r.jumps) for r in recs) > 0
-        for i, (rec, r0) in enumerate(zip(recs, ref)):
-            others = [r0]
-            if cfg is busy:
+        ens = simulate_ensemble(cfg, model, pot)
+        assert len(ens.jump_t) > 0
+        _assert_same_ensemble(ens, ref)
+        if cfg is busy:
+            for i, one in enumerate(ens):
                 g = path_stream(13, i)
                 x0, y0 = sample_initial(model, g)
                 x = simulate_x(pot, model.eps, x0, cfg.dt, cfg.horizon, g)
-                others.append(simulate_y_given_x(x, model, y0, clock_stream(13, i), cfg.dt))
-            for other in others:
-                np.testing.assert_array_equal(rec.times, other.times)
-                np.testing.assert_array_equal(rec.x, other.x)
-                np.testing.assert_array_equal(rec.y, other.y)
-                assert rec.jumps == other.jumps
-                np.testing.assert_array_equal(rec.clocks, other.clocks)
+                _assert_same_path(one, simulate_y_given_x(x, model, y0, clock_stream(13, i),
+                                                          cfg.dt))
 
 
 def test_chunk_peak_memory_excludes_noise(dw_small):
@@ -233,20 +230,20 @@ def test_chunk_peak_memory_excludes_noise(dw_small):
                              x0=0.0, y0=0, store_stride=1000, absorb=absorb)
         tracemalloc.start()
         try:
-            recs = sim._run_chunk(cfg, [model], pot, np.arange(64))[0]
+            ens = sim._run_chunk(cfg, [model], pot, np.arange(64))[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1.3 * 8 * (cfg.n_steps + 1) * cfg.n_paths
         if absorb is not None:
-            n_absorbed = sum(r.exit_time is not None for r in recs)
+            n_absorbed = np.count_nonzero(~np.isnan(ens.exit_time))
             assert 0 < n_absorbed < cfg.n_paths
 
 
 def test_chunk_peak_memory_independent_of_steps(dw_small):
     # x and y advance window by window, so ten times the steps add only the
-    # longer stored rows to a chunk's peak; the slack covers the records and
-    # jump log, which grow with the horizon by tens of kB here
+    # longer stored rows to a chunk's peak; the slack covers the jump log,
+    # which grows with the horizon by tens of kB here
     import tracemalloc
     import eigencoupler.simulate as sim
     model, pot = dw_small.model, dw_small.potential
@@ -324,8 +321,8 @@ def test_ensemble_mean_chain_state(fast_chain_decoupled):
     expected = pi1 + (0.0 - pi1) * np.exp(-lam * T)
     cfg = EnsembleConfig(n_paths=4000, dt=2e-3, horizon=T, seed=33,
                          x0=0.0, y0=0, store_stride=150)
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
-    yT = np.array([r.y[-1] for r in recs], dtype=float)
+    ens = simulate_ensemble(cfg, pipe.model, pipe.potential)
+    yT = ens.y_at(ens.times[-1]).astype(float)
     se = yT.std(ddof=1) / np.sqrt(len(yT))
     assert abs(yT.mean() - expected) <= 3 * se
 
@@ -353,42 +350,43 @@ def test_first_exit_interpolates_crossing(fast_chain):
     cfg = EnsembleConfig(n_paths=1, dt=2e-3, horizon=4.0, seed=9,
                          store_stride=1)
     ens = simulate_ensemble(cfg, pipe.model, pipe.potential)
-    rec = ens[0]
+    rows = ens.rows(0, 1)
     # threshold strictly above the start so the hit happens mid-path
-    lo = max(float(np.quantile(rec.x, 0.8)), float(rec.x[0]) + 0.05)
-    assert float(np.max(rec.x)) > lo
+    lo = max(float(np.quantile(rows.x, 0.8)), float(rows.x[0]) + 0.05)
+    assert float(np.max(rows.x)) > lo
     tau = first_exit_time(ens, (lo, np.inf), target="x")[0]
     assert tau > 0
-    k = int(np.searchsorted(rec.times, tau))
-    assert rec.times[k - 1] <= tau <= rec.times[k]
+    k = int(np.searchsorted(rows.t, tau))
+    assert rows.t[k - 1] <= tau <= rows.t[k]
 
 
-def _first_exit_reference(rec, region, target):
-    """One record's first hit: the first jump into the set of states, or
-    the first row inside the interval, interpolated from the row before it;
-    0 from inside, NaN for none."""
+def _first_exit_reference(one, region, target):
+    """One path's first hit: the first jump into the set of states, or the
+    first of its rows inside the interval, interpolated from the row before
+    it; 0 from inside, NaN for none."""
     if target == "y":
-        if int(rec.y[0]) in region:
+        if int(one.y0[0]) in region:
             return 0.0
-        return next((t for t, _, to in rec.jumps if to in region), np.nan)
+        return next((t for t, to in zip(one.jump_t, one.jump_to) if to in region), np.nan)
     lo, hi = region
-    inside = np.flatnonzero((rec.x >= lo) & (rec.x <= hi))
+    rows = one.rows(0, 1)
+    inside = np.flatnonzero((rows.x >= lo) & (rows.x <= hi))
     if not inside.size:
         return np.nan
     k = inside[0]
     if k == 0:
         return 0.0
-    prev, cur = rec.x[k - 1], rec.x[k]
+    prev, cur = rows.x[k - 1], rows.x[k]
     boundary = lo if prev < lo else hi
     denom = cur - prev
     frac = 0.0 if denom == 0 else (boundary - prev) / denom
-    t0, t1 = rec.times[k - 1], rec.times[k]
+    t0, t1 = rows.t[k - 1], rows.t[k]
     return float(t0 + np.clip(frac, 0.0, 1.0) * (t1 - t0))
 
 
 @pytest.mark.parametrize("case", ["absorbing", "busy", "three_states"])
 def test_first_exit_time_matches_records(fast_chain, case):
-    # the columnar first hit is each record's, bit for bit: on absorbed
+    # the columnar first hit is each path's alone, bit for bit: on absorbed
     # paths, where a jump row is one of the two straddling the boundary,
     # from inside, never, and into a set of states holding y0
     if case == "three_states":
@@ -401,13 +399,13 @@ def test_first_exit_time_matches_records(fast_chain, case):
         cfg = EnsembleConfig(n_paths=40, dt=2e-3, horizon=1.0, seed=17, store_stride=10,
                              absorb=(0.5, 50.0) if case == "absorbing" else None)
     ens = simulate_ensemble(cfg, model, pipe.potential)
-    recs = list(ens)
+    paths = list(ens)
     regions = [((0.5, 50.0), "x"), ((-0.3, 0.3), "x"), ((50.0, 60.0), "x"),
                ((0.2, np.inf), "x"), ({0}, "y"), ({1, 2}, "y")]
     found = {}
     for region, target in regions:
         got = first_exit_time(ens, region, target)
-        want = np.array([_first_exit_reference(r, region, target) for r in recs])
+        want = np.array([_first_exit_reference(one, region, target) for one in paths])
         np.testing.assert_array_equal(got, want)
         found[str(region)] = got
     assert np.isnan(found["(50.0, 60.0)"]).all()
@@ -416,10 +414,11 @@ def test_first_exit_time_matches_records(fast_chain, case):
     if case == "busy":
         # some hit of x >= 0.2 is interpolated across a jump row
         inserted = 0
-        for r in recs:
-            k = np.flatnonzero(r.x >= 0.2)
+        for one in paths:
+            rows = one.rows(0, 1)
+            k = np.flatnonzero(rows.x >= 0.2)
             if k.size and k[0] > 0:
-                inserted += not np.isin(r.times[k[0] - 1:k[0] + 1], ens.times).all()
+                inserted += not np.isin(rows.t[k[0] - 1:k[0] + 1], ens.times).all()
         assert inserted > 0
     if case == "absorbing":
         assert 0 < np.count_nonzero(~np.isnan(ens.exit_time)) < len(ens)
@@ -432,9 +431,8 @@ def test_dt_refinement_tv_stable():
     for dt in (2e-4, 1e-4):
         cfg = EnsembleConfig(n_paths=4000, dt=dt, horizon=1.0, seed=9,
                              store_stride=int(round(0.5 / dt)))
-        recs = simulate_ensemble(cfg, model, pot)
-        xT = np.array([r.x[-1] for r in recs])
-        yT = np.array([r.y[-1] for r in recs])
+        ens = simulate_ensemble(cfg, model, pot)
+        xT, yT = ens.x[-1], ens.y_at(ens.times[-1])
         tvs[dt] = max(tv_distance(xT[yT == j], model.cond[j], model.grid_nodes, 50)
                       for j in (0, 1))
     assert tvs[2e-4] <= 0.12 and tvs[1e-4] <= 0.12
@@ -448,12 +446,13 @@ def test_absorb_mode_stops_paths():
                          x0=-1.0, y0=0, store_stride=50, absorb=ball)
     ens = simulate_ensemble(cfg, pipe.model, pipe.potential)
     taus = first_exit_time(ens, ball, target="x")
-    absorbed = [(r, tau) for r, tau in zip(ens, taus) if r.exit_time is not None]
+    absorbed = np.flatnonzero(~np.isnan(ens.exit_time))
     assert len(absorbed) >= 95
-    for r, tau in absorbed:
-        assert r.times[-1] == r.exit_time
-        assert ball[0] <= r.x[-1] <= ball[1]
-        assert tau == pytest.approx(r.exit_time, abs=1e-12)
+    rows = ens.rows(0, len(ens))
+    last = rows.offsets[1:][absorbed] - 1          # each absorbed path's last row
+    np.testing.assert_array_equal(rows.t[last], ens.exit_time[absorbed])
+    assert ((ball[0] <= rows.x[last]) & (rows.x[last] <= ball[1])).all()
+    np.testing.assert_allclose(taus[absorbed], ens.exit_time[absorbed], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("key, value, ok", [
@@ -646,10 +645,10 @@ def test_ensemble_matches_reference_walk(fast_chain, monkeypatch, case):
     block = sim._y_block_size(model, dt)
     cfg = EnsembleConfig(n_paths=40, dt=dt, horizon=1.0, seed=17,
                          store_stride=1, absorb=absorb)
-    recs = simulate_ensemble(cfg, model, pipe.potential)
+    ens = simulate_ensemble(cfg, model, pipe.potential)
     bound = sim.ESCAPE_FACTOR * float(np.max(np.abs(model.grid_nodes)))
     shared_step = shared_block = exit_crossing = 0
-    for i, rec in enumerate(recs):
+    for i, one in enumerate(ens):
         g = path_stream(17, i)
         x0, y0 = sample_initial(model, g)
         path = sim._Diffusion(pipe.potential, model.eps, np.array([x0]),
@@ -660,12 +659,12 @@ def test_ensemble_matches_reference_walk(fast_chain, monkeypatch, case):
         exit_step = int(path.exit_steps[0])
         jumps, clocks = _reference_walk(path.stored[:, 0], model, y0, clock_stream(17, i),
                                         dt, exit_step, float(path.exit_fracs[0]))
-        assert rec.jumps == tuple(jumps)
-        np.testing.assert_array_equal(rec.clocks, clocks)
+        for k, column in enumerate((one.jump_t, one.jump_from, one.jump_to)):
+            np.testing.assert_array_equal(column, [jump[k] for jump in jumps])
+        np.testing.assert_array_equal(one.clocks[0], clocks)
         if absorb is None:
-            one = simulate_y_given_x(path.stored[:, 0], model, y0, clock_stream(17, i), dt)
-            assert one.jumps == rec.jumps
-            np.testing.assert_array_equal(one.clocks, clocks)
+            _assert_same_path(one, simulate_y_given_x(path.stored[:, 0], model, y0,
+                                                      clock_stream(17, i), dt))
         steps = [int(t / dt) for t, _, _ in jumps]
         shared_step += sum(a == b for a, b in zip(steps, steps[1:]))
         shared_block += sum(a // block == b // block for a, b in zip(steps, steps[1:]))
@@ -673,18 +672,22 @@ def test_ensemble_matches_reference_walk(fast_chain, monkeypatch, case):
     if case == "steps":
         assert shared_step > 0
     elif case == "exits":
-        assert exit_crossing > 0 and sum(r.exit_time is not None for r in recs) > 20
+        assert exit_crossing > 0 and np.count_nonzero(~np.isnan(ens.exit_time)) > 20
     else:
         assert block > 1 and shared_block > 0
 
 
-def _record_digest(recs):
+def _record_digest(ens):
+    """sha256 over each path's rows, clocks, jump triples and exit time
+    (None where not absorbed), path by path."""
     h = hashlib.sha256()
-    for r in recs:
-        for a in (r.times, r.x, r.y, r.clocks):
+    for k, one in enumerate(ens):
+        rows = one.rows(0, 1)
+        for a in (rows.t, rows.x, rows.y, ens.clocks[k]):
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        h.update(repr([(float(t), int(i), int(j)) for t, i, j in r.jumps]).encode())
-        h.update(repr(r.exit_time).encode())
+        h.update(repr(list(one.jumps)).encode())
+        exit_time = float(one.exit_time[0])
+        h.update(repr(None if np.isnan(exit_time) else exit_time).encode())
     return h.hexdigest()[:16]
 
 
@@ -695,7 +698,7 @@ def _record_digest(recs):
     ("quiet", "b13b7b5c0a98bacf"),          # blocks of 256 steps, 55 jumps
 ])
 def test_records_match_pinned_digests(name, digest):
-    # every field of every record, pinned from the walk that replayed each
+    # every path's rows, clocks, jumps and exit, pinned from the walk that replayed each
     # flagged path alone with a scalar cascade, which the lockstep walk
     # replaced without changing a bit; the quiet case from the walk that
     # allocated every tile's temporaries anew
@@ -721,8 +724,7 @@ def test_records_match_pinned_digests(name, digest):
         cfg = EnsembleConfig(n_paths=100, dt=1e-3, horizon=40.0, seed=5,
                              x0=float(m[0]), y0=0, store_stride=100,
                              absorb=(m[1] - 0.5, m[1] + 0.5))
-    recs = simulate_ensemble(cfg, pipe.model, pipe.potential)
-    assert _record_digest(recs) == digest
+    assert _record_digest(simulate_ensemble(cfg, pipe.model, pipe.potential)) == digest
 
 
 def _probe_times(ens):
@@ -735,9 +737,9 @@ def _probe_times(ens):
 
 @pytest.mark.parametrize("case", ["three_states", "absorbing"])
 def test_ensemble_y_at_matches_records(fast_chain, case):
-    # the vectorized y_at reads the flat jump log as every record reads its
-    # jumps, at t = 0, exactly at jump times, between jumps and at T; the
-    # stored x columns are the records' stored rows
+    # the vectorized y_at reads the flat jump log as each path alone reads
+    # its jumps, at t = 0, exactly at jump times, between jumps and at T;
+    # the stored x columns are the paths' stored rows
     if case == "three_states":
         pipe = build_pipeline("triple_well", 0.3, 400)
         model = dataclasses.replace(pipe.model, Q=pipe.model.Q * 100.0)
@@ -749,27 +751,28 @@ def test_ensemble_y_at_matches_records(fast_chain, case):
         cfg = EnsembleConfig(n_paths=30, dt=2e-3, horizon=1.0, seed=17,
                              store_stride=10, absorb=(0.5, 50.0))
     ens = simulate_ensemble(cfg, model, pipe.potential)
-    recs = list(ens)
-    assert len(ens.jump_t) > 2 * len(ens) and len(recs) == len(ens)
+    paths = list(ens)
+    rows = [one.rows(0, 1) for one in paths]
+    assert len(ens.jump_t) > 2 * len(ens) and len(paths) == len(ens)
     if case == "absorbing":
-        assert 0 < sum(r.exit_time is not None for r in recs) < len(ens)
+        assert 0 < np.count_nonzero(~np.isnan(ens.exit_time)) < len(ens)
     for t in _probe_times(ens):
-        # a record's state at t: its first, then each jump at or before t
+        # a path's state at t: its first, then each jump at or before t
         np.testing.assert_array_equal(
-            ens.y_at(t), [[r.y[0], *(to for tj, _, to in r.jumps if tj <= t)][-1]
-                          for r in recs])
-    # past some path's exit time, x_at_stored raises, as that record has no
+            ens.y_at(t), [[one.y0[0], *(to for tj, to in zip(one.jump_t, one.jump_to)
+                                        if tj <= t)][-1] for one in paths])
+    # past some path's exit time, x_at_stored raises, as that path has no
     # row at t
     raised = 0
     for t in ens.times[::7]:
-        rows = [np.flatnonzero(np.abs(r.times - t) <= 1e-9) for r in recs]
-        if not all(k.size for k in rows):
+        at = [np.flatnonzero(np.abs(r.t - t) <= 1e-9) for r in rows]
+        if not all(k.size for k in at):
             raised += 1
             with pytest.raises(ValueError):
                 ens.x_at_stored(t)
         else:
             np.testing.assert_array_equal(ens.x_at_stored(t),
-                                          [r.x[k[0]] for r, k in zip(recs, rows)])
+                                          [r.x[k[0]] for r, k in zip(rows, at)])
     assert 0 < raised < len(ens.times[::7]) if case == "absorbing" else raised == 0
 
 
@@ -803,11 +806,11 @@ def test_chunk_peak_memory_independent_of_blocks_per_window(monkeypatch):
         monkeypatch.setattr(sim, "_NOISE_BLOCK", window)
         tracemalloc.start()
         try:
-            recs = sim._run_chunk(cfg, [model], pot, np.arange(512))[0]
+            ens = sim._run_chunk(cfg, [model], pot, np.arange(512))[0]
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert sum(len(r.jumps) for r in recs) > 500
+    assert len(ens.jump_t) > 500
     grown = 8 * 1536 * (2 * cfg.n_paths + sim._NOISE_GROUP)   # window, noise, buffer
     assert peaks[1] <= peaks[0] + grown + 2 ** 16
 
@@ -835,18 +838,23 @@ def test_replay_reads_only_written_window_rows(fast_chain, monkeypatch):
         return out
 
     monkeypatch.setattr(sim.np, "empty", poisoned)
-    recs = simulate_ensemble(cfg, model, fast_chain.potential)
-    assert _record_digest(recs) == _record_digest(ref)
-    assert sum(len(r.jumps) for r in recs) > 0
+    ens = simulate_ensemble(cfg, model, fast_chain.potential)
+    _assert_same_ensemble(ens, ref)
+    assert len(ens.jump_t) > 0
 
 
-def _assert_same_ensemble(a, b):
+def _assert_same_ensemble(a, b, skip=()):
     for field in dataclasses.fields(a):
+        if field.name in skip:
+            continue
         va, vb = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(va, np.ndarray):
-            np.testing.assert_array_equal(va, vb, err_msg=field.name)
-        else:
-            assert va == vb, field.name
+        np.testing.assert_array_equal(va, vb, err_msg=field.name, strict=True)
+
+
+def _assert_same_path(one, ref):
+    """Every column of a one-path ensemble but its path index equals that of
+    a reference path, bit for bit."""
+    _assert_same_ensemble(one, ref, skip=("path_index",))
 
 
 # noise levels, dt, horizon and the levels' y-blocks
