@@ -68,6 +68,21 @@ def _build_pipeline(cfg: ExperimentConfig, eps: float, n: int) -> Pipeline:
                           maximize=cfg.maximize_scale and potential.n_wells == 2)
 
 
+def _peak_rss_mb(usage) -> float:
+    """The process's own peak RSS so far, in MB. On Linux that is VmHWM:
+    ru_maxrss keeps, across exec, the high-water mark of the process that
+    spawned it. Elsewhere ru_maxrss, which counts KiB, and bytes on macOS."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 2 ** 10, 1)     # kB
+    except OSError:             # no /proc
+        pass
+    unit = 2 ** 20 if sys.platform == "darwin" else 2 ** 10
+    return round(usage.ru_maxrss / unit, 1)
+
+
 def _write_manifest(out_dir, cfg: ExperimentConfig, command, outputs, t_start):
     manifest = {
         "command": command,
@@ -82,10 +97,8 @@ def _write_manifest(out_dir, cfg: ExperimentConfig, command, outputs, t_start):
         "wall_clock_s": round(time.time() - t_start, 3),
     }
     if resource is not None:
-        # of the process so far; ru_maxrss counts KiB, and bytes on macOS
         usage = resource.getrusage(resource.RUSAGE_SELF)
-        unit = 2 ** 20 if sys.platform == "darwin" else 2 ** 10
-        manifest["peak_rss_mb"] = round(usage.ru_maxrss / unit, 1)
+        manifest["peak_rss_mb"] = _peak_rss_mb(usage)
         manifest["minor_faults"] = usage.ru_minflt
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:

@@ -24,7 +24,10 @@ is bit-identical to composing them path by path with the derived streams,
 independent of chunking or worker scheduling. The levels of one config read
 the same streams, so a run advances one level per model in lockstep on one
 draw of each path's normals, and each level equals its own
-simulate_ensemble.
+simulate_ensemble. A chunk holds one window, which its levels fill in turn,
+and one table of each path's clock draws, which every level reads at its own
+cursor; a path that reads past its draws has them refilled from its
+substream, so no stream lives on per path and level.
 
 An ensemble is held as columns (Ensemble): the stored x of every path on one
 shared time grid, and one flat jump log. A path is the Ensemble of one that
@@ -67,10 +70,10 @@ __all__ = [
 
 DT_CURVATURE_FACTOR = 1e-2
 ESCAPE_FACTOR = 10.0
-# working memory of one chunk: its paths' stored rows plus a window per
-# noise level and the noise tape's rows. Wide chunks amortize the per-step
-# numpy dispatch overhead; past a few thousand paths there is little left to
-# amortize
+# working memory of one chunk: its paths' stored rows plus one window, the
+# noise tape's rows and the clock table (see ensemble_chunks). Wide chunks
+# amortize the per-step numpy dispatch overhead; past a few thousand paths
+# there is little left to amortize
 _CHUNK_BYTES = 2 ** 28
 _NOISE_BLOCK = 512        # steps of a window, shared by a chunk's noise levels
 _NOISE_GROUP = 128        # paths per transpose of the noise buffer
@@ -408,15 +411,19 @@ def _stored_steps(n_steps: int, stride: int) -> np.ndarray:
 class _Diffusion:
     """Euler-Maruyama on a block of paths, one window of steps at a time.
 
-    While a window of steps [w0, w0 + nw) is current, win[i] holds x at step
-    w0 - 1 + i: the row before the window start, kept for the chain's jump
-    interpolation, then the window's own rows; the last two rows carry into
-    the next window. Only the rows at stored_steps outlive their window, in
-    stored (S, C), a given array or a new one; n_stored of them are written.
-    Paths that hit the absorbing interval are frozen at the interpolated
-    crossing point; exit_steps stays n_steps + 1 for the others. The noise
-    is read from a tape, which other diffusions may read too; each scales
-    its own copy of a step's row by sig, so the tape is never changed.
+    The caller hands each window a buffer win of W + 2 rows, for windows of
+    W steps; the diffusions of a chunk's noise levels fill one buffer in
+    turn. While a window of steps [w0, w0 + nw) is current, win[i] holds x
+    at step w0 - 1 + i: the row before the window start, kept for the
+    chain's jump interpolation, then the window's own rows. The last two
+    rows carry into the next window, the only rows a diffusion keeps of its
+    windows, so any other level may fill the buffer in between. Only the
+    rows at stored_steps outlive their window, in stored (S, C), a given
+    array or a new one; n_stored of them are written. Paths that hit the
+    absorbing interval are frozen at the interpolated crossing point;
+    exit_steps stays n_steps + 1 for the others. The noise is read from a
+    tape, which other diffusions may read too; each scales its own copy of
+    a step's row by sig, so the tape is never changed.
     """
 
     def __init__(self, potential, eps, x0s, noise: _NoiseTape, dt, bound,
@@ -424,7 +431,7 @@ class _Diffusion:
         n_steps, c = noise.shape
         self.potential, self.noise, self.dt, self.bound = potential, noise, dt, bound
         self.sig = np.sqrt(2.0 * eps * dt)
-        self.x0s, self.absorb = x0s, absorb
+        self.absorb = absorb
         self.steps = stored_steps
         self.stored = np.empty((len(stored_steps), c)) if stored is None else stored
         self.stored[0] = x0s
@@ -439,29 +446,26 @@ class _Diffusion:
             self.exit_steps[hit] = 0
             self.exit_xs[hit] = x0s[hit]
             self.active[hit] = False
+        self.carry = np.empty((2, c))     # x at the steps w0 - 2 and w0 - 1
+        self.carry[:] = x0s
+        self.grad, self.scaled = np.empty(c), np.empty(c)
         self.w0 = 0           # steps run
-        self.win = None
 
     def windows(self, width: int):
-        """Advance by windows of width steps, yielding (w0, nw) once win
-        holds the window's rows."""
+        """Advance by windows of width steps in a buffer of its own,
+        yielding (w0, nw) once it holds the window's rows."""
+        win = np.empty((width + 2, self.noise.shape[1]))
         while self.w0 < self.noise.shape[0]:
-            yield self.advance(width)
+            yield self.advance(win)
 
-    def advance(self, width: int):
-        """Run the next window, of width steps or the steps left, with the
-        same width at every call; returns its (w0, nw) once win holds its
-        rows."""
+    def advance(self, win):
+        """Run the next window in win, (W + 2, C) for windows of W steps,
+        the same W at every call: W steps or the steps left. Returns its
+        (w0, nw) once win holds its rows."""
         n_steps, c = self.noise.shape
         w0 = self.w0
-        nw = min(width, n_steps - w0)
-        win = self.win
-        if win is None:
-            win = self.win = np.empty((width + 2, c))
-            win[:2] = self.x0s
-            self.grad, self.scaled = np.empty(c), np.empty(c)
-        else:
-            win[:2] = win[self.nw:self.nw + 2]
+        nw = min(len(win) - 2, n_steps - w0)
+        win[:2] = self.carry
         grad, scaled = self.grad, self.scaled
         active, exit_steps = self.active, self.exit_steps
         if self.absorb is not None:
@@ -499,7 +503,8 @@ class _Diffusion:
         s0, s1 = np.searchsorted(self.steps, (w0 + 1, w0 + nw + 1))
         self.stored[s0:s1] = win[self.steps[s0:s1] - w0 + 1]
         self.n_stored = s1
-        self.w0, self.nw = w0 + nw, nw
+        self.carry[:] = win[nw:nw + 2]
+        self.w0 = w0 + nw
         return w0, nw
 
 
@@ -650,6 +655,57 @@ def _block_sums(dep, block, out):
     return out
 
 
+class _Clocks:
+    """The chain's clock draws of a block of paths, which the walks of a
+    chunk's noise levels share: row p holds the first filled[p] draws of
+    path p's clock stream, in stream order. Each walk reads them with a
+    cursor per path of its own, so every walk reads the draws the stream
+    gives one by one. A read past a path's filled draws refills its row
+    exactly: refill(p, row, start) writes the path's draws from the
+    start-th on into row[start:], and may write the ones before it again.
+    No stream is kept between fills."""
+
+    def __init__(self, refill, n_paths: int, width: int):
+        self.refill = refill
+        self.draws = np.empty((n_paths, width))
+        self.filled = np.zeros(n_paths, dtype=np.int64)
+        self._fill(np.arange(n_paths), width)
+
+    def take(self, paths, cursor):
+        """The next draw of each of the distinct paths, read at cursor,
+        which moves past it."""
+        at = cursor[paths]
+        short = at >= self.filled[paths]
+        if short.any():
+            self._fill(paths[short], int(at[short].max()) + 1)
+        cursor[paths] = at + 1
+        return self.draws[paths, at]
+
+    def _fill(self, paths, need: int):
+        """Fill the rows of paths to the table's width, widening the table
+        first where need draws are past it: to twice its width, or to need
+        if more."""
+        width = self.draws.shape[1]
+        if need > width:
+            draws = np.empty((len(self.draws), max(need, 2 * width)))
+            draws[:, :width] = self.draws
+            self.draws = draws
+        for p in paths.tolist():
+            self.refill(p, self.draws[p], int(self.filled[p]))
+        self.filled[paths] = self.draws.shape[1]
+
+
+def _first_draws(models, horizon: float) -> int:
+    """The clock draws a path's first fill holds: the initial budgets and
+    the redraws a chain of the busiest model makes by the horizon in the
+    mean, at most horizon times its largest exit rate, since the chain
+    alone is Markov with generator Q. A path that jumps more often than
+    that reads past them and is refilled."""
+    return max(m.n_states * (m.n_states - 1)
+               + math.ceil(horizon * float(np.max(m.Q.sum(axis=1) - np.diag(m.Q))))
+               for m in models)
+
+
 class _ChainWalk:
     """Time-change construction of the chain along a block of diffusion paths,
     advanced window by window.
@@ -658,8 +714,10 @@ class _ChainWalk:
     by the trapezoid integral of its rate along the path while the chain sits
     in the pair's source state; crossing times inside a step are located on
     the linearly interpolated depletion. Budgets persist across jumps of
-    other pairs and are redrawn only for the pair that fired. gens are the
-    paths' clock streams: the initial budgets, then the redraws.
+    other pairs and are redrawn only for the pair that fired. clocks holds
+    the paths' clock draws, which the walks of a chunk's levels share: the
+    initial budgets, then the redraws in event order, read at the walk's
+    own cursor per path.
 
     Steps are grouped in blocks, and a window is walked event by event. A
     scan takes the block totals of the rates out of each pending path's
@@ -680,9 +738,10 @@ class _ChainWalk:
     different threads share none.
     """
 
-    def __init__(self, model: CouplingModel, y0s, gens, dt, n_steps, scratch=None):
+    def __init__(self, model: CouplingModel, y0s, clocks: _Clocks, dt, n_steps,
+                 scratch=None):
         m1 = model.n_states
-        self.gens, self.dt, self.n_steps = gens, dt, n_steps
+        self.clocks, self.dt, self.n_steps = clocks, dt, n_steps
         self.tilts = _Tilts(model)
         self.qz = model.Q.copy()
         np.fill_diagonal(self.qz, 0.0)
@@ -690,10 +749,10 @@ class _ChainWalk:
         self.others = np.array([[j for j in range(m1) if j != i] for i in range(m1)],
                                dtype=np.int64).reshape(m1, m1 - 1)
         # diagonal budgets are never armed; +inf keeps them out of every test
-        self.budgets = np.full((len(gens), m1, m1), np.inf)
-        off = ~np.eye(m1, dtype=bool)
-        for p, g in enumerate(gens):
-            self.budgets[p][off] = g.standard_exponential(m1 * (m1 - 1))
+        first = m1 * (m1 - 1)
+        self.budgets = np.full((len(y0s), m1, m1), np.inf)
+        self.budgets[:, ~np.eye(m1, dtype=bool)] = clocks.draws[:, :first]
+        self.cursor = np.full(len(y0s), first, dtype=np.int64)    # each path's next draw
         self.y = np.asarray(y0s, dtype=np.int64).copy()
         # (paths, t, from, to) of the jumps still lacking x, in rounds, and
         # (paths, t, from, to, x) of those with x; each path's in event order
@@ -857,8 +916,8 @@ class _ChainWalk:
 
     def _cascade(self, tp, s0, live, step, fend, tilts):
         """Jumps of the live paths inside their given step, in lockstep: each
-        path fires the earliest clock of its current state, redraws it from
-        its own stream and goes on from the crossing time, until no clock
+        path fires the earliest clock of its current state, redraws it as its
+        next clock draw and goes on from the crossing time, until no clock
         fires before the step ends."""
         dt = self.dt
         t0 = np.zeros(len(live))
@@ -879,8 +938,7 @@ class _ChainWalk:
             jf = to.T[rows, j][fired]
             pf, yf = p[fired], y[fired]
             times = (s0[live[fired]] + step[fired] + tstar[fired]) * dt
-            for pi, yi, ji in zip(pf.tolist(), yf.tolist(), jf.tolist()):
-                self.budgets[pi, yi, ji] = self.gens[pi].standard_exponential()
+            self.budgets[pf, yf, jf] = self.clocks.take(pf, self.cursor)
             self.log.append((pf, times, yf, jf))
             self.y[pf] = jf
             live, step, t0, fe = live[fired], step[fired], tstar[fired], fe[fired]
@@ -906,8 +964,8 @@ class _ChainWalk:
         and then by event, with each path's range, and the clocks."""
         p, t, frm, to, x = (np.concatenate(col) for col in zip(*self.placed))
         order = np.argsort(p, kind="stable")
-        offsets = np.zeros(len(self.gens) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(p, minlength=len(self.gens)), out=offsets[1:])
+        offsets = np.zeros(len(self.y) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(p, minlength=len(self.y)), out=offsets[1:])
         return dict(jump_t=t[order], jump_from=frm[order], jump_to=to[order],
                     jump_x=x[order], jump_offsets=offsets, clocks=self.budgets)
 
@@ -946,12 +1004,14 @@ def simulate_y_given_x(x_path, model: CouplingModel, y0: int, rng,
                        dt: float) -> Ensemble:
     """Chain path coupled to a given diffusion path by the time-change
     construction: the one-path Ensemble with x_path stored at every step,
-    path index 0. rng drives the chain's clocks; in an ensemble that is
-    clock_stream(seed, path_index)."""
+    path index 0. rng drives the chain's clocks, drawn on from where a fill
+    stopped; in an ensemble that is clock_stream(seed, path_index)."""
     x_path = np.asarray(x_path, dtype=float)
     n_steps = len(x_path) - 1
     y0s = np.array([int(y0)])
-    chain = _ChainWalk(model, y0s, [rng], dt, n_steps)
+    clocks = _Clocks(lambda p, row, start: rng.standard_exponential(out=row[start:]),
+                     1, _first_draws([model], n_steps * dt))
+    chain = _ChainWalk(model, y0s, clocks, dt, n_steps)
     # the whole path is one window
     chain.advance(x_path[:, None], 0, 0, n_steps,
                   np.array([n_steps + 1], dtype=np.int64), np.zeros(1))
@@ -965,15 +1025,22 @@ def _run_chunk(cfg, models, potential, indices, stored=None):
     Ensemble per level; level l's stored x are written to stored[l], an
     (S, len(indices)) array, if given.
 
-    The levels share the paths' streams: their initial uniforms are drawn
-    once and mapped through each level's model, and their diffusions read
-    one noise tape. The level furthest behind always runs its next window,
-    so the tape holds at most the longest window's steps."""
+    The levels share the paths' streams and one window buffer: their
+    initial uniforms are drawn once and mapped through each level's model,
+    their diffusions read one noise tape and fill the one window in turn,
+    each keeping only its two carry rows, and their chain walks read one
+    table of clock draws, each at its own cursors. The level furthest
+    behind always runs its next window, whose chain walk runs on it before
+    the next level fills the buffer, so the tape holds at most the longest
+    window's steps. No clock stream outlives a fill of the table."""
     c, n_steps = len(indices), cfg.n_steps
     gens = [path_stream(cfg.seed, int(i)) for i in indices]
     u = initial_uniforms(gens) if cfg.x0 is None else None
     widths = [_window_steps(_y_block_size(model, cfg.dt), len(models)) for model in models]
     tape = _NoiseTape(gens, n_steps, max(widths))
+    window = np.empty((max(widths) + 2, c))
+    clocks = _Clocks(lambda p, row, start: clock_stream(cfg.seed, int(indices[p]))
+                     .standard_exponential(out=row), c, _first_draws(models, cfg.horizon))
     steps = _stored_steps(n_steps, cfg.store_stride)
     scratch = _Scratch()
     levels = []
@@ -988,7 +1055,6 @@ def _run_chunk(cfg, models, potential, indices, stored=None):
             y0s[:] = cfg.y0
         else:
             x0s[:], y0s[:] = sample_initial(model, u)
-        clocks = [clock_stream(cfg.seed, int(i)) for i in indices]
         levels.append((_Diffusion(potential, model.eps, x0s, tape, cfg.dt, bound, steps,
                                   cfg.absorb, out),
                        _ChainWalk(model, y0s, clocks, cfg.dt, n_steps, scratch), y0s))
@@ -996,8 +1062,10 @@ def _run_chunk(cfg, models, potential, indices, stored=None):
     while running:
         level = min(running, key=lambda l: levels[l][0].w0)
         path, chain, _ = levels[level]
-        w0, nw = path.advance(widths[level])
-        chain.advance(path.win, w0 - 1, w0, w0 + nw, path.exit_steps, path.exit_fracs)
+        # the level's own width, which _interpolate reads as its window's
+        win = window[:widths[level] + 2]
+        w0, nw = path.advance(win)
+        chain.advance(win, w0 - 1, w0, w0 + nw, path.exit_steps, path.exit_fracs)
         # once every path is absorbed and no jump waits for its x, every
         # later row is an exit point
         stop = not path.active.any() and not chain.log[0][0].size
@@ -1005,9 +1073,10 @@ def _run_chunk(cfg, models, potential, indices, stored=None):
             path.stored[path.n_stored:] = path.exit_xs
         if stop or path.w0 == n_steps:
             running.remove(level)
-    # every level is done with the noise: free the tape before the chunk's
-    # columns are built, so they do not add to it at the chunk's peak
-    tape.ring = tape.buf = None
+    # every level is done with the noise and the window: free them before
+    # the chunk's columns are built, so they do not add to them at the
+    # chunk's peak
+    tape.ring = tape.buf = window = win = None
     return [Ensemble(times=steps * cfg.dt, x=path.stored, y0=y0s, exit_time=np.where(
                          path.exit_steps <= n_steps,
                          (path.exit_steps + path.exit_fracs) * cfg.dt, np.nan),
@@ -1043,8 +1112,14 @@ def ensemble_chunks(cfg: EnsembleConfig, models, potential: Potential, xs=None):
     initial uniforms and the same normals, which differ between levels only
     by the factor sqrt(2 eps dt), eps that of the level's model. So the
     normals of a chunk of paths are drawn once, onto a tape every level's
-    diffusion reads, instead of once per level. With workers > 1, chunks run
-    in groups of workers, so at most that many wait to be taken.
+    diffusion reads, instead of once per level; likewise the clock draws,
+    into one table every level's chain walk reads. With workers > 1, chunks
+    run in groups of workers, so at most that many wait to be taken.
+
+    A chunk is as wide as _CHUNK_BYTES holds, at 8 bytes a row for each
+    path: every level's stored rows and its two carry rows, the one window
+    (W + 2 rows, W the longest window's steps), the noise tape's W rows and
+    the clock table's first fill.
 
     Raises (before any path runs):
         ValueError: no models, dt above max_stable_dt, or a fixed y0 that
@@ -1056,10 +1131,12 @@ def ensemble_chunks(cfg: EnsembleConfig, models, potential: Potential, xs=None):
     if cfg.y0 is not None and any(cfg.y0 >= model.n_states for model in models):
         raise ValueError(f"y0 = {cfg.y0} is not a state of every model")
     n_stored = len(_stored_steps(cfg.n_steps, cfg.store_stride))
-    # a path holds every level's stored rows and window, plus its rows of
-    # the noise tape, as long as the longest window
+    # a path holds every level's stored rows and two carry rows, one row of
+    # the window and of the noise tape per step of the longest window, and
+    # its first fill of clock draws
     widths = [_window_steps(_y_block_size(model, cfg.dt), len(models)) for model in models]
-    n_rows = len(models) * n_stored + sum(w + 2 for w in widths) + max(widths)
+    n_rows = (len(models) * (n_stored + 2) + 2 * max(widths) + 2
+              + _first_draws(models, cfg.horizon))
     chunk = max(1, min(int(_CHUNK_BYTES // (8 * n_rows)),
                        -(-cfg.n_paths // cfg.workers)))
 

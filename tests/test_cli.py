@@ -563,6 +563,28 @@ def test_manifest_records_peak_rss_and_faults(tmp_path, monkeypatch):
     assert "peak_rss_mb" not in manifest and "minor_faults" not in manifest
 
 
+def test_manifest_peak_rss_is_the_commands_own(tmp_path):
+    # a command spawned by a process that holds 300 MB reports its own peak:
+    # after exec, ru_maxrss still carries the spawning process's high-water
+    # mark, which here is above 300 MB
+    import os
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    held = np.ones(300 * 2 ** 20 // 8)          # written, so resident
+    out = tmp_path / "o"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from eigencoupler.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "oracle", "--config", light_config(tmp_path),
+         "--out", str(out)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert held.sum() == held.size
+    peak = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+    assert 1.0 < peak < 200.0
+
+
 def test_oracle_evolves_joint_law_once_per_time(monkeypatch):
     # both oracle checks read one evolution of the joint law, and the report
     # holds exactly what check_oracle returns

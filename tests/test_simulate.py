@@ -81,8 +81,9 @@ def test_ou_variance_matches_closed_form():
     noise = sim._NoiseTape([path_stream(3, i) for i in range(n)], n_steps, sim._NOISE_BLOCK)
     path = sim._Diffusion(quad, eps, np.zeros(n), noise, dt, 100.0,
                           np.array([0, n_steps]))
-    for _ in path.windows(sim._NOISE_BLOCK):
-        pass
+    win = np.empty((sim._NOISE_BLOCK + 2, n))      # the caller's window buffer
+    while path.w0 < n_steps:
+        path.advance(win)
     var = path.stored[-1].var()
     target = eps * (1 - np.exp(-2 * T))
     se = target * np.sqrt(2.0 / (n - 1))
@@ -892,6 +893,84 @@ def test_ensembles_match_one_level_runs(monkeypatch, case):
         _assert_same_ensemble(ens, ref)
     assert len(chunks) > 2 if case == "chunks" else len(chunks) == 1
     assert sum(drawn) == len(chunks) * cfg.n_steps
+
+
+def test_clock_refills_are_exact(monkeypatch):
+    # a busy chain over a horizon long enough that some path reads past its
+    # first fill of clock draws: the refill gives the draws the path's clock
+    # stream gives next, one chunk or several on two workers, and
+    # simulate_y_given_x draws on from its own rng
+    import eigencoupler.simulate as sim
+    pipes = [build_pipeline("double_well", eps, 400) for eps in (0.5, 0.4)]
+    models, pot = [p.model for p in pipes], pipes[0].potential
+    cfg = EnsembleConfig(n_paths=8, dt=4e-3, horizon=20.0, seed=23, store_stride=1)
+    refs = [simulate_ensemble(cfg, model, pot) for model in models]
+    first = sim._first_draws(models, cfg.horizon)
+    assert max(2 + np.diff(ens.jump_offsets).max() for ens in refs) > first
+    chunks = []
+    run_chunk = sim._run_chunk
+    monkeypatch.setattr(sim, "_run_chunk", lambda *args: chunks.append(1) or run_chunk(*args))
+    for split in (False, True):
+        if split:
+            monkeypatch.setattr(sim, "_CHUNK_BYTES", 2 ** 17)
+            cfg = dataclasses.replace(cfg, workers=2)
+        chunks.clear()
+        got = simulate_ensembles(cfg, models, pot)
+        assert len(chunks) > 2 if split else len(chunks) == 1
+        for ens, ref in zip(got, refs):
+            _assert_same_ensemble(ens, ref)
+    for model, ens in zip(models, refs):
+        for i, one in enumerate(ens):
+            g = path_stream(23, i)
+            x0, y0 = sample_initial(model, g)
+            x = simulate_x(pot, model.eps, x0, cfg.dt, cfg.horizon, g)
+            _assert_same_path(one, simulate_y_given_x(x, model, y0, clock_stream(23, i),
+                                                      cfg.dt))
+
+
+def _clock_generators():
+    """The live Generators on a clock stream: Philox counters in the
+    jumped half, which no main stream reaches."""
+    import gc
+    return sum(isinstance(o, np.random.Generator)
+               and isinstance(o.bit_generator, np.random.Philox)
+               and o.bit_generator.state["state"]["counter"][2] == 1
+               for o in gc.get_objects())
+
+
+def test_chunk_levels_share_one_window_and_one_clock_table(monkeypatch):
+    # three levels whose windows are equal: the chunk holds one window and
+    # one table of clock draws, not a window and a clock stream per path
+    # for each level, so it peaks below a one-level run of the same paths
+    # with the same window, plus one window
+    import tracemalloc
+    import eigencoupler.simulate as sim
+    pipes = [build_pipeline("double_well", eps, 400) for eps in (0.15, 0.1, 0.07)]
+    models, pot = [p.model for p in pipes], pipes[0].potential
+    cfg = EnsembleConfig(n_paths=400, dt=1e-4, horizon=0.2, seed=3, store_stride=2000)
+    widths = {sim._window_steps(sim._y_block_size(m, cfg.dt), 3) for m in models}
+    assert widths == {256}
+    peaks = []
+    for levels, noise_block in ((models, sim._NOISE_BLOCK), (models[1:2], 256)):
+        # a 256-step noise block gives one level the three levels' window
+        monkeypatch.setattr(sim, "_NOISE_BLOCK", noise_block)
+        tracemalloc.start()
+        try:
+            sim._run_chunk(cfg, levels, pot, np.arange(cfg.n_paths))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] + 8 * (256 + 2) * cfg.n_paths
+    held = []
+    walk = sim._ChainWalk.__init__
+
+    def counted(self, *args, **kwargs):
+        walk(self, *args, **kwargs)
+        held.append(_clock_generators())
+
+    monkeypatch.setattr(sim._ChainWalk, "__init__", counted)
+    sim._run_chunk(cfg, models, pot, np.arange(8))
+    assert held == [0] * 3
 
 
 def test_ensembles_blow_up_at_one_level(monkeypatch):
