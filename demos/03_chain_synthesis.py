@@ -3,9 +3,13 @@
 A two-state generator is a one-knob family: theta splits the decay rate
 between the two directed rates. For any number of states the builder is the
 one reflection-symmetric birth-death chain with the target spectrum, rebuilt
-by Lanczos from the spectrum and its spectral measure at state 0; the
-spectrum of the result is verified with a dense eigensolver, and the
-eigenvectors are scaled so that every coupling tilt stays strictly positive.
+by Lanczos from the spectrum and its persymmetric spectral measure at state
+0. Here the targets come from a triple-well decomposition, and a dense
+eigensolve of the result shows them. The right eigenvectors are the SVD null
+vectors of Q + lambda I, scaled so that every coupling tilt stays strictly
+positive; the stationary law is the null vector of Q^T; validate_chain checks
+the sign pattern, row sums, eigen residuals and irreducibility. Last, the
+equal-depth triple well, whose chain puts the well masses on its states.
 """
 
 import numpy as np

@@ -64,14 +64,18 @@ class ChainSpec:
         return payload
 
 
+def _null_vector(A: np.ndarray):
+    """The right singular vector of A's least singular value, whose residual
+    |A v| is that value however spread A's spectrum, and A's singular values,
+    least first."""
+    _, sigma, vt = np.linalg.svd(A)
+    return vt[-1], sigma[::-1]
+
+
 def stationary_distribution(Q: np.ndarray) -> np.ndarray:
-    """Left null vector of the generator, normalized to a distribution."""
-    n = Q.shape[0]
-    a = np.vstack([Q.T, np.ones(n)])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return pi
+    """The null vector of Q^T (the left one of Q), divided by its sum."""
+    pi, _ = _null_vector(Q.T)
+    return pi / pi.sum()
 
 
 def _two_state(rate: float, theta: float) -> np.ndarray:
@@ -141,36 +145,34 @@ def synth_generator(eigenvalues, theta: float = 0.5) -> np.ndarray:
 
 def _right_eigenvectors(Q: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Unit-sup-norm right eigenvectors for the eigenvalues -rates, first
-    entry positive."""
-    vals, vecs = np.linalg.eig(Q)
-    order = np.argsort(-vals.real)     # 0 first, then decreasing (more negative last)
-    vals = vals[order].real
-    vecs = vecs[:, order].real
-    out = np.empty((len(rates), Q.shape[0]))
+    entry positive: the null vectors of Q + lambda I, whose least singular
+    value must lie within 1e-6 lambda plus the SVD's backward-error floor and
+    whose next one must not (a repeated eigenvalue)."""
+    n = Q.shape[0]
+    ulp_floor = n * np.finfo(float).eps * np.linalg.norm(Q, 2)
+    out = np.empty((len(rates), n))
     for k, lam in enumerate(rates):
-        errs = np.abs(vals + lam)
-        j = int(np.argmin(errs))
-        if errs[j] > 1e-6 * max(lam, 1e-300):
+        v, sigma = _null_vector(Q + lam * np.eye(n))
+        bound = 1e-6 * lam + ulp_floor
+        if sigma[0] > bound:
             raise ChainSynthesisError(
                 f"generator has no eigenvalue within relative 1e-6 of -{lam}")
-        close = np.abs(vals - vals[j]) <= 1e-12 * max(abs(vals[j]), 1.0)
-        if close.sum() > 1:
+        if sigma[1] <= bound:
             raise ChainSynthesisError(
                 "repeated eigenvalue: right eigenvectors are not uniquely "
                 "determined (defective or degenerate generator)")
-        v = vecs[:, j]
         v = v / np.max(np.abs(v))
         if v[0] == 0:
             raise ChainSynthesisError("eigenvector has a vanishing first entry")
-        if v[0] < 0:
-            v = -v
-        out[k] = v
+        out[k] = v if v[0] > 0 else -v
     return out
 
 
 def scaled_eigenvectors(Q: np.ndarray, eigenvalues, mode_vectors, kappa: float,
                         maximize: bool = False):
-    """Right eigenvectors of Q scaled so the tilt functions stay positive.
+    """Right eigenvectors of Q scaled so the tilt functions stay positive. Each
+    unit eigenvector is the SVD null vector of Q + lambda_k I; ChainSynthesisError
+    if -lambda_k is not a simple eigenvalue of Q to within relative 1e-6.
 
     mode_vectors holds the diffusion eigenfunctions on the grid (row k for
     decay rate lambda_k, k >= 1). With budget scaling (default), component k

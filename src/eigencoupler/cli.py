@@ -114,9 +114,7 @@ def _cmd_spectrum(cfg: ExperimentConfig, out_dir) -> list:
                                override=cfg.allow_assumption_violation)
         grid = auto_grid(potential, eps, n=cfg.grid_n, L=cfg.grid_L)
         m = max(potential.n_wells - 1, 1) + 2
-        # modes positive at the node nearest the leftmost minimum
-        sign_node = int(np.argmin(np.abs(grid.nodes - potential.minima[0])))
-        dec = decompose(build_generator(potential, eps, grid), m, sign_node=sign_node)
+        dec = decompose(build_generator(potential, eps, grid), m)
         tag = f"eps{eps:g}"
         if "json" in cfg.formats:
             path = os.path.join(out_dir, f"eigenvalues_{tag}.json")

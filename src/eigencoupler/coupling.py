@@ -174,8 +174,8 @@ def build_pipeline(potential, eps: float, n: int, *, L=None, kappa: float = 0.9,
     make_potential) through coupling model on an
     n-node grid of half-width L (auto-sized if None).
 
-    The decomposition keeps m = max(wells - 1, 1) modes, signed at the node
-    nearest the first minimum. Unless Q is given, the chain is
+    The decomposition keeps m = max(wells - 1, 1) modes, signed positive at
+    the leftmost minimum. Unless Q is given, the chain is
     synth_generator's: the reflection-symmetric birth-death chain with the
     modes' eigenvalues, whose one rate theta splits when there is one mode.
     Its eigenvectors are scaled by kappa (a budget that keeps every
@@ -186,6 +186,8 @@ def build_pipeline(potential, eps: float, n: int, *, L=None, kappa: float = 0.9,
         ValueError: an explicit Q is not (m+1) x (m+1), has a negative
             off-diagonal entry, or has a row sum that is not zero (within
             validate_chain's tolerance).
+        ChainSynthesisError (exit 2): an explicit Q has no eigenvalue within
+            relative 1e-6 of some -lambda_k of the decomposition.
     """
     if not isinstance(potential, Potential):
         potential = make_potential(potential)
@@ -198,10 +200,8 @@ def build_pipeline(potential, eps: float, n: int, *, L=None, kappa: float = 0.9,
         if not (offdiagonal_nonnegative(Q) and row_sums_zero(Q)):
             raise ValueError("Q is not a generator: it needs nonnegative off-diagonal "
                              "entries and zero row sums")
-    grid = auto_grid(potential, eps, n=n, L=L)
-    gen = build_generator(potential, eps, grid)
-    sign_node = int(np.argmin(np.abs(grid.nodes - potential.minima[0])))
-    dec = decompose(gen, m, sign_node=sign_node)
+    gen = build_generator(potential, eps, auto_grid(potential, eps, n=n, L=L))
+    dec = decompose(gen, m)
     lams = dec.eigenvalues[1:]
     if Q is None:
         Q = synth_generator(lams, theta=theta)

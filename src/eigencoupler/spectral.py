@@ -234,7 +234,7 @@ def _leftmost_weight_peak(w: np.ndarray) -> int:
     return int(peaks[0]) if peaks.size else int(np.argmax(w))
 
 
-def decompose(gen: DiscreteGenerator, m: int, sign_node: int | None = None) -> SpectralDecomposition:
+def decompose(gen: DiscreteGenerator, m: int) -> SpectralDecomposition:
     """The m+1 smallest eigenpairs of the generator.
 
     Symmetrizes by similarity with sqrt(weights) into S = G^T G, G the
@@ -246,10 +246,9 @@ def decompose(gen: DiscreteGenerator, m: int, sign_node: int | None = None) -> S
     constant one, and eigenvalue 0 is stored exactly after the consistency
     check.
 
-    Sign convention: modes[k] is positive at sign_node (default: the node of
-    the leftmost potential minimum, located as the leftmost peak of the
-    weights); if within 1e-12 of zero there, the first nonzero entry from the
-    left is positive.
+    Sign convention: modes[k] is positive at the node of the leftmost
+    potential minimum, located as the leftmost peak of the weights; if within
+    1e-12 of zero there, the first nonzero entry from the left is positive.
 
     Raises:
         TruncationError: the computed smallest eigenvalue deviates from zero
@@ -279,7 +278,7 @@ def decompose(gen: DiscreteGenerator, m: int, sign_node: int | None = None) -> S
     eigenvalues = values.copy()
     eigenvalues[0] = 0.0
 
-    node = _leftmost_weight_peak(gen.weights) if sign_node is None else int(sign_node)
+    node = _leftmost_weight_peak(gen.weights)
     for k in range(1, m + 1):
         ref = modes[k, node]
         if abs(ref) <= 1e-12:

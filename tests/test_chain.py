@@ -147,6 +147,30 @@ def test_eigen_mismatch_rejected():
         scaled_eigenvectors(Q, [2.5], np.ones((1, 4)), 0.5)
 
 
+def test_repeated_eigenvalue_rejected():
+    # the complete graph on three states has -3 twice: Q + 3 I is the rank-one
+    # all-ones matrix, so its two least singular values are both zero
+    Q = np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]])
+    with pytest.raises(ChainSynthesisError, match="repeated eigenvalue"):
+        scaled_eigenvectors(Q, [3.0, 3.0], np.ones((2, 4)), 0.5)
+
+
+@pytest.mark.parametrize("rates", [[1e-12, 1e-3, 1.0, 1.5], [1e-14, 1e-2, 1.0],
+                                   [1e-9, 1.0]])
+def test_spread_spectra_meet_the_backward_error_bound(rates):
+    # rates spread past 1e10 apart: a dense nonsymmetric eigensolve misses
+    # lambda_1 by more than relative 1e-6 there, while each SVD null vector
+    # has a residual within a few ulp of ||Q||, and so has the stationary law
+    Q = synth_generator(rates)
+    bound = 4 * len(Q) * np.finfo(float).eps * np.linalg.norm(Q, 2)
+    vectors, _, _ = scaled_eigenvectors(Q, rates, np.ones((len(rates), 8)), 0.5)
+    for lam, v in zip(rates, vectors):
+        assert np.max(np.abs(Q @ v + lam * v)) <= bound * np.max(np.abs(v))
+    pi = stationary_distribution(Q)
+    assert np.all(pi >= 0) and abs(pi.sum() - 1.0) <= 1e-15
+    assert np.max(np.abs(pi @ Q)) <= bound
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     lam=st.floats(1e-3, 1e3),

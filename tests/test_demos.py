@@ -7,6 +7,13 @@ import runpy
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
+def test_chain_synthesis_demo(capsys):
+    # the one demo that calls stationary_distribution, scaled_eigenvectors
+    # and validate_chain: the triple-well chain passes every structure check
+    runpy.run_path(str(DEMOS / "03_chain_synthesis.py"), run_name="__main__")
+    assert "structure checks pass: True" in capsys.readouterr().out
+
+
 def test_conditional_law_oracle_demo(capsys):
     # the clean coupling meets the oracle tolerance and the perturbed one
     # (a dataclasses.replace of its eigenvectors) fails it

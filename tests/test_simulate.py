@@ -694,15 +694,16 @@ def _record_digest(ens):
 
 @pytest.mark.parametrize("name, digest", [
     ("jumps", "aea8c5abb1033cbc"),          # blocks of 2 steps, 818 jumps
-    ("triple_well", "dd95e211d786fbd7"),    # 3 states, 115 jumps
-    ("absorbing", "3a7750d9d477f16e"),      # 87 of 100 paths absorbed
-    ("quiet", "b13b7b5c0a98bacf"),          # blocks of 256 steps, 55 jumps
+    ("triple_well", "4d6e39785215b33d"),    # 3 states, 115 jumps
+    ("absorbing", "fa1feb00ac1ef967"),      # 87 of 100 paths absorbed
+    ("quiet", "36acde671c2ad57b"),          # blocks of 256 steps, 55 jumps
 ])
 def test_records_match_pinned_digests(name, digest):
     # every path's rows, clocks, jumps and exit, pinned from the walk that replayed each
     # flagged path alone with a scalar cascade, which the lockstep walk
     # replaced without changing a bit; the quiet case from the walk that
-    # allocated every tile's temporaries anew
+    # allocated every tile's temporaries anew; all but jumps re-pinned when
+    # the chain's eigenvectors became SVD null vectors (a few ulp)
     import eigencoupler.simulate as sim
     if name == "jumps":
         pipe = build_pipeline("double_well", 0.5, 400)
