@@ -83,9 +83,14 @@ class Potential:
         For finite x polyval's acc is exactly c[j] at the highest nonzero
         coefficient c[j], so Horner starts from x * c[j]. A skipped + 0.0
         only turns an exact -0 into +0, which the next nonzero add or the
-        kept final + c[0] absorbs; a skipped + -0.0 changes nothing."""
+        kept final + c[0] absorbs; a skipped + -0.0 changes nothing.
+
+        Where c[j] is 1.0 and c[j - 1] is skipped (double_well,
+        tilted_double_well), the first two steps x * 1.0 and * x are one
+        x * x: x * 1.0 is x exactly, NaN and signed zeros included, so the
+        bits are the same at one ufunc call fewer."""
         lead, inner, c0 = self._grad_horner
-        np.multiply(x, lead, out=out)
+        np.multiply(x, x if lead is None else lead, out=out)
         for ci in inner:
             if ci is not None:
                 out += ci
@@ -102,17 +107,20 @@ class Potential:
 
     @cached_property
     def _grad_horner(self) -> tuple:
-        """(lead, inner, c0) of grad_into: out = x * lead, then for each
-        inner coefficient + ci (None: skipped) and * x, then + c0. Where no
-        coefficient past c[0] is nonzero, or c[0] is -0.0 (an identity add
-        that keeps a zero's sign, so every earlier sign counts), these are
-        polyval's own steps."""
+        """(lead, inner, c0) of grad_into: out = x * lead (x * x where lead
+        is None), then for each inner coefficient + ci (None: skipped) and
+        * x, then + c0. Where no coefficient past c[0] is nonzero, or c[0] is
+        -0.0 (an identity add that keeps a zero's sign, so every earlier sign
+        counts), these are polyval's own steps."""
         c = [float(v) for v in self._dcoeffs]
         nz = np.flatnonzero(self._dcoeffs)
         j = int(nz[-1]) if nz.size else 0
         if j == 0 or (c[0] == 0.0 and math.copysign(1.0, c[0]) < 0.0):
             return 0.0, tuple(c[:0:-1]), c[0]
-        return c[j], tuple(ci if ci else None for ci in c[j - 1:0:-1]), c[0]
+        inner = tuple(ci if ci else None for ci in c[j - 1:0:-1])
+        if c[j] == 1.0 and inner[:1] == (None,):
+            return None, inner[1:], c[0]
+        return c[j], inner, c[0]
 
     @cached_property
     def _ddcoeffs(self) -> np.ndarray:

@@ -41,7 +41,6 @@ the ensemble; simulate_ensembles and simulate_ensemble join the chunks.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -363,19 +362,20 @@ class _NoiseTape:
     has passed. Groups of _NOISE_GROUP paths fill the rows of a cache-sized
     buffer, whose transpose is copied into the step-major ring the Euler
     loop reads; a whole-width transpose would miss the cache on every
-    element."""
+    element. The tape holds each path's bound g.standard_normal, not its
+    Generator, so filling a path's row looks up no method."""
 
     def __init__(self, gens, n_steps: int, cap: int):
         c = len(gens)
-        self.gens = gens
+        self.fills = [g.standard_normal for g in gens]
         self.shape = (n_steps, c)
         self.ring = np.empty((min(cap, n_steps), c))
         self.buf = np.empty((min(_NOISE_GROUP, c), len(self.ring)))
         self.drawn = 0
 
-    def rows(self, k0: int, k1: int):
-        """The (C,) rows of the steps k0 to k1, in order, drawing those not
-        drawn yet."""
+    def slabs(self, k0: int, k1: int) -> tuple:
+        """The steps k0 to k1, in order, as one or two (n, C) slabs of the
+        ring, drawing those not drawn yet."""
         cap = len(self.ring)
         if k0 < self.drawn - cap or k1 - k0 > cap:
             raise ValueError(f"steps {k0} to {k1} are not all on a tape of {cap} rows "
@@ -387,16 +387,18 @@ class _NoiseTape:
             self.drawn += nb
         a, b = k0 % cap, k0 % cap + k1 - k0
         if b <= cap:
-            return iter(self.ring[a:b])
-        return itertools.chain(self.ring[a:], self.ring[:b - cap])
+            return (self.ring[a:b],)
+        return self.ring[a:], self.ring[:b - cap]
 
     def _draw(self, a, nb):
-        """The next nb steps of every path into the ring rows a to a + nb."""
+        """The next nb steps of every path into the ring rows a to a + nb.
+        The buffer's row views are made once per fill, for every group."""
         buf = self.buf
+        rows = [row[:nb] for row in buf]
         for g0 in range(0, self.shape[1], _NOISE_GROUP):
-            group = self.gens[g0:g0 + _NOISE_GROUP]
-            for i, g in enumerate(group):
-                g.standard_normal(out=buf[i, :nb])
+            group = self.fills[g0:g0 + _NOISE_GROUP]
+            for fill, row in zip(group, rows):
+                fill(out=row)
             self.ring[a:a + nb, g0:g0 + len(group)] = buf[:len(group), :nb].T
 
 
@@ -422,8 +424,8 @@ class _Diffusion:
     array or a new one; n_stored of them are written. Paths that hit the
     absorbing interval are frozen at the interpolated crossing point;
     exit_steps stays n_steps + 1 for the others. The noise is read from a
-    tape, which other diffusions may read too; each scales its own copy of
-    a step's row by sig, so the tape is never changed.
+    tape, which other diffusions may read too; each scales a window's steps
+    by sig into the window's own rows, so the tape is never changed.
     """
 
     def __init__(self, potential, eps, x0s, noise: _NoiseTape, dt, bound,
@@ -448,7 +450,7 @@ class _Diffusion:
             self.active[hit] = False
         self.carry = np.empty((2, c))     # x at the steps w0 - 2 and w0 - 1
         self.carry[:] = x0s
-        self.grad, self.scaled = np.empty(c), np.empty(c)
+        self.grad = np.empty(c)
         self.w0 = 0           # steps run
 
     def windows(self, width: int):
@@ -466,40 +468,51 @@ class _Diffusion:
         w0 = self.w0
         nw = min(len(win) - 2, n_steps - w0)
         win[:2] = self.carry
-        grad, scaled = self.grad, self.scaled
-        active, exit_steps = self.active, self.exit_steps
-        if self.absorb is not None:
-            lo, hi = self.absorb
-        for i, z in enumerate(self.noise.rows(w0, w0 + nw)):
-            k = w0 + i
-            # x - F'(x) dt + sig z, operation for operation
-            xk, xn = win[i + 1], win[i + 2]
-            self.potential.grad_into(xk, grad)
-            grad *= self.dt
-            np.subtract(xk, grad, out=xn)
-            xn += np.multiply(z, self.sig, out=scaled)
-            if self.absorb is not None:
-                np.copyto(xn, xk, where=~active)
-                entered = active & (xn >= lo) & (xn <= hi)
-                if entered.any():
-                    idx = np.nonzero(entered)[0]
-                    prev = xk[idx]
-                    cur = xn[idx]
-                    boundary = np.where(prev < lo, lo, hi)
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        frac = np.where(cur == prev, 0.0,
-                                        np.clip((boundary - prev) / (cur - prev), 0.0, 1.0))
-                    exit_steps[idx] = k
-                    self.exit_fracs[idx] = frac
-                    self.exit_xs[idx] = boundary
-                    xn[idx] = boundary
-                    active[idx] = False
-            if k % 256 == 0 or k == n_steps - 1:
-                mx = np.max(np.abs(xn))
-                if not mx <= self.bound:   # NaN-safe: NaN fails every comparison
-                    raise BlowUpError(
-                        f"path escaped |x| <= {self.bound:g} (reached {mx:g}); "
-                        "the time step is too large for this potential")
+        # sig z of every step, one call per slab, in the row its x will take
+        r = 2
+        for slab in self.noise.slabs(w0, w0 + nw):
+            np.multiply(slab, self.sig, out=win[r:r + len(slab)])
+            r += len(slab)
+        grad, grad_into, dt = self.grad, self.potential.grad_into, self.dt
+        active, exit_steps, absorb = self.active, self.exit_steps, self.absorb
+        if absorb is not None:
+            lo, hi = absorb
+        # the guard, not numpy, reports a path that overflows: it checks
+        # every 256th step and the window's last, so the chain never reads
+        # a window holding a non-finite x
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(nw):
+                k = w0 + i
+                # x - F'(x) dt + sig z, operation for operation; the last
+                # add takes its operands the other way round, which IEEE
+                # addition rounds the same
+                xk, xn = win[i + 1], win[i + 2]
+                grad_into(xk, grad)
+                grad *= dt
+                np.subtract(xk, grad, out=grad)
+                xn += grad
+                if absorb is not None:
+                    np.copyto(xn, xk, where=~active)
+                    entered = active & (xn >= lo) & (xn <= hi)
+                    if entered.any():
+                        idx = np.nonzero(entered)[0]
+                        prev = xk[idx]
+                        cur = xn[idx]
+                        boundary = np.where(prev < lo, lo, hi)
+                        with np.errstate(divide="ignore"):
+                            frac = np.where(cur == prev, 0.0,
+                                            np.clip((boundary - prev) / (cur - prev), 0.0, 1.0))
+                        exit_steps[idx] = k
+                        self.exit_fracs[idx] = frac
+                        self.exit_xs[idx] = boundary
+                        xn[idx] = boundary
+                        active[idx] = False
+                if k % 256 == 0 or i == nw - 1:
+                    mx = np.max(np.abs(xn))
+                    if not mx <= self.bound:   # NaN-safe: NaN fails every comparison
+                        raise BlowUpError(
+                            f"path escaped |x| <= {self.bound:g} (reached {mx:g}); "
+                            "the time step is too large for this potential")
         s0, s1 = np.searchsorted(self.steps, (w0 + 1, w0 + nw + 1))
         self.stored[s0:s1] = win[self.steps[s0:s1] - w0 + 1]
         self.n_stored = s1
@@ -639,9 +652,12 @@ def _block_sums(dep, block, out):
     only along the fast axis, and the reduced step axis is not the fast one
     while w >= 2, so each output element takes its steps one by one. At
     w = 1 the path axis drops out, the step axis becomes the fast one and
-    the sum turns pairwise, so a 1-path tile adds its steps in a loop."""
+    the sum turns pairwise, so a 1-path tile adds its steps in a loop.
+    Blocks of at most 8 steps take that loop at any width too: its block
+    strided adds over the whole tile cost less than a reduce over so short
+    a middle axis (a busy chain's blocks are 2 steps long)."""
     k, n, w = dep.shape
-    if w == 1:
+    if w == 1 or block <= 8:
         np.copyto(out, dep[:, ::block])
         for j in range(1, block):
             part = dep[:, j::block]
@@ -804,8 +820,14 @@ class _ChainWalk:
     def _settle(self, rows, s0, w1, tp, rel, exits):
         """One tile of the scan over the blocks from step s0 on, rows holding
         x at steps s0 to w1: settles the paths tp, starting at their blocks
-        rel, up to their first event; returns which paths have one and its
-        block."""
+        rel, up to their first event, a crossing or its exit before w1;
+        returns which paths have one and its block.
+
+        A block crosses where some target's total reaches its budget at the
+        block's start; the plane of those tests is one compare into scratch,
+        or-ed over the further targets. The masks of blocks before a path's
+        first and from its exit on apply only where some path of the tile
+        starts late or exits before w1."""
         y, to, left = self._pairs(tp)
         scratch = self.scratch
         if (np.diff(tp) == 1).all():        # a run of consecutive paths: a view
@@ -817,18 +839,29 @@ class _ChainWalk:
         cat = scratch("cat", (len(to), -(-(len(rows) - 1) // self.block) + 1, len(tp)))
         cat[:, 0] = left
         total = self._block_totals(x, y, to, cat[:, 1:])
-        nb = total.shape[1]
+        nb, w = total.shape[1:]
         blocks = np.arange(nb)[:, None]
-        if rel.any():
-            total[:, blocks < rel] = 0.0                                # before first
+        late = rel.any()
+        if late:
+            np.copyto(total, 0.0, where=blocks < rel)                   # before first
         # the modes are spent; start fits in their array, as nb <= n and k = m
         start = np.subtract.accumulate(cat, axis=1,
                                        out=scratch("modes", cat.shape))  # (k, nb+1, w)
+        crossed = np.greater_equal(total[0], start[0, :-1],
+                                   out=scratch("crossed", (nb, w), bool))  # (nb, w)
+        if len(to) > 1:
+            also = scratch("also", (nb, w), bool)
+            for i in range(1, len(to)):
+                crossed |= np.greater_equal(total[i], start[i, :-1], out=also)
+        if late:
+            crossed &= blocks >= rel
         exit_block = np.where(exits < w1, (exits - s0) // self.block, nb)
-        crossed = ((total >= start[:, :-1]).any(axis=0)
-                   & (blocks >= rel) & (blocks < exit_block))          # (nb, w)
-        event = np.where(crossed.any(axis=0), crossed.argmax(axis=0), exit_block)
-        self.budgets[tp, y, to] = start[:, event, np.arange(len(tp))]
+        if (exit_block < nb).any():
+            crossed &= blocks < exit_block
+        cols = np.arange(w)
+        event = crossed.argmax(axis=0)
+        event = np.where(crossed[event, cols], event, exit_block)
+        self.budgets[tp, y, to] = start[:, event, cols]
         return event < nb, event
 
     def _block_totals(self, x, y, to, out):

@@ -72,6 +72,35 @@ def test_blowup_guard_catches_nan():
         simulate_x(DW, 0.1, np.nan, 1e-3, 1.0, path_stream(0, 0))
 
 
+def test_blowup_guard_runs_before_the_chain_reads_a_window(monkeypatch):
+    # an inf in one path's gradient at Euler step 300, between two 256-step
+    # checks: the guard raises at its window's last step, numpy warns of
+    # nothing (the suite turns RuntimeWarnings into errors), and the chain
+    # reads no window holding a non-finite x
+    import eigencoupler.simulate as sim
+    from eigencoupler.potential import Potential
+    pipe = build_pipeline("double_well", 0.2, 400)
+    grad_into, advance, steps, finite = Potential.grad_into, sim._ChainWalk.advance, [], []
+
+    def inf_at_step_300(self, x, out):
+        grad_into(self, x, out)
+        if len(steps) == 300:
+            out[3] = np.inf
+        steps.append(len(steps))
+        return out
+
+    def read(self, win, r0, w0, w1, *args):
+        finite.append(bool(np.isfinite(win[:w1 - r0 + 1]).all()))
+        return advance(self, win, r0, w0, w1, *args)
+
+    monkeypatch.setattr(Potential, "grad_into", inf_at_step_300)
+    monkeypatch.setattr(sim._ChainWalk, "advance", read)
+    cfg = EnsembleConfig(n_paths=10, dt=1e-3, horizon=1.0, seed=3)
+    with pytest.raises(BlowUpError):
+        simulate_ensemble(cfg, pipe.model, pipe.potential)
+    assert 300 < len(steps) < 1000 and all(finite)
+
+
 def test_ou_variance_matches_closed_form():
     # stationary variance eps, relaxation rate 1: Var X(T) = eps (1 - e^{-2T})
     quad = make_potential("quadratic")
@@ -539,7 +568,7 @@ def test_fixed_start_outside_the_chain_fails_before_the_run(dw_small):
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 255])
-@pytest.mark.parametrize("block", [1, 9, 256])
+@pytest.mark.parametrize("block", [1, 2, 8, 9, 256])
 def test_block_sums_add_each_block_step_by_step(width, block):
     # every block total is its first step, plus the second, and so on, bit
     # for bit, with and without a trailing partial block; at width one a
@@ -558,6 +587,82 @@ def test_block_sums_add_each_block_step_by_step(width, block):
         cat = np.full((2, nb + 1, width), np.nan)    # out is a strided view
         got = sim._block_sums(dep, block, cat[:, 1:])
         np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def _settle_reference(walk, rows, s0, w1, tp, rel, exits):
+    """_ChainWalk._settle's block test in its direct form, the reference
+    _settle is held to: both masks applied to every tile, the crossing
+    plane reduced over the targets by any, and the event found by any and
+    argmax."""
+    y, to, left = walk._pairs(tp)
+    x = rows[:, tp]
+    cat = np.empty((len(to), -(-(len(rows) - 1) // walk.block) + 1, len(tp)))
+    cat[:, 0] = left
+    total = walk._block_totals(x, y, to, cat[:, 1:])
+    nb = total.shape[1]
+    blocks = np.arange(nb)[:, None]
+    if rel.any():
+        total[:, blocks < rel] = 0.0
+    start = np.subtract.accumulate(cat, axis=1)
+    exit_block = np.where(exits < w1, (exits - s0) // walk.block, nb)
+    crossed = ((total >= start[:, :-1]).any(axis=0)
+               & (blocks >= rel) & (blocks < exit_block))
+    event = np.where(crossed.any(axis=0), crossed.argmax(axis=0), exit_block)
+    walk.budgets[tp, y, to] = start[:, event, np.arange(len(tp))]
+    return event < nb, event
+
+
+@pytest.mark.parametrize("preset, eps", [("double_well", 0.2), ("triple_well", 0.1)])
+@pytest.mark.parametrize("block", [2, 16])
+def test_settle_matches_the_reference_block_test(preset, eps, block):
+    # k = 1 and k = 2 targets, blocks that take the strided adds and the
+    # reduce: on random tiles, with and without late starts and exits inside
+    # the window, in runs and gathers of paths, _settle finds the reference's
+    # events and writes its budgets bit for bit; spent budgets make the
+    # block before a late start cross unless it is masked
+    import copy
+    import eigencoupler.simulate as sim
+    model = build_pipeline(preset, eps, 200).model
+    m1, n_paths, dt, s0, w1 = model.n_states, 40, 0.25, 64, 192
+    rng = np.random.default_rng(block * 10 + m1)
+    clocks = sim._Clocks(lambda p, row, start: clock_stream(9, p).standard_exponential(out=row),
+                         n_paths, 8)
+    walk = sim._ChainWalk(model, rng.integers(0, m1, n_paths), clocks, dt, 4096)
+    walk.block = block
+    nb = (w1 - s0) // block
+    scale = 0.5 * float(np.max(-np.diag(model.Q))) * dt * (w1 - s0)
+    seen = {"late": 0, "exit": 0, "fired": 0, "quiet": 0}
+    for trial in range(12):
+        rows = rng.uniform(-1.6, 1.6, (w1 - s0 + 1, n_paths))
+        off = ~np.eye(m1, dtype=bool)
+        budgets = rng.exponential(scale, (n_paths, m1 * (m1 - 1)))
+        budgets[rng.random(budgets.shape) < 0.05] = 0.0     # spent: crossed at once
+        walk.budgets[:, off] = budgets
+        walk.y = rng.integers(0, m1, n_paths)
+        if trial % 3 == 0:
+            tp = np.arange(5, 5 + 24)                          # a run: a view
+        else:
+            tp = np.sort(rng.choice(n_paths, 24, replace=False))
+        rel = np.zeros(len(tp), dtype=np.int64)
+        if trial % 2:
+            rel[::3] = rng.integers(1, nb, len(rel[::3]))
+        exits = np.full(len(tp), 4097, dtype=np.int64)
+        if trial % 4 >= 2:
+            inside = rng.random(len(tp)) < 0.4
+            exits[inside] = s0 + rel[inside] * block + rng.integers(
+                0, w1 - s0 - rel[inside] * block)
+        ref = copy.deepcopy(walk)
+        fired, event = walk._settle(rows, s0, w1, tp, rel, exits)
+        want_fired, want_event = _settle_reference(ref, rows, s0, w1, tp, rel, exits)
+        np.testing.assert_array_equal(fired, want_fired)
+        np.testing.assert_array_equal(event, want_event)
+        np.testing.assert_array_equal(walk.budgets.view(np.uint64),
+                                      ref.budgets.view(np.uint64))
+        seen["late"] += int(rel.any())
+        seen["exit"] += int((exits < w1).any())
+        seen["fired"] += int((fired & (exits >= w1)).sum())
+        seen["quiet"] += int((~fired).sum())
+    assert min(seen.values()) > 0
 
 
 def _crossing_fraction(qa, qb, t0, budget, dt):
