@@ -147,7 +147,8 @@ def _right_eigenvectors(Q: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Unit-sup-norm right eigenvectors for the eigenvalues -rates, first
     entry positive: the null vectors of Q + lambda I, whose least singular
     value must lie within 1e-6 lambda plus the SVD's backward-error floor and
-    whose next one must not (a repeated eigenvalue)."""
+    whose next one must not (a repeated eigenvalue, or a lambda so far below
+    ||Q|| that -lambda cannot be told from the eigenvalue 0)."""
     n = Q.shape[0]
     ulp_floor = n * np.finfo(float).eps * np.linalg.norm(Q, 2)
     out = np.empty((len(rates), n))
@@ -158,6 +159,10 @@ def _right_eigenvectors(Q: np.ndarray, rates: np.ndarray) -> np.ndarray:
             raise ChainSynthesisError(
                 f"generator has no eigenvalue within relative 1e-6 of -{lam}")
         if sigma[1] <= bound:
+            if lam <= bound:
+                raise ChainSynthesisError(
+                    f"eigenvalue -{lam:.3g} cannot be told from eigenvalue 0 at the "
+                    f"float64 floor (m+1) ulp ||Q|| = {ulp_floor:.3g}")
             raise ChainSynthesisError(
                 "repeated eigenvalue: right eigenvectors are not uniquely "
                 "determined (defective or degenerate generator)")
@@ -232,7 +237,9 @@ def row_sums_zero(Q: np.ndarray) -> bool:
 
 def validate_chain(spec: ChainSpec) -> ChainReport:
     """Structural checks: sign pattern, zero row sums, eigen residuals,
-    irreducibility; reports the stationary distribution."""
+    irreducibility; reports the stationary distribution. Each eigen residual
+    is gated at 1e-10 lambda_k or, where that is smaller, at the backward-error
+    floor 4 (m+1) ulp ||Q||_2 of any computed eigenvector."""
     Q = spec.Q
     n = Q.shape[0]
     checks = []
@@ -245,10 +252,12 @@ def validate_chain(spec: ChainSpec) -> ChainReport:
 
     record("offdiagonal_nonnegative", offdiagonal_nonnegative(Q))
     record("row_sums_zero", row_sums_zero(Q))
+    floor = 4 * n * np.finfo(float).eps * np.linalg.norm(Q, 2)
     for k, lam in enumerate(spec.rates):
         res = np.max(np.abs(Q @ spec.vectors[k] + lam * spec.vectors[k]))
         scale = np.max(np.abs(spec.vectors[k]))
-        record(f"eigen_residual_{k + 1}", res <= EIG_RESIDUAL_REL * lam * max(scale, 1.0),
+        record(f"eigen_residual_{k + 1}",
+               res <= max(EIG_RESIDUAL_REL * lam, floor) * max(scale, 1.0),
                f"residual={res:.2e}")
     reach = np.eye(n, dtype=bool) | (Q > 0)
     for _ in range(n):

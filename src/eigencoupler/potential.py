@@ -28,8 +28,6 @@ __all__ = [
 ]
 
 CURVATURE_TOL = 1e-9
-ROOT_TOL = 1e-12
-_SCAN_POINTS = 8192
 _EPS_PROBE = 0.1
 _N_RADII = 400
 
@@ -200,71 +198,59 @@ def make_potential(source) -> Potential:
     return Potential(np.asarray(source, dtype=float))
 
 
-def _cauchy_root_bound(coeffs: np.ndarray) -> float:
-    """Upper bound on |roots| of the polynomial with the given coefficients."""
-    nz = np.nonzero(coeffs)[0]
-    lead = nz[-1]
-    if lead == 0:
-        return 1.0
-    return 1.0 + float(np.max(np.abs(coeffs[:lead] / coeffs[lead])))
-
-
-def _bisect_root(f, lo: float, hi: float, tol: float = ROOT_TOL) -> float:
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _float_order(v: np.ndarray) -> np.ndarray:
+    """Swap float64 bit patterns (viewed as int64) and their ranks in the
+    order of the floats, +0.0 and -0.0 both at rank 0; the map is its own
+    inverse."""
+    return np.where(v < 0, np.iinfo(np.int64).min - v, v)
 
 
 def find_critical_points(potential: Potential):
-    """Locate and classify the simple roots of F'.
+    """Locate and classify the real roots of F'.
 
-    Returns (minima, maxima) as sorted arrays. The interval [-c, c], c the
-    Cauchy bound on the roots of F', is doubled until F' < 0 at its left end
-    and > 0 at its right; F' is sampled at 8192 points across it, and roots
-    are found by bisection on sign-change subintervals to absolute tolerance
-    1e-12 and classified by the sign of F''.
+    Returns (minima, maxima) as sorted arrays. The roots of F' are the
+    eigenvalues of its companion matrix (`polyroots`, backward stable through
+    LAPACK). Each eigenvalue z gives the candidate Re z + Im z, so a real root
+    gives itself and a close real pair that rounding made x0 +- iy gives
+    x0 +- y. Midpoints between neighbouring candidates bracket each one; a
+    bracket across which F' changes sign holds a root, and a complex pair's
+    brackets hold none. Each root is bisected on the order of the floats
+    (64 halvings) down to two adjacent floats, the one with the smaller |F'|
+    is kept, and the sign of F'' classifies it.
 
     Raises:
         DegenerateCriticalPointError: some root has |F''| < 1e-9.
         ValueError: the potential is constant or not confining, or no
             minimum is found.
     """
-    dcoeffs = potential._dcoeffs
-    nz = np.nonzero(dcoeffs)[0]
-    if nz.size == 0:
+    dcoeffs = np.trim_zeros(potential._dcoeffs, "b")
+    if dcoeffs.size == 0:
         raise ValueError("constant potential has no critical structure")
     if not potential.is_confining():
         raise ValueError("potential must have even degree >= 2 with positive "
                          "leading coefficient")
 
-    bound = _cauchy_root_bound(dcoeffs)
-    lo, hi = -bound, bound
-    # widen until F' < 0 on the left and > 0 on the right (odd degree,
-    # positive leading coefficient)
-    while potential.grad(lo) >= 0 or potential.grad(hi) <= 0:
-        lo, hi = 2 * lo, 2 * hi
-
-    xs = np.linspace(lo, hi, _SCAN_POINTS)
-    gs = potential.grad(xs)
-    roots = []
-    for i in np.nonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]:
-        roots.append(_bisect_root(potential.grad, xs[i], xs[i + 1]))
-    for i in np.nonzero(gs == 0.0)[0]:
-        roots.append(float(xs[i]))
-    roots = sorted(set(roots))
+    z = np.polynomial.polynomial.polyroots(dcoeffs)
+    cand = np.unique(z.real + z.imag)
+    edges = np.concatenate(([cand[0] - 1.0 - abs(cand[0])], (cand[:-1] + cand[1:]) / 2,
+                            [cand[-1] + 1.0 + abs(cand[-1])]))
+    # F' < 0 left of every root and > 0 right of them (odd degree, positive
+    # leading coefficient)
+    positive = np.concatenate(([False], potential.grad(edges[1:-1]) > 0, [True]))
+    held = positive[:-1] != positive[1:]
+    lo = _float_order(edges[:-1][held].view(np.int64))
+    hi = _float_order(edges[1:][held].view(np.int64))
+    positive_lo = positive[:-1][held]
+    for _ in range(64):
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)    # floor((lo + hi) / 2), no overflow
+        left = (potential.grad(_float_order(mid).view(float)) > 0) == positive_lo
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    ends = _float_order(np.stack((lo, hi))).view(float)
+    roots = np.where(np.abs(potential.grad(ends[0])) <= np.abs(potential.grad(ends[1])),
+                     ends[0], ends[1])
 
     minima, maxima = [], []
-    for r in roots:
+    for r in roots.tolist():
         curv = potential.hess(r)
         if abs(curv) < CURVATURE_TOL:
             raise DegenerateCriticalPointError(

@@ -169,6 +169,20 @@ def test_spread_spectra_meet_the_backward_error_bound(rates):
     pi = stationary_distribution(Q)
     assert np.all(pi >= 0) and abs(pi.sum() - 1.0) <= 1e-15
     assert np.max(np.abs(pi @ Q)) <= bound
+    # 1e-10 lambda_1 lies below that floor here, and validate_chain's gate
+    # follows the floor
+    report = validate_chain(_spec_for(Q, rates))
+    assert report.passed, report.checks
+
+
+def test_below_floor_eigenvalue_named():
+    # lambda_1 = 1e-20 lies below (m+1) ulp ||Q|| next to lambda_2 = 1: Q + lambda_1 I
+    # has two singular values at the floor, but the spectrum is not repeated
+    Q = synth_generator([1e-20, 1.0])
+    with pytest.raises(ChainSynthesisError,
+                       match=r"-1e-20 cannot be told from eigenvalue 0 at the float64 "
+                             r"floor \(m\+1\) ulp \|\|Q\|\| = \d"):
+        scaled_eigenvectors(Q, [1e-20, 1.0], np.ones((2, 4)), 0.5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,3 +243,13 @@ def test_chain_json_roundtrip(tmp_path):
     payload = spec.to_json(tmp_path / "chain.json")
     assert payload["rates"] == [2.0]
     assert (tmp_path / "chain.json").exists()
+
+
+def test_validate_chain_floor_still_fails_a_wrong_generator():
+    # negative control for the floor gate of the spread-spectra test: the
+    # eigenvectors of Q checked against Q * 1.01
+    rates = [1e-9, 1.0]
+    spec = _spec_for(synth_generator(rates), rates)
+    report = validate_chain(ChainSpec(Q=spec.Q * 1.01, rates=spec.rates, vectors=spec.vectors,
+                                      scales=spec.scales, p=spec.p))
+    assert {"eigen_residual_1", "eigen_residual_2"} <= set(report.failures)

@@ -31,14 +31,15 @@ def test_double_well_critical_points():
     # F' = x^3 - x: roots -1, 0, 1 by calculus
     p = make_potential("double_well")
     minima, maxima = find_critical_points(p)
-    np.testing.assert_allclose(minima, [-1.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(maxima, [0.0], atol=1e-12)
+    assert minima.tolist() == [-1.0, 1.0]
+    assert maxima.tolist() == [0.0]
 
 
 def test_single_well_critical_points():
     p = make_potential("quadratic")
     minima, maxima = find_critical_points(p)
-    np.testing.assert_allclose(minima, [0.0], atol=1e-12)
+    # +0.0: polyroots gives F' = x the root -0.0
+    assert minima.tolist() == [0.0] and np.signbit(minima).tolist() == [False]
     assert maxima.size == 0
 
 
@@ -62,8 +63,34 @@ def test_triple_well_critical_points():
     # F' = s*x*(x^2-1)*(x^2-4)
     p = make_potential("triple_well")
     minima, maxima = find_critical_points(p)
-    np.testing.assert_allclose(minima, [-2.0, 0.0, 2.0], atol=1e-12)
-    np.testing.assert_allclose(maxima, [-1.0, 1.0], atol=1e-12)
+    assert minima.tolist() == [-2.0, 0.0, 2.0]
+    assert maxima.tolist() == [-1.0, 1.0]
+
+
+_FOLD = 2.0 / (3.0 * np.sqrt(3.0))  # F' = x^3 - x + c has a double root at c = _FOLD
+
+
+def test_pair_just_below_the_fold_is_found():
+    # F' = x^3 - x + c with c 1e-8 below the fold: a min-max pair 1.5e-4
+    # apart near 1/sqrt(3), |F''| = 2.6e-4 there; an 8192-point scan of F'
+    # sees no sign change across it and reads one well
+    p = Potential(np.array([0.0, _FOLD - 1e-8, -0.5, 0.0, 0.25]))
+    minima, maxima = find_critical_points(p)
+    f = lambda x: x**3 - x + (_FOLD - 1e-8)
+    s = 1.0 / np.sqrt(3.0)
+    np.testing.assert_allclose(minima, [bisect_oracle(f, -2.0, -1.0), bisect_oracle(f, s, 1.0)],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(maxima, [bisect_oracle(f, 0.0, s)], rtol=0, atol=1e-12)
+    assert abs(p.hess(maxima[0])) > 2e-4
+
+
+def test_complex_pair_just_above_the_fold_is_not_a_root():
+    # 1e-8 above the fold the pair is complex, 0.57735 +- 7.6e-5 i: one well
+    p = Potential(np.array([0.0, _FOLD + 1e-8, -0.5, 0.0, 0.25]))
+    minima, maxima = find_critical_points(p)
+    f = lambda x: x**3 - x + (_FOLD + 1e-8)
+    np.testing.assert_allclose(minima, [bisect_oracle(f, -2.0, -1.0)], rtol=0, atol=1e-12)
+    assert maxima.size == 0
 
 
 def test_degenerate_critical_point_rejected():
