@@ -36,10 +36,11 @@ from .coupling import (Pipeline, build_joint_generator, build_pipeline, coupling
                        coupling_to_csv)
 from .errors import ConfigError, EigencouplerError, GrowthAssumptionError
 from .oracle import DistributionVector, check_oracle, evolve_distribution
-from .potential import domains_of_attraction, make_potential, require_coupling_ready
+from .potential import (Potential, domains_of_attraction, make_potential,
+                        require_coupling_ready)
 from .simulate import EnsembleConfig, ensemble_chunks, simulate_ensemble, simulate_ensembles
 from .spectral import (Grid, auto_grid, build_generator, decompose,
-                       decomposition_to_csv, eigenvalues_to_json,
+                       decomposition_to_csv, eigenvalues_to_json, generator_eigenvalues,
                        schrodinger_eigenvalues)
 from .stats import exact_exit_times, tv_distance, tracking_probability
 from . import svgplot
@@ -59,9 +60,11 @@ class VerificationFailure(EigencouplerError):
         self.outputs = outputs
 
 
-def _build_pipeline(cfg: ExperimentConfig, eps: float, n: int) -> Pipeline:
-    """The library pipeline for one noise level, configured by cfg."""
-    potential = make_potential(cfg.potential)
+def _build_pipeline(cfg: ExperimentConfig, potential: Potential, eps: float,
+                    n: int) -> Pipeline:
+    """The library pipeline for one noise level, configured by cfg, on the
+    invocation's one potential, whose critical points and audit are found
+    once."""
     require_coupling_ready(potential)
     return build_pipeline(potential, eps, n, L=cfg.grid_L, kappa=cfg.kappa,
                           theta=cfg.theta, p=cfg.chain_p, Q=cfg.explicit_Q,
@@ -108,10 +111,10 @@ def _write_manifest(out_dir, cfg: ExperimentConfig, command, outputs, t_start):
 
 def _cmd_spectrum(cfg: ExperimentConfig, out_dir) -> list:
     outputs = []
+    potential = make_potential(cfg.potential)
+    require_coupling_ready(potential, spectral_only=True,
+                           override=cfg.allow_assumption_violation)
     for eps in cfg.epsilons:
-        potential = make_potential(cfg.potential)
-        require_coupling_ready(potential, spectral_only=True,
-                               override=cfg.allow_assumption_violation)
         grid = auto_grid(potential, eps, n=cfg.grid_n, L=cfg.grid_L)
         m = max(potential.n_wells - 1, 1) + 2
         dec = decompose(build_generator(potential, eps, grid), m)
@@ -137,8 +140,9 @@ def _cmd_spectrum(cfg: ExperimentConfig, out_dir) -> list:
 
 def _cmd_synth(cfg: ExperimentConfig, out_dir) -> list:
     outputs = []
+    potential = make_potential(cfg.potential)
     for eps in cfg.epsilons:
-        *_, spec, model = _build_pipeline(cfg, eps, cfg.grid_n)
+        *_, spec, model = _build_pipeline(cfg, potential, eps, cfg.grid_n)
         path = os.path.join(out_dir, f"chain_eps{eps:g}.json")
         spec.to_json(path)
         outputs.append(path)
@@ -152,8 +156,8 @@ def _cmd_synth(cfg: ExperimentConfig, out_dir) -> list:
     return outputs
 
 
-def _oracle_run(cfg: ExperimentConfig, eps: float):
-    _, gen, _, spec, model = _build_pipeline(cfg, eps, cfg.oracle_n)
+def _oracle_run(cfg: ExperimentConfig, potential: Potential, eps: float):
+    _, gen, _, spec, model = _build_pipeline(cfg, potential, eps, cfg.oracle_n)
     B = build_joint_generator(model, gen)
     t0 = time.time()
     cond, marg = check_oracle(B, model, cfg.oracle_times)
@@ -172,7 +176,8 @@ def _oracle_run(cfg: ExperimentConfig, eps: float):
 
 
 def _cmd_oracle(cfg: ExperimentConfig, out_dir) -> list:
-    report = {"runs": [_oracle_run(cfg, eps) for eps in cfg.epsilons]}
+    potential = make_potential(cfg.potential)
+    report = {"runs": [_oracle_run(cfg, potential, eps) for eps in cfg.epsilons]}
     path = os.path.join(out_dir, "oracle_report.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
@@ -221,11 +226,12 @@ def _format_rows(row_format, *columns) -> str:
 
 def _cmd_simulate(cfg: ExperimentConfig, out_dir) -> list:
     outputs = []
+    potential = make_potential(cfg.potential)
     for eps in cfg.epsilons:
         traj_path = os.path.join(out_dir, f"trajectories_eps{eps:g}.csv")
         jump_path = os.path.join(out_dir, f"jumps_eps{eps:g}.csv")
-        pipe = _build_pipeline(cfg, eps, cfg.grid_n)
-        chunks = ensemble_chunks(_ensemble_config(cfg), [pipe.model], pipe.potential)
+        pipe = _build_pipeline(cfg, potential, eps, cfg.grid_n)
+        chunks = ensemble_chunks(_ensemble_config(cfg), [pipe.model], potential)
         try:
             _write_simulate_csvs((level[0] for level in chunks), traj_path, jump_path)
         except BaseException:
@@ -287,26 +293,26 @@ def _count_z(counts, trials, probs) -> float:
     return z
 
 
-def _verify_one(cfg: ExperimentConfig, eps: float):
+def _verify_one(cfg: ExperimentConfig, potential: Potential, eps: float):
     checks = []
 
     def record(name, passed, value, threshold, **extra):
         checks.append({"name": name, "passed": bool(passed), "value": value,
                        "threshold": threshold, **extra})
 
-    potential = make_potential(cfg.potential)
     audit = potential.growth
     record("growth_assumptions", audit.passed, audit.a1, "a2 < 2*a1 - 2")
 
-    # two-route spectral consistency at the reference resolution
+    # two-route spectral consistency at the reference resolution, on the
+    # eigenvalues alone
     grid4 = auto_grid(potential, eps, n=CROSS_ROUTE_N, L=cfg.grid_L)
-    dec4 = decompose(build_generator(potential, eps, grid4), 3)
-    rel, raw = _two_route_gaps(dec4.eigenvalues, potential, eps, grid4)
+    lams4 = generator_eigenvalues(build_generator(potential, eps, grid4), 3)
+    rel, raw = _two_route_gaps(lams4, potential, eps, grid4)
     record("two_route_eigenvalues_rel", rel <= CROSS_ROUTE_REL, rel, CROSS_ROUTE_REL,
            raw_value=raw)
 
     # exact oracle identities
-    orun = _oracle_run(cfg, eps)
+    orun = _oracle_run(cfg, potential, eps)
     record("oracle_conditional_law_tv", orun["max_tv"] <= ORACLE_TOL,
            orun["max_tv"], ORACLE_TOL)
     record("oracle_y_marginal_l1", orun["max_l1"] <= ORACLE_TOL,
@@ -314,9 +320,9 @@ def _verify_one(cfg: ExperimentConfig, eps: float):
 
     # chain structure of the grid_n pipeline, whose ensemble the Monte Carlo
     # checks below read
-    pipe = _build_pipeline(cfg, eps, cfg.grid_n)
+    pipe = _build_pipeline(cfg, potential, eps, cfg.grid_n)
     spec, model = pipe.spec, pipe.model
-    ens = simulate_ensemble(_ensemble_config(cfg, ends_only=True), model, pipe.potential)
+    ens = simulate_ensemble(_ensemble_config(cfg, ends_only=True), model, potential)
     chain_rep = validate_chain(spec)
     record("chain_structure", chain_rep.passed, list(chain_rep.failures), "no failures")
     record("tilt_positivity", model.min_alpha > 0 and
@@ -368,7 +374,8 @@ def _verify_one(cfg: ExperimentConfig, eps: float):
 
 
 def _cmd_verify(cfg: ExperimentConfig, out_dir) -> list:
-    runs = [_verify_one(cfg, eps) for eps in cfg.epsilons]
+    potential = make_potential(cfg.potential)
+    runs = [_verify_one(cfg, potential, eps) for eps in cfg.epsilons]
     report = {"runs": runs, "passed": all(r["passed"] for r in runs)}
     path = os.path.join(out_dir, "verify_report.json")
     with open(path, "w") as fh:
@@ -384,11 +391,12 @@ def _cmd_verify(cfg: ExperimentConfig, out_dir) -> list:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, out_dir) -> list:
-    pipes = [_build_pipeline(cfg, eps, cfg.grid_n) for eps in cfg.epsilons]
+    potential = make_potential(cfg.potential)
+    pipes = [_build_pipeline(cfg, potential, eps, cfg.grid_n) for eps in cfg.epsilons]
     ensembles = simulate_ensembles(_ensemble_config(cfg, ends_only=True),
-                                   [pipe.model for pipe in pipes], pipes[0].potential)
+                                   [pipe.model for pipe in pipes], potential)
     rows = []
-    for eps, (potential, gen, dec, spec, model), ens in zip(cfg.epsilons, pipes, ensembles):
+    for eps, (_, gen, dec, spec, model), ens in zip(cfg.epsilons, pipes, ensembles):
         part = domains_of_attraction(potential)
         tr = tracking_probability(ens, part, cfg.T, model)
         minima = potential.minima

@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 CURVATURE_TOL = 1e-9
+# float ranks either side of a companion eigenvalue that bisection first tries
+_NARROW = 2 ** 16
 _EPS_PROBE = 0.1
 _N_RADII = 400
 
@@ -215,11 +217,16 @@ def find_critical_points(potential: Potential):
     x0 +- y. Midpoints between neighbouring candidates bracket each one; a
     bracket across which F' changes sign holds a root, and a complex pair's
     brackets hold none. Each root is bisected on the order of the floats
-    (64 halvings) down to two adjacent floats, the one with the smaller |F'|
-    is kept, and the sign of F'' classifies it.
+    down to two adjacent floats, from 2**16 floats either side of its
+    eigenvalue where F' changes sign across them (about 17 halvings), else
+    from its whole bracket (at most 64); the one with the smaller |F'| is
+    kept, and the sign of F'' classifies it.
 
     Raises:
-        DegenerateCriticalPointError: some root has |F''| < 1e-9.
+        DegenerateCriticalPointError: some root has |F''| < 1e-9, or F'
+            shows no sign change across the bracket of a real eigenvalue
+            (two roots closer than F' resolves, which would otherwise be
+            lost as a pair).
         ValueError: the potential is constant or not confining, or no
             minimum is found.
     """
@@ -231,17 +238,35 @@ def find_critical_points(potential: Potential):
                          "leading coefficient")
 
     z = np.polynomial.polynomial.polyroots(dcoeffs)
-    cand = np.unique(z.real + z.imag)
+    cand, which = np.unique(z.real + z.imag, return_inverse=True)
+    real = np.zeros(cand.size, dtype=bool)
+    real[which[z.imag == 0]] = True
     edges = np.concatenate(([cand[0] - 1.0 - abs(cand[0])], (cand[:-1] + cand[1:]) / 2,
                             [cand[-1] + 1.0 + abs(cand[-1])]))
     # F' < 0 left of every root and > 0 right of them (odd degree, positive
     # leading coefficient)
     positive = np.concatenate(([False], potential.grad(edges[1:-1]) > 0, [True]))
     held = positive[:-1] != positive[1:]
+    if np.any(real & ~held):
+        x = cand[real & ~held][0]
+        raise DegenerateCriticalPointError(
+            f"critical point x={x:.12g}: F' shows no sign change around it, so its "
+            "root lies closer to another than F' can resolve")
     lo = _float_order(edges[:-1][held].view(np.int64))
     hi = _float_order(edges[1:][held].view(np.int64))
     positive_lo = positive[:-1][held]
-    for _ in range(64):
+    # a well-conditioned root lies within a few ulp of its eigenvalue: where
+    # F' changes sign across _NARROW ranks either side of it, bisection
+    # starts there
+    at = _float_order(cand[held].view(np.int64))
+    near = np.stack((np.maximum(lo, at - _NARROW), np.minimum(hi, at + _NARROW)))
+    ends = potential.grad(_float_order(near).view(float)) > 0
+    narrowed = (ends[0] == positive_lo) & (ends[1] != positive_lo)
+    lo, hi = np.where(narrowed, near[0], lo), np.where(narrowed, near[1], hi)
+    # the halvings that bring the widest bracket to adjacent floats (at most
+    # 64); a bracket of adjacent floats stays as it is
+    width = max((int(h) - int(l) for l, h in zip(lo.tolist(), hi.tolist())), default=1)
+    for _ in range((width - 1).bit_length()):
         mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)    # floor((lo + hi) / 2), no overflow
         left = (potential.grad(_float_order(mid).view(float)) > 0) == positive_lo
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import GridError, TruncationError
 from .potential import Potential
-from .tridiag import eigensolve_edge_factor, eigensolve_tridiagonal
+from .tridiag import edge_factor_eigenvalues, eigensolve_edge_factor, tridiagonal_eigenvalues
 
 __all__ = [
     "Grid",
@@ -28,6 +28,7 @@ __all__ = [
     "build_generator",
     "build_schrodinger",
     "decompose",
+    "generator_eigenvalues",
     "decomposition_to_csv",
     "eigenvalues_to_json",
 ]
@@ -195,9 +196,8 @@ def build_schrodinger(potential: Potential, eps: float, grid: Grid):
 
 
 def schrodinger_eigenvalues(potential: Potential, eps: float, grid: Grid, k: int):
-    diag, offdiag = build_schrodinger(potential, eps, grid)
-    values, _ = eigensolve_tridiagonal(diag, offdiag, k)
-    return values
+    """The k smallest eigenvalues of build_schrodinger's matrix."""
+    return tridiagonal_eigenvalues(*build_schrodinger(potential, eps, grid), k)
 
 
 @dataclass(frozen=True)
@@ -234,6 +234,33 @@ def _leftmost_weight_peak(w: np.ndarray) -> int:
     return int(peaks[0]) if peaks.size else int(np.argmax(w))
 
 
+def _pin_zero_eigenvalue(values: np.ndarray) -> np.ndarray:
+    """The generator's eigenvalues with lambda_0 stored as exactly zero.
+
+    Raises:
+        TruncationError: the computed smallest eigenvalue deviates from zero
+            by more than 1e-8 * lambda_1.
+    """
+    if len(values) > 1 and abs(values[0]) > ZERO_EIG_REL_TOL * values[1]:
+        raise TruncationError(
+            f"smallest eigenvalue {values[0]:.3e} is not numerically zero "
+            f"relative to lambda_1 = {values[1]:.3e}; grid too coarse or "
+            "truncation too tight")
+    eigenvalues = values.copy()
+    eigenvalues[0] = 0.0
+    return eigenvalues
+
+
+def generator_eigenvalues(gen: DiscreteGenerator, m: int) -> np.ndarray:
+    """decompose(gen, m).eigenvalues, bit for bit and under the same
+    TruncationError, without the eigenvectors.
+
+    Raises:
+        TruncationError: as decompose.
+    """
+    return _pin_zero_eigenvalue(edge_factor_eigenvalues(*gen.edge_factor(), m + 1))
+
+
 def decompose(gen: DiscreteGenerator, m: int) -> SpectralDecomposition:
     """The m+1 smallest eigenpairs of the generator.
 
@@ -258,12 +285,7 @@ def decompose(gen: DiscreteGenerator, m: int) -> SpectralDecomposition:
     if m + 1 > n:
         raise ValueError("m+1 eigenpairs requested from an n-state generator")
     values, vectors = eigensolve_edge_factor(*gen.edge_factor(), m + 1)
-
-    if m >= 1 and abs(values[0]) > ZERO_EIG_REL_TOL * values[1]:
-        raise TruncationError(
-            f"smallest eigenvalue {values[0]:.3e} is not numerically zero "
-            f"relative to lambda_1 = {values[1]:.3e}; grid too coarse or "
-            "truncation too tight")
+    eigenvalues = _pin_zero_eigenvalue(values)
 
     u = np.sqrt(gen.weights)
     u /= np.linalg.norm(u)
@@ -275,8 +297,6 @@ def decompose(gen: DiscreteGenerator, m: int) -> SpectralDecomposition:
         v = v - (u @ v) * u          # exact deflation of the known null vector
         v /= np.linalg.norm(v)
         modes[k] = v / sqrt_w
-    eigenvalues = values.copy()
-    eigenvalues[0] = 0.0
 
     node = _leftmost_weight_peak(gen.weights)
     for k in range(1, m + 1):

@@ -50,24 +50,39 @@ def test_evolve_rejects_mismatched_length():
 
 
 def test_poisson_depth_below_cap_where_tolerance_is_floored():
-    # a rate-1e5 chain over t = 10 splits into 15625 sub-intervals at
-    # rate-time 64, so tol / n_sub = 6.4e-17 lies below ulp(1): the series
+    # a rate-1e5 chain over t = 10 splits into 3907 sub-intervals at
+    # rate-time 256, so tol / n_sub = 2.6e-17 lies below ulp(1): the series
     # must stop on the floored tolerance, not on rounding luck, well before
     # the cap, with a tail at the ulp level
-    n_sub = int(np.ceil(1e5 * 10.0 / 64.0))
+    tol = 1e-13
+    n_sub = int(np.ceil(1e5 * 10.0 / _MAX_RATE_STEP))
+    assert tol / n_sub < _EPS
     a = 1e5 * (10.0 / n_sub)
-    weights = _poisson_weights(a, max(1e-12 / n_sub, _EPS))
+    weights = _poisson_weights(a, max(tol / n_sub, _EPS))
     assert len(weights) - 1 < _depth_cap(a)
     assert abs(1.0 - sum(weights)) <= 16 * _EPS
 
 
 def test_evolve_stiff_chain_with_floored_tolerance():
-    # the same floored regime end to end (tol / n_sub = 6.4e-17) at a tenth
-    # of the sub-intervals: the evolution returns with mass inside _MASS_TOL
+    # the same floored regime end to end (tol / n_sub = 2.5e-17) over 40
+    # sub-intervals: the evolution returns with mass inside _MASS_TOL
+    tol = 1e-15
+    assert tol / np.ceil(1e3 * 10.0 / _MAX_RATE_STEP) < _EPS
     Q = sp.csr_matrix(np.array([[-1e3, 1e3], [1e3, -1e3]]))
-    nu = evolve_distribution(Q, np.array([1.0, 0.0]), 10.0, tol=1e-14)
+    nu = evolve_distribution(Q, np.array([1.0, 0.0]), 10.0, tol=tol)
     assert abs(nu.weights.sum() - 1.0) <= _MASS_TOL
     np.testing.assert_allclose(nu.weights, [0.5, 0.5], atol=_MASS_TOL)
+
+
+@pytest.mark.parametrize("a", [1.0, 8.0, 64.0, 256.0])
+def test_poisson_tail_past_depth_cap_is_negligible(a):
+    # the cap's claim covers every sub-interval's rate-time: the Poisson(a)
+    # mass past _depth_cap(a) is below 1e-23 up to _MAX_RATE_STEP, whose
+    # first weight e^-a is a normal double
+    from scipy.stats import poisson
+    assert _MAX_RATE_STEP <= 256.0
+    assert np.exp(-_MAX_RATE_STEP) >= np.finfo(float).tiny
+    assert poisson.sf(_depth_cap(a), a) < 1e-23
 
 
 def test_evolve_long_horizon_mass_conserved(dw_small, dw_small_joint):
@@ -199,6 +214,20 @@ def test_uniformize_is_bitwise_the_sparse_matmul_series(preset, eps):
         np.testing.assert_array_equal(out, _uniformize_by_matmul(B, nu, t, 1e-12))
         n_subs.append(int(np.ceil(rate * t / _MAX_RATE_STEP)))
     assert n_subs[0] == 1 and n_subs[-1] > 1
+
+
+@pytest.mark.parametrize("preset,eps", [("double_well", 0.1), ("triple_well", 0.07)])
+def test_evolve_matches_dense_expm(preset, eps):
+    # the truncated series over sub-intervals of rate-time up to
+    # _MAX_RATE_STEP against scipy's dense exponential of the n 200 joint
+    # generator, on one sub-interval (t 0.1) and on several (t 1, 10)
+    from scipy.linalg import expm
+    pipe = build_pipeline(preset, eps, 200)
+    B = build_joint_generator(pipe.model, pipe.gen)
+    nu = pipe.model.initial_law_for().reshape(-1)
+    for t in TIMES:
+        dense = expm(B.toarray().T * t) @ nu
+        assert np.abs(evolve_distribution(B, nu, t).weights - dense).sum() <= 1e-11
 
 
 def test_check_oracle_bypasses_sparse_matmul(dw_small, dw_small_joint, monkeypatch):

@@ -99,6 +99,31 @@ def test_degenerate_critical_point_rejected():
         find_critical_points(Potential(np.array([0.0, 0.0, 0.0, 0.0, 1.0])))
 
 
+def test_unresolved_close_pair_rejected():
+    # F' = (x + 0.5)(x - 1)(x - 1 - 2e-8): |F''| = 3e-8 at both close roots,
+    # above CURVATURE_TOL, and both companion eigenvalues are real, but F'
+    # between them lies within its rounding and shows no sign change; the
+    # pair is named, not read as one well
+    P = np.polynomial.polynomial
+    p = Potential(P.polyint(P.polyfromroots([-0.5, 1.0, 1.0 + 2e-8])))
+    assert np.all(np.abs(p.hess(np.array([1.0, 1.0 + 2e-8]))) > 1e-8)
+    with pytest.raises(DegenerateCriticalPointError, match=r"x=0\.99999"):
+        find_critical_points(p)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_narrowed_bisection_keeps_preset_critical_points(name, monkeypatch):
+    # bisection from 2**16 floats around each eigenvalue lands on the floats
+    # that bisection from the whole bracket finds (a window of no floats
+    # shows no sign change, so every root falls back to its bracket)
+    import eigencoupler.potential as potential
+    narrowed = find_critical_points(make_potential(name))
+    monkeypatch.setattr(potential, "_NARROW", 0)
+    whole = find_critical_points(make_potential(name))
+    for a, b in zip(narrowed, whole):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_domains_double_well():
     part = domains_of_attraction(make_potential("double_well"))
     assert part.intervals == ((-np.inf, 0.0), (0.0, np.inf))

@@ -1037,6 +1037,27 @@ def test_clock_refills_are_exact(monkeypatch):
                                                       cfg.dt))
 
 
+def test_rekeyed_clock_refills_are_the_clock_streams():
+    # one re-keyed Philox per chunk fills every path's row: rows refilled
+    # two or more times (widths 3, 6, 12, ...), interleaved across paths and
+    # across two chunks' tables, hold the draws clock_stream(seed, index)
+    # gives from the first
+    import eigencoupler.simulate as sim
+    seed, indices = 2 ** 64 - 5, np.array([0, 7, 2 ** 40, 2 ** 63 + 1], dtype=np.uint64)
+    tables = [sim._Clocks(sim._clock_refill(seed, indices), len(indices), 3),
+              sim._Clocks(sim._clock_refill(seed, indices[::-1]), len(indices), 3)]
+    cursors = [np.zeros(len(indices), dtype=np.int64) for _ in tables]
+    order = np.random.default_rng(0)
+    for _ in range(4 * 13):
+        for clocks, cursor in zip(tables, cursors):
+            clocks.take(np.sort(order.choice(len(indices), 2, replace=False)), cursor)
+    for clocks, idx, cursor in zip(tables, (indices, indices[::-1]), cursors):
+        assert np.sum(clocks.filled > 6) >= 2
+        for p, i in enumerate(idx.tolist()):
+            want = clock_stream(seed, i).standard_exponential(clocks.filled[p])
+            np.testing.assert_array_equal(clocks.draws[p, :clocks.filled[p]], want)
+
+
 def _clock_generators():
     """The live Generators on a clock stream: Philox counters in the
     jumped half, which no main stream reaches."""

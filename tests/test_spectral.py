@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from eigencoupler.errors import GridError
+from eigencoupler.errors import GridError, TruncationError
 from eigencoupler.potential import Potential, make_potential
 from eigencoupler.spectral import (
     Grid,
@@ -12,8 +12,10 @@ from eigencoupler.spectral import (
     decompose,
     decomposition_to_csv,
     eigenvalues_to_json,
+    generator_eigenvalues,
     schrodinger_eigenvalues,
 )
+from eigencoupler.tridiag import eigensolve_tridiagonal
 
 FLAT = Potential(np.array([0.0]), name="flat")
 DW = make_potential("double_well")
@@ -242,3 +244,40 @@ def test_triple_well_small_noise_passes_zero_mode_gate():
     dec = decompose(gen, 3)
     assert dec.eigenvalues[0] == 0.0
     assert 0 < dec.eigenvalues[1] < dec.eigenvalues[2] < dec.eigenvalues[3]
+
+
+@pytest.mark.parametrize("preset,eps", [("double_well", 0.1), ("triple_well", 0.07)])
+def test_cross_route_eigenvalues_are_the_decomposition_s(preset, eps):
+    # verify's two-route check reads eigenvalues alone: the generator route's
+    # equal decompose's bit for bit at the reference n 4000, and the
+    # Schrodinger route's (n 4000 and the Richardson half-step 7999) equal
+    # the values eigensolve_tridiagonal returns with its vectors
+    pot = make_potential(preset)
+    grid = auto_grid(pot, eps, n=4000)
+    gen = build_generator(pot, eps, grid)
+    assert generator_eigenvalues(gen, 3).tobytes() == decompose(gen, 3).eigenvalues.tobytes()
+    for g in (grid, Grid(grid.L, 2 * grid.n - 1)):
+        values, _ = eigensolve_tridiagonal(*build_schrodinger(pot, eps, g), 4)
+        assert schrodinger_eigenvalues(pot, eps, g, 4).tobytes() == values.tobytes()
+
+
+def test_cross_route_raises_where_decompose_does(monkeypatch):
+    # one lambda_0 test serves both: a smallest eigenvalue lifted off zero
+    # raises the same TruncationError from decompose and from the
+    # eigenvalue-only route
+    import eigencoupler.spectral as spectral
+    import eigencoupler.tridiag as tridiag
+    values_of = tridiag.edge_factor_eigenvalues
+
+    def lifted(*args):
+        values = values_of(*args)
+        values[0] = 1e-6 * values[1]
+        return values
+    monkeypatch.setattr(tridiag, "edge_factor_eigenvalues", lifted)
+    monkeypatch.setattr(spectral, "edge_factor_eigenvalues", lifted)
+    gen = build_generator(DW, 0.1, auto_grid(DW, 0.1, n=400))
+    with pytest.raises(TruncationError) as full:
+        decompose(gen, 3)
+    with pytest.raises(TruncationError) as alone:
+        generator_eigenvalues(gen, 3)
+    assert str(full.value) == str(alone.value)
