@@ -1,5 +1,13 @@
 """Experiment configuration: JSON in, validated and default-filled object out.
 
+Each config key is declared once, as a field of ExperimentConfig after
+potential and epsilons: its metadata names the key's section (None at the
+top level), the key, its rule, the problem reported when a value breaks the
+rule and the cast applied to a value that keeps it, and the field's default
+is the key's. parse_config, the allowed keys, DEFAULTS, resolved() and
+apply_overrides all read these declarations; only potential, epsilon and the
+rules that span keys (the dt/T step grid, format names) are spelt out.
+
 Validation collects every problem before failing, and unknown keys are
 rejected at all levels so typos cannot silently fall back to defaults.
 """
@@ -20,73 +28,6 @@ from .simulate import _is_integer, _is_seed, _is_size, _off_step_grid, _steps_fi
 
 __all__ = ["ExperimentConfig", "parse_config", "apply_overrides", "DEFAULTS"]
 
-DEFAULTS = {
-    "theta": 0.5,
-    "kappa": 0.9,
-    "grid_n": 2000,
-    "grid_L": None,
-    "oracle_n": 200,
-    "oracle_times": (0.1, 1.0, 10.0),
-    "dt": 1e-4,
-    "T": 10.0,
-    "n_paths": 20000,
-    "seed": 42,
-    "store_stride": 500,
-    "formats": ("json", "csv", "svg"),
-}
-
-_TOP_KEYS = {"potential", "epsilon", "grid", "chain", "simulation", "oracle",
-             "outputs", "allow_assumption_violation", "threads"}
-_GRID_KEYS = {"n", "L"}
-_CHAIN_KEYS = {"theta", "kappa", "Q", "p", "maximize_scale"}
-_SIM_KEYS = {"dt", "T", "n_paths", "seed", "store_stride"}
-_ORACLE_KEYS = {"n", "times"}
-_OUT_KEYS = {"directory", "formats"}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    potential: object            # preset name or coefficient list
-    epsilons: tuple              # one or more noise levels (sweep if several)
-    grid_n: int
-    grid_L: object
-    oracle_n: int
-    oracle_times: tuple
-    theta: float
-    kappa: float
-    explicit_Q: object
-    chain_p: object
-    maximize_scale: bool
-    dt: float
-    T: float
-    n_paths: int
-    seed: int
-    store_stride: int
-    out_dir: str
-    formats: tuple
-    allow_assumption_violation: bool
-    threads: int
-
-    def resolved(self) -> dict:
-        return {
-            "potential": self.potential,
-            "epsilon": list(self.epsilons),
-            "grid": {"n": self.grid_n, "L": self.grid_L},
-            "oracle": {"n": self.oracle_n, "times": list(self.oracle_times)},
-            "chain": {"theta": self.theta, "kappa": self.kappa,
-                      "Q": self.explicit_Q, "p": self.chain_p,
-                      "maximize_scale": self.maximize_scale},
-            "simulation": {"dt": self.dt, "T": self.T, "n_paths": self.n_paths,
-                           "seed": self.seed, "store_stride": self.store_stride},
-            "outputs": {"directory": self.out_dir, "formats": list(self.formats)},
-            "allow_assumption_violation": self.allow_assumption_violation,
-            "threads": self.threads,
-        }
-
-
-def _is_threads(x) -> bool:
-    return _is_integer(x) and x >= 1
-
 
 def _is_num(x) -> bool:
     """A finite JSON number: json reads NaN and Infinity, and integers too
@@ -99,11 +40,12 @@ def _is_num(x) -> bool:
         return False
 
 
-def _list_of(value, valid):
-    """value as a tuple if it is a list whose items all pass valid, else None."""
-    if isinstance(value, (list, tuple)) and all(valid(v) for v in value):
-        return tuple(value)
-    return None
+def _is_positive(x) -> bool:
+    return _is_num(x) and x > 0
+
+
+def _is_list(value, valid) -> bool:
+    return isinstance(value, (list, tuple)) and all(valid(v) for v in value)
 
 
 def _float_array(value):
@@ -116,11 +58,122 @@ def _float_array(value):
     return arr if np.all(np.isfinite(arr)) else None
 
 
-def _check_keys(problems, mapping, allowed, where):
-    for key in mapping:
-        if key not in allowed:
-            problems.append(f"{where}: unknown key {key!r} "
-                            f"(allowed: {', '.join(sorted(allowed))})")
+def _is_square(value) -> bool:
+    q = _float_array(value)
+    return q is not None and q.ndim == 2 and q.shape[0] == q.shape[1]
+
+
+def _is_probability(value) -> bool:
+    p = _float_array(value)
+    # range-checked before it is summed, which could overflow
+    return (p is not None and p.ndim == 1 and not np.any((p < 0) | (p > 1))
+            and abs(p.sum() - 1.0) <= 1e-9)
+
+
+def _key(section, key, default, rule, problem, cast=None):
+    """The declaration of config key section.key (key, at the top level if
+    section is None): a field defaulting to its default, whose value must
+    pass rule, else problem is reported; cast converts a value that passes."""
+    return dataclasses.field(default=default, metadata={
+        "section": section, "key": key, "rule": rule, "problem": problem, "cast": cast})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    potential: object            # preset name or coefficient list
+    epsilons: tuple              # one or more noise levels (sweep if several)
+    grid_n: int = _key("grid", "n", 2000, lambda v: _is_size(v, 3),
+                       "must be an integer in [3, 2**63 - 1]")
+    grid_L: object = _key("grid", "L", None, lambda v: v is None or _is_positive(v),
+                          "must be a positive number or null")
+    oracle_n: int = _key("oracle", "n", 200, lambda v: _is_size(v, 3),
+                         "must be an integer in [3, 2**63 - 1]")
+    oracle_times: tuple = _key(
+        "oracle", "times", (0.1, 1.0, 10.0),
+        lambda v: _is_list(v, lambda t: _is_num(t) and t >= 0) and len(v) > 0,
+        "must be a nonempty list of nonnegative numbers", tuple)
+    theta: float = _key("chain", "theta", 0.5, lambda v: _is_num(v) and 0 < v < 1,
+                        "must lie in (0, 1)", float)
+    kappa: float = _key("chain", "kappa", 0.9, lambda v: _is_num(v) and 0 <= v < 1,
+                        "must lie in [0, 1)", float)
+    explicit_Q: object = _key("chain", "Q", None, lambda v: v is None or _is_square(v),
+                              "must be a finite square matrix")
+    chain_p: object = _key("chain", "p", None, lambda v: v is None or _is_probability(v),
+                           "must be a probability vector")
+    maximize_scale: bool = _key("chain", "maximize_scale", False,
+                                lambda v: isinstance(v, bool), "must be a boolean")
+    dt: float = _key("simulation", "dt", 1e-4, _is_positive, "must be positive", float)
+    T: float = _key("simulation", "T", 10.0, _is_positive, "must be positive", float)
+    n_paths: int = _key("simulation", "n_paths", 20000, _is_size,
+                        "must be an integer in [1, 2**63 - 1]")
+    seed: int = _key("simulation", "seed", 42, _is_seed, "must be a u64")
+    store_stride: int = _key("simulation", "store_stride", 500, _is_size,
+                             "must be an integer in [1, 2**63 - 1]")
+    out_dir: str = _key("outputs", "directory", ".", lambda v: isinstance(v, str),
+                        "must be a string")
+    formats: tuple = _key("outputs", "formats", ("json", "csv", "svg"),
+                          lambda v: _is_list(v, lambda f: isinstance(f, str)),
+                          "must be a list of format names", tuple)
+    allow_assumption_violation: bool = _key(None, "allow_assumption_violation", False,
+                                            lambda v: isinstance(v, bool), "must be a boolean")
+    threads: int = _key(None, "threads", 1, lambda v: _is_integer(v) and v >= 1,
+                        "must be a positive integer")
+
+    def resolved(self) -> dict:
+        """The config as JSON, every key present: parse_config reads it back
+        to an equal config."""
+        out = {"potential": self.potential, "epsilon": list(self.epsilons)}
+        for f in _KEYED.values():
+            value = getattr(self, f.name)
+            section = f.metadata["section"]
+            table = out.setdefault(section, {}) if section else out
+            table[f.metadata["key"]] = list(value) if f.metadata["cast"] is tuple else value
+        return out
+
+
+# every declared key's field, by field name, in field order
+_KEYED = {f.name: f for f in dataclasses.fields(ExperimentConfig)[2:]}
+DEFAULTS = {name: f.default for name, f in _KEYED.items()}
+
+# the keys each section allows, the top level's (None) first
+_ALLOWED = {None: {"potential", "epsilon"}}
+for _f in _KEYED.values():
+    _ALLOWED[None].add(_f.metadata["section"] or _f.metadata["key"])
+    _ALLOWED.setdefault(_f.metadata["section"], set()).add(_f.metadata["key"])
+del _f
+
+
+def _table(data, section, problems) -> dict:
+    """The object holding section's keys (the top level's if section is
+    None), {} if it is not an object; its problems appended to problems."""
+    table = data if section is None else data.get(section, {})
+    if not isinstance(table, dict):
+        problems.append(f"{section}: must be an object")
+        return {}
+    allowed = _ALLOWED[section]
+    problems.extend(f"{section or 'top level'}: unknown key {key!r} "
+                    f"(allowed: {', '.join(sorted(allowed))})"
+                    for key in table if key not in allowed)
+    return table
+
+
+def _load(source):
+    """The JSON value source holds: a path's contents, else source as JSON."""
+    text = None
+    try:
+        path = Path(source)
+        if path.exists():
+            text = path.read_text()
+    except OSError:
+        pass
+    try:
+        return json.loads(str(source) if text is None else text)
+    except json.JSONDecodeError as exc:
+        if text is not None:
+            raise ConfigError([f"not valid JSON: {exc}"]) from exc
+        shown = str(source)
+        shown = shown if len(shown) <= 80 else shown[:77] + "..."
+        raise ConfigError([f"no such file: {shown!r} (nor valid JSON: {exc})"]) from exc
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -129,27 +182,12 @@ def parse_config(source) -> ExperimentConfig:
     Raises:
         ConfigError: with the full list of schema problems.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = None
-        try:
-            path = Path(source)
-            if path.exists():
-                text = path.read_text()
-        except OSError:
-            pass
-        if text is None:
-            text = str(source)
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"not valid JSON: {exc}"]) from exc
+    data = source if isinstance(source, dict) else _load(source)
     if not isinstance(data, dict):
         raise ConfigError(["top level must be a JSON object"])
 
     problems = []
-    _check_keys(problems, data, _TOP_KEYS, "top level")
+    tables = {None: _table(data, None, problems)}
 
     potential = data.get("potential")
     if potential is None:
@@ -165,127 +203,39 @@ def parse_config(source) -> ExperimentConfig:
         problems.append("potential: must be a preset name or coefficient list")
 
     eps_raw = data.get("epsilon")
+    epsilons = ()
     if eps_raw is None:
         problems.append("epsilon: required (number or list for a sweep)")
-        epsilons = ()
     else:
         eps_list = eps_raw if isinstance(eps_raw, (list, tuple)) else [eps_raw]
-        if not eps_list or not all(_is_num(e) and e > 0 for e in eps_list):
-            problems.append("epsilon: every value must be a positive number")
-            epsilons = ()
-        else:
+        if eps_list and all(_is_positive(e) for e in eps_list):
             epsilons = tuple(float(e) for e in eps_list)
+        else:
+            problems.append("epsilon: every value must be a positive number")
 
-    grid = data.get("grid", {})
-    if not isinstance(grid, dict):
-        problems.append("grid: must be an object")
-        grid = {}
-    _check_keys(problems, grid, _GRID_KEYS, "grid")
-    grid_n = grid.get("n", DEFAULTS["grid_n"])
-    grid_L = grid.get("L", DEFAULTS["grid_L"])
-    if not _is_size(grid_n, 3):
-        problems.append("grid.n: must be an integer in [3, 2**63 - 1]")
-    if grid_L is not None and not (_is_num(grid_L) and grid_L > 0):
-        problems.append("grid.L: must be a positive number or null")
+    values = {}      # the keys whose values pass their rules
+    for name, f in _KEYED.items():
+        section, key = f.metadata["section"], f.metadata["key"]
+        if section not in tables:
+            tables[section] = _table(data, section, problems)
+        value = tables[section].get(key, f.default)
+        if not f.metadata["rule"](value):
+            problems.append(f"{section + '.' if section else ''}{key}: {f.metadata['problem']}")
+        else:
+            values[name] = f.metadata["cast"](value) if f.metadata["cast"] else value
 
-    chain = data.get("chain", {})
-    if not isinstance(chain, dict):
-        problems.append("chain: must be an object")
-        chain = {}
-    _check_keys(problems, chain, _CHAIN_KEYS, "chain")
-    theta = chain.get("theta", DEFAULTS["theta"])
-    kappa = chain.get("kappa", DEFAULTS["kappa"])
-    explicit_Q = chain.get("Q")
-    chain_p = chain.get("p")
-    maximize_scale = chain.get("maximize_scale", False)
-    if not (_is_num(theta) and 0 < theta < 1):
-        problems.append("chain.theta: must lie in (0, 1)")
-    if not (_is_num(kappa) and 0 <= kappa < 1):
-        problems.append("chain.kappa: must lie in [0, 1)")
-    if explicit_Q is not None:
-        q = _float_array(explicit_Q)
-        if q is None or q.ndim != 2 or q.shape[0] != q.shape[1]:
-            problems.append("chain.Q: must be a finite square matrix")
-    if chain_p is not None:
-        p = _float_array(chain_p)
-        # range-checked before it is summed, which could overflow
-        if (p is None or p.ndim != 1 or np.any((p < 0) | (p > 1))
-                or abs(p.sum() - 1.0) > 1e-9):
-            problems.append("chain.p: must be a probability vector")
-    if not isinstance(maximize_scale, bool):
-        problems.append("chain.maximize_scale: must be a boolean")
-
-    sim = data.get("simulation", {})
-    if not isinstance(sim, dict):
-        problems.append("simulation: must be an object")
-        sim = {}
-    _check_keys(problems, sim, _SIM_KEYS, "simulation")
-    dt = sim.get("dt", DEFAULTS["dt"])
-    T = sim.get("T", DEFAULTS["T"])
-    n_paths = sim.get("n_paths", DEFAULTS["n_paths"])
-    seed = sim.get("seed", DEFAULTS["seed"])
-    store_stride = sim.get("store_stride", DEFAULTS["store_stride"])
-    if not (_is_num(dt) and dt > 0):
-        problems.append("simulation.dt: must be positive")
-    if not (_is_num(T) and T > 0):
-        problems.append("simulation.T: must be positive")
-    if not _is_size(n_paths):
-        problems.append("simulation.n_paths: must be an integer in [1, 2**63 - 1]")
-    if not _is_seed(seed):
-        problems.append("simulation.seed: must be a u64")
-    if not _is_size(store_stride):
-        problems.append("simulation.store_stride: must be an integer in [1, 2**63 - 1]")
-    if _is_num(dt) and _is_num(T) and dt > 0 and T > 0:
-        if not _steps_fit(dt, T):
+    if {"dt", "T"} <= values.keys():
+        if not _steps_fit(values["dt"], values["T"]):
             problems.append("simulation: T / dt steps must be fewer than 2**63 - 1")
-        elif _off_step_grid(dt, T):
+        elif _off_step_grid(values["dt"], values["T"]):
             problems.append("simulation.T: must be a whole number of dt steps")
-
-    oracle = data.get("oracle", {})
-    if not isinstance(oracle, dict):
-        problems.append("oracle: must be an object")
-        oracle = {}
-    _check_keys(problems, oracle, _ORACLE_KEYS, "oracle")
-    oracle_n = oracle.get("n", DEFAULTS["oracle_n"])
-    oracle_times = _list_of(oracle.get("times", DEFAULTS["oracle_times"]),
-                            lambda t: _is_num(t) and t >= 0)
-    if not _is_size(oracle_n, 3):
-        problems.append("oracle.n: must be an integer in [3, 2**63 - 1]")
-    if not oracle_times:
-        problems.append("oracle.times: must be a nonempty list of nonnegative numbers")
-
-    outputs = data.get("outputs", {})
-    if not isinstance(outputs, dict):
-        problems.append("outputs: must be an object")
-        outputs = {}
-    _check_keys(problems, outputs, _OUT_KEYS, "outputs")
-    out_dir = outputs.get("directory", ".")
-    formats = _list_of(outputs.get("formats", DEFAULTS["formats"]),
-                       lambda f: isinstance(f, str))
-    if formats is None:
-        problems.append("outputs.formats: must be a list of format names")
-        formats = ()
-    bad = set(formats) - {"json", "csv", "svg"}
+    bad = set(values.get("formats", ())) - {"json", "csv", "svg"}
     if bad:
         problems.append(f"outputs.formats: unknown formats {sorted(bad)}")
 
-    allow = data.get("allow_assumption_violation", False)
-    if not isinstance(allow, bool):
-        problems.append("allow_assumption_violation: must be a boolean")
-    threads = data.get("threads", 1)
-    if not _is_threads(threads):
-        problems.append("threads: must be a positive integer")
-
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(
-        potential=potential, epsilons=epsilons, grid_n=grid_n, grid_L=grid_L,
-        oracle_n=oracle_n, oracle_times=oracle_times, theta=float(theta),
-        kappa=float(kappa), explicit_Q=explicit_Q, chain_p=chain_p,
-        maximize_scale=maximize_scale, dt=float(dt), T=float(T),
-        n_paths=n_paths, seed=seed, store_stride=store_stride,
-        out_dir=str(out_dir), formats=formats,
-        allow_assumption_violation=allow, threads=threads)
+    return ExperimentConfig(potential=potential, epsilons=epsilons, **values)
 
 
 def apply_overrides(cfg: ExperimentConfig, seed=None, threads=None) -> ExperimentConfig:
@@ -296,16 +246,14 @@ def apply_overrides(cfg: ExperimentConfig, seed=None, threads=None) -> Experimen
         ConfigError: with one line per bad override.
     """
     problems, changes = [], {}
-    if seed is not None:
-        if _is_seed(seed):
-            changes["seed"] = seed
+    for name, value in (("seed", seed), ("threads", threads)):
+        if value is None:
+            continue
+        meta = _KEYED[name].metadata
+        if meta["rule"](value):
+            changes[name] = value
         else:
-            problems.append("--seed: must be a u64")
-    if threads is not None:
-        if _is_threads(threads):
-            changes["threads"] = threads
-        else:
-            problems.append("--threads: must be a positive integer")
+            problems.append(f"--{meta['key']}: {meta['problem']}")
     if problems:
         raise ConfigError(problems)
     return dataclasses.replace(cfg, **changes)

@@ -43,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -1165,7 +1166,8 @@ def ensemble_chunks(cfg: EnsembleConfig, models, potential: Potential, xs=None):
     normals of a chunk of paths are drawn once, onto a tape every level's
     diffusion reads, instead of once per level; likewise the clock draws,
     into one table every level's chain walk reads. With workers > 1, chunks
-    run in groups of workers, so at most that many wait to be taken.
+    run on as many threads as workers, at most one per CPU the process may
+    use, in groups of that many, so at most that many wait to be taken.
 
     A chunk is as wide as _CHUNK_BYTES holds, at 8 bytes a row for each
     path: every level's stored rows and its two carry rows, the one window
@@ -1188,8 +1190,8 @@ def ensemble_chunks(cfg: EnsembleConfig, models, potential: Potential, xs=None):
     widths = [_window_steps(_y_block_size(model, cfg.dt), len(models)) for model in models]
     n_rows = (len(models) * (n_stored + 2) + 2 * max(widths) + 2
               + _first_draws(models, cfg.horizon))
-    chunk = max(1, min(int(_CHUNK_BYTES // (8 * n_rows)),
-                       -(-cfg.n_paths // cfg.workers)))
+    workers = min(cfg.workers, _usable_cpus())
+    chunk = max(1, min(int(_CHUNK_BYTES // (8 * n_rows)), -(-cfg.n_paths // workers)))
 
     def run(s):
         ix = np.arange(s, min(s + chunk, cfg.n_paths))
@@ -1197,9 +1199,17 @@ def ensemble_chunks(cfg: EnsembleConfig, models, potential: Potential, xs=None):
                           None if xs is None else [x[:, ix[0]:ix[-1] + 1] for x in xs])
 
     starts = range(0, cfg.n_paths, chunk)
-    if cfg.workers == 1 or len(starts) == 1:
+    if workers == 1 or len(starts) == 1:
         return map(run, starts)
-    return _in_groups(run, starts, cfg.workers)
+    return _in_groups(run, starts, workers)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:         # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _in_groups(fn, items, workers):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import eigencoupler.cli as cli
 import eigencoupler.coupling as coupling
-from eigencoupler.config import apply_overrides, parse_config
+from eigencoupler.config import DEFAULTS, ExperimentConfig, apply_overrides, parse_config
 from eigencoupler.errors import ConfigError
 from eigencoupler.potential import make_potential
 from eigencoupler.spectral import auto_grid, build_generator, decompose
@@ -154,6 +154,114 @@ def test_cli_overrides_apply_in_order():
     assert apply_overrides(cfg) == cfg
     assert apply_overrides(cfg, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
     assert apply_overrides(cfg, threads=3).threads == 3
+
+
+_TOP_LEVEL = ("allow_assumption_violation, chain, epsilon, grid, oracle, outputs, "
+              "potential, simulation, threads")
+_PRESETS = "double_well, tilted_double_well, triple_well, quadratic"
+_MISSING = object()
+
+
+@pytest.mark.parametrize("data, problem", [
+    # one case per declared key
+    ({"grid": {"n": 2}}, "grid.n: must be an integer in [3, 2**63 - 1]"),
+    ({"grid": {"L": -1}}, "grid.L: must be a positive number or null"),
+    ({"oracle": {"n": 2.0}}, "oracle.n: must be an integer in [3, 2**63 - 1]"),
+    ({"oracle": {"times": []}},
+     "oracle.times: must be a nonempty list of nonnegative numbers"),
+    ({"chain": {"theta": 1}}, "chain.theta: must lie in (0, 1)"),
+    ({"chain": {"kappa": 1.0}}, "chain.kappa: must lie in [0, 1)"),
+    ({"chain": {"Q": [[1, 2]]}}, "chain.Q: must be a finite square matrix"),
+    ({"chain": {"p": [0.5, 0.6]}}, "chain.p: must be a probability vector"),
+    ({"chain": {"maximize_scale": 1}}, "chain.maximize_scale: must be a boolean"),
+    ({"simulation": {"dt": 0}}, "simulation.dt: must be positive"),
+    ({"simulation": {"T": -1}}, "simulation.T: must be positive"),
+    ({"simulation": {"n_paths": 0}},
+     "simulation.n_paths: must be an integer in [1, 2**63 - 1]"),
+    ({"simulation": {"seed": -1}}, "simulation.seed: must be a u64"),
+    ({"simulation": {"store_stride": 1.5}},
+     "simulation.store_stride: must be an integer in [1, 2**63 - 1]"),
+    ({"outputs": {"directory": None}}, "outputs.directory: must be a string"),
+    ({"outputs": {"formats": "json"}}, "outputs.formats: must be a list of format names"),
+    ({"allow_assumption_violation": "yes"}, "allow_assumption_violation: must be a boolean"),
+    ({"threads": 0}, "threads: must be a positive integer"),
+    # the rules spelt out in parse_config
+    ({"potential": _MISSING}, "potential: required (preset name or coefficient list)"),
+    ({"potential": None}, "potential: required (preset name or coefficient list)"),
+    ({"potential": "nope"}, f"potential: unknown preset 'nope' (known: {_PRESETS})"),
+    ({"potential": [1, "a"]}, "potential: coefficient list must be numeric"),
+    ({"potential": 3}, "potential: must be a preset name or coefficient list"),
+    ({"epsilon": _MISSING}, "epsilon: required (number or list for a sweep)"),
+    ({"epsilon": None}, "epsilon: required (number or list for a sweep)"),
+    ({"epsilon": []}, "epsilon: every value must be a positive number"),
+    ({"epsilon": -0.1}, "epsilon: every value must be a positive number"),
+    ({"grid": [1]}, "grid: must be an object"),
+    ({"horizon": 5}, f"top level: unknown key 'horizon' (allowed: {_TOP_LEVEL})"),
+    ({"chain": {"shape": 1}},
+     "chain: unknown key 'shape' (allowed: Q, kappa, maximize_scale, p, theta)"),
+    ({"simulation": {"dt": 0.3, "T": 1.0}}, "simulation.T: must be a whole number of dt steps"),
+    ({"simulation": {"dt": 1e-300, "T": 1e300}},
+     "simulation: T / dt steps must be fewer than 2**63 - 1"),
+    ({"outputs": {"formats": ["json", "png", "gif"]}},
+     "outputs.formats: unknown formats ['gif', 'png']"),
+])
+def test_config_problem_lines(data, problem):
+    # each rule prints its exact line, and nothing else fails
+    config = {"potential": "double_well", "epsilon": 0.1, **data}
+    with pytest.raises(ConfigError) as err:
+        parse_config({k: v for k, v in config.items() if v is not _MISSING})
+    assert err.value.problems == [problem]
+
+
+_EVERY_KEY = {
+    "potential": [0.0, -1.0, 0.0, 0.25], "epsilon": [0.3, 0.2],
+    "grid": {"n": 300, "L": 2.5},
+    "oracle": {"n": 50, "times": [0, 2]},
+    "chain": {"theta": 0.3, "kappa": 0, "Q": [[-1.0, 1.0], [2.0, -2.0]],
+              "p": [0.25, 0.75], "maximize_scale": True},
+    "simulation": {"dt": 0.002, "T": 3, "n_paths": 77, "seed": 9, "store_stride": 7},
+    "outputs": {"directory": "out", "formats": ["csv"]},
+    "allow_assumption_violation": True, "threads": 2,
+}
+
+
+@pytest.mark.parametrize("data", [{"potential": "double_well", "epsilon": 0.1}, _EVERY_KEY])
+def test_resolved_config_parses_back_to_itself(data):
+    cfg = parse_config(data)
+    assert parse_config(cfg.resolved()) == cfg
+    assert parse_config(json.dumps(cfg.resolved())) == cfg
+
+
+def test_every_config_key_has_a_default():
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert names[:2] == ["potential", "epsilons"]
+    assert list(DEFAULTS) == names[2:]
+    assert parse_config({"potential": "double_well", "epsilon": 0.1}) == ExperimentConfig(
+        "double_well", (0.1,), **DEFAULTS)
+
+
+@pytest.mark.parametrize("directory", [None, ["a", 1]])
+def test_output_directory_must_be_a_string(tmp_path, monkeypatch, capsys, directory):
+    monkeypatch.chdir(tmp_path)
+    path = light_config(tmp_path, outputs={"directory": directory, "formats": ["json"]})
+    assert cli.main(["spectrum", "--config", path]) == 1
+    assert capsys.readouterr().err == (
+        "invalid configuration: outputs.directory: must be a string\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_missing_config_path_is_named(tmp_path, capsys):
+    missing = str(tmp_path / "nope" / "missing.json")
+    assert cli.main(["spectrum", "--config", missing]) == 1
+    assert capsys.readouterr().err == (
+        f"invalid configuration: no such file: {missing!r} "
+        "(nor valid JSON: Expecting value: line 1 column 1 (char 0))\n")
+    long = "x" * 200
+    with pytest.raises(ConfigError) as err:
+        parse_config(long)
+    assert err.value.problems == [
+        f"no such file: '{'x' * 77}...' (nor valid JSON: Expecting value: "
+        "line 1 column 1 (char 0))"]
 
 
 _numbers = st.one_of(st.integers(-3, 2 ** 70), st.integers(10 ** 308, 10 ** 400),

@@ -214,8 +214,43 @@ def test_ensemble_chunking_and_workers_invariant(fast_chain, monkeypatch):
                          store_stride=1)
     ref = simulate_ensemble(cfg, pipe.model, pipe.potential)
     monkeypatch.setattr(sim, "_CHUNK_BYTES", 16.0 * 1000 * 2)
+    # three usable CPUs, so the threads run on a machine with fewer
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 3)
     cfg2 = dataclasses.replace(cfg, workers=3)
     _assert_same_ensemble(simulate_ensemble(cfg2, pipe.model, pipe.potential), ref)
+
+
+def test_ensemble_threads_capped_at_usable_cpus(fast_chain, monkeypatch):
+    # a worker count far above the CPUs gets one thread per CPU the process
+    # may use (the affinity set, else the CPU count), not one per path; a
+    # serial stand-in for the pool records its size and starts no thread
+    import eigencoupler.simulate as sim
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", SerialPool)
+    pipe = fast_chain
+    cfg = EnsembleConfig(n_paths=4, dt=2e-3, horizon=0.2, seed=5, store_stride=1)
+    ref = simulate_ensemble(cfg, pipe.model, pipe.potential)
+    many = dataclasses.replace(cfg, workers=10 ** 6)
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    _assert_same_ensemble(simulate_ensemble(many, pipe.model, pipe.potential), ref)
+    monkeypatch.delattr(sim.os, "sched_getaffinity")
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    _assert_same_ensemble(simulate_ensemble(many, pipe.model, pipe.potential), ref)
+    assert sizes == [3, 2]
 
 
 def test_ensemble_tiles_and_noise_blocks_invariant(fast_chain, monkeypatch):
