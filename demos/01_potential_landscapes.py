@@ -1,7 +1,7 @@
 """Potential landscapes and their well structure.
 
 Walk through the built-in polynomial potentials: locate minima and maxima,
-partition the line into domains of attraction, and audit the growth
+partition the line into domains of attraction, and read off the growth
 conditions that the coupling pipeline relies on.
 """
 
@@ -20,21 +20,20 @@ print()
 for name in ("double_well", "tilted_double_well", "triple_well"):
     pot = make_potential(name)
     part = domains_of_attraction(pot)
-    audit = validate_assumptions(pot)
+    growth = validate_assumptions(pot)
     print(f"== {name} (degree {pot.degree}) ==")
     print("  minima :", np.round(pot.minima, 6))
     print("  maxima :", np.round(pot.maxima, 6))
     print("  wells  :", [f"({lo:.3g}, {hi:.3g})" for lo, hi in part.intervals])
-    print(f"  growth : a1 = a2 = {audit.a1:g}, gap condition "
-          f"{'holds' if audit.exponent_gap_ok else 'FAILS'}; "
-          f"audit {'passed' if audit.passed else 'failed'}")
+    print(f"  growth : a1 = a2 = {growth.a1:g}, gap condition "
+          f"{'holds' if growth.passed else 'FAILS'}")
     print()
 
 # a quadratic well fails the gap condition: it is reserved for
 # spectral-validation runs and refused by the coupling pipeline
 quad = make_potential("quadratic")
-audit = validate_assumptions(quad)
-print(f"quadratic: a1 = {audit.a1:g}, gap condition holds: {audit.exponent_gap_ok}")
+growth = validate_assumptions(quad)
+print(f"quadratic: a1 = {growth.a1:g}, gap condition holds: {growth.exponent_gap_ok}")
 
 # the flow map is never integrated in production code, but it is easy to
 # check numerically that every starting point relaxes into the well that the

@@ -201,7 +201,8 @@ def scaled_eigenvectors(Q: np.ndarray, eigenvalues, mode_vectors, kappa: float,
     sup = np.max(np.abs(eta), axis=1)
     if maximize:
         if m != 1:
-            raise ValueError("maximize mode is defined for single-rate chains only")
+            raise ValueError("maximize (chain.maximize_scale) is defined for single-rate "
+                             "chains only")
         dip = np.max(np.maximum(-np.outer(unit[0], eta[0]), 0.0))
         boundary = np.inf if dip == 0 else 1.0 / dip
         scales = np.array([kappa * boundary if np.isfinite(boundary) else 0.0])

@@ -68,7 +68,7 @@ def _build_pipeline(cfg: ExperimentConfig, potential: Potential, eps: float,
     require_coupling_ready(potential)
     return build_pipeline(potential, eps, n, L=cfg.grid_L, kappa=cfg.kappa,
                           theta=cfg.theta, p=cfg.chain_p, Q=cfg.explicit_Q,
-                          maximize=cfg.maximize_scale and potential.n_wells == 2)
+                          maximize=cfg.maximize_scale)
 
 
 def _peak_rss_mb(usage) -> float:
@@ -300,8 +300,8 @@ def _verify_one(cfg: ExperimentConfig, potential: Potential, eps: float):
         checks.append({"name": name, "passed": bool(passed), "value": value,
                        "threshold": threshold, **extra})
 
-    audit = potential.growth
-    record("growth_assumptions", audit.passed, audit.a1, "a2 < 2*a1 - 2")
+    growth = potential.growth
+    record("growth_assumptions", growth.passed, growth.a1, "a2 < 2*a1 - 2")
 
     # two-route spectral consistency at the reference resolution, on the
     # eigenvalues alone

@@ -17,11 +17,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .coupling import NORMALIZATION_TOL
 from .errors import ConfigError
 from .potential import preset_names
 from .simulate import _is_integer, _is_seed, _is_size, _off_step_grid, _steps_fit
@@ -67,7 +69,7 @@ def _is_probability(value) -> bool:
     p = _float_array(value)
     # range-checked before it is summed, which could overflow
     return (p is not None and p.ndim == 1 and not np.any((p < 0) | (p > 1))
-            and abs(p.sum() - 1.0) <= 1e-9)
+            and abs(p.sum() - 1.0) <= NORMALIZATION_TOL)
 
 
 def _key(section, key, default, rule, problem, cast=None):
@@ -159,6 +161,9 @@ def _table(data, section, problems) -> dict:
 
 def _load(source):
     """The JSON value source holds: a path's contents, else source as JSON."""
+    if not isinstance(source, (str, os.PathLike)):
+        raise ConfigError([f"config must be a dict, a path or JSON text, "
+                           f"not {type(source).__name__}"])
     text = None
     try:
         path = Path(source)
@@ -180,7 +185,8 @@ def parse_config(source) -> ExperimentConfig:
     """Parse a config from a path, JSON text, or a dict.
 
     Raises:
-        ConfigError: with the full list of schema problems.
+        ConfigError: with the full list of schema problems, or the one
+            problem of a source that is none of the three.
     """
     data = source if isinstance(source, dict) else _load(source)
     if not isinstance(data, dict):

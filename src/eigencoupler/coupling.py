@@ -40,7 +40,7 @@ __all__ = [
     "coupling_summary",
 ]
 
-NORMALIZATION_TOL = 1e-12
+NORMALIZATION_TOL = 1e-12        # how far a law's sum may be from one
 EIG_MATCH_REL = 1e-6
 MAX_JOINT_DIM = 10 ** 6
 
@@ -112,16 +112,21 @@ class CouplingModel:
         return self.n_states * self.n_nodes
 
     def state_law(self) -> np.ndarray:
-        """p as a float array, checked to be a distribution on the chain
-        states (sum within 1e-12 of one)."""
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != (self.n_states,) or abs(p.sum() - 1.0) > 1e-12 or np.any(p < 0):
-            raise ValueError("p must be a distribution on the chain states")
-        return p
+        return _state_law(self.p, self.n_states)
 
     def initial_law_for(self) -> np.ndarray:
         """(m+1, n) coupled initial law: p_i times state i's conditional law."""
         return self.state_law()[:, None] * self.cond
+
+
+def _state_law(p, n_states: int) -> np.ndarray:
+    """p as a float array, checked to be a distribution on n_states chain
+    states (sum within NORMALIZATION_TOL of one)."""
+    p = np.asarray(p, dtype=float)
+    if (p.shape != (n_states,) or not abs(p.sum() - 1.0) <= NORMALIZATION_TOL
+            or np.any(p < 0)):
+        raise ValueError(f"p must be a distribution on the {n_states} chain states")
+    return p
 
 
 def build_coupling(dec: SpectralDecomposition, spec: ChainSpec) -> CouplingModel:
@@ -185,7 +190,9 @@ def build_pipeline(potential, eps: float, n: int, *, L=None, kappa: float = 0.9,
     Raises:
         ValueError: an explicit Q is not (m+1) x (m+1), has a negative
             off-diagonal entry, or has a row sum that is not zero (within
-            validate_chain's tolerance).
+            validate_chain's tolerance); an explicit p is not a distribution
+            on m+1 states; theta is not 0.5 where it splits no rate (an
+            explicit Q, or m > 1); maximize with m > 1.
         ChainSynthesisError (exit 2): an explicit Q has no eigenvalue within
             relative 1e-6 of some -lambda_k of the decomposition.
     """
@@ -200,6 +207,11 @@ def build_pipeline(potential, eps: float, n: int, *, L=None, kappa: float = 0.9,
         if not (offdiagonal_nonnegative(Q) and row_sums_zero(Q)):
             raise ValueError("Q is not a generator: it needs nonnegative off-diagonal "
                              "entries and zero row sums")
+    if theta != 0.5 and (Q is not None or m > 1):
+        raise ValueError("theta (chain.theta) splits the one rate of a synthesized "
+                         "two-state chain; with an explicit Q or more than two wells "
+                         "it must stay 0.5")
+    p = np.full(m + 1, 1.0 / (m + 1)) if p is None else _state_law(p, m + 1)
     gen = build_generator(potential, eps, auto_grid(potential, eps, n=n, L=L))
     dec = decompose(gen, m)
     lams = dec.eigenvalues[1:]
@@ -207,7 +219,6 @@ def build_pipeline(potential, eps: float, n: int, *, L=None, kappa: float = 0.9,
         Q = synth_generator(lams, theta=theta)
     vectors, scales, min_alpha = scaled_eigenvectors(Q, lams, dec.modes[1:],
                                                      kappa=kappa, maximize=maximize)
-    p = np.full(m + 1, 1.0 / (m + 1)) if p is None else np.asarray(p, dtype=float)
     spec = ChainSpec(Q=Q, rates=lams.copy(), vectors=vectors, scales=scales, p=p,
                      min_alpha_bound=min_alpha, theta=theta if m == 1 else None)
     return Pipeline(potential, gen, dec, spec, build_coupling(dec, spec))

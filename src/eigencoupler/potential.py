@@ -1,5 +1,5 @@
 """Polynomial confining potentials: critical structure, domains of attraction,
-and growth-condition audits.
+and the growth conditions, read off the degree and leading coefficient.
 
 Potentials are restricted to polynomials so that the growth exponents used by
 the coupling pipeline are exact symbolic facts instead of numerical estimates.
@@ -8,7 +8,7 @@ the coupling pipeline are exact symbolic facts instead of numerical estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -18,7 +18,6 @@ from .errors import DegenerateCriticalPointError, GrowthAssumptionError
 __all__ = [
     "Potential",
     "DomainPartition",
-    "AuditCheck",
     "AssumptionReport",
     "make_potential",
     "preset_names",
@@ -30,8 +29,6 @@ __all__ = [
 CURVATURE_TOL = 1e-9
 # float ranks either side of a companion eigenvalue that bisection first tries
 _NARROW = 2 ** 16
-_EPS_PROBE = 0.1
-_N_RADII = 400
 
 # Preset coefficient lists, lowest degree first.
 _PRESETS = {
@@ -166,24 +163,16 @@ class DomainPartition:
 
 
 @dataclass(frozen=True)
-class AuditCheck:
-    name: str
-    passed: bool
-    constants: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class AssumptionReport:
     degree: int
     a1: float
     a2: float
-    exponent_gap_ok: bool   # a2 < 2*a1 - 2, i.e. degree > 2
-    checks: tuple = ()
-    note: str = "certificate constants fitted on |x| in [10, 1e4]"
+    exponent_gap_ok: bool   # confining and a2 < 2*a1 - 2, i.e. degree > 2
+    note: str = ""
 
     @property
     def passed(self) -> bool:
-        return self.exponent_gap_ok and all(c.passed for c in self.checks)
+        return self.exponent_gap_ok
 
 
 def preset_names():
@@ -214,19 +203,22 @@ def find_critical_points(potential: Potential):
     eigenvalues of its companion matrix (`polyroots`, backward stable through
     LAPACK). Each eigenvalue z gives the candidate Re z + Im z, so a real root
     gives itself and a close real pair that rounding made x0 +- iy gives
-    x0 +- y. Midpoints between neighbouring candidates bracket each one; a
-    bracket across which F' changes sign holds a root, and a complex pair's
-    brackets hold none. Each root is bisected on the order of the floats
-    down to two adjacent floats, from 2**16 floats either side of its
-    eigenvalue where F' changes sign across them (about 17 halvings), else
+    x0 +- y. Midpoints between neighbouring candidates bracket each one, and
+    each bracket across which F' changes sign holds a root, whichever
+    eigenvalue gave it: a complex pair's candidate can land within a few ulp
+    of a real root (x**5 - x: the pair +-i gives +-1) and take the root's
+    sign change into its own bracket. Each root is bisected on the order of
+    the floats down to two adjacent floats, from 2**16 floats either side of
+    its candidate where F' changes sign across them (about 17 halvings), else
     from its whole bracket (at most 64); the one with the smaller |F'| is
     kept, and the sign of F'' classifies it.
 
     Raises:
-        DegenerateCriticalPointError: some root has |F''| < 1e-9, or F'
-            shows no sign change across the bracket of a real eigenvalue
-            (two roots closer than F' resolves, which would otherwise be
-            lost as a pair).
+        DegenerateCriticalPointError: some root has |F''| < 1e-9, or fewer
+            brackets show a sign change than F' has real eigenvalues: a real
+            pair closer than F' resolves shows none, which leaves the count
+            two short (only another close pair that rounding made complex,
+            whose two roots are then found, could make up for it).
         ValueError: the potential is constant or not confining, or no
             minimum is found.
     """
@@ -247,7 +239,7 @@ def find_critical_points(potential: Potential):
     # leading coefficient)
     positive = np.concatenate(([False], potential.grad(edges[1:-1]) > 0, [True]))
     held = positive[:-1] != positive[1:]
-    if np.any(real & ~held):
+    if held.sum() < real.sum():
         x = cand[real & ~held][0]
         raise DegenerateCriticalPointError(
             f"critical point x={x:.12g}: F' shows no sign change around it, so its "
@@ -298,24 +290,16 @@ def domains_of_attraction(potential: Potential) -> DomainPartition:
     return DomainPartition(boundaries=np.asarray(maxima, dtype=float), intervals=intervals)
 
 
-def _fit_sandwich(values: np.ndarray, radii: np.ndarray, a_lo: float, a_hi: float):
-    """Fit certificate constants for c1*r^a_lo - c2 <= values <= c3*r^a_hi + c4
-    on the sampled radii (c2 = c4 = 0 suffices when the leading term dominates)."""
-    lower = values / radii ** a_lo
-    upper = values / radii ** a_hi
-    c1 = float(np.min(lower))
-    c3 = float(np.max(upper))
-    return {"c1": c1, "c2": 0.0, "c3": c3, "c4": 0.0}, c1 > 0 and np.isfinite(c3)
-
-
 def validate_assumptions(potential: Potential) -> AssumptionReport:
-    """Audit the growth conditions needed by the coupling pipeline.
+    """The growth conditions needed by the coupling pipeline, read off the
+    polynomial.
 
-    The exponents a1 = a2 = 2*(degree-1) are exact for polynomials; the gap
-    condition a2 < 2*a1 - 2 is therefore equivalent to degree > 2. The
-    sandwich bounds for |F'|^2, (|F'| - 2F'')^2, |F| (exponent a/2 + 1), and
-    the ground-state-form potential at eps = 0.1 are audited numerically on
-    400 log-spaced radii |x| in [10, 1e4] by fitting certificate constants.
+    For even degree d with a positive leading coefficient the leading terms
+    dominate: |F'|^2, (|F'| - 2F'')^2 and the ground-state potential
+    |F'|^2 / (4 eps^2) - F'' / (2 eps) all grow as |x|^a with a = 2(d - 1),
+    and |F| as |x|^(a/2 + 1). So the sandwich bounds c1 |x|^a - c2 <= . <=
+    c3 |x|^a + c4 hold with a1 = a2 = a, whatever the lower coefficients and
+    wherever the wells lie, and the gap condition a2 < 2*a1 - 2 is d > 2.
     """
     d = potential.degree
     if not potential.is_confining():
@@ -323,31 +307,7 @@ def validate_assumptions(potential: Potential) -> AssumptionReport:
                                 note="not confining: even degree >= 2 with positive "
                                      "leading coefficient required")
     a = 2.0 * (d - 1)
-    gap_ok = d > 2
-
-    r = np.logspace(1, 4, _N_RADII)
-    x = np.concatenate((-r[::-1], r))
-    rad = np.abs(x)
-    g = potential.grad(x)
-    h = potential.hess(x)
-    f = potential.value(x)
-
-    checks = []
-    for name, vals, lo_e, hi_e in [
-        ("grad_squared_sandwich", g ** 2, a, a),
-        ("grad_minus_2hess_squared_sandwich", (np.abs(g) - 2 * h) ** 2, a, a),
-        ("potential_sandwich", np.abs(f), a / 2 + 1, a / 2 + 1),
-    ]:
-        consts, ok = _fit_sandwich(vals, rad, lo_e, hi_e)
-        checks.append(AuditCheck(name, ok, consts))
-
-    v_eps = g ** 2 / (4 * _EPS_PROBE ** 2) - h / (2 * _EPS_PROBE)
-    consts, ok = _fit_sandwich(v_eps, rad, a, a)
-    consts["eps"] = _EPS_PROBE
-    checks.append(AuditCheck("ground_state_potential_sandwich", ok, consts))
-
-    return AssumptionReport(degree=d, a1=a, a2=a, exponent_gap_ok=gap_ok,
-                            checks=tuple(checks))
+    return AssumptionReport(degree=d, a1=a, a2=a, exponent_gap_ok=d > 2)
 
 
 def require_coupling_ready(potential: Potential, spectral_only: bool = False,

@@ -264,6 +264,14 @@ def test_missing_config_path_is_named(tmp_path, capsys):
         "line 1 column 1 (char 0))"]
 
 
+@pytest.mark.parametrize("source", [[1], 5, None])
+def test_config_source_of_another_type_is_a_config_error(source):
+    with pytest.raises(ConfigError) as err:
+        parse_config(source)
+    assert err.value.problems == [
+        f"config must be a dict, a path or JSON text, not {type(source).__name__}"]
+
+
 _numbers = st.one_of(st.integers(-3, 2 ** 70), st.integers(10 ** 308, 10 ** 400),
                      st.floats(0.0, 1.0), st.floats(), st.booleans())
 _configs = st.fixed_dictionaries(
@@ -520,6 +528,63 @@ def test_T_off_the_dt_grid_exits_1_before_writing(tmp_path, capsys, command):
     assert cli.main([command, "--config", path, "--out", str(out)]) == 1
     assert "simulation.T: must be a whole number of dt steps" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "oracle", "simulate"])
+def test_chain_p_of_the_wrong_length_exits_1_before_building(tmp_path, capsys, monkeypatch,
+                                                             command):
+    # double_well's chain has two states: a three-entry p is refused before
+    # any generator is built
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(coupling, "build_generator", no_build)
+    path = light_config(tmp_path, chain={"p": [0.2, 0.3, 0.5]},
+                        simulation={"dt": 1e-3, "T": 0.1, "n_paths": 20})
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "validation error: p must be a distribution on the 2 chain states\n")
+    assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
+
+
+def test_chain_p_sum_is_checked_at_the_models_tolerance(tmp_path, capsys):
+    # a sum 5e-10 from one, which the coupling model would refuse after the
+    # build, is refused by the config
+    path = light_config(tmp_path, chain={"p": [0.5, 0.5000000005]})
+    assert cli.main(["oracle", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "invalid configuration: chain.p: must be a probability vector\n")
+
+
+@pytest.mark.parametrize("potential, chain, key", [
+    ("triple_well", {"maximize_scale": True}, "chain.maximize_scale"),
+    ("triple_well", {"theta": 0.3}, "chain.theta"),
+    ("double_well", {"theta": 0.3, "Q": [[-1.0, 1.0], [1.0, -1.0]]}, "chain.theta"),
+])
+def test_chain_option_that_would_do_nothing_exits_1(tmp_path, capsys, potential, chain, key):
+    # maximize_scale and theta shape a synthesized two-state chain only;
+    # elsewhere they are refused, not dropped
+    path = light_config(tmp_path, potential=potential, chain=chain)
+    out = tmp_path / "o"
+    assert cli.main(["synth", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and f"({key})" in err
+    assert not list(out.glob("chain_*.json"))
+
+
+_WELLS_AT_12 = [2.0736, 0.0, -0.0288, 0.0, 1e-4]      # 1e-4 (x^2 - 144)^2
+
+
+def test_oracle_couples_wells_past_ten(tmp_path):
+    # a confining quartic whose wells lie at +-12 meets the growth conditions
+    path = light_config(tmp_path, potential=_WELLS_AT_12, epsilon=0.25,
+                        oracle={"n": 100, "times": [0.1, 1.0]})
+    out = tmp_path / "o"
+    assert cli.main(["oracle", "--config", path, "--out", str(out)]) == 0
+    run = json.loads((out / "oracle_report.json").read_text())["runs"][0]
+    assert run["max_tv"] <= 1e-8 and run["max_l1"] <= 1e-8
 
 
 def test_synth_maximize_scale_reaches_the_kappa_boundary(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eigencoupler.errors import DegenerateCriticalPointError, GrowthAssumptionError
 from eigencoupler.potential import (
@@ -93,6 +93,20 @@ def test_complex_pair_just_above_the_fold_is_not_a_root():
     assert maxima.size == 0
 
 
+@pytest.mark.parametrize("coeffs, minima, maxima", [
+    # F' = x^5 - x: simple roots -1, 0, 1 and the pair +-i, whose candidates
+    # Re z + Im z land within an ulp of -1 and 1
+    ((0.0, 0.0, -0.5, 0.0, 0.0, 0.0, 1.0 / 6.0), [-1.0, 1.0], [0.0]),
+    # F' = 6e-6 x^5 - 2x: roots 0 and +-(1e6 / 3)^(1/4) = +-24.03, and a
+    # complex pair of the same modulus
+    ((0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1e-6), [-(1e6 / 3) ** 0.25, (1e6 / 3) ** 0.25], [0.0]),
+])
+def test_complex_pair_next_to_a_real_root_hides_none(coeffs, minima, maxima):
+    found = find_critical_points(Potential(np.array(coeffs)))
+    np.testing.assert_allclose(found[0], minima, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(found[1], maxima, rtol=0, atol=1e-300)
+
+
 def test_degenerate_critical_point_rejected():
     # F = x^4 has F''(0) = 0
     with pytest.raises(DegenerateCriticalPointError):
@@ -146,7 +160,6 @@ def test_assumptions_degree4():
     rep = validate_assumptions(make_potential("double_well"))
     assert rep.a1 == rep.a2 == 6.0
     assert rep.exponent_gap_ok and rep.passed
-    assert all(c.passed for c in rep.checks)
 
 
 def test_assumptions_quadratic_rejected():
@@ -165,17 +178,30 @@ def test_assumptions_degree6():
     assert rep.passed
 
 
+def test_wells_past_ten_are_coupling_ready():
+    # F = 1e-4 (x^2 - 144)^2: degree 4, positive leading coefficient, wells
+    # at +-12
+    p = Potential(1e-4 * np.array([144.0 ** 2, 0.0, -288.0, 0.0, 1.0]))
+    report = require_coupling_ready(p)
+    assert report.passed and report.a1 == report.a2 == 6.0
+    np.testing.assert_allclose(p.minima, [-12.0, 12.0], rtol=1e-15)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-3, 3), min_size=0, max_size=3),
-       st.floats(0.2, 2.0))
-def test_random_even_polynomials_interleave(lower_coeffs, lead):
+       st.floats(0.2, 2.0), st.floats(1.0, 30.0))
+@example([1.0, 0.0, -2.0], 1.0, 12.0)       # (x^2 / 144 - 1)^2: wells at +-12
+def test_random_even_polynomials_interleave(lower_coeffs, lead, stretch):
     # every even-degree (>= 4) polynomial with positive leading coefficient
-    # passes the audit, and detected minima/maxima strictly interleave
+    # meets the growth conditions wherever its critical points lie: F(x /
+    # stretch) puts them up to 30 times further out, past |x| = 10, with
+    # wells up to 900 times flatter; detected minima/maxima strictly
+    # interleave
     coeffs = np.array(lower_coeffs + [0.0] * (5 - len(lower_coeffs)))
     coeffs[4] = lead
-    p = Potential(coeffs)
+    p = Potential(coeffs / stretch ** np.arange(5))
     rep = validate_assumptions(p)
-    assert rep.exponent_gap_ok
+    assert rep.exponent_gap_ok and rep.passed
     try:
         minima, maxima = find_critical_points(p)
     except DegenerateCriticalPointError:
