@@ -8,8 +8,10 @@ ends. Up to the eps scaling the two spectra must agree, and the smallest
 eigenvalue of route 1 is zero by construction.
 """
 
+import csv
+
 from eigencoupler import auto_grid, build_generator, decompose, make_potential
-from eigencoupler.spectral import decomposition_to_csv, schrodinger_eigenvalues
+from eigencoupler.spectral import decomposition_table, schrodinger_eigenvalues
 
 pot = make_potential("double_well")
 
@@ -32,5 +34,6 @@ for eps in (0.2, 0.1, 0.05):
 # the chain coupling exploits.
 
 dec = decompose(build_generator(pot, 0.1, auto_grid(pot, 0.1, n=2000)), 1)
-decomposition_to_csv(dec, "demo_decomposition.csv")
+with open("demo_decomposition.csv", "w", newline="") as fh:
+    csv.writer(fh).writerows(decomposition_table(dec))
 print("wrote demo_decomposition.csv (x, weight, mode_0, mode_1)")

@@ -11,7 +11,6 @@ theta = 0.5 is the same reflection-symmetric chain.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +46,9 @@ class ChainSpec:
     def n_states(self) -> int:
         return self.Q.shape[0]
 
-    def to_json(self, path=None):
-        payload = {
+    def to_json(self) -> dict:
+        """The chain as a JSON-ready dict, with its stationary law."""
+        return {
             "Q": self.Q.tolist(),
             "rates": self.rates.tolist(),
             "vectors": self.vectors.tolist(),
@@ -58,10 +58,6 @@ class ChainSpec:
             "theta": self.theta,
             "stationary": stationary_distribution(self.Q).tolist(),
         }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        return payload
 
 
 def _null_vector(A: np.ndarray):

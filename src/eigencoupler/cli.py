@@ -27,21 +27,20 @@ except ImportError:         # not on every platform
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
+from scipy.linalg import expm
 
 from . import __version__
 from .chain import validate_chain
 from .config import ExperimentConfig, apply_overrides, parse_config
 from .coupling import (Pipeline, build_joint_generator, build_pipeline, coupling_summary,
-                       coupling_to_csv)
+                       coupling_table)
 from .errors import ConfigError, EigencouplerError, GrowthAssumptionError
-from .oracle import DistributionVector, check_oracle, evolve_distribution
+from .oracle import check_oracle
 from .potential import (Potential, domains_of_attraction, make_potential,
                         require_coupling_ready)
 from .simulate import EnsembleConfig, ensemble_chunks, simulate_ensemble, simulate_ensembles
-from .spectral import (Grid, auto_grid, build_generator, decompose,
-                       decomposition_to_csv, eigenvalues_to_json, generator_eigenvalues,
-                       schrodinger_eigenvalues)
+from .spectral import (Grid, auto_grid, build_generator, decompose, decomposition_table,
+                       eigenvalues_to_json, generator_eigenvalues, schrodinger_eigenvalues)
 from .stats import exact_exit_times, tv_distance, tracking_probability
 from . import svgplot
 
@@ -53,11 +52,29 @@ MC_TV_REF_PATHS = 20000
 
 
 class VerificationFailure(EigencouplerError):
-    """One or more checks failed; outputs are the artifacts written."""
+    """One or more checks failed."""
 
-    def __init__(self, message, outputs):
-        super().__init__(message)
-        self.outputs = outputs
+
+class _Artifacts:
+    """The one writer of a command's files under out_dir: every path it
+    hands out is recorded, in order, as the manifest's outputs."""
+
+    def __init__(self, out_dir):
+        self.out_dir = out_dir
+        self.paths = []
+
+    def path(self, name) -> str:
+        path = os.path.join(self.out_dir, name)
+        self.paths.append(path)
+        return path
+
+    def write_json(self, name, payload):
+        with open(self.path(name), "w") as fh:
+            json.dump(payload, fh, indent=2)
+
+    def write_csv(self, name, rows):
+        with open(self.path(name), "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
 
 
 def _build_pipeline(cfg: ExperimentConfig, potential: Potential, eps: float,
@@ -86,32 +103,7 @@ def _peak_rss_mb(usage) -> float:
     return round(usage.ru_maxrss / unit, 1)
 
 
-def _write_manifest(out_dir, cfg: ExperimentConfig, command, outputs, t_start):
-    manifest = {
-        "command": command,
-        "config": cfg.resolved(),
-        "outputs": outputs,
-        "versions": {
-            "eigencoupler": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": platform.python_version(),
-        },
-        "wall_clock_s": round(time.time() - t_start, 3),
-    }
-    if resource is not None:
-        usage = resource.getrusage(resource.RUSAGE_SELF)
-        manifest["peak_rss_mb"] = _peak_rss_mb(usage)
-        manifest["minor_faults"] = usage.ru_minflt
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    return path
-
-
-def _cmd_spectrum(cfg: ExperimentConfig, out_dir) -> list:
-    outputs = []
-    potential = make_potential(cfg.potential)
+def _cmd_spectrum(cfg: ExperimentConfig, potential: Potential, out: _Artifacts):
     require_coupling_ready(potential, spectral_only=True,
                            override=cfg.allow_assumption_violation)
     for eps in cfg.epsilons:
@@ -120,40 +112,25 @@ def _cmd_spectrum(cfg: ExperimentConfig, out_dir) -> list:
         dec = decompose(build_generator(potential, eps, grid), m)
         tag = f"eps{eps:g}"
         if "json" in cfg.formats:
-            path = os.path.join(out_dir, f"eigenvalues_{tag}.json")
             hat = schrodinger_eigenvalues(potential, eps, grid, m + 1)
-            eigenvalues_to_json(dec, path, schrodinger_eigenvalues=hat)
-            outputs.append(path)
+            out.write_json(f"eigenvalues_{tag}.json",
+                           eigenvalues_to_json(dec, schrodinger_eigenvalues=hat))
         if "csv" in cfg.formats:
-            path = os.path.join(out_dir, f"decomposition_{tag}.csv")
-            decomposition_to_csv(dec, path)
-            outputs.append(path)
+            out.write_csv(f"decomposition_{tag}.csv", decomposition_table(dec))
         if "svg" in cfg.formats:
-            path = os.path.join(out_dir, f"modes_{tag}.svg")
-            svgplot.line_chart(path, dec.grid.nodes,
+            svgplot.line_chart(out.path(f"modes_{tag}.svg"), dec.grid.nodes,
                                {f"mode_{k}": dec.modes[k] for k in range(dec.m + 1)},
                                title=f"generator eigenfunctions, eps={eps:g}",
                                xlabel="x", ylabel="mode value")
-            outputs.append(path)
-    return outputs
 
 
-def _cmd_synth(cfg: ExperimentConfig, out_dir) -> list:
-    outputs = []
-    potential = make_potential(cfg.potential)
+def _cmd_synth(cfg: ExperimentConfig, potential: Potential, out: _Artifacts):
     for eps in cfg.epsilons:
         *_, spec, model = _build_pipeline(cfg, potential, eps, cfg.grid_n)
-        path = os.path.join(out_dir, f"chain_eps{eps:g}.json")
-        spec.to_json(path)
-        outputs.append(path)
+        out.write_json(f"chain_eps{eps:g}.json", spec.to_json())
         if "csv" in cfg.formats:
-            cpath = os.path.join(out_dir, f"coupling_eps{eps:g}.csv")
-            coupling_to_csv(model, cpath)
-            outputs.append(cpath)
-        spath = os.path.join(out_dir, f"coupling_summary_eps{eps:g}.json")
-        coupling_summary(model, spath)
-        outputs.append(spath)
-    return outputs
+            out.write_csv(f"coupling_eps{eps:g}.csv", coupling_table(model))
+        out.write_json(f"coupling_summary_eps{eps:g}.json", coupling_summary(model))
 
 
 def _oracle_run(cfg: ExperimentConfig, potential: Potential, eps: float):
@@ -175,13 +152,9 @@ def _oracle_run(cfg: ExperimentConfig, potential: Potential, eps: float):
     }
 
 
-def _cmd_oracle(cfg: ExperimentConfig, out_dir) -> list:
-    potential = make_potential(cfg.potential)
-    report = {"runs": [_oracle_run(cfg, potential, eps) for eps in cfg.epsilons]}
-    path = os.path.join(out_dir, "oracle_report.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-    return [path]
+def _cmd_oracle(cfg: ExperimentConfig, potential: Potential, out: _Artifacts):
+    out.write_json("oracle_report.json",
+                   {"runs": [_oracle_run(cfg, potential, eps) for eps in cfg.epsilons]})
 
 
 def _ensemble_config(cfg: ExperimentConfig, ends_only=False) -> EnsembleConfig:
@@ -224,25 +197,20 @@ def _format_rows(row_format, *columns) -> str:
     return (row_format * len(columns[0])) % tuple(fields)
 
 
-def _cmd_simulate(cfg: ExperimentConfig, out_dir) -> list:
-    outputs = []
-    potential = make_potential(cfg.potential)
+def _cmd_simulate(cfg: ExperimentConfig, potential: Potential, out: _Artifacts):
     for eps in cfg.epsilons:
-        traj_path = os.path.join(out_dir, f"trajectories_eps{eps:g}.csv")
-        jump_path = os.path.join(out_dir, f"jumps_eps{eps:g}.csv")
         pipe = _build_pipeline(cfg, potential, eps, cfg.grid_n)
+        paths = out.path(f"trajectories_eps{eps:g}.csv"), out.path(f"jumps_eps{eps:g}.csv")
         chunks = ensemble_chunks(_ensemble_config(cfg), [pipe.model], potential)
         try:
-            _write_simulate_csvs((level[0] for level in chunks), traj_path, jump_path)
+            _write_simulate_csvs((level[0] for level in chunks), *paths)
         except BaseException:
             # a run that fails part way leaves no CSV that could pass for a
             # whole one
-            for path in (traj_path, jump_path):
+            for path in paths:
                 if os.path.exists(path):
                     os.remove(path)
             raise
-        outputs += [traj_path, jump_path]
-    return outputs
 
 
 def _two_route_gaps(lams, potential, eps, grid: Grid):
@@ -351,12 +319,9 @@ def _verify_one(cfg: ExperimentConfig, potential: Potential, eps: float):
     counts0 = np.bincount(ens.y_at(0.0), minlength=m1)
     z = _count_z(counts0, [len(ens)], model.p[None])
     record("mc_y_marginal_t0", z <= 3.0, z, 3.0)
-    Q = sp.csr_matrix(spec.Q)
     for t in (cfg.T / 4, cfg.T / 2, cfg.T):
-        rows = np.array([evolve_distribution(Q, DistributionVector(e), t).weights
-                         for e in np.eye(m1)])
         counts = np.bincount(ens.y_at(t), minlength=m1)
-        z = _count_z(counts, counts0, rows)
+        z = _count_z(counts, counts0, expm(spec.Q * t))
         record(f"mc_y_marginal_t{t:g}", z <= 3.0, z, 3.0)
 
     # of the est.n paths in state j at T, the count in well j is tested
@@ -373,25 +338,20 @@ def _verify_one(cfg: ExperimentConfig, potential: Potential, eps: float):
             "passed": all(c["passed"] for c in checks), "oracle": orun}
 
 
-def _cmd_verify(cfg: ExperimentConfig, out_dir) -> list:
-    potential = make_potential(cfg.potential)
+def _cmd_verify(cfg: ExperimentConfig, potential: Potential, out: _Artifacts):
     runs = [_verify_one(cfg, potential, eps) for eps in cfg.epsilons]
     report = {"runs": runs, "passed": all(r["passed"] for r in runs)}
-    path = os.path.join(out_dir, "verify_report.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
+    out.write_json("verify_report.json", report)
     for run in runs:
         for c in run["checks"]:
             status = "PASS" if c["passed"] else "FAIL"
             print(f"[{status}] eps={run['eps']:g} {c['name']}: value={c['value']} "
                   f"threshold={c['threshold']}")
     if not report["passed"]:
-        raise VerificationFailure("one or more verification checks failed", [path])
-    return [path]
+        raise VerificationFailure("one or more verification checks failed")
 
 
-def _cmd_sweep(cfg: ExperimentConfig, out_dir) -> list:
-    potential = make_potential(cfg.potential)
+def _cmd_sweep(cfg: ExperimentConfig, potential: Potential, out: _Artifacts):
     pipes = [_build_pipeline(cfg, potential, eps, cfg.grid_n) for eps in cfg.epsilons]
     ensembles = simulate_ensembles(_ensemble_config(cfg, ends_only=True),
                                    [pipe.model for pipe in pipes], potential)
@@ -410,30 +370,18 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir) -> list:
             row[f"tracking_mc_{j}"] = None if est is None else est.point
             row[f"tracking_se_{j}"] = None if est is None else est.se
         rows.append(row)
-    outputs = []
-    jpath = os.path.join(out_dir, "sweep_report.json")
-    with open(jpath, "w") as fh:
-        json.dump({"rows": rows}, fh, indent=2)
-    outputs.append(jpath)
+    out.write_json("sweep_report.json", {"rows": rows})
     if "csv" in cfg.formats:
-        cpath = os.path.join(out_dir, "sweep.csv")
         keys = [k for k in rows[0] if k not in ("exit_times", "lambdas")]
-        with open(cpath, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(keys)
-            for row in rows:
-                writer.writerow([row[k] for k in keys])
-        outputs.append(cpath)
+        out.write_csv("sweep.csv", [keys] + [[row[k] for k in keys] for row in rows])
     if "svg" in cfg.formats and len(rows) > 1:
-        spath = os.path.join(out_dir, "tracking_trend.svg")
         epss = [r["eps"] for r in rows]
         n_states = len([k for k in rows[0] if k.startswith("tracking_oracle_")])
         series = {f"oracle_{j}": [r[f"tracking_oracle_{j}"] for r in rows]
                   for j in range(n_states)}
-        svgplot.line_chart(spath, epss, series, title="tracking vs noise level",
+        svgplot.line_chart(out.path("tracking_trend.svg"), epss, series,
+                           title="tracking vs noise level",
                            xlabel="eps", ylabel="P(X in D_j | Y = j)")
-        outputs.append(spath)
-    return outputs
 
 
 _COMMANDS = {
@@ -450,14 +398,16 @@ def execute(command: str, cfg: ExperimentConfig, out_dir=None) -> int:
     """Run one subcommand; returns the exit code and writes artifacts plus a
     reproducibility manifest under the output directory."""
     t0 = time.time()
-    out_dir = out_dir or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Artifacts(out_dir or cfg.out_dir)
+    os.makedirs(out.out_dir, exist_ok=True)
     try:
-        outputs = _COMMANDS[command](cfg, out_dir)
+        _COMMANDS[command](cfg, make_potential(cfg.potential), out)
+        out.write_json("config_resolved.json", cfg.resolved())
+        code = 0
     except VerificationFailure as exc:
+        # the manifest still lists the report that names the failed checks
         print(f"verification failed: {exc}", file=sys.stderr)
-        _write_manifest(out_dir, cfg, command, exc.outputs, t0)
-        return 3
+        code = 3
     except np.linalg.LinAlgError as exc:
         # a ValueError subclass, but a numerical failure, not a bad input
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -474,11 +424,24 @@ def execute(command: str, cfg: ExperimentConfig, out_dir=None) -> int:
     except EigencouplerError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    with open(os.path.join(out_dir, "config_resolved.json"), "w") as fh:
-        json.dump(cfg.resolved(), fh, indent=2)
-    outputs.append(os.path.join(out_dir, "config_resolved.json"))
-    _write_manifest(out_dir, cfg, command, outputs, t0)
-    return 0
+    manifest = {
+        "command": command,
+        "config": cfg.resolved(),
+        "outputs": list(out.paths),     # the manifest itself is not one
+        "versions": {
+            "eigencoupler": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
+        },
+        "wall_clock_s": round(time.time() - t0, 3),
+    }
+    if resource is not None:
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        manifest["peak_rss_mb"] = _peak_rss_mb(usage)
+        manifest["minor_faults"] = usage.ru_minflt
+    out.write_json("manifest.json", manifest)
+    return code
 
 
 def main(argv=None) -> int:

@@ -12,8 +12,6 @@ identity tilt_i(x) * rate_ij(x) = Q_ij * tilt_j(x) everywhere.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -36,7 +34,7 @@ __all__ = [
     "build_joint_generator",
     "sample_initial",
     "conditional_density",
-    "coupling_to_csv",
+    "coupling_table",
     "coupling_summary",
 ]
 
@@ -211,6 +209,9 @@ def build_pipeline(potential, eps: float, n: int, *, L=None, kappa: float = 0.9,
         raise ValueError("theta (chain.theta) splits the one rate of a synthesized "
                          "two-state chain; with an explicit Q or more than two wells "
                          "it must stay 0.5")
+    if maximize and m > 1:
+        raise ValueError("maximize (chain.maximize_scale) is defined for single-rate "
+                         "chains only")
     p = np.full(m + 1, 1.0 / (m + 1)) if p is None else _state_law(p, m + 1)
     gen = build_generator(potential, eps, auto_grid(potential, eps, n=n, L=L))
     dec = decompose(gen, m)
@@ -299,34 +300,30 @@ def conditional_density(model: CouplingModel, j: int) -> np.ndarray:
     return model.cond[j].copy()
 
 
-def coupling_to_csv(model: CouplingModel, path):
+def coupling_table(model: CouplingModel):
+    """The coupling's table, one row at a time: the header, then per grid node
+    its x, weight, modes, tilts and jump rates, each formatted %.12g."""
     m = model.n_states - 1
-    header = (["x", "weight"]
-              + [f"mode_{k}" for k in range(1, m + 1)]
-              + [f"tilt_{i}" for i in range(m + 1)]
-              + [f"rate_{i}{j}" for i in range(m + 1) for j in range(m + 1) if i != j])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for ell in range(model.n_nodes):
-            row = [f"{model.grid_nodes[ell]:.12g}", f"{model.weights[ell]:.12g}"]
-            row += [f"{model.modes[k, ell]:.12g}" for k in range(m)]
-            row += [f"{model.tilts[i, ell]:.12g}" for i in range(m + 1)]
-            row += [f"{model.jump_rates[i, j, ell]:.12g}"
-                    for i in range(m + 1) for j in range(m + 1) if i != j]
-            writer.writerow(row)
+    yield (["x", "weight"]
+           + [f"mode_{k}" for k in range(1, m + 1)]
+           + [f"tilt_{i}" for i in range(m + 1)]
+           + [f"rate_{i}{j}" for i in range(m + 1) for j in range(m + 1) if i != j])
+    for ell in range(model.n_nodes):
+        row = [f"{model.grid_nodes[ell]:.12g}", f"{model.weights[ell]:.12g}"]
+        row += [f"{model.modes[k, ell]:.12g}" for k in range(m)]
+        row += [f"{model.tilts[i, ell]:.12g}" for i in range(m + 1)]
+        row += [f"{model.jump_rates[i, j, ell]:.12g}"
+                for i in range(m + 1) for j in range(m + 1) if i != j]
+        yield row
 
 
-def coupling_summary(model: CouplingModel, path=None):
+def coupling_summary(model: CouplingModel) -> dict:
+    """min_alpha, eps, joint_dim and each jump rate's sup norm, as a dict."""
     m = model.n_states - 1
-    payload = {
+    return {
         "min_alpha": model.min_alpha,
         "eps": model.eps,
         "joint_dim": model.joint_dim,
         "rate_sup_norms": {f"{i}->{j}": float(np.max(model.jump_rates[i, j]))
                            for i in range(m + 1) for j in range(m + 1) if i != j},
     }
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-    return payload

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg import expm, solve_banded
 # scipy's private sparse kernel: y += A x for CSR arrays (indptr, indices,
 # data); pinned against PT @ term by tests/test_oracle.py
 from scipy.sparse._sparsetools import csr_matvec
@@ -200,15 +200,10 @@ class MarginalReport:
     entries: tuple          # ((t, l1), ...)
 
 
-def _marginal_report(laws, Q: np.ndarray, p) -> MarginalReport:
-    Q = np.asarray(Q, dtype=float)
-    m1 = Q.shape[0]
-    entries = []
-    pv = DistributionVector(np.asarray(p, dtype=float).copy(), 0.0)
-    for t, nu in laws:
-        pv = evolve_distribution(sp.csr_matrix(Q), pv, t - pv.time)
-        marginal = nu.weights.reshape(m1, -1).sum(axis=1)
-        entries.append((t, float(np.abs(marginal - pv.weights).sum())))
+def _marginal_report(laws, Q: np.ndarray, p: np.ndarray) -> MarginalReport:
+    entries = [(t, float(np.abs(nu.weights.reshape(len(Q), -1).sum(axis=1)
+                                - p @ expm(Q * t)).sum()))
+               for t, nu in laws]
     return MarginalReport(max_l1=max(e[1] for e in entries), entries=tuple(entries))
 
 
@@ -219,8 +214,8 @@ def check_oracle(B: sp.spmatrix, model: CouplingModel, times) -> tuple:
     The first holds the total-variation errors of the evolved conditional
     laws against the model's reference conditionals, skipping and noting
     states whose mass falls below 1e-14; the second the l1 distances between
-    the chain marginal and p exp(Qt), p = model.p and Q = model.Q,
-    uniformized on its own.
+    the chain marginal and p exp(Qt), p = model.p and Q = model.Q, from
+    scipy's expm, which shares no truncation error with the joint evolution.
     """
     nu = DistributionVector(model.initial_law_for().reshape(-1), 0.0)
     laws = _evolve_at(B, nu, times)

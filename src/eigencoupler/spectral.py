@@ -10,8 +10,6 @@ three-point discretization of the similarity-transformed operator
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +27,7 @@ __all__ = [
     "build_schrodinger",
     "decompose",
     "generator_eigenvalues",
-    "decomposition_to_csv",
+    "decomposition_table",
     "eigenvalues_to_json",
 ]
 
@@ -143,7 +141,8 @@ def build_generator(potential: Potential, eps: float, grid: Grid) -> DiscreteGen
 
     Raises:
         GridError: fewer than 2 nodes, or a Gibbs weight that is 0 or not
-            finite in float64, which decompose would divide by.
+            finite in float64, which decompose would divide by (between two
+            wells, the message names the barrier only a larger eps can help).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -170,6 +169,20 @@ def build_generator(potential: Potential, eps: float, grid: Grid) -> DiscreteGen
             w[:i0] = np.cumprod(death[i0:0:-1] / birth[i0 - 1::-1])[::-1]
         w /= w.sum()
     bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+    minima = potential.minima if bad.size and potential.is_confining() else x[:0]
+    inner = bad[(minima[0] < x[bad]) & (x[bad] < minima[-1])] if minima.size else bad[:0]
+    if inner.size:
+        # between two wells the barrier, not the grid's reach, is too deep;
+        # minima and maxima interleave, so maxima[k] parts minima[k], [k + 1]
+        b = inner[0]
+        k = int(np.searchsorted(minima, x[b])) - 1
+        top = potential.maxima[k]
+        raise GridError(
+            f"Gibbs weight exp(-F/eps) is {w[b]:g} at x = {x[b]:.4g}: the barrier at "
+            f"x = {top:.4g} between the wells at x = {minima[k]:.4g} and {minima[k + 1]:.4g} "
+            f"rises (F - Fmin)/eps = {(potential.value(top) - f[i0]) / eps:.4g} above the "
+            f"lowest node, past the float64 floor of about 745 at eps = {eps:g}; no grid.L "
+            f"changes that, only a larger eps")
     if bad.size:
         raise GridError(
             f"Gibbs weight exp(-F/eps) is {w[bad[0]]:g} at x = {x[bad[0]]:.4g}: "
@@ -310,19 +323,18 @@ def decompose(gen: DiscreteGenerator, m: int) -> SpectralDecomposition:
                                  weights=gen.weights, grid=gen.grid, eps=gen.eps)
 
 
-def decomposition_to_csv(dec: SpectralDecomposition, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "weight"] + [f"mode_{k}" for k in range(dec.m + 1)])
-        for i, x in enumerate(dec.grid.nodes):
-            writer.writerow([f"{x:.12g}", f"{dec.weights[i]:.12g}"]
-                            + [f"{dec.modes[k, i]:.12g}" for k in range(dec.m + 1)])
+def decomposition_table(dec: SpectralDecomposition):
+    """The decomposition's table, one row at a time: the header, then per
+    grid node its x, weight and modes, each formatted %.12g."""
+    yield ["x", "weight"] + [f"mode_{k}" for k in range(dec.m + 1)]
+    for i, x in enumerate(dec.grid.nodes):
+        yield ([f"{x:.12g}", f"{dec.weights[i]:.12g}"]
+               + [f"{dec.modes[k, i]:.12g}" for k in range(dec.m + 1)])
 
 
-def eigenvalues_to_json(dec: SpectralDecomposition, path=None,
-                        schrodinger_eigenvalues=None):
+def eigenvalues_to_json(dec: SpectralDecomposition, schrodinger_eigenvalues=None) -> dict:
     """The eigenvalues of dec and, when given, the route-2 values (lambda/eps
-    units) with their eps-scaled copies."""
+    units) with their eps-scaled copies, as a JSON-ready dict."""
     payload = {
         "eps": dec.eps,
         "grid": {"L": dec.grid.L, "n": dec.grid.n},
@@ -332,8 +344,4 @@ def eigenvalues_to_json(dec: SpectralDecomposition, path=None,
         payload["schrodinger_eigenvalues"] = schrodinger_eigenvalues.tolist()
         payload["scaled_schrodinger_eigenvalues"] = (
             (dec.eps * schrodinger_eigenvalues).tolist())
-    if path is None:
-        return payload
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
     return payload

@@ -500,6 +500,28 @@ def test_underflowed_gibbs_weight_exit_code_2(tmp_path):
         coupling.build_pipeline(make_potential(coefficients), 0.2529, 200)
 
 
+@pytest.mark.parametrize("coefficients, eps, n, message", [
+    # 1e-6 x^6 - x^2: wells at +-24.03 under a barrier at 0 that stands
+    # about 1925 eps above them, past the float64 floor of about 745; the weights
+    # vanish across it, which no grid.L changes
+    ([0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1e-6], 0.2, 400,
+     "the barrier at x = 0 between the wells at x = -24.03 and 24.03 rises "
+     "(F - Fmin)/eps = 1924 above the lowest node, past the float64 floor of about "
+     "745 at eps = 0.2; no grid.L changes that, only a larger eps"),
+    # every zero weight lies outside the wells: the grid's reach is to blame
+    ([0.0, -3.4338, 4.3148, -1.8236, 0.2570], 0.2529, 200,
+     "the grid reaches further into the tails than float64 resolves at eps = 0.2529; "
+     "narrow the grid (grid.L) or raise eps"),
+])
+def test_underflowed_gibbs_weight_names_its_cause(tmp_path, capsys, coefficients, eps, n,
+                                                  message):
+    path = light_config(tmp_path, potential=coefficients, epsilon=eps, grid={"n": n})
+    assert cli.main(["synth", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: Gibbs weight exp(-F/eps) is 0 at x = ")
+    assert err.endswith(message + "\n")
+
+
 def _backwards_Q():
     # row sums zero, but the 0 -> 1 rate is negative: that jump never fires
     lam1 = coupling.build_pipeline("double_well", 0.2, 400).spec.rates[0]
@@ -563,9 +585,15 @@ def test_chain_p_sum_is_checked_at_the_models_tolerance(tmp_path, capsys):
     ("triple_well", {"theta": 0.3}, "chain.theta"),
     ("double_well", {"theta": 0.3, "Q": [[-1.0, 1.0], [1.0, -1.0]]}, "chain.theta"),
 ])
-def test_chain_option_that_would_do_nothing_exits_1(tmp_path, capsys, potential, chain, key):
+def test_chain_option_that_would_do_nothing_exits_1(tmp_path, capsys, monkeypatch, potential,
+                                                    chain, key):
     # maximize_scale and theta shape a synthesized two-state chain only;
-    # elsewhere they are refused, not dropped
+    # elsewhere they are refused, not dropped, before any generator is built
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(coupling, "build_generator", no_build)
     path = light_config(tmp_path, potential=potential, chain=chain)
     out = tmp_path / "o"
     assert cli.main(["synth", "--config", path, "--out", str(out)]) == 1
@@ -718,6 +746,30 @@ def test_out_of_memory_exit_code_2(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: out of memory (Unable to allocate")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "synth", "oracle", "simulate", "verify",
+                                     "sweep"])
+def test_manifest_outputs_are_the_files_written_in_order(tmp_path, monkeypatch, command):
+    # every file a command writes goes through the one collector, so the
+    # manifest's outputs are the output directory's files (the manifest
+    # aside) in the order they were opened
+    import builtins
+    out = tmp_path / "o"
+    opened, real_open = [], builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if "w" in mode and str(file).startswith(str(out)):
+            opened.append(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    path = light_config(tmp_path, epsilon=[0.2, 0.15],
+                        simulation={"dt": 1e-3, "T": 0.2, "n_paths": 100, "store_stride": 50})
+    assert cli.main([command, "--config", path, "--out", str(out)]) in (0, 3)
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert opened == outputs + [str(out / "manifest.json")]
+    assert sorted(outputs) == sorted(str(p) for p in out.iterdir() if p.name != "manifest.json")
 
 
 def test_manifest_records_peak_rss_and_faults(tmp_path, monkeypatch):
@@ -973,13 +1025,13 @@ _PINNED_DIGESTS = {
     ("double_well", "synth"):
         "af1c6908dcf47a9b4b65f0ae27a2bbde3e1bc6a17ce7cfb78e5c8a006cff6613",
     ("double_well", "oracle"):
-        "43c2d953615efe53f4037ab6e0941538c7c8518ab922a4fc6da63c5ca851477b",
+        "5994724a9b60dc8cdee4cc7d725e5f35e70878943db444eeaf03aed9e34124a1",
     ("triple_well", "spectrum"):
         "286126e4d0a9868452030318ea041291f3a40ef954b2062a45545f0ca23fc0ad",
     ("triple_well", "synth"):
         "9432166ad7ace01c4838cf8912255af77396a75d5782132f47559ff533ab162f",
     ("triple_well", "oracle"):
-        "67e6890e9b086773cc261d447580cba20e1ad7321ed7926f4701147de2d77413",
+        "bf6e1bfa515ecfc44428ace3193a0311e49ff2f6ad82a7810c0e4cc915cc82e6",
     ("quadratic", "spectrum"):
         "5d52ce2aa6c01e702dd099f1894ac5ad07c0cabcee6427a5f1034d48c4106c1d",
 }
@@ -992,7 +1044,10 @@ def test_exact_artifacts_match_pinned_digests(tmp_path, name, command):
     # and oracle re-pinned when the chain's eigenvectors and stationary law
     # became SVD null vectors (a few ulp each), which left the rest unmoved;
     # oracle re-pinned again when uniformization's sub-intervals grew from
-    # rate-time 64 to 256 (the series rounds over fewer of them)
+    # rate-time 64 to 256 (the series rounds over fewer of them), and again
+    # when the marginal reference p exp(Qt) became scipy's expm in place of
+    # its own uniformization: only l1_entries and max_l1 moved (2.02e-12 ->
+    # 2.47e-12 on double_well, 1.86e-12 -> 1.92e-12 on triple_well)
     path = light_config(tmp_path, **_PINNED_CONFIGS[name])
     out = tmp_path / "out"
     assert cli.main([command, "--config", path, "--out", str(out)]) == 0

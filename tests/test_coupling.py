@@ -10,7 +10,7 @@ from eigencoupler.coupling import (
     build_pipeline,
     conditional_density,
     coupling_summary,
-    coupling_to_csv,
+    coupling_table,
     sample_initial,
 )
 from eigencoupler.chain import stationary_distribution
@@ -183,10 +183,12 @@ def test_conditional_density_validation(dw_small):
         conditional_density(dw_small.model, 5)
 
 
-def test_exports(tmp_path, dw_small):
-    coupling_to_csv(dw_small.model, tmp_path / "c.csv")
-    header = (tmp_path / "c.csv").read_text().splitlines()[0]
-    assert header.startswith("x,weight,mode_1,tilt_0,tilt_1,rate_01,rate_10")
-    payload = coupling_summary(dw_small.model, tmp_path / "s.json")
+def test_exports(dw_small):
+    # the table is yielded a row at a time, never held whole
+    table = coupling_table(dw_small.model)
+    assert iter(table) is table
+    assert next(table) == ["x", "weight", "mode_1", "tilt_0", "tilt_1", "rate_01", "rate_10"]
+    assert sum(1 for _ in table) == dw_small.model.n_nodes
+    payload = coupling_summary(dw_small.model)
     assert payload["min_alpha"] > 0
     assert "0->1" in payload["rate_sup_norms"]

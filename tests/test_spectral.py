@@ -10,7 +10,7 @@ from eigencoupler.spectral import (
     build_generator,
     build_schrodinger,
     decompose,
-    decomposition_to_csv,
+    decomposition_table,
     eigenvalues_to_json,
     generator_eigenvalues,
     schrodinger_eigenvalues,
@@ -183,15 +183,18 @@ def test_mode_sup_norm_stable_under_refinement():
     assert abs(sups[1000] - sups[2000]) / sups[2000] <= 0.01
 
 
-def test_exports(tmp_path, dw_small):
+def test_exports(dw_small):
     dec = dw_small.dec
-    csv_path = tmp_path / "dec.csv"
-    decomposition_to_csv(dec, csv_path)
-    header = csv_path.read_text().splitlines()[0]
-    assert header == "x,weight,mode_0,mode_1"
+    # the table is yielded a row at a time, never held whole
+    table = decomposition_table(dec)
+    assert iter(table) is table
+    assert next(table) == ["x", "weight", "mode_0", "mode_1"]
+    assert next(table) == [f"{dec.grid.nodes[0]:.12g}", f"{dec.weights[0]:.12g}",
+                           f"{dec.modes[0, 0]:.12g}", f"{dec.modes[1, 0]:.12g}"]
+    assert sum(1 for _ in table) == dec.grid.n - 1
     assert "schrodinger_eigenvalues" not in eigenvalues_to_json(dec)
     hat = schrodinger_eigenvalues(DW, 0.1, dec.grid, 2)
-    payload = eigenvalues_to_json(dec, tmp_path / "eig.json", schrodinger_eigenvalues=hat)
+    payload = eigenvalues_to_json(dec, schrodinger_eigenvalues=hat)
     assert payload["eigenvalues"][0] == 0.0
     assert payload["scaled_schrodinger_eigenvalues"] == (0.1 * hat).tolist()
 
